@@ -94,8 +94,10 @@ def _check_theorem_hypotheses(space, tmap, x0=None, require_seed=True):
     uc = has_property_uc(space)
     if not uc:
         raise HypothesisViolated("property UC", uc.witness)
+    # x0 sits on side A (the callers check), so it lies in X_T2_A exactly
+    # when it carries an edge to its image under the squared map
     if x0 is not None and require_seed:
-        if x0 not in x_t2_a_set(space, tmap):
+        if not space.has_edge(x0, tmap.twice(x0)):
             raise SeedNotEligible("seed in X_T2_A", x0)
 
 

@@ -246,3 +246,25 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["all_pass"] is True
+
+
+TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
+              {"id": "b", "coords": [1.0, 0.0], "side": "B"}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"metric": "l1", "points": TWO_POINTS, "edges": [["a"]]},
+    {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
+     "dist_table": [[0, 1], [1]]},
+    {"metric": "l1", "points": [{"id": "a", "coords": "12", "side": "A"}, TWO_POINTS[1]]},
+], ids=["one_element_edge", "ragged_table", "string_coords"])
+def test_verify_rejects_malformed_instances(tmp_path, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxigraph.cli", "verify", "--instance", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
