@@ -87,7 +87,7 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
                       stop_reason=reason, cycle_is_t2_fixed=cycle_fixed)
 
 
-def _check_theorem_hypotheses(space, tmap, x0=None, require_seed=True):
+def _check_theorem_hypotheses(space, tmap, x0=None):
     star = check_property_star(space, within=space.side_a())
     if not star:
         raise HypothesisViolated("property (*) on side A", star.witness)
@@ -96,9 +96,28 @@ def _check_theorem_hypotheses(space, tmap, x0=None, require_seed=True):
         raise HypothesisViolated("property UC", uc.witness)
     # x0 sits on side A (the callers check), so it lies in X_T2_A exactly
     # when it carries an edge to its image under the squared map
-    if x0 is not None and require_seed:
+    if x0 is not None:
         if not space.has_edge(x0, tmap.twice(x0)):
             raise SeedNotEligible("seed in X_T2_A", x0)
+
+
+def _t2_walk(tmap: CyclicMapTable, x0: str, max_iter: int) -> tuple[str, int, str]:
+    """Walk x0, T^2 x0, T^4 x0, ... until it stops; returns (point, steps, stop).
+
+    stop is "settled" when point is a fixed point of T^2, reached in steps
+    steps; "cycle" when point is the first repeat of a nontrivial cycle; and
+    "max_iter" when max_iter steps ran out.
+    """
+    y, seen = x0, {x0}
+    for steps in range(max_iter):
+        z = tmap.twice(y)
+        if z == y:
+            return y, steps, "settled"
+        if z in seen:
+            return z, steps + 1, "cycle"
+        seen.add(z)
+        y = z
+    return y, max_iter, "max_iter"
 
 
 def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
@@ -111,20 +130,10 @@ def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap, x0)
     d_ab = pair_distance(space).d_ab
-    y = x0
-    seen = {y}
-    iterations = 0
-    for _ in range(max_iter):
-        z = tmap.twice(y)
-        if z == y:
-            break
-        iterations += 1
-        if z in seen:
-            raise NoConvergence(
-                f"even orbit from {x0!r} entered a nontrivial cycle at {z!r}")
-        seen.add(z)
-        y = z
-    else:
+    y, iterations, stop = _t2_walk(tmap, x0, max_iter)
+    if stop == "cycle":
+        raise NoConvergence(f"even orbit from {x0!r} entered a nontrivial cycle at {y!r}")
+    if stop == "max_iter":
         raise NoConvergence(f"even orbit from {x0!r} did not settle in {max_iter} steps")
     gap = space.d(y, tmap(y))
     if abs(gap - d_ab) > tol:
@@ -164,20 +173,6 @@ class EquivalenceReport:
         return self.weakly_connected_a == self.orbits_merge == self.at_most_one_bpp
 
 
-def _even_orbit_terminal(space, tmap, x0, max_iter):
-    y = x0
-    seen = {y}
-    for _ in range(max_iter):
-        z = tmap.twice(y)
-        if z == y:
-            return y
-        if z in seen:
-            return None
-        seen.add(z)
-        y = z
-    return None
-
-
 def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
                               phi1: GaugeSpec, phi2: GaugeSpec,
                               tol: float = TOL_BPP,
@@ -208,8 +203,8 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     terminals = set()
     merged = True
     for x in a_nodes:
-        t = _even_orbit_terminal(space, tmap, x, max_iter)
-        if t is None:
+        t, _, stop = _t2_walk(tmap, x, max_iter)
+        if stop != "settled":
             merged = False
             break
         terminals.add(t)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .bpp_solver import (
     x_t2_a_set,
 )
 from .cyclic_contraction import (
-    CyclicMapTable,
     load_gauge_pair,
     load_map,
     verify_g_cyclic_contraction,
@@ -65,6 +64,7 @@ from .metric_graph import (
     is_g_chebyshev,
     is_sharp_proximal,
     pair_distance,
+    read_document,
 )
 from .pbvp import (
     GridFunction,
@@ -134,16 +134,6 @@ def _violation_exit(exc: ProxigraphError, out: str | None) -> int:
     return 1
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _parse_inline(text: str, what: str):
     """A flag value that is either a JSON document or a plain number."""
     try:
@@ -153,6 +143,13 @@ def _parse_inline(text: str, what: str):
             return float(text)
         except ValueError:
             raise InstanceFormatError(f"{what} must be JSON or a number, got {text!r}") from None
+
+
+def _parse_rhs(text: str, flag: str) -> RhsFunction:
+    doc = _parse_inline(text, flag)
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{flag} must be a JSON object with a 'kind'")
+    return RhsFunction.from_dict(doc)
 
 
 def _check_doc(result) -> dict:
@@ -256,14 +253,11 @@ def _cmd_solve_bpp(args) -> int:
 
 def _cmd_solve_fixed_point(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
-    t1 = _read_json(args.t1).get("map")
-    t2 = _read_json(args.t2).get("map")
-    if not isinstance(t1, dict) or not isinstance(t2, dict):
-        raise InstanceFormatError("map documents need a 'map' object")
+    t1 = load_map(args.t1, strict=args.strict).mapping
+    t2 = load_map(args.t2, strict=args.strict).mapping
     pair = PairMaps.for_space(space, t1, t2)
-    psi_doc = _read_json(args.psi)
-    psi_doc.pop("schema", None)
-    psi = PsiGauge.from_dict(psi_doc)
+    psi = PsiGauge.from_dict(read_document(args.psi, {"schema", "kind", "params"},
+                                           "psi file", args.strict))
     checks = not args.skip_hypothesis_checks
     try:
         if checks:
@@ -311,16 +305,8 @@ def _parse_w0(text: str, grid: TimeGrid) -> GridFunction:
 
 
 def _cmd_solve_pbvp(args) -> int:
-    rhs_doc = _parse_inline(args.rhs, "--rhs")
-    if not isinstance(rhs_doc, dict):
-        raise InstanceFormatError("--rhs must be a JSON object with a 'kind'")
-    f = RhsFunction.from_dict(rhs_doc)
-    f2 = None
-    if args.f2:
-        f2_doc = _parse_inline(args.f2, "--f2")
-        if not isinstance(f2_doc, dict):
-            raise InstanceFormatError("--f2 must be a JSON object with a 'kind'")
-        f2 = RhsFunction.from_dict(f2_doc)
+    f = _parse_rhs(args.rhs, "--rhs")
+    f2 = _parse_rhs(args.f2, "--f2") if args.f2 else None
     h_spec = _parse_inline(args.h, "--h")
     grid = TimeGrid(period=args.T, n=args.N)
     w0 = _parse_w0(args.w0, grid)
@@ -657,16 +643,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except ProxigraphError as exc:
-        return _violation_exit(exc, getattr(args, "out", None))
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except _INPUT_ERRORS as exc:
+            sys.stderr.write(f"input error: {exc}\n")
+            return 2
+        except ProxigraphError as exc:
+            return _violation_exit(exc, getattr(args, "out", None))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ The floor-fraction gauge needs the reciprocal-bracket index kappa: for
 """
 from __future__ import annotations
 
-import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -21,7 +21,15 @@ from .errors import (
     OutOfDomain,
     SideMismatch,
 )
-from .metric_graph import CheckResult, FiniteMetricGraph, PairGeometry, pair_distance
+from .metric_graph import (
+    CheckResult,
+    FiniteMetricGraph,
+    PairGeometry,
+    _number,
+    _params,
+    pair_distance,
+    read_document,
+)
 
 TOL_INEQ = 1e-9       # slack allowed when checking the contraction inequality
 KAPPA_SNAP = 1e-12    # snap width for z that is a float neighbour of some 1/n
@@ -75,41 +83,68 @@ class GaugeSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the parameters are parsed here once; eval_gauge reads _c and _knots
         if self.kind not in GAUGE_KINDS:
             raise InstanceFormatError(f"unknown gauge kind {self.kind!r}")
         if self.kind == "linear":
-            c = self.params.get("c")
-            if c is None or not 0.0 < float(c) <= 1.0:
+            c = _number(self.params.get("c", -1.0), "linear gauge c")
+            if not 0.0 < c <= 1.0:
                 raise InstanceFormatError("linear gauge needs 0 < c <= 1")
+            object.__setattr__(self, "_c", c)
         elif self.kind == "affine_shift":
-            c = self.params.get("c")
-            if c is None or float(c) < 0.0:
+            c = _number(self.params.get("c", -1.0), "affine_shift gauge c")
+            if c < 0.0:
                 raise InstanceFormatError("affine_shift gauge needs c >= 0")
+            object.__setattr__(self, "_c", c)
         elif self.kind == "table":
-            knots = self.params.get("knots")
-            if not knots or len(knots) < 2:
+            ss, vs = parse_knots(self.params.get("knots") or (), "table gauge")
+            if len(ss) < 2:
                 raise InstanceFormatError("table gauge needs at least two knots")
-            ss = [float(s) for s, _ in knots]
-            if sorted(ss) != ss or len(set(ss)) != len(ss):
+            if sorted(ss) != list(ss) or len(set(ss)) != len(ss):
                 raise InstanceFormatError("table gauge knots must be strictly sorted in s")
+            object.__setattr__(self, "_knots", (ss, vs))
 
     @classmethod
     def from_dict(cls, data) -> "GaugeSpec":
         if not isinstance(data, dict) or "kind" not in data:
             raise InstanceFormatError("gauge spec must be an object with a 'kind'")
-        return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
+        return cls(kind=str(data["kind"]), params=_params(data, "gauge"))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
+
+
+def parse_knots(knots, what) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The abscissae and the values of (s, value) knots, as floats."""
+    try:
+        pairs = [(float(s), float(v)) for s, v in knots]
+    except (TypeError, ValueError):
+        raise InstanceFormatError(
+            f"{what} knots must be (s, value) pairs of numbers, got {knots!r}") from None
+    return tuple(s for s, _ in pairs), tuple(v for _, v in pairs)
+
+
+def interpolate(ss, vs, s: float) -> float:
+    """Piecewise-linear value at s through the knots (ss, vs), ss sorted: on the
+    segment ending at the first knot >= s, or on an end segment extended."""
+    if s <= ss[0]:
+        lo, hi = 0, 1
+    elif s >= ss[-1]:
+        lo, hi = len(ss) - 2, len(ss) - 1
+    else:
+        hi = bisect_left(ss, s)
+        lo = hi - 1
+    t = (s - ss[lo]) / (ss[hi] - ss[lo])
+    return vs[lo] + t * (vs[hi] - vs[lo])
 
 
 def eval_gauge(gauge: GaugeSpec, s: float) -> float:
     if s < 0:
         raise OutOfDomain(f"gauges are defined on [0, inf), got {s}")
     if gauge.kind == "linear":
-        return float(gauge.params["c"]) * s
+        return gauge._c * s
     if gauge.kind == "affine_shift":
-        return float(gauge.params["c"]) + s
+        return gauge._c + s
     if gauge.kind == "identity":
         return s
     if gauge.kind == "floor_fraction":
@@ -118,19 +153,7 @@ def eval_gauge(gauge: GaugeSpec, s: float) -> float:
         if frac <= KAPPA_SNAP:
             return float(fl)
         return float(fl) + frac / kappa(frac)
-    # table
-    knots = gauge.params["knots"]
-    ss = [float(a) for a, _ in knots]
-    vv = [float(b) for _, b in knots]
-    if s <= ss[0]:
-        lo, hi = 0, 1
-    elif s >= ss[-1]:
-        lo, hi = len(ss) - 2, len(ss) - 1
-    else:
-        hi = next(i for i, a in enumerate(ss) if a >= s)
-        lo = hi - 1
-    t = (s - ss[lo]) / (ss[hi] - ss[lo])
-    return vv[lo] + t * (vv[hi] - vv[lo])
+    return interpolate(*gauge._knots, s)
 
 
 def verify_gauge_classes(phi1: GaugeSpec, phi2: GaugeSpec, grid) -> CheckResult:
@@ -266,8 +289,7 @@ def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
 def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
                                 phi1: GaugeSpec, phi2: GaugeSpec,
                                 tol: float = TOL_INEQ,
-                                all_pairs: bool = False,
-                                check_gauges: bool = True) -> ContractionReport:
+                                all_pairs: bool = False) -> ContractionReport:
     """Sweep A x B and check the contraction bound on edge-eligible pairs.
 
     all_pairs=True drops the eligibility restriction, which is how an edge-free
@@ -282,14 +304,13 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     pairs = [(x, y) for x in sorted(a) for y in sorted(b)
              if all_pairs or eligible_pair(space, tmap, x, y)]
 
-    if check_gauges:
-        grid = {geom.d_ab}
-        for x, y in pairs:
-            grid.add(space.d(x, y))
-            grid.add(m_value(space, tmap, x, y))
-        ok = verify_gauge_classes(phi1, phi2, grid)
-        if not ok:
-            raise GaugeClassViolation(f"gauge class check failed: {ok.witness}")
+    grid = {geom.d_ab}
+    for x, y in pairs:
+        grid.add(space.d(x, y))
+        grid.add(m_value(space, tmap, x, y))
+    ok = verify_gauge_classes(phi1, phi2, grid)
+    if not ok:
+        raise GaugeClassViolation(f"gauge class check failed: {ok.witness}")
 
     violations = []
     for x, y in pairs:
@@ -318,35 +339,11 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
 
 def load_gauge_pair(path, strict=False) -> tuple[GaugeSpec, GaugeSpec]:
     """Read {"schema": "1", "phi1": {...}, "phi2": {...}} from a file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or "phi1" not in data or "phi2" not in data:
+    data = read_document(path, {"schema", "phi1", "phi2"}, "gauge file", strict)
+    if "phi1" not in data or "phi2" not in data:
         raise InstanceFormatError("gauge file needs 'phi1' and 'phi2' entries")
-    unknown = set(data) - {"schema", "phi1", "phi2"}
-    if unknown:
-        msg = f"unknown gauge file field(s): {sorted(unknown)}"
-        if strict:
-            raise InstanceFormatError(msg)
-        import sys
-        print(f"warning: {msg}", file=sys.stderr)
     return GaugeSpec.from_dict(data["phi1"]), GaugeSpec.from_dict(data["phi2"])
 
 
 def load_map(path, strict=False) -> CyclicMapTable:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
-    if isinstance(data, dict):
-        unknown = set(data) - {"schema", "map"}
-        if unknown:
-            msg = f"unknown map file field(s): {sorted(unknown)}"
-            if strict:
-                raise InstanceFormatError(msg)
-            import sys
-            print(f"warning: {msg}", file=sys.stderr)
-    return CyclicMapTable.from_dict(data)
+    return CyclicMapTable.from_dict(read_document(path, {"schema", "map"}, "map file", strict))

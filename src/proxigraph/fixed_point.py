@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bpp_solver import OrbitTrace
-from .cyclic_contraction import GaugeSpec, eval_gauge
+from .cyclic_contraction import GaugeSpec, eval_gauge, interpolate, parse_knots
 from .errors import (
     InstanceFormatError,
     InvalidPsi,
@@ -25,6 +25,8 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
+    _number,
+    _params,
     check_property_star,
     is_weakly_connected,
 )
@@ -47,24 +49,26 @@ class PsiGauge:
     params: dict
 
     def __post_init__(self):
+        # the parameters are parsed here once; __call__ reads _value and _knots
         if self.kind not in PSI_KINDS:
             raise InvalidPsi(f"unknown psi kind {self.kind!r}")
         if self.kind == "constant":
-            v = float(self.params.get("value", -1.0))
+            v = _number(self.params.get("value", -1.0), "constant psi value")
             if not 0.0 <= v < 1.0:
                 raise InvalidPsi(f"constant psi needs 0 <= value < 1, got {v}")
+            object.__setattr__(self, "_value", v)
         else:
             knots = self.params.get("knots")
             if not knots:
                 raise InvalidPsi("table psi needs knots")
-            ss = [float(s) for s, _ in knots]
-            vs = [float(v) for _, v in knots]
-            if sorted(ss) != ss:
+            ss, vs = parse_knots(knots, "table psi")
+            if sorted(ss) != list(ss):
                 raise InvalidPsi("table psi knots must be sorted in s")
             if any(not 0.0 <= v < 1.0 for v in vs):
                 raise InvalidPsi("table psi values must lie in [0, 1)")
             if any(b < a for a, b in zip(vs, vs[1:])):
                 raise InvalidPsi("table psi must be non-decreasing")
+            object.__setattr__(self, "_knots", (ss, vs))
 
     @classmethod
     def constant(cls, value: float) -> "PsiGauge":
@@ -74,7 +78,7 @@ class PsiGauge:
     def from_dict(cls, data) -> "PsiGauge":
         if not isinstance(data, dict) or "kind" not in data:
             raise InstanceFormatError("psi spec must be an object with a 'kind'")
-        return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
+        return cls(kind=str(data["kind"]), params=_params(data, "psi"))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -83,18 +87,14 @@ class PsiGauge:
         if s < 0:
             raise InvalidPsi(f"psi is defined on [0, inf), got {s}")
         if self.kind == "constant":
-            return float(self.params["value"])
-        knots = self.params["knots"]
-        ss = [float(a) for a, _ in knots]
-        vs = [float(b) for _, b in knots]
+            return self._value
+        ss, vs = self._knots
+        # clamped at both ends, where the gauge tables extend their end segments
         if s <= ss[0]:
             return vs[0]
         if s >= ss[-1]:
             return vs[-1]
-        hi = next(i for i, a in enumerate(ss) if a >= s)
-        lo = hi - 1
-        t = (s - ss[lo]) / (ss[hi] - ss[lo])
-        return vs[lo] + t * (vs[hi] - vs[lo])
+        return interpolate(ss, vs, s)
 
 
 def psi_from_phi(phi: GaugeSpec, d_ab: float, grid) -> PsiGauge:
@@ -139,16 +139,13 @@ class PairMaps:
         return pm
 
     def validate(self, space: FiniteMetricGraph):
-        for x in space.side_a():
-            if x not in self.t1:
-                raise InstanceFormatError(f"t1 is not total on A: missing {x!r}")
-            if "B" not in space.side[self.t1[x]]:
-                raise SideMismatch(f"t1 must send A into B, but {x!r} -> {self.t1[x]!r}")
-        for y in space.side_b():
-            if y not in self.t2:
-                raise InstanceFormatError(f"t2 is not total on B: missing {y!r}")
-            if "A" not in space.side[self.t2[y]]:
-                raise SideMismatch(f"t2 must send B into A, but {y!r} -> {self.t2[y]!r}")
+        for name, t, src, dst, points in (("t1", self.t1, "A", "B", space.side_a()),
+                                          ("t2", self.t2, "B", "A", space.side_b())):
+            for x in points:
+                if x not in t:
+                    raise InstanceFormatError(f"{name} is not total on {src}: missing {x!r}")
+                if dst not in space.side[t[x]]:
+                    raise SideMismatch(f"{name} must send {src} into {dst}, but {x!r} -> {t[x]!r}")
 
 
 @dataclass(frozen=True)
@@ -192,22 +189,11 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
         if lhs > rhs + tol:
             viols.append((x, y, lhs, rhs))
 
-    if strengthened:
-        for x in sorted(a):
-            for y in sorted(a):
-                if space.has_edge(x, pair.t1[y]):
-                    step(1, x, y)
-        for x in sorted(b):
-            for y in sorted(b):
-                if space.has_edge(x, pair.t2[y]):
-                    step(2, x, y)
-    else:
-        for x in sorted(a):
-            if space.has_edge(x, pair.t1[x]):
-                step(1, x, x)
-        for y in sorted(b):
-            if space.has_edge(y, pair.t2[y]):
-                step(2, y, y)
+    for i, side, ti in ((1, a, pair.t1), (2, b, pair.t2)):
+        for x in sorted(side):
+            for y in sorted(side) if strengthened else (x,):
+                if space.has_edge(x, ti[y]):
+                    step(i, x, y)
 
     return PsiContractionReport(
         holds=not viols and not edge_viols,

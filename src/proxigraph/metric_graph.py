@@ -135,6 +135,16 @@ class FiniteMetricGraph:
         if not isinstance(data, dict):
             raise InstanceFormatError("instance document must be a JSON object")
         _check_fields(data, _INSTANCE_FIELDS, "instance", strict)
+        return cls._from_document(data, strict)
+
+    @classmethod
+    def from_json(cls, path, strict=False):
+        return cls._from_document(read_document(path, _INSTANCE_FIELDS, "instance", strict),
+                                  strict)
+
+    @classmethod
+    def _from_document(cls, data, strict):
+        """from_dict once the top-level fields have passed the field policy."""
         schema = data.get("schema", SCHEMA_VERSION)
         if str(schema) != SCHEMA_VERSION:
             raise InstanceFormatError(f"unsupported schema version {schema!r}")
@@ -168,15 +178,6 @@ class FiniteMetricGraph:
             raise InstanceFormatError(f"metric {metric!r} requires coords on every point")
         return cls.from_coords([(p, coords[p], side[p]) for p in ids],
                                metric, edges, auto_loops)
-
-    @classmethod
-    def from_json(cls, path, strict=False):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(data, strict=strict)
 
     def to_dict(self) -> dict:
         return {
@@ -268,6 +269,7 @@ def _check_side(s):
 
 
 def _check_fields(rec, allowed, what, strict):
+    """The one unknown-field policy: warn, or reject under strict."""
     if not isinstance(rec, dict):
         raise InstanceFormatError(f"{what} record must be an object")
     unknown = set(rec) - allowed
@@ -276,6 +278,36 @@ def _check_fields(rec, allowed, what, strict):
         if strict:
             raise InstanceFormatError(msg)
         warnings.warn(msg, stacklevel=3)
+
+
+def read_document(path, allowed, what, strict) -> dict:
+    """The JSON object in the file at path, its fields checked by _check_fields.
+    An unreadable file, invalid JSON or a non-object raises InstanceFormatError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from None
+    _check_fields(data, allowed, what, strict)
+    return data
+
+
+def _number(value, what) -> float:
+    """A spec parameter as a float; what names it in the error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(f"{what} must be a number, got {value!r}") from None
+
+
+def _params(data: dict, what: str) -> dict:
+    """A spec's optional 'params' object, copied."""
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise InstanceFormatError(f"{what} 'params' must be an object, got {params!r}")
+    return dict(params)
 
 
 def _coord_tuple(pid, xy) -> tuple[float, ...]:

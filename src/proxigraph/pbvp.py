@@ -33,12 +33,15 @@ from .errors import (
     OutOfDomain,
     ParamOutOfRange,
 )
-from .metric_graph import CheckResult
+from .metric_graph import CheckResult, _number, _params
 
 TOL_PBVP = 1e-10
 MAX_ITER = 10_000
 
 RHS_KINDS = ("linear", "exp_linear", "cosine_forced", "table")
+# the numeric parameters of each formula kind, read with float() on every call
+_RHS_NUMBERS = {"linear": ("a", "b"), "exp_linear": ("c",),
+                "cosine_forced": ("a", "amp", "freq")}
 H_KINDS = ("const", "exp_gap")
 
 
@@ -159,14 +162,21 @@ class RhsFunction:
     def __post_init__(self):
         if self.kind not in RHS_KINDS:
             raise InstanceFormatError(f"unknown rhs kind {self.kind!r}")
+        p = self.params
+        for key in _RHS_NUMBERS.get(self.kind, ()):
+            if key in p:
+                _number(p[key], f"{self.kind} rhs {key}")
         if self.kind == "table":
-            p = self.params
             if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
                 raise InstanceFormatError("table rhs needs t_nodes, s_nodes, values")
-            tn, sn = list(p["t_nodes"]), list(p["s_nodes"])
-            if sorted(tn) != tn or sorted(sn) != sn:
+            try:
+                tn, sn = list(p["t_nodes"]), list(p["s_nodes"])
+                nodes_sorted = sorted(tn) == tn and sorted(sn) == sn
+                vals = np.asarray(p["values"], dtype=float)
+            except (TypeError, ValueError):
+                raise InstanceFormatError("table rhs nodes and values must be numbers") from None
+            if not nodes_sorted:
                 raise InstanceFormatError("table rhs nodes must be sorted")
-            vals = np.asarray(p["values"], dtype=float)
             if vals.shape != (len(tn), len(sn)):
                 raise InstanceFormatError("table rhs values shape mismatch")
 
@@ -175,7 +185,7 @@ class RhsFunction:
         if not isinstance(data, dict) or "kind" not in data:
             raise InstanceFormatError("rhs spec must be an object with a 'kind'")
         params = {k: v for k, v in data.items() if k not in ("kind", "schema")}
-        params.update(data.get("params", {}))
+        params.update(_params(data, "rhs"))
         params.pop("params", None)
         return cls(kind=str(data["kind"]), params=params)
 
@@ -249,13 +259,13 @@ def make_h(spec, alpha: float | None = None):
     params = dict(spec.get("params", {}))
     params.update({k: v for k, v in spec.items() if k not in ("kind", "params", "schema")})
     if kind == "const":
-        v = float(params.get("value", params.get("c", 0.0)))
+        v = _number(params.get("value", params.get("c", 0.0)), "const h value")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
     if kind == "exp_gap":
         a = params.get("alpha", alpha)
         if a is None:
             raise InstanceFormatError("exp_gap h needs an alpha")
-        a = float(a)
+        a = _number(a, "exp_gap h alpha")
         return lambda t: a - np.exp(np.asarray(t, dtype=float))
     raise InstanceFormatError(f"unknown h kind {kind!r}")
 
@@ -374,33 +384,73 @@ def solve_pbvp(f: RhsFunction, alpha: float, h, w0: GridFunction,
                check_lower: bool = True,
                lower_tol: float = 1e-6) -> tuple[GridFunction, PbvpReport]:
     """Picard iteration u_{k+1} = F u_k starting one step above the lower
-    solution w0.  Stops when the sup increment drops to tol."""
+    solution w0.  Stops when the sup increment drops to tol.  Whether each
+    step kept the monotone ordering is recorded, not enforced."""
+    return _picard((f,), alpha, h, w0, tol, max_iter, check_lower, lower_tol)
+
+
+def solve_common_pbvp(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
+                      w0: GridFunction, tol: float = TOL_PBVP,
+                      max_iter: int = MAX_ITER, check_lower: bool = True,
+                      lower_tol: float = 1e-6) -> tuple[GridFunction, PbvpReport]:
+    """Alternating iteration for a pair of periodic problems sharing a solution.
+
+    F1 applies the kernel to f2 + alpha * id, F2 applies it to f1 + alpha * id;
+    the orbit is x0 = F2 w0, then F1, F2 alternating.  The one-sided coupling
+    condition is sampled on the grid and a state lattice before iterating, and
+    each step is checked for the pointwise monotone ordering.
+    """
+    return _picard((f1, f2), alpha, h, w0, tol, max_iter, check_lower, lower_tol)
+
+
+def _picard(fs, alpha, h, w0, tol, max_iter, check_lower, lower_tol):
+    """The Picard driver of both solvers: step k applies the kernel to
+    fs[k % len(fs)] + alpha * id, starting from w0 with k = 0.
+
+    A pair (f1, f2) must also pass condition (iv), keep the monotone ordering
+    at every step, and stop only where both operators fix the iterate.
+    """
+    pair = len(fs) > 1
     grid = w0.grid
     beta = _beta_of(h, alpha, grid)
     if not beta < 1.0:
         raise BetaNotContractive(f"sup h / alpha = {beta} is not < 1")
     if check_lower:
-        low = is_lower_solution(f, w0, tol=lower_tol)
+        low = is_lower_solution(fs[0], w0, tol=lower_tol)
         if not low:
-            raise NotLowerSolution(f"w0 is not a lower solution: witness {low.witness}")
+            of_f1 = " of f1" if pair else ""
+            raise NotLowerSolution(f"w0 is not a lower solution{of_f1}: witness {low.witness}")
+    if pair:
+        lo = float(np.min(w0.values)) - 1.0
+        hi = float(np.max(w0.values)) + 1.0
+        svals = np.linspace(lo, hi, 9)
+        pairs = [(float(a), float(b)) for a in svals for b in svals if a <= b]
+        ok = verify_condition_iv(fs[0], fs[1], alpha, h, grid.nodes, pairs)
+        if not ok:
+            raise ConditionIvViolated(ok.witness)
+
     kernel = GreensKernel(alpha=alpha, period=grid.period)
     W = kernel_matrix(kernel, grid)
 
-    u = integral_operator(kernel, f, w0, W)
+    u = integral_operator(kernel, fs[0], w0, W)
+    monotone = [bool(np.all(u.values >= w0.values - 1e-12))]
+    if pair and not monotone[0]:
+        raise MonotonicityBroken("first step fell below the lower solution")
     prev_inc = None
     ratios: list[float] = []
-    monotone = [bool(np.all(u.values >= w0.values - 1e-12))]
     floor = 100 * np.finfo(float).eps * max(1.0, u.sup_norm())
     for k in range(max_iter):
-        nxt = integral_operator(kernel, f, u, W)
+        nxt = integral_operator(kernel, fs[(k + 1) % len(fs)], u, W)
         inc = float(np.max(np.abs(nxt.values - u.values)))
         monotone.append(bool(np.all(nxt.values >= u.values - 1e-12)))
+        if pair and not monotone[-1]:
+            raise MonotonicityBroken(f"step {k} lost the pointwise ordering")
         if prev_inc is not None and prev_inc > floor:
             ratios.append(inc / prev_inc)
         prev_inc = inc
         u = nxt
-        if inc <= tol:
-            res_one, res_per = _ode_residuals(f, u)
+        if inc <= tol and (not pair or _fixed_by_all(kernel, fs, u, W, tol)):
+            res_one, res_per = _ode_residuals(fs[0], u)
             report = PbvpReport(
                 iterations=k + 2,
                 beta=beta,
@@ -413,80 +463,12 @@ def solve_pbvp(f: RhsFunction, alpha: float, h, w0: GridFunction,
                 monotone_steps=tuple(monotone),
             )
             return u, report
-    raise NoConvergence(f"Picard iteration did not reach {tol} in {max_iter} steps")
+    name = "alternating" if pair else "Picard"
+    raise NoConvergence(f"{name} iteration did not reach {tol} in {max_iter} steps")
 
 
-def solve_common_pbvp(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
-                      w0: GridFunction, tol: float = TOL_PBVP,
-                      max_iter: int = MAX_ITER,
-                      check_lower: bool = True, lower_tol: float = 1e-6,
-                      check_condition_iv: bool = True,
-                      strict_monotone: bool = True) -> tuple[GridFunction, PbvpReport]:
-    """Alternating iteration for a pair of periodic problems sharing a solution.
-
-    F1 applies the kernel to f2 + alpha * id, F2 applies it to f1 + alpha * id;
-    the orbit is x0 = F2 w0, then F1, F2 alternating.  The one-sided coupling
-    condition is sampled on the grid and a state lattice before iterating, and
-    each step is checked for the pointwise monotone ordering.
-    """
-    grid = w0.grid
-    beta = _beta_of(h, alpha, grid)
-    if not beta < 1.0:
-        raise BetaNotContractive(f"sup h / alpha = {beta} is not < 1")
-    if check_lower:
-        low = is_lower_solution(f1, w0, tol=lower_tol)
-        if not low:
-            raise NotLowerSolution(f"w0 is not a lower solution of f1: witness {low.witness}")
-    if check_condition_iv:
-        lo = float(np.min(w0.values)) - 1.0
-        hi = float(np.max(w0.values)) + 1.0
-        svals = np.linspace(lo, hi, 9)
-        pairs = [(float(a), float(b)) for a in svals for b in svals if a <= b]
-        ok = verify_condition_iv(f1, f2, alpha, h, grid.nodes, pairs)
-        if not ok:
-            raise ConditionIvViolated(ok.witness)
-
-    kernel = GreensKernel(alpha=alpha, period=grid.period)
-    W = kernel_matrix(kernel, grid)
-
-    def f_op(f, u):
-        return integral_operator(kernel, f, u, W)
-
-    u = f_op(f1, w0)  # x0, one kernel application of the lower solution
-    monotone = [bool(np.all(u.values >= w0.values - 1e-12))]
-    if strict_monotone and not monotone[0]:
-        raise MonotonicityBroken("first step fell below the lower solution")
-    prev_inc = None
-    ratios: list[float] = []
-    floor = 100 * np.finfo(float).eps * max(1.0, u.sup_norm())
-    use_f = f2  # x1 = F1 x0 and F1 rides on f2
-    for k in range(max_iter):
-        nxt = f_op(use_f, u)
-        inc = float(np.max(np.abs(nxt.values - u.values)))
-        step_ok = bool(np.all(nxt.values >= u.values - 1e-12))
-        monotone.append(step_ok)
-        if strict_monotone and not step_ok:
-            raise MonotonicityBroken(f"step {k} lost the pointwise ordering")
-        if prev_inc is not None and prev_inc > floor:
-            ratios.append(inc / prev_inc)
-        prev_inc = inc
-        u = nxt
-        use_f = f1 if use_f is f2 else f2
-        if inc <= tol:
-            r1 = float(np.max(np.abs(f_op(f2, u).values - u.values)))
-            r2 = float(np.max(np.abs(f_op(f1, u).values - u.values)))
-            if max(r1, r2) <= max(10 * tol, 1e-9):
-                res_one, res_per = _ode_residuals(f1, u)
-                report = PbvpReport(
-                    iterations=k + 2,
-                    beta=beta,
-                    max_ratio=max(ratios, default=0.0),
-                    final_increment=inc,
-                    periodicity_residual=u.periodicity_residual(),
-                    ode_residual=res_one,
-                    ode_residual_periodic=res_per,
-                    ratios=tuple(ratios),
-                    monotone_steps=tuple(monotone),
-                )
-                return u, report
-    raise NoConvergence(f"alternating iteration did not reach {tol} in {max_iter} steps")
+def _fixed_by_all(kernel, fs, u, W, tol) -> bool:
+    """Every operator of fs moves u by at most max(10 tol, 1e-9)."""
+    moves = [float(np.max(np.abs(integral_operator(kernel, f, u, W).values - u.values)))
+             for f in reversed(fs)]
+    return max(moves) <= max(10 * tol, 1e-9)

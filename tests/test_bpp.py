@@ -165,3 +165,30 @@ def test_cardinality_needs_every_class_to_carry_an_eligible_point():
     assert x_t2_a_set(sp, tmap) == {"z"}
     n_bpp, n_classes, equal = check_cardinality(sp, tmap)
     assert (n_bpp, n_classes, equal) == (1, 2, False)
+
+
+def test_squared_walk_step_budget():
+    inst = build("ex33_dyadic_l1", depth=6)
+    steps = solve_bpp(inst.space, inst.tmap, "a_1").iterations
+    assert steps == 4
+    # settling needs one more look than it has moves
+    assert solve_bpp(inst.space, inst.tmap, "a_1", max_iter=steps + 1).bpp == "a_0"
+    with pytest.raises(NoConvergence, match=f"did not settle in {steps} steps"):
+        solve_bpp(inst.space, inst.tmap, "a_1", max_iter=steps)
+    rep = check_equivalence_theorem(inst.space, inst.tmap, inst.phi1, inst.phi2,
+                                    max_iter=steps, check_hypotheses=False)
+    assert (rep.weakly_connected_a, rep.orbits_merge) == (True, False)
+
+
+def test_equivalence_sees_a_cycle_as_unsettled():
+    sp, _ = nontrivial_cycle_instance()
+    tmap = CyclicMapTable.for_space(sp, {
+        "a0": "b0", "b0": "a0",
+        "a1": "b2", "b2": "a2",
+        "a2": "b1", "b1": "a1",
+    })
+    with pytest.raises(NoConvergence, match="entered a nontrivial cycle at 'a1'"):
+        solve_bpp(sp, tmap, "a1", check_hypotheses=False)
+    phi = build("ex33_dyadic_l1", depth=2).phi1
+    rep = check_equivalence_theorem(sp, tmap, phi, phi, check_hypotheses=False)
+    assert rep.orbits_merge is False

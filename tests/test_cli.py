@@ -268,3 +268,128 @@ def test_verify_rejects_malformed_instances(tmp_path, doc):
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.fixture
+def ex41_files(tmp_path):
+    inst = build_ex41_fixed_point()
+    docs = {"instance": inst.space.to_dict(),
+            "t1": {"schema": "1", "map": dict(inst.pair.t1)},
+            "t2": {"schema": "1", "map": dict(inst.pair.t2)},
+            "psi": {"schema": "1", **inst.psi.to_dict()}}
+    paths = {}
+    for kind, doc in docs.items():
+        paths[kind] = tmp_path / f"ex41_{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def verify_argv(p):
+    return ["verify", "--instance", p["instance"], "--map", p["map"],
+            "--gauges", p["gauges"]]
+
+
+def fixed_point_argv(p):
+    return ["solve-fixed-point", "--instance", p["instance"], "--t1", p["t1"],
+            "--t2", p["t2"], "--psi", p["psi"], "--x0", "f_1/2"]
+
+
+def assert_input_error(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("input error:")
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "instance"), ("verify", "map"), ("verify", "gauges"),
+    ("solve-fixed-point", "instance"), ("solve-fixed-point", "t1"),
+    ("solve-fixed-point", "t2"), ("solve-fixed-point", "psi"),
+])
+def test_missing_file_is_an_input_error(capsys, tmp_path, ex22_files, ex41_files,
+                                        command, flag):
+    _, p22 = ex22_files
+    paths, argv_of = ((p22, verify_argv) if command == "verify"
+                      else (ex41_files, fixed_point_argv))
+    paths = dict(paths, **{flag: str(tmp_path / "no_such_file.json")})
+    assert_input_error(capsys, argv_of(paths))
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"{not json", None],
+                         ids=["not_utf8", "not_json", "directory"])
+def test_unreadable_document_is_an_input_error(capsys, tmp_path, content):
+    path = tmp_path / "doc.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert_input_error(capsys, ["verify", "--instance", str(path)])
+
+
+BAD_GAUGES = {
+    "gauge_c_not_a_number": {"kind": "linear", "params": {"c": "x"}},
+    "gauge_one_element_knot": {"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0]]}},
+    "gauge_params_list": {"kind": "linear", "params": [0.5]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GAUGES))
+def test_malformed_gauge_file_is_an_input_error(capsys, tmp_path, ex22_files, name):
+    _, p = ex22_files
+    gauges = tmp_path / "bad_gauges.json"
+    gauges.write_text(json.dumps({"schema": "1", "phi1": BAD_GAUGES[name],
+                                  "phi2": {"kind": "identity"}}))
+    assert_input_error(capsys, verify_argv(dict(p, gauges=str(gauges))))
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": "1", "kind": "table", "params": {"knots": [[1]]}},
+    [{"kind": "constant", "params": {"value": 0.5}}],
+    {"schema": "1", "kind": "constant", "params": {"value": "x"}},
+], ids=["one_element_knot", "top_level_list", "value_not_a_number"])
+def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc):
+    psi = tmp_path / "bad_psi.json"
+    psi.write_text(json.dumps(doc))
+    assert_input_error(capsys, fixed_point_argv(dict(ex41_files, psi=str(psi))))
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--rhs", '{"kind":"exp_linear","c":"x"}'),
+    ("--rhs", '{"kind":"linear","params":[1.0]}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,"x"],[1,1]]}'),
+    ("--h", '{"kind":"const","value":"x"}'),
+    ("--h", '{"kind":"exp_gap","alpha":[2]}'),
+], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
+        "h_value_not_a_number", "h_alpha_not_a_number"])
+def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
+    argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
+            "--w0": "const:-1", flag: spec}
+    assert_input_error(capsys, ["solve-pbvp"] + [a for kv in argv.items() for a in kv])
+
+
+@pytest.mark.parametrize("flag", ["t1", "t2", "psi"])
+def test_strict_covers_every_fixed_point_document(capsys, tmp_path, ex41_files, flag):
+    doc = json.loads(open(ex41_files[flag]).read())
+    junk = tmp_path / f"junk_{flag}.json"
+    junk.write_text(json.dumps(dict(doc, junk=1)))
+    argv = fixed_point_argv(dict(ex41_files, **{flag: str(junk)}))
+    assert_input_error(capsys, argv + ["--strict"])
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err == f"warning: unknown {'psi' if flag == 'psi' else 'map'} file field(s): ['junk']\n"
+
+
+def test_unknown_fields_warn_on_one_line_each(capsys, tmp_path, ex22_files):
+    _, p = ex22_files
+    instance = json.loads(open(p["instance"]).read())
+    instance["flavor"] = "vanilla"
+    instance["points"][0]["colour"] = "red"
+    path = tmp_path / "instance_extra.json"
+    path.write_text(json.dumps(instance))
+    assert main(["verify", "--instance", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: unknown instance field(s): ['flavor']\n"
+        "warning: unknown point field(s): ['colour']\n")
+    assert_input_error(capsys, ["verify", "--instance", str(path), "--strict"])

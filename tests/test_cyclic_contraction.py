@@ -303,3 +303,75 @@ def test_load_gauge_pair_and_map(tmp_path):
                                                        "params": {"c": 0.5}}}))
     with pytest.raises(InstanceFormatError):
         load_gauge_pair(bad)
+
+
+# ----- table lookup and parameter parsing ---------------------------------
+
+
+def scan_lookup(knots, s):
+    """The table-gauge lookup as a linear scan over freshly converted knots."""
+    ss = [float(a) for a, _ in knots]
+    vv = [float(b) for _, b in knots]
+    if s <= ss[0]:
+        lo, hi = 0, 1
+    elif s >= ss[-1]:
+        lo, hi = len(ss) - 2, len(ss) - 1
+    else:
+        hi = next(i for i, a in enumerate(ss) if a >= s)
+        lo = hi - 1
+    t = (s - ss[lo]) / (ss[hi] - ss[lo])
+    return vv[lo] + t * (vv[hi] - vv[lo])
+
+
+def probe_points(ss):
+    """The knots, the midpoints between them, and points beyond both ends."""
+    ss = np.asarray(ss)
+    mids = (ss[:-1] + ss[1:]) / 2
+    return np.concatenate([ss, mids, [0.0, ss[0] / 2, ss[-1] + 1.0, ss[-1] * 4.0]]).tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_table_gauge_matches_interp_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    ss = np.sort(rng.choice(np.arange(1, 60), size=n, replace=False)) / 7.0
+    vs = np.cumsum(rng.uniform(0.05, 1.0, size=n))
+    knots = [[float(a), float(b)] for a, b in zip(ss, vs)]
+    g = GaugeSpec("table", {"knots": knots})
+    for s in probe_points(ss):
+        got = eval_gauge(g, s)
+        if ss[0] <= s <= ss[-1]:
+            want = float(np.interp(s, ss, vs))
+        else:  # beyond either end the end segment is extended
+            lo = 0 if s < ss[0] else n - 2
+            want = vs[lo] + (s - ss[lo]) * (vs[lo + 1] - vs[lo]) / (ss[lo + 1] - ss[lo])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert got == scan_lookup(knots, s)  # bit for bit
+
+
+@pytest.mark.parametrize("params, match", [
+    ({"c": "x"}, "number"),
+    ({"c": [0.5]}, "number"),
+])
+def test_linear_gauge_rejects_non_numbers(params, match):
+    with pytest.raises(InstanceFormatError, match=match):
+        GaugeSpec("linear", params)
+    with pytest.raises(InstanceFormatError, match=match):
+        GaugeSpec("affine_shift", params)
+
+
+@pytest.mark.parametrize("knots", [
+    [[0.0, 0.0], [1.0]],
+    [[0.0, 0.0], [1.0, 1.0, 2.0]],
+    [[0.0, 0.0], ["one", 1.0]],
+    [[0.0, 0.0], 1.0],
+    5,
+])
+def test_table_gauge_rejects_malformed_knots(knots):
+    with pytest.raises(InstanceFormatError, match="knots"):
+        GaugeSpec("table", {"knots": knots})
+
+
+def test_gauge_params_must_be_an_object():
+    with pytest.raises(InstanceFormatError, match="params"):
+        GaugeSpec.from_dict({"kind": "linear", "params": [0.5]})

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from proxigraph import (
@@ -208,3 +209,37 @@ def test_converted_rate_matches_geometric_decay():
     for n, g in enumerate(trace.gaps):
         assert g <= (0.5 ** n) * d0 + 1e-12
     assert math.isclose(trace.gaps[0] / trace.gaps[1], 4.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_psi_table_matches_interp_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    ss = np.sort(rng.choice(np.arange(1, 60), size=n, replace=False)) / 7.0
+    vs = np.sort(rng.uniform(0.0, 0.99, size=n))
+    psi = PsiGauge("table", {"knots": [(float(a), float(b)) for a, b in zip(ss, vs)]})
+    # the knots, the midpoints between them, and points beyond both ends
+    probes = np.concatenate([ss, (ss[:-1] + ss[1:]) / 2, [0.0, ss[0] / 2, ss[-1] + 1.0,
+                                                          ss[-1] * 4.0]])
+    for s in probes.tolist():
+        # np.interp clamps at both ends, as psi does
+        assert psi(s) == pytest.approx(float(np.interp(s, ss, vs)), rel=1e-12, abs=1e-12)
+        if ss[0] < s < ss[-1]:
+            hi = next(i for i, a in enumerate(ss) if a >= s)
+            t = (s - ss[hi - 1]) / (ss[hi] - ss[hi - 1])
+            assert psi(s) == vs[hi - 1] + t * (vs[hi] - vs[hi - 1])  # bit for bit
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("table", {"knots": [[1]]}),
+    ("table", {"knots": [[0.0, 0.1], ["x", 0.2]]}),
+    ("constant", {"value": "x"}),
+])
+def test_psi_rejects_malformed_parameters(kind, params):
+    with pytest.raises(InstanceFormatError):
+        PsiGauge(kind, params)
+
+
+def test_psi_params_must_be_an_object():
+    with pytest.raises(InstanceFormatError, match="params"):
+        PsiGauge.from_dict({"kind": "constant", "params": [0.5]})

@@ -3,7 +3,9 @@
 The files under golden/ were captured from the command line before the space
 became immutable and started keeping its derived structure; the outputs must
 not change by a single byte.  Instance, map and gauge files are written from
-the corpus the same way they were written then.
+the corpus the same way they were written then.  The solve-pbvp and
+solve-fixed-point files were captured later, before the JSON readers, the two
+Picard loops and the two squared-map walks were each merged into one.
 """
 from __future__ import annotations
 
@@ -69,3 +71,46 @@ def test_report_file(tmp_path, golden, example_id, params, args, code):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def write_fixed_point_inputs(tmp_path) -> dict[str, str]:
+    inst = build("ex41_fixed_point")
+    docs = {"instance": inst.space.to_dict(),
+            "t1": {"schema": "1", "map": dict(inst.pair.t1)},
+            "t2": {"schema": "1", "map": dict(inst.pair.t2)},
+            "psi": {"schema": "1", **inst.psi.to_dict()}}
+    paths = {}
+    for kind, doc in docs.items():
+        paths[kind] = str(tmp_path / f"ex41_{kind}.json")
+        Path(paths[kind]).write_text(json.dumps(doc))
+    return paths
+
+
+def test_solve_fixed_point_report(tmp_path):
+    p = write_fixed_point_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["solve-fixed-point", "--instance", p["instance"], "--t1", p["t1"],
+                 "--t2", p["t2"], "--psi", p["psi"], "--x0", "f_1/2",
+                 "--strengthened", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "solve_fixed_point_ex41.json").read_bytes()
+
+
+EX53_RHS = '{"kind":"exp_linear","c":-1.0}'
+EX53_ARGV = ["solve-pbvp", "--rhs", EX53_RHS, "--alpha", "7.389056098930650",
+             "--h", '{"kind":"exp_gap"}', "--T", "1.0", "--N", "201", "--w0", "const:-1"]
+
+
+# (report golden, extra arguments): one problem, and the same problem as a
+# pair, whose solution is the same to the byte
+PBVP_CASES = [("solve_pbvp_ex53_N201_report.json", []),
+              ("solve_pbvp_ex53_N201_common_report.json", ["--f2", EX53_RHS])]
+
+
+@pytest.mark.parametrize("golden, extra", PBVP_CASES,
+                         ids=[c[0].removesuffix("_report.json") for c in PBVP_CASES])
+def test_solve_pbvp_report_and_solution(tmp_path, golden, extra):
+    report, solution = tmp_path / "report.json", tmp_path / "solution.csv"
+    assert main(EX53_ARGV + extra + ["--out", str(solution),
+                                     "--report", str(report)]) == 0
+    assert report.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert solution.read_bytes() == (GOLDEN / "solve_pbvp_ex53_N201_solution.csv").read_bytes()

@@ -25,6 +25,8 @@ from proxigraph.errors import (
     ConditionIvViolated,
     EvaluationFailure,
     InstanceFormatError,
+    MonotonicityBroken,
+    NoConvergence,
     NotLowerSolution,
     OutOfDomain,
     ParamOutOfRange,
@@ -211,3 +213,66 @@ def test_beta_gate():
     grid = TimeGrid(1.0, 11)
     with pytest.raises(BetaNotContractive):
         solve_pbvp(f, 2.0, 3.0, GridFunction.constant(grid, 0.0))
+
+
+def count_operator_calls(monkeypatch):
+    from proxigraph import pbvp
+
+    calls = []
+    real = pbvp.integral_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pbvp, "integral_operator", counted)
+    return calls
+
+
+def test_operator_calls_per_solve(monkeypatch):
+    inst = build("ex53_pbvp")
+    calls = count_operator_calls(monkeypatch)
+    _, rep = solve_pbvp(inst.f, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
+    # one step off the lower solution, then one per iteration: no cross-check
+    assert len(calls) == rep.iterations
+    calls.clear()
+    f2 = RhsFunction("exp_linear", {"c": -1.0})
+    _, rep2 = solve_common_pbvp(inst.f, f2, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
+    assert rep2.iterations == rep.iterations
+    # f1 first, then f2, f1, ... in turn, then the cross-check with f2 and f1
+    n = rep2.iterations
+    assert calls[:n] == [inst.f if k % 2 == 0 else f2 for k in range(n)]
+    assert calls[n:] == [f2, inst.f]
+
+
+def test_single_solver_records_order_and_pair_enforces_it():
+    # from w0 = 1, which is not a lower solution of u' = -u, the first step
+    # falls below w0
+    f = RhsFunction("linear", {"a": -1.0, "b": 0.0})
+    w0 = GridFunction.constant(TimeGrid(1.0, 21), 1.0)
+    u, rep = solve_pbvp(f, 2.0, 1.0, w0, check_lower=False)
+    assert rep.monotone_steps[0] is False
+    assert u.sup_norm() <= 1e-9
+    with pytest.raises(MonotonicityBroken, match="first step"):
+        solve_common_pbvp(f, f, 2.0, 1.0, w0, check_lower=False)
+
+
+def test_no_convergence_names_the_iteration():
+    f = RhsFunction("cosine_forced", {"a": -1.0, "amp": 1.0, "freq": 1.0})
+    w0 = GridFunction.constant(TimeGrid(1.0, 21), -1.0)
+    with pytest.raises(NoConvergence, match="^Picard iteration did not reach"):
+        solve_pbvp(f, 2.0, 1.0, w0, max_iter=2)
+    with pytest.raises(NoConvergence, match="^alternating iteration did not reach"):
+        solve_common_pbvp(f, f, 2.0, 1.0, w0, max_iter=2)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"kind": "exp_linear", "c": "x"}, "number"),
+    ({"kind": "cosine_forced", "params": {"amp": None}}, "number"),
+    ({"kind": "linear", "params": [1.0]}, "params"),
+    ({"kind": "table", "t_nodes": [0, 1], "s_nodes": [0, "x"],
+      "values": [[0, 1], [1, 1]]}, "numbers"),
+])
+def test_rhs_rejects_malformed_parameters(doc, match):
+    with pytest.raises(InstanceFormatError, match=match):
+        RhsFunction.from_dict(doc)
