@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every bundled example through the reproduce pipeline and summarize.
 
+Run it with the package importable, for example
+`PYTHONPATH=src python3 scripts/reproduce_all.py`.
+
 Exit status is the number of examples whose expected results did not
 reproduce (0 when everything matches).
 """
@@ -10,21 +13,13 @@ import json
 import subprocess
 import sys
 
-EXAMPLES = [
-    ("ex22_kappa", []),
-    ("ex33_dyadic_l1", []),
-    ("ex35_not_bpo", []),
-    ("ex41_fixed_point", []),
-    ("ex53_pbvp", []),
-]
+from proxigraph.corpus import EXAMPLE_IDS
 
 
 def main() -> int:
     failures = 0
-    for example_id, params in EXAMPLES:
+    for example_id in EXAMPLE_IDS:
         cmd = [sys.executable, "-m", "proxigraph.cli", "reproduce", example_id]
-        if params:
-            cmd += ["--params", *params]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         status = "ok" if proc.returncode == 0 else "FAIL"
         detail = ""

@@ -9,9 +9,6 @@ same contraction machinery.
 from __future__ import annotations
 
 from .bpp_solver import (
-    BppResult,
-    EquivalenceReport,
-    OrbitTrace,
     check_cardinality,
     check_equivalence_theorem,
     enumerate_bpps,
@@ -19,16 +16,8 @@ from .bpp_solver import (
     solve_bpp,
     x_t2_a_set,
 )
-from .corpus import (
-    EXAMPLE_IDS,
-    CyclicInstance,
-    FixedPointInstance,
-    PbvpInstance,
-    build,
-    build_random_chain,
-)
+from .corpus import build
 from .cyclic_contraction import (
-    ContractionReport,
     CyclicMapTable,
     GaugeSpec,
     contraction_rhs,
@@ -62,7 +51,6 @@ from .errors import (
 )
 from .fixed_point import (
     PairMaps,
-    PsiContractionReport,
     PsiGauge,
     apriori_bound,
     check_uniqueness_regime,
@@ -71,9 +59,7 @@ from .fixed_point import (
     verify_g_psi_contraction,
 )
 from .metric_graph import (
-    CheckResult,
     FiniteMetricGraph,
-    PairGeometry,
     check_property_star,
     component_of,
     components,
@@ -86,14 +72,11 @@ from .metric_graph import (
 from .pbvp import (
     GreensKernel,
     GridFunction,
-    PbvpReport,
     RhsFunction,
     TimeGrid,
     greens_kernel_value,
-    integral_operator,
     is_lower_solution,
     kernel_matrix,
-    make_h,
     solve_common_pbvp,
     solve_pbvp,
     verify_condition_iv,

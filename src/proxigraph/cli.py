@@ -16,14 +16,7 @@ import warnings
 import numpy as np
 
 from . import corpus
-from .bpp_solver import (
-    check_cardinality,
-    check_equivalence_theorem,
-    enumerate_bpps,
-    iterate_orbit,
-    solve_bpp,
-    x_t2_a_set,
-)
+from .bpp_solver import iterate_orbit, solve_bpp
 from .cyclic_contraction import (
     load_gauge_pair,
     load_map,
@@ -59,7 +52,6 @@ from .metric_graph import (
     SCHEMA_VERSION,
     FiniteMetricGraph,
     check_property_star,
-    component_of,
     has_property_uc,
     is_g_chebyshev,
     is_sharp_proximal,
@@ -70,7 +62,6 @@ from .pbvp import (
     GridFunction,
     RhsFunction,
     TimeGrid,
-    is_lower_solution,
     solve_common_pbvp,
     solve_pbvp,
 )
@@ -351,188 +342,7 @@ def _cmd_solve_pbvp(args) -> int:
 # ----- reproduce --------------------------------------------------------
 
 
-def _check(name, measured, expected, ok, source):
-    return {"name": name, "measured": measured, "expected": expected,
-            "pass": bool(ok), "source": source}
-
-
-def _close(a, b, tol):
-    return abs(a - b) <= tol
-
-
-def _reproduce_ex22(params) -> list[dict]:
-    inst = corpus.build("ex22_kappa", **params)
-    sp, tm = inst.space, inst.tmap
-    exp = inst.expected
-    fx, gy = exp["probe_pair"]
-    lhs = sp.d(tm(fx), tm(gy))
-    dxy = sp.d(fx, gy)
-    con = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2)
-    con_all = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2,
-                                          all_pairs=True)
-    nb, nc, eq = check_cardinality(sp, tm)
-    arith = "closed-form distance arithmetic"
-    return [
-        _check("probe_image_distance", lhs, exp["probe_image_distance"],
-               _close(lhs, exp["probe_image_distance"], 1e-12), arith),
-        _check("probe_distance", dxy, exp["probe_distance"],
-               _close(dxy, exp["probe_distance"], 1e-12), arith),
-        _check("probe_expands", lhs > dxy, True, lhs > dxy, arith),
-        _check("edge_restricted_holds", con.holds, True, con.holds,
-               "sweep over edge-eligible pairs"),
-        _check("all_pairs_fails", not con_all.holds, True, not con_all.holds,
-               "sweep over every cross pair"),
-        _check("cardinality", [nb, nc], [exp["bpp_count"], exp["component_count"]],
-               eq and nb == exp["bpp_count"] and nc == exp["component_count"],
-               "exhaustive scan and component count"),
-    ]
-
-
-def _reproduce_ex33(params) -> list[dict]:
-    inst = corpus.build("ex33_dyadic_l1", **params)
-    sp, tm = inst.space, inst.tmap
-    exp = inst.expected
-    bp = sorted(enumerate_bpps(sp, tm))
-    con = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2)
-    excesses = sorted({round(l - r, 12) for _, _, l, r in con.violations})
-    seeds_ok = True
-    gaps_ok = True
-    for s in sp.side_a():
-        res = solve_bpp(sp, tm, s)
-        seeds_ok = seeds_ok and res.bpp == exp["bpp_ids"][0]
-        tr = iterate_orbit(sp, tm, s)
-        g = np.array(tr.gaps)
-        gaps_ok = gaps_ok and bool(np.all(np.diff(g) <= 1e-15))
-        gaps_ok = gaps_ok and abs(g[-1] - 1.0) <= 1e-12
-    eq = check_equivalence_theorem(sp, tm, inst.phi1, inst.phi2,
-                                   check_hypotheses=False)
-    clauses = [eq.weakly_connected_a, eq.orbits_merge, eq.at_most_one_bpp]
-    return [
-        _check("bpp_ids", bp, exp["bpp_ids"], bp == exp["bpp_ids"],
-               "exhaustive proximity scan"),
-        _check("bpp_coords", sp.coords[bp[0]], list(exp["bpp_coords"]),
-               sp.coords[bp[0]] == tuple(exp["bpp_coords"]),
-               "construction coordinates"),
-        _check("orbits_reach_bpp", seeds_ok, True, seeds_ok,
-               "orbit iteration from every seed"),
-        _check("gaps_monotone_to_floor", gaps_ok, True, gaps_ok,
-               "orbit gap sequences"),
-        _check("violation_count", len(con.violations), exp["violation_count"],
-               len(con.violations) == exp["violation_count"],
-               "sweep over edge-eligible pairs"),
-        _check("violation_excess", excesses, [exp["violation_excess"]],
-               excesses == [exp["violation_excess"]],
-               "deepest-level redirect arithmetic"),
-        _check("equivalence_clauses", clauses, list(exp["equivalence_clauses"]),
-               clauses == list(exp["equivalence_clauses"]),
-               "clause evaluation with the truncation-broken bound gate disabled"),
-    ]
-
-
-def _reproduce_ex35(params) -> list[dict]:
-    inst = corpus.build("ex35_not_bpo", **params)
-    sp, tm = inst.space, inst.tmap
-    exp = inst.expected
-    bp = enumerate_bpps(sp, tm)
-    comp = component_of(sp, exp["chain_seed"])
-    nb, nc, card_eq = check_cardinality(sp, tm, check_hypotheses=False)
-    esc = solve_bpp(sp, tm, exp["chain_seed"], check_hypotheses=False)
-    star = bool(check_property_star(sp))
-    return [
-        _check("bpp_ids", sorted(bp), exp["bpp_ids"],
-               sorted(bp) == exp["bpp_ids"], "exhaustive proximity scan"),
-        _check("chain_component_misses_bpps", sorted(bp & comp), [],
-               not (bp & comp), "weak component walk"),
-        _check("cardinality_mismatch", [nb, nc, card_eq],
-               [exp["bpp_count"], exp["component_count"], False],
-               (nb, nc, card_eq) == (exp["bpp_count"], exp["component_count"], False),
-               "exhaustive scan and component count"),
-        _check("x_set_is_bpp_set", sorted(x_t2_a_set(sp, tm)), exp["bpp_ids"],
-               sorted(x_t2_a_set(sp, tm)) == exp["bpp_ids"],
-               "squared-map edge scan"),
-        _check("escape_target", esc.bpp, exp["escape_target"],
-               esc.bpp == exp["escape_target"],
-               "orbit iteration with the seed gate disabled"),
-        _check("union_star_fails", star, False, star is False,
-               "edge transitivity sweep"),
-    ]
-
-
-def _reproduce_ex41(params) -> list[dict]:
-    inst = corpus.build("ex41_fixed_point", **params)
-    sp, pair, psi = inst.space, inst.pair, inst.psi
-    exp = inst.expected
-    ver = verify_g_psi_contraction(sp, pair, psi)
-    ver_s = verify_g_psi_contraction(sp, pair, psi, strengthened=True)
-    point, trace = solve_common_fixed_point(sp, pair, psi, inst.seed)
-    gaps = list(trace.gaps)
-    d0 = gaps[0] if gaps else 0.0
-    under = all(g <= apriori_bound(d0, psi(d0), n) + 1e-12
-                for n, g in enumerate(gaps))
-    residual = max(sp.d(point, pair.t1[point]),
-                   sp.d(point, pair.t2[pair.t1[point]]))
-    regime = check_uniqueness_regime(sp)
-    return [
-        _check("psi_contraction_holds", ver.holds, True, ver.holds,
-               "pointwise rate sweep"),
-        _check("psi_contraction_strengthened", ver_s.holds, True, ver_s.holds,
-               "ordered-pair rate sweep"),
-        _check("fixed_point", point, exp["fixed_point"],
-               point == exp["fixed_point"], "alternating orbit"),
-        _check("residual", residual, exp["residual_cap"],
-               residual <= exp["residual_cap"], "direct distance evaluation"),
-        _check("gaps_under_apriori", under, True, under,
-               "geometric tail bound"),
-        _check("uniqueness_regime", regime, exp["uniqueness_regime"],
-               regime == exp["uniqueness_regime"], "connectivity scan"),
-    ]
-
-
-def _reproduce_ex53(params) -> list[dict]:
-    inst = corpus.build("ex53_pbvp", **params)
-    exp = inst.expected
-    u, rep = solve_pbvp(inst.f, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
-    lower_minus = bool(is_lower_solution(inst.f, inst.w0))
-    wplus = GridFunction.constant(inst.grid, 1.0)
-    lower_plus = bool(is_lower_solution(inst.f, wplus))
-    quad = "split trapezoid quadrature"
-    return [
-        _check("beta", rep.beta, exp["beta"],
-               _close(rep.beta, exp["beta"], 1e-12), "sup-ratio arithmetic"),
-        _check("sup_norm", u.sup_norm(), exp["sup_norm_cap"],
-               u.sup_norm() <= exp["sup_norm_cap"], quad),
-        _check("periodicity_residual", u.periodicity_residual(),
-               exp["periodicity_cap"],
-               u.periodicity_residual() <= exp["periodicity_cap"], quad),
-        _check("max_ratio", rep.max_ratio, exp["ratio_cap"],
-               rep.max_ratio <= exp["ratio_cap"], "successive increment norms"),
-        _check("monotone_from_lower_solution", all(rep.monotone_steps), True,
-               all(rep.monotone_steps), "pointwise orbit comparison"),
-        _check("lower_solution_minus_one", lower_minus,
-               exp["lower_solution_minus_one"],
-               lower_minus == exp["lower_solution_minus_one"],
-               "difference-quotient check"),
-        _check("lower_solution_plus_one", lower_plus,
-               exp["lower_solution_plus_one"],
-               lower_plus == exp["lower_solution_plus_one"],
-               "difference-quotient check"),
-    ]
-
-
-_REPRODUCERS = {
-    "ex22_kappa": _reproduce_ex22,
-    "ex33_dyadic_l1": _reproduce_ex33,
-    "ex35_not_bpo": _reproduce_ex35,
-    "ex41_fixed_point": _reproduce_ex41,
-    "ex53_pbvp": _reproduce_ex53,
-}
-
-
 def _cmd_reproduce(args) -> int:
-    if args.example_id not in _REPRODUCERS:
-        raise ParamOutOfRange(
-            f"unknown example id {args.example_id!r}; "
-            f"known: {', '.join(corpus.EXAMPLE_IDS)}")
     params = {}
     for item in args.params or ():
         key, sep, value = item.partition("=")
@@ -542,16 +352,9 @@ def _cmd_reproduce(args) -> int:
             params[key] = int(value)
         except ValueError:
             raise ParamOutOfRange(f"parameter {key!r} needs an integer, got {value!r}") from None
-    checks = _REPRODUCERS[args.example_id](params)
-    ok = all(c["pass"] for c in checks)
-    _emit({
-        "schema": SCHEMA_VERSION,
-        "example_id": args.example_id,
-        "params": params,
-        "checks": checks,
-        "all_pass": ok,
-    }, args.out)
-    return 0 if ok else 1
+    report = corpus.reproduce(args.example_id, params)
+    _emit(report, args.out)
+    return 0 if report["all_pass"] else 1
 
 
 # ----- parser -----------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Bundled worked instances with frozen expected results.
+"""Bundled worked examples, one record each.
 
-Each builder returns a bundle holding the space, the maps and gauges it was
-designed for, an `expected` table the reproduce command compares against, and
-a `notes` dict of derived structural facts.  Builders are deterministic and
-self-check their structural claims before returning.
+An example is a builder and its reproduce checks, listed once in `EXAMPLES`.
+The builder returns a bundle holding the space, the maps and gauges it was
+designed for, and an `expected` table; builders are deterministic and
+self-check their structural claims before returning.  The checks measure the
+built bundle by an independent route and compare each measurement with its
+entry in the `expected` table; `reproduce` runs both and returns the report
+that `proxigraph reproduce` prints.
 
 The five stable ids:
 
@@ -29,29 +32,53 @@ by the property suites lives here too.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bpp_solver import enumerate_bpps, x_t2_a_set
-from .cyclic_contraction import CyclicMapTable, GaugeSpec, kappa_total
+from .bpp_solver import (
+    check_cardinality,
+    check_equivalence_theorem,
+    enumerate_bpps,
+    iterate_orbit,
+    solve_bpp,
+    x_t2_a_set,
+)
+from .cyclic_contraction import (
+    CyclicMapTable,
+    GaugeSpec,
+    kappa_total,
+    verify_g_cyclic_contraction,
+)
 from .errors import ParamOutOfRange
-from .fixed_point import PairMaps, PsiGauge
+from .fixed_point import (
+    PairMaps,
+    PsiGauge,
+    apriori_bound,
+    check_uniqueness_regime,
+    solve_common_fixed_point,
+    verify_g_psi_contraction,
+)
 from .metric_graph import (
+    SCHEMA_VERSION,
     FiniteMetricGraph,
     check_property_star,
+    component_of,
     components,
     has_property_uc,
     is_g_chebyshev,
     is_sharp_proximal,
     pair_distance,
 )
-from .pbvp import RhsFunction, TimeGrid, GridFunction
-
-EXAMPLE_IDS = ("ex22_kappa", "ex33_dyadic_l1", "ex35_not_bpo",
-               "ex41_fixed_point", "ex53_pbvp")
+from .pbvp import (
+    GridFunction,
+    RhsFunction,
+    TimeGrid,
+    is_lower_solution,
+    solve_pbvp,
+)
 
 
 @dataclass
@@ -62,7 +89,6 @@ class CyclicInstance:
     phi1: GaugeSpec
     phi2: GaugeSpec
     expected: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -73,7 +99,6 @@ class FixedPointInstance:
     psi: PsiGauge
     seed: str
     expected: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -86,7 +111,6 @@ class PbvpInstance:
     w0: GridFunction
     tol: float
     expected: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
 
 def _require(cond: bool, what: str):
@@ -96,6 +120,31 @@ def _require(cond: bool, what: str):
 
 def _label(v: Fraction) -> str:
     return str(v)
+
+
+# A check's pass rule: EQUAL (measured == expected), AT_MOST (measured <=
+# expected, a cap), or a number tol (|measured - expected| <= tol).
+EQUAL, AT_MOST = "==", "<="
+
+
+class Check(NamedTuple):
+    """One reproduce check.  Its expected value is the `expected` table's
+    entry under `key`, the list of the entries for a tuple key, or the entry
+    under `name` when no key is given."""
+
+    name: str
+    measured: object
+    rule: str | float
+    source: str
+    key: str | tuple[str, ...] | None = None
+
+
+def _passes(measured, rule, expected) -> bool:
+    if rule == EQUAL:
+        return measured == expected
+    if rule == AT_MOST:
+        return measured <= expected
+    return abs(measured - expected) <= rule
 
 
 # ----- ex22_kappa -------------------------------------------------------
@@ -180,17 +229,37 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
             "probe_pair": ("f_49/100", "g_51/100"),
             "probe_image_distance": 1.0 + 1.0 / 6.0,
             "probe_distance": 1.02,
+            "probe_expands": True,
             "edge_restricted_holds": True,
-            "all_pairs_holds": False,
+            "all_pairs_fails": True,
             "bpp_count": len(reps),
             "component_count": len(reps),
         },
-        notes={
-            "n_levels": N,
-            "values": {lab[v]: float(v) for v in values},
-            "bpp_ids": sorted(bpps),
-        },
     )
+
+
+def _checks_ex22(inst: CyclicInstance) -> list[Check]:
+    sp, tm = inst.space, inst.tmap
+    fx, gy = inst.expected["probe_pair"]
+    lhs = sp.d(tm(fx), tm(gy))
+    dxy = sp.d(fx, gy)
+    con = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2)
+    con_all = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2,
+                                          all_pairs=True)
+    nb, nc, _ = check_cardinality(sp, tm)
+    arith = "closed-form distance arithmetic"
+    return [
+        Check("probe_image_distance", lhs, 1e-12, arith),
+        Check("probe_distance", dxy, 1e-12, arith),
+        Check("probe_expands", lhs > dxy, EQUAL, arith),
+        Check("edge_restricted_holds", con.holds, EQUAL,
+              "sweep over edge-eligible pairs"),
+        Check("all_pairs_fails", not con_all.holds, EQUAL,
+              "sweep over every cross pair"),
+        # the table holds equal counts, so a match also means |BPP| = components
+        Check("cardinality", [nb, nc], EQUAL, "exhaustive scan and component count",
+              ("bpp_count", "component_count")),
+    ]
 
 
 # ----- ex33_dyadic_l1 ---------------------------------------------------
@@ -208,9 +277,12 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
     touching the deepest value: each such pair overshoots by exactly
     2^-(depth+1).  The expected table freezes that excess so the verifier's
     honest failure is itself a tested behavior.
+
+    Depth stops at 29: from 30 on, the deepest point's gap 2^-depth to the
+    other side is within TOL_BPP and makes it a second best proximity point.
     """
-    if not 2 <= depth <= 30:
-        raise ParamOutOfRange(f"ex33_dyadic_l1 needs 2 <= depth <= 30, got {depth}")
+    if not 2 <= depth <= 29:
+        raise ParamOutOfRange(f"ex33_dyadic_l1 needs 2 <= depth <= 29, got {depth}")
     values = [Fraction(0)] + [Fraction(1, 2 ** n) for n in range(depth + 1)]
     values = sorted(set(values))
     lab = {v: _label(v) for v in values}
@@ -262,16 +334,40 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
         expected={
             "bpp_ids": ["a_0"],
             "bpp_coords": (0.0, 0.0),
-            "violation_excess": float(deepest) / 2.0,
+            "orbits_reach_bpp": True,
+            "gaps_monotone_to_floor": True,
             "violation_count": 2 * (len(values) - 2),
+            "violation_excess": [float(deepest) / 2.0],
             "equivalence_clauses": (True, True, True),
         },
-        notes={
-            "depth": depth,
-            "deepest_ids": (f"a_{lab[deepest]}", f"b_{lab[deepest]}"),
-            "values": {lab[v]: float(v) for v in values},
-        },
     )
+
+
+def _checks_ex33(inst: CyclicInstance) -> list[Check]:
+    sp, tm = inst.space, inst.tmap
+    bp = sorted(enumerate_bpps(sp, tm))
+    con = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2)
+    excesses = sorted({round(l - r, 12) for _, _, l, r in con.violations})
+    reached = [solve_bpp(sp, tm, s).bpp for s in sp.side_a()]
+    gaps = [np.array(iterate_orbit(sp, tm, s).gaps) for s in sp.side_a()]
+    eq = check_equivalence_theorem(sp, tm, inst.phi1, inst.phi2,
+                                   check_hypotheses=False)
+    return [
+        Check("bpp_ids", bp, EQUAL, "exhaustive proximity scan"),
+        Check("bpp_coords", sp.coords[bp[0]], EQUAL, "construction coordinates"),
+        Check("orbits_reach_bpp", all(b == inst.expected["bpp_ids"][0] for b in reached),
+              EQUAL, "orbit iteration from every seed"),
+        Check("gaps_monotone_to_floor",
+              all(bool(np.all(np.diff(g) <= 1e-15)) and abs(g[-1] - 1.0) <= 1e-12
+                  for g in gaps),
+              EQUAL, "orbit gap sequences"),
+        Check("violation_count", len(con.violations), EQUAL,
+              "sweep over edge-eligible pairs"),
+        Check("violation_excess", excesses, EQUAL, "deepest-level redirect arithmetic"),
+        Check("equivalence_clauses",
+              (eq.weakly_connected_a, eq.orbits_merge, eq.at_most_one_bpp), EQUAL,
+              "clause evaluation with the truncation-broken bound gate disabled"),
+    ]
 
 
 # ----- ex35_not_bpo -----------------------------------------------------
@@ -288,9 +384,13 @@ def build_ex35_not_bpo(depth: int = 6) -> CyclicInstance:
     (deepest redirects to 0) and fixes the endpoints, giving exactly two
     best proximity points, both outside the chain component.  Orbits started
     on the chain converge, but to a point of a different component.
+
+    Depth stops at 14: from 15 on, the excess of the deepest steps over
+    d(A, B), about 2^-(2 depth + 1), is within TOL_BPP and makes more best
+    proximity points.
     """
-    if not 2 <= depth <= 30:
-        raise ParamOutOfRange(f"ex35_not_bpo needs 2 <= depth <= 30, got {depth}")
+    if not 2 <= depth <= 14:
+        raise ParamOutOfRange(f"ex35_not_bpo needs 2 <= depth <= 14, got {depth}")
     values = sorted({Fraction(0), Fraction(1)}
                     | {Fraction(1, 2 ** n) for n in range(1, depth + 1)})
     lab = {v: _label(v) for v in values}
@@ -354,17 +454,36 @@ def build_ex35_not_bpo(depth: int = 6) -> CyclicInstance:
         expected={
             "bpp_ids": ["a_0", "a_1"],
             "chain_seed": "a_1/2",
-            "chain_component_has_bpp": False,
+            "chain_component_misses_bpps": [],
             "component_count": 3,
             "bpp_count": 2,
             "cardinality_equal": False,
             "escape_target": "a_0",
-        },
-        notes={
-            "depth": depth,
-            "values": {lab[v]: float(v) for v in values},
+            "union_star_fails": False,
         },
     )
+
+
+def _checks_ex35(inst: CyclicInstance) -> list[Check]:
+    sp, tm = inst.space, inst.tmap
+    seed = inst.expected["chain_seed"]
+    bp = enumerate_bpps(sp, tm)
+    nb, nc, card_eq = check_cardinality(sp, tm, check_hypotheses=False)
+    esc = solve_bpp(sp, tm, seed, check_hypotheses=False)
+    return [
+        Check("bpp_ids", sorted(bp), EQUAL, "exhaustive proximity scan"),
+        Check("chain_component_misses_bpps", sorted(bp & component_of(sp, seed)),
+              EQUAL, "weak component walk"),
+        Check("cardinality_mismatch", [nb, nc, card_eq], EQUAL,
+              "exhaustive scan and component count",
+              ("bpp_count", "component_count", "cardinality_equal")),
+        Check("x_set_is_bpp_set", sorted(x_t2_a_set(sp, tm)), EQUAL,
+              "squared-map edge scan", "bpp_ids"),
+        Check("escape_target", esc.bpp, EQUAL,
+              "orbit iteration with the seed gate disabled"),
+        Check("union_star_fails", bool(check_property_star(sp)), EQUAL,
+              "edge transitivity sweep"),
+    ]
 
 
 # ----- ex41_fixed_point -------------------------------------------------
@@ -424,18 +543,37 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
         psi=psi,
         seed="f_1/2",
         expected={
+            "psi_contraction_holds": True,
+            "psi_contraction_strengthened": True,
             "fixed_point": "zero",
-            "psi_verified": True,
-            "psi_verified_strengthened": True,
-            "residual_cap": 1e-8,
+            "residual": 1e-8,
+            "gaps_under_apriori": True,
             "uniqueness_regime": {"weakly_connected": True, "weak_friendship": True},
         },
-        notes={
-            "depth": depth,
-            "n_time": n_time,
-            "amplitudes": {lab[c]: float(c) for c in amps},
-        },
     )
+
+
+def _checks_ex41(inst: FixedPointInstance) -> list[Check]:
+    sp, pair, psi = inst.space, inst.pair, inst.psi
+    ver = verify_g_psi_contraction(sp, pair, psi)
+    ver_s = verify_g_psi_contraction(sp, pair, psi, strengthened=True)
+    point, trace = solve_common_fixed_point(sp, pair, psi, inst.seed)
+    gaps = list(trace.gaps)
+    d0 = gaps[0] if gaps else 0.0
+    under = all(g <= apriori_bound(d0, psi(d0), n) + 1e-12
+                for n, g in enumerate(gaps))
+    residual = max(sp.d(point, pair.t1[point]),
+                   sp.d(point, pair.t2[pair.t1[point]]))
+    return [
+        Check("psi_contraction_holds", ver.holds, EQUAL, "pointwise rate sweep"),
+        Check("psi_contraction_strengthened", ver_s.holds, EQUAL,
+              "ordered-pair rate sweep"),
+        Check("fixed_point", point, EQUAL, "alternating orbit"),
+        Check("residual", residual, AT_MOST, "direct distance evaluation"),
+        Check("gaps_under_apriori", under, EQUAL, "geometric tail bound"),
+        Check("uniqueness_regime", check_uniqueness_regime(sp), EQUAL,
+              "connectivity scan"),
+    ]
 
 
 # ----- ex53_pbvp --------------------------------------------------------
@@ -467,15 +605,33 @@ def build_ex53_pbvp(n_nodes: int = 201) -> PbvpInstance:
         w0=w0,
         tol=1e-10,
         expected={
-            "sup_norm_cap": 1e-6,
-            "periodicity_cap": 1e-9,
             "beta": beta,
-            "ratio_cap": beta + 1e-6,
+            "sup_norm": 1e-6,
+            "periodicity_residual": 1e-9,
+            "max_ratio": beta + 1e-6,
+            "monotone_from_lower_solution": True,
             "lower_solution_minus_one": True,
             "lower_solution_plus_one": False,
         },
-        notes={"n_nodes": n_nodes, "period": 1.0},
     )
+
+
+def _checks_ex53(inst: PbvpInstance) -> list[Check]:
+    u, rep = solve_pbvp(inst.f, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
+    wplus = GridFunction.constant(inst.grid, 1.0)
+    quad = "split trapezoid quadrature"
+    return [
+        Check("beta", rep.beta, 1e-12, "sup-ratio arithmetic"),
+        Check("sup_norm", u.sup_norm(), AT_MOST, quad),
+        Check("periodicity_residual", u.periodicity_residual(), AT_MOST, quad),
+        Check("max_ratio", rep.max_ratio, AT_MOST, "successive increment norms"),
+        Check("monotone_from_lower_solution", all(rep.monotone_steps), EQUAL,
+              "pointwise orbit comparison"),
+        Check("lower_solution_minus_one", bool(is_lower_solution(inst.f, inst.w0)),
+              EQUAL, "difference-quotient check"),
+        Check("lower_solution_plus_one", bool(is_lower_solution(inst.f, wplus)),
+              EQUAL, "difference-quotient check"),
+    ]
 
 
 # ----- random hypothesis-passing instances ------------------------------
@@ -539,29 +695,52 @@ def build_random_chain(seed: int, max_extra_levels: int = 3) -> CyclicInstance:
             "bpp_ids": sorted(bpp_ids),
             "component_count": n_comp,
         },
-        notes={"seed": seed, "sizes": sizes, "modes": modes},
     )
 
 
-# ----- dispatch ---------------------------------------------------------
+# ----- registry ---------------------------------------------------------
 
 
-_BUILDERS = {
-    "ex22_kappa": build_ex22_kappa,
-    "ex33_dyadic_l1": build_ex33_dyadic_l1,
-    "ex35_not_bpo": build_ex35_not_bpo,
-    "ex41_fixed_point": build_ex41_fixed_point,
-    "ex53_pbvp": build_ex53_pbvp,
+@dataclass(frozen=True)
+class Example:
+    build: Callable
+    checks: Callable  # the built bundle -> list[Check]
+
+
+EXAMPLES = {
+    "ex22_kappa": Example(build_ex22_kappa, _checks_ex22),
+    "ex33_dyadic_l1": Example(build_ex33_dyadic_l1, _checks_ex33),
+    "ex35_not_bpo": Example(build_ex35_not_bpo, _checks_ex35),
+    "ex41_fixed_point": Example(build_ex41_fixed_point, _checks_ex41),
+    "ex53_pbvp": Example(build_ex53_pbvp, _checks_ex53),
 }
+EXAMPLE_IDS = tuple(EXAMPLES)
 
 
 def build(example_id: str, **params):
     """Build a corpus instance by id; unknown ids and bad params raise
     ParamOutOfRange."""
-    if example_id not in _BUILDERS:
+    if example_id not in EXAMPLES:
         raise ParamOutOfRange(
             f"unknown example id {example_id!r}; known: {', '.join(EXAMPLE_IDS)}")
     try:
-        return _BUILDERS[example_id](**params)
+        return EXAMPLES[example_id].build(**params)
     except TypeError as exc:
         raise ParamOutOfRange(f"bad parameters for {example_id}: {exc}") from None
+
+
+def reproduce(example_id: str, params: dict) -> dict:
+    """Build an example, run its checks against its `expected` table and
+    return the report: each check's measured and expected values, its pass
+    verdict and its source, and whether all passed."""
+    inst = build(example_id, **params)
+    checks = []
+    for c in EXAMPLES[example_id].checks(inst):
+        key = c.key or c.name
+        expected = ([inst.expected[k] for k in key] if isinstance(key, tuple)
+                    else inst.expected[key])
+        checks.append({"name": c.name, "measured": c.measured, "expected": expected,
+                       "pass": bool(_passes(c.measured, c.rule, expected)),
+                       "source": c.source})
+    return {"schema": SCHEMA_VERSION, "example_id": example_id, "params": params,
+            "checks": checks, "all_pass": all(c["pass"] for c in checks)}

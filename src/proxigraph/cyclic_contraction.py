@@ -36,10 +36,6 @@ KAPPA_SNAP = 1e-12    # snap width for z that is a float neighbour of some 1/n
 
 GAUGE_KINDS = ("linear", "affine_shift", "floor_fraction", "identity", "table")
 
-# declared monotonicity classes, verifiable on a sample grid
-CLASS_INCREASING = "increasing"
-CLASS_SHIFTED = "nondecreasing_minus_identity"
-
 
 def kappa(z: float) -> int:
     """Index of the reciprocal bracket containing z, for z strictly inside (0, 1).

@@ -23,7 +23,6 @@ from .errors import (
     SideMismatch,
 )
 from .metric_graph import (
-    CheckResult,
     FiniteMetricGraph,
     _number,
     _params,

@@ -39,10 +39,17 @@ TOL_PBVP = 1e-10
 MAX_ITER = 10_000
 
 RHS_KINDS = ("linear", "exp_linear", "cosine_forced", "table")
-# the numeric parameters of each formula kind, read with float() on every call
-_RHS_NUMBERS = {"linear": ("a", "b"), "exp_linear": ("c",),
-                "cosine_forced": ("a", "amp", "freq")}
+# the numeric parameters of each formula kind, with their defaults
+_RHS_NUMBERS = {"linear": {"a": 0.0, "b": 0.0}, "exp_linear": {"c": 1.0},
+                "cosine_forced": {"a": 0.0, "amp": 1.0, "freq": 1.0}}
 H_KINDS = ("const", "exp_gap")
+
+
+def _require_positive(value, what: str) -> None:
+    """Reject a nan, infinite, zero or negative problem size before any
+    arithmetic uses it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ParamOutOfRange(f"{what} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,7 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ParamOutOfRange(f"grid period must be positive, got {self.period}")
+        _require_positive(self.period, "grid period")
         if self.n < 3:
             raise ParamOutOfRange(f"grid needs at least 3 nodes, got {self.n}")
 
@@ -93,10 +99,8 @@ class GreensKernel:
     period: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParamOutOfRange(f"kernel needs alpha > 0, got {self.alpha}")
-        if self.period <= 0:
-            raise ParamOutOfRange(f"kernel needs period > 0, got {self.period}")
+        _require_positive(self.alpha, "kernel alpha")
+        _require_positive(self.period, "kernel period")
 
 
 def greens_kernel_value(kernel: GreensKernel, t: float, s: float) -> float:
@@ -147,7 +151,7 @@ def kernel_matrix(kernel: GreensKernel, grid: TimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RhsFunction:
-    """Named right-hand side f(t, s) with optional state bound m(t).
+    """Named right-hand side f(t, s).
 
     kinds:
       linear         f = a * s + b
@@ -160,25 +164,29 @@ class RhsFunction:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the parameters are parsed here once; __call__ reads _numbers or _table
         if self.kind not in RHS_KINDS:
             raise InstanceFormatError(f"unknown rhs kind {self.kind!r}")
         p = self.params
-        for key in _RHS_NUMBERS.get(self.kind, ()):
-            if key in p:
-                _number(p[key], f"{self.kind} rhs {key}")
-        if self.kind == "table":
-            if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
-                raise InstanceFormatError("table rhs needs t_nodes, s_nodes, values")
-            try:
-                tn, sn = list(p["t_nodes"]), list(p["s_nodes"])
-                nodes_sorted = sorted(tn) == tn and sorted(sn) == sn
-                vals = np.asarray(p["values"], dtype=float)
-            except (TypeError, ValueError):
-                raise InstanceFormatError("table rhs nodes and values must be numbers") from None
-            if not nodes_sorted:
-                raise InstanceFormatError("table rhs nodes must be sorted")
-            if vals.shape != (len(tn), len(sn)):
-                raise InstanceFormatError("table rhs values shape mismatch")
+        if self.kind != "table":
+            numbers = {key: _number(p.get(key, default), f"{self.kind} rhs {key}")
+                       for key, default in _RHS_NUMBERS[self.kind].items()}
+            object.__setattr__(self, "_numbers", numbers)
+            return
+        if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
+            raise InstanceFormatError("table rhs needs t_nodes, s_nodes, values")
+        try:
+            tn, sn, vals = (np.array(p[k], dtype=float)
+                            for k in ("t_nodes", "s_nodes", "values"))
+        except (TypeError, ValueError):
+            raise InstanceFormatError("table rhs nodes and values must be numbers") from None
+        if tn.ndim != 1 or sn.ndim != 1 or not (tn.size and sn.size):
+            raise InstanceFormatError("table rhs nodes must be non-empty lists")
+        if not (np.all(tn[1:] >= tn[:-1]) and np.all(sn[1:] >= sn[:-1])):
+            raise InstanceFormatError("table rhs nodes must be sorted")
+        if vals.shape != (tn.size, sn.size):
+            raise InstanceFormatError("table rhs values shape mismatch")
+        object.__setattr__(self, "_table", (tn, sn, vals))
 
     @classmethod
     def from_dict(cls, data) -> "RhsFunction":
@@ -192,29 +200,21 @@ class RhsFunction:
     def __call__(self, t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        if self.kind == "linear":
-            out = float(self.params.get("a", 0.0)) * s + float(self.params.get("b", 0.0))
-        elif self.kind == "exp_linear":
-            out = float(self.params.get("c", 1.0)) * np.exp(t) * s
-        elif self.kind == "cosine_forced":
-            a = float(self.params.get("a", 0.0))
-            amp = float(self.params.get("amp", 1.0))
-            freq = float(self.params.get("freq", 1.0))
-            out = a * s + amp * np.cos(2.0 * np.pi * freq * t)
-        else:
+        if self.kind == "table":
             out = self._bilinear(t, s)
+        elif self.kind == "linear":
+            out = self._numbers["a"] * s + self._numbers["b"]
+        elif self.kind == "exp_linear":
+            out = self._numbers["c"] * np.exp(t) * s
+        else:
+            n = self._numbers
+            out = n["a"] * s + n["amp"] * np.cos(2.0 * np.pi * n["freq"] * t)
         return out if out.shape else float(out)
 
     def _bilinear(self, t, s):
-        tn = np.asarray(self.params["t_nodes"], dtype=float)
-        sn = np.asarray(self.params["s_nodes"], dtype=float)
-        vals = np.asarray(self.params["values"], dtype=float)
-        t = np.clip(t, tn[0], tn[-1])
-        s = np.clip(s, sn[0], sn[-1])
-        it = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, len(tn) - 2)
-        js = np.clip(np.searchsorted(sn, s, side="right") - 1, 0, len(sn) - 2)
-        wt = np.where(tn[it + 1] > tn[it], (t - tn[it]) / (tn[it + 1] - tn[it]), 0.0)
-        ws = np.where(sn[js + 1] > sn[js], (s - sn[js]) / (sn[js + 1] - sn[js]), 0.0)
+        tn, sn, vals = self._table
+        it, wt = _segment(tn, t)
+        js, ws = _segment(sn, s)
         v00 = vals[it, js]
         v01 = vals[it, js + 1]
         v10 = vals[it + 1, js]
@@ -222,24 +222,15 @@ class RhsFunction:
         return (v00 * (1 - wt) * (1 - ws) + v01 * (1 - wt) * ws
                 + v10 * wt * (1 - ws) + v11 * wt * ws)
 
-    def bound_m(self):
-        """Optional dominating function m with |f(t, .)| <= m(t), or None."""
-        m = self.params.get("m")
-        if m is None:
-            return None
-        return make_h(m) if isinstance(m, dict) else (lambda t: np.full_like(np.asarray(t, float), float(m)))
 
-    def check_bound(self, t_samples, s_samples) -> CheckResult:
-        m = self.bound_m()
-        if m is None:
-            return CheckResult(True)
-        for t in np.asarray(t_samples, dtype=float):
-            cap = float(np.asarray(m(t)))
-            for s in np.asarray(s_samples, dtype=float):
-                val = float(np.asarray(self(t, s)))
-                if abs(val) > cap + 1e-12:
-                    return CheckResult(False, (float(t), float(s), val, cap))
-        return CheckResult(True)
+def _segment(nodes: np.ndarray, x):
+    """Clip x to [nodes[0], nodes[-1]]; the index of the segment holding it
+    and its weight within the segment (0 on a segment of zero length)."""
+    x = np.clip(x, nodes[0], nodes[-1])
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    w = np.divide(x - nodes[i], nodes[i + 1] - nodes[i], out=np.zeros(np.shape(x)),
+                  where=nodes[i + 1] > nodes[i])
+    return i, w
 
 
 def make_h(spec, alpha: float | None = None):
@@ -252,6 +243,7 @@ def make_h(spec, alpha: float | None = None):
         return spec
     if isinstance(spec, (int, float)):
         v = float(spec)
+        _require_positive(v, "h")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InstanceFormatError("h spec must be a number or an object with a 'kind'")
@@ -412,6 +404,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower, lower_tol):
     """
     pair = len(fs) > 1
     grid = w0.grid
+    kernel = GreensKernel(alpha=alpha, period=grid.period)
     beta = _beta_of(h, alpha, grid)
     if not beta < 1.0:
         raise BetaNotContractive(f"sup h / alpha = {beta} is not < 1")
@@ -429,7 +422,6 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower, lower_tol):
         if not ok:
             raise ConditionIvViolated(ok.witness)
 
-    kernel = GreensKernel(alpha=alpha, period=grid.period)
     W = kernel_matrix(kernel, grid)
 
     u = integral_operator(kernel, fs[0], w0, W)

@@ -2,15 +2,19 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from proxigraph import build
 from proxigraph.cli import main
 from proxigraph.cyclic_contraction import check_pair
-from proxigraph.corpus import build_ex41_fixed_point
+from proxigraph.corpus import EXAMPLE_IDS, build_ex41_fixed_point
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -239,6 +243,33 @@ def test_reproduce_rejects_bad_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("example_id, param", [
+    ("ex22_kappa", "N=2"), ("ex22_kappa", "N=65"),
+    ("ex33_dyadic_l1", "depth=1"), ("ex33_dyadic_l1", "depth=30"),
+    ("ex35_not_bpo", "depth=1"), ("ex35_not_bpo", "depth=15"),
+    ("ex41_fixed_point", "depth=21"), ("ex41_fixed_point", "n_time=1025"),
+    ("ex53_pbvp", "n_nodes=10"), ("ex53_pbvp", "n_nodes=20002"),
+])
+def test_reproduce_one_step_past_a_gate_is_an_input_error(example_id, param):
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxigraph.cli", "reproduce", example_id,
+         "--params", param], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_reproduce_all_script_passes():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_all.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [[e, "ok"] for e in EXAMPLE_IDS]
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "proxigraph.cli", "reproduce", "ex35_not_bpo"],
@@ -366,6 +397,18 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}
+    assert_input_error(capsys, ["solve-pbvp"] + [a for kv in argv.items() for a in kv])
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "-1"),
+    ("--T", "nan"), ("--T", "inf"), ("--T", "0"),
+    ("--h", "nan"), ("--h", "inf"), ("--h", "0"), ("--h", "-1"),
+])
+def test_solve_pbvp_non_finite_or_non_positive_number_is_an_input_error(capsys, flag,
+                                                                        value):
+    argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
+            "--N": "11", "--w0": "const:-1", flag: value}
     assert_input_error(capsys, ["solve-pbvp"] + [a for kv in argv.items() for a in kv])
 
 

@@ -13,6 +13,7 @@ from proxigraph import (
     is_sharp_proximal,
     verify_g_cyclic_contraction,
 )
+from proxigraph import corpus
 from proxigraph.corpus import EXAMPLE_IDS, build_random_chain
 from proxigraph.errors import ParamOutOfRange
 from proxigraph.metric_graph import check_property_star
@@ -59,6 +60,50 @@ def test_parameter_gates():
         build("ex99_missing")
     with pytest.raises(ParamOutOfRange):
         build("ex22_kappa", depth=6)  # wrong parameter name for this builder
+
+
+# (example, parameter, smallest and largest value the gate lets through)
+DEPTH_GATES = [("ex33_dyadic_l1", "depth", 2, 29), ("ex35_not_bpo", "depth", 2, 14)]
+
+
+@pytest.mark.parametrize("example_id, name, lo, hi", DEPTH_GATES,
+                         ids=[g[0] for g in DEPTH_GATES])
+def test_every_depth_inside_the_gate_builds(example_id, name, lo, hi):
+    for value in range(lo, hi + 1):
+        assert len(build(example_id, **{name: value}).space.ids) > 0
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(ParamOutOfRange):
+            build(example_id, **{name: value})
+
+
+# (example, expected entry, wrong value, checks that must then fail): one per
+# pass rule, a key shared by two checks, and a check reading two entries
+WRONG_EXPECTATIONS = [
+    ("ex22_kappa", "probe_image_distance", 1.0 + 1.0 / 6.0 + 1e-9,
+     ["probe_image_distance"]),
+    ("ex22_kappa", "bpp_count", 10, ["cardinality"]),
+    ("ex53_pbvp", "sup_norm", -1.0, ["sup_norm"]),
+    ("ex35_not_bpo", "bpp_ids", ["a_0"], ["bpp_ids", "x_set_is_bpp_set"]),
+    ("ex41_fixed_point", "uniqueness_regime", {}, ["uniqueness_regime"]),
+]
+
+
+@pytest.mark.parametrize("example_id, key, value, failing", WRONG_EXPECTATIONS,
+                         ids=[f"{w[0]}-{w[1]}" for w in WRONG_EXPECTATIONS])
+def test_reproduce_compares_with_the_expected_table(monkeypatch, example_id, key,
+                                                   value, failing):
+    example = corpus.EXAMPLES[example_id]
+
+    def build_wrong(**params):
+        inst = example.build(**params)
+        inst.expected[key] = value
+        return inst
+
+    monkeypatch.setitem(corpus.EXAMPLES, example_id,
+                        corpus.Example(build_wrong, example.checks))
+    report = corpus.reproduce(example_id, {})
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == failing
+    assert report["all_pass"] is False
 
 
 def test_frozen_structure_counts():

@@ -5,7 +5,9 @@ became immutable and started keeping its derived structure; the outputs must
 not change by a single byte.  Instance, map and gauge files are written from
 the corpus the same way they were written then.  The solve-pbvp and
 solve-fixed-point files were captured later, before the JSON readers, the two
-Picard loops and the two squared-map walks were each merged into one.
+Picard loops and the two squared-map walks were each merged into one.  The
+reproduce files with builder parameters were captured before the reproduce
+checks moved from the command line into the corpus records.
 """
 from __future__ import annotations
 
@@ -41,6 +43,25 @@ def test_reproduce_stdout(capsys, example_id):
     assert main(["reproduce", example_id]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"reproduce_{example_id}.json").read_bytes()
+
+
+# (example, builder parameters): every builder at a non-default size
+PARAM_CASES = [
+    ("ex22_kappa", ["N=16"]),
+    ("ex33_dyadic_l1", ["depth=8"]),
+    ("ex35_not_bpo", ["depth=4"]),
+    ("ex41_fixed_point", ["depth=4", "n_time=16"]),
+    ("ex53_pbvp", ["n_nodes=101"]),
+]
+
+
+@pytest.mark.parametrize("example_id, params", PARAM_CASES,
+                         ids=[c[0] for c in PARAM_CASES])
+def test_reproduce_stdout_with_params(capsys, example_id, params):
+    assert main(["reproduce", example_id, "--params", *params]) == 0
+    out = capsys.readouterr().out
+    name = "_".join([example_id] + [p.replace("=", "") for p in params])
+    assert out.encode() == (GOLDEN / f"reproduce_{name}.json").read_bytes()
 
 
 # (golden file, example, builder params, arguments after the input files, exit code)

@@ -179,6 +179,85 @@ def test_rhs_table_and_validation():
         RhsFunction("cubic", {})
 
 
+def old_rhs_formula(kind, params, t, s):
+    """RhsFunction.__call__ as it was when it re-read params on every call."""
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if kind == "linear":
+        out = float(params.get("a", 0.0)) * s + float(params.get("b", 0.0))
+    elif kind == "exp_linear":
+        out = float(params.get("c", 1.0)) * np.exp(t) * s
+    elif kind == "cosine_forced":
+        a = float(params.get("a", 0.0))
+        amp = float(params.get("amp", 1.0))
+        freq = float(params.get("freq", 1.0))
+        out = a * s + amp * np.cos(2.0 * np.pi * freq * t)
+    else:
+        tn = np.asarray(params["t_nodes"], dtype=float)
+        sn = np.asarray(params["s_nodes"], dtype=float)
+        vals = np.asarray(params["values"], dtype=float)
+        t = np.clip(t, tn[0], tn[-1])
+        s = np.clip(s, sn[0], sn[-1])
+        it = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, len(tn) - 2)
+        js = np.clip(np.searchsorted(sn, s, side="right") - 1, 0, len(sn) - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wt = np.where(tn[it + 1] > tn[it], (t - tn[it]) / (tn[it + 1] - tn[it]), 0.0)
+            ws = np.where(sn[js + 1] > sn[js], (s - sn[js]) / (sn[js + 1] - sn[js]), 0.0)
+        out = (vals[it, js] * (1 - wt) * (1 - ws) + vals[it, js + 1] * (1 - wt) * ws
+               + vals[it + 1, js] * wt * (1 - ws) + vals[it + 1, js + 1] * wt * ws)
+    return out if out.shape else float(out)
+
+
+def random_table(rng, strict=True):
+    def nodes(n):
+        x = np.sort(rng.uniform(-2.0, 3.0, n))
+        if not strict:
+            x[1] = x[2] = x[3]  # a repeated node: segments of zero length
+        return x
+    tn, sn = nodes(int(rng.integers(4, 9))), nodes(int(rng.integers(4, 9)))
+    return {"t_nodes": tn.tolist(), "s_nodes": sn.tolist(),
+            "values": rng.normal(size=(tn.size, sn.size)).tolist()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rhs_table_matches_scipy_and_the_old_formula(seed):
+    from scipy.interpolate import RegularGridInterpolator
+    rng = np.random.default_rng(seed)
+    params = random_table(rng)
+    f = RhsFunction("table", params)
+    t, s = rng.uniform(-4.0, 5.0, 200), rng.uniform(-4.0, 5.0, 200)
+    tn, sn = params["t_nodes"], params["s_nodes"]
+    oracle = RegularGridInterpolator((tn, sn), np.array(params["values"]))
+    ref = oracle(np.column_stack([np.clip(t, tn[0], tn[-1]), np.clip(s, sn[0], sn[-1])]))
+    assert np.allclose(f(t, s), ref, rtol=1e-12, atol=1e-12)
+    for p in (params, random_table(rng, strict=False)):
+        g = RhsFunction("table", p)
+        assert np.array_equal(g(t, s), old_rhs_formula("table", p, t, s))
+        assert g(float(t[0]), float(s[0])) == old_rhs_formula("table", p, t[0], s[0])
+        assert g(tn[1], sn[-1]) == old_rhs_formula("table", p, tn[1], sn[-1])
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("linear", {"a": -1.5, "b": 0.25}), ("linear", {}),
+    ("exp_linear", {"c": -1.0}), ("exp_linear", {}),
+    ("cosine_forced", {"a": -1.0, "amp": 0.5, "freq": 3}), ("cosine_forced", {}),
+])
+def test_rhs_formulas_match_the_old_formula_bit_for_bit(kind, params):
+    t = np.linspace(0.0, 1.0, 101)
+    s = np.linspace(-2.0, 2.0, 101)
+    f = RhsFunction(kind, params)
+    assert np.array_equal(f(t, s), old_rhs_formula(kind, params, t, s))
+    assert f(0.3, -0.7) == old_rhs_formula(kind, params, 0.3, -0.7)
+
+
+def test_rhs_table_keeps_its_own_copy():
+    values = np.array([[0.0, 1.0], [2.0, 3.0]])
+    f = RhsFunction("table", {"t_nodes": [0.0, 1.0], "s_nodes": [0.0, 1.0],
+                              "values": values})
+    values[:] = 7.0
+    assert f(0.5, 0.5) == 1.5
+
+
 def test_non_finite_rhs_surfaces_as_evaluation_failure():
     nan_tab = RhsFunction("table", {
         "t_nodes": [0.0, 1.0], "s_nodes": [-2.0, 2.0],
