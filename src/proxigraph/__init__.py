@@ -20,12 +20,9 @@ from .corpus import build
 from .cyclic_contraction import (
     CyclicMapTable,
     GaugeSpec,
-    contraction_rhs,
-    eligible_pair,
     eval_gauge,
     kappa,
     kappa_total,
-    m_value,
     verify_g_cyclic_contraction,
     verify_gauge_classes,
     verify_t2_preserves_edges,

@@ -18,6 +18,7 @@ import numpy as np
 from . import corpus
 from .bpp_solver import iterate_orbit, solve_bpp
 from .cyclic_contraction import (
+    CyclicMapTable,
     load_gauge_pair,
     load_map,
     verify_g_cyclic_contraction,
@@ -45,6 +46,7 @@ from .fixed_point import (
     PsiGauge,
     apriori_bound,
     check_uniqueness_regime,
+    residual,
     solve_common_fixed_point,
     verify_g_psi_contraction,
 )
@@ -83,27 +85,18 @@ _VIOLATION_SLUGS = {
 }
 
 
-def _plain(obj):
-    """Recursively coerce to JSON-encodable builtins."""
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+def _json_default(obj):
+    """What json cannot encode by itself: a set becomes a sorted list, and a
+    numpy scalar or array its Python value (np.float64 is a float already)."""
     if isinstance(obj, (frozenset, set)):
-        return sorted(_plain(v) for v in obj)
-    if isinstance(obj, (tuple, list)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    return obj
+        return sorted(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -155,15 +148,14 @@ def _check_doc(result) -> dict:
 
 def _cmd_verify(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
-    geom = pair_distance(space)
     report: dict = {
         "schema": SCHEMA_VERSION,
-        "d_ab": geom.d_ab,
+        "d_ab": pair_distance(space).d_ab,
         "n_points": len(space.ids),
         "predicates": {
-            "sharp_proximal": _check_doc(is_sharp_proximal(space, geom)),
-            "property_uc": _check_doc(has_property_uc(space, geom)),
-            "g_chebyshev": _check_doc(is_g_chebyshev(space, geom)),
+            "sharp_proximal": _check_doc(is_sharp_proximal(space)),
+            "property_uc": _check_doc(has_property_uc(space)),
+            "g_chebyshev": _check_doc(is_g_chebyshev(space)),
             "star_union": _check_doc(check_property_star(space)),
             "star_a": _check_doc(check_property_star(space, within=space.side_a())),
             "star_b": _check_doc(check_property_star(space, within=space.side_b())),
@@ -171,17 +163,13 @@ def _cmd_verify(args) -> int:
     }
     failed = False
     if args.map:
-        tmap = load_map(args.map, strict=args.strict)
-        tmap.validate(space)
+        tmap = CyclicMapTable.for_space(space, load_map(args.map, strict=args.strict))
         report["t2_preserves_edges"] = _check_doc(verify_t2_preserves_edges(space, tmap))
         if args.gauges:
             phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
             tol = 0.0 if args.strict_inequality else args.tol
-            try:
-                con = verify_g_cyclic_contraction(space, tmap, phi1, phi2,
-                                                  tol=tol, all_pairs=args.all_pairs)
-            except GaugeClassViolation as exc:
-                return _violation_exit(exc, args.out)
+            con = verify_g_cyclic_contraction(space, tmap, phi1, phi2,
+                                              tol=tol, all_pairs=args.all_pairs)
             report["contraction"] = {
                 "holds": con.holds,
                 "all_pairs": args.all_pairs,
@@ -206,25 +194,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve_bpp(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
-    tmap = load_map(args.map, strict=args.strict)
-    tmap.validate(space)
+    tmap = CyclicMapTable.for_space(space, load_map(args.map, strict=args.strict))
     checks = not args.skip_hypothesis_checks
-    try:
-        if args.gauges and checks:
-            phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
-            con = verify_g_cyclic_contraction(space, tmap, phi1, phi2)
-            if not con.holds:
-                x, y, lhs, rhs = con.violations[0]
-                raise HypothesisViolated("cyclic contraction bound",
-                                         (x, y, lhs, rhs))
-        result = solve_bpp(space, tmap, args.x0, tol=args.tol,
-                           max_iter=args.max_iter, check_hypotheses=checks)
-        trace = iterate_orbit(space, tmap, args.x0, tol=args.tol,
-                              max_iter=args.max_iter)
-    except ProxigraphError as exc:
-        if isinstance(exc, _INPUT_ERRORS):
-            raise
-        return _violation_exit(exc, args.out)
+    if args.gauges and checks:
+        phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
+        con = verify_g_cyclic_contraction(space, tmap, phi1, phi2)
+        if not con.holds:
+            x, y, lhs, rhs = con.violations[0]
+            raise HypothesisViolated("cyclic contraction bound", (x, y, lhs, rhs))
+    result = solve_bpp(space, tmap, args.x0, tol=args.tol,
+                       max_iter=args.max_iter, check_hypotheses=checks)
+    trace = iterate_orbit(space, tmap, args.x0, tol=args.tol, max_iter=args.max_iter)
     _emit({
         "schema": SCHEMA_VERSION,
         "x0": args.x0,
@@ -244,31 +224,22 @@ def _cmd_solve_bpp(args) -> int:
 
 def _cmd_solve_fixed_point(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
-    t1 = load_map(args.t1, strict=args.strict).mapping
-    t2 = load_map(args.t2, strict=args.strict).mapping
-    pair = PairMaps.for_space(space, t1, t2)
+    pair = PairMaps.for_space(space, load_map(args.t1, strict=args.strict),
+                              load_map(args.t2, strict=args.strict))
     psi = PsiGauge.from_dict(read_document(args.psi, {"schema", "kind", "params"},
                                            "psi file", args.strict))
     checks = not args.skip_hypothesis_checks
-    try:
-        if checks:
-            rep = verify_g_psi_contraction(space, pair, psi,
-                                           strengthened=args.strengthened)
-            if not rep.holds:
-                first = (rep.violations or rep.edge_violations)[0]
-                raise HypothesisViolated("psi contraction bound", first)
-        point, trace = solve_common_fixed_point(
-            space, pair, psi, args.x0, tol=args.tol, max_iter=args.max_iter,
-            check_hypotheses=checks)
-    except ProxigraphError as exc:
-        if isinstance(exc, _INPUT_ERRORS):
-            raise
-        return _violation_exit(exc, args.out)
+    if checks:
+        rep = verify_g_psi_contraction(space, pair, psi, strengthened=args.strengthened)
+        if not rep.holds:
+            raise HypothesisViolated("psi contraction bound",
+                                     (rep.violations or rep.edge_violations)[0])
+    point, trace = solve_common_fixed_point(
+        space, pair, psi, args.x0, tol=args.tol, max_iter=args.max_iter,
+        check_hypotheses=checks)
     gaps = list(trace.gaps)
     d0 = gaps[0] if gaps else 0.0
     curve = [apriori_bound(d0, psi(d0), n) for n in range(len(gaps))]
-    residual = max(space.d(point, pair.t1[point]),
-                   space.d(point, pair.t2[pair.t1[point]]))
     _emit({
         "schema": SCHEMA_VERSION,
         "x0": args.x0,
@@ -276,7 +247,7 @@ def _cmd_solve_fixed_point(args) -> int:
         "points": list(trace.points),
         "gaps": gaps,
         "apriori": curve,
-        "residual": residual,
+        "residual": residual(space, pair, point),
         "stop_reason": trace.stop_reason,
         "uniqueness_regime": check_uniqueness_regime(space),
     }, args.out)
@@ -368,11 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "metric graphs")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--strict", action="store_true",
-                       help="reject unknown fields in JSON inputs")
+    def add_out(p):
         p.add_argument("--out", default=None,
                        help="write the JSON report here instead of stdout")
+
+    def common(p):
+        p.add_argument("--strict", action="store_true",
+                       help="reject unknown fields in the JSON input files")
+        add_out(p)
 
     p = sub.add_parser("verify", help="check instance structure and the "
                                       "contraction inequality")
@@ -433,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the solution CSV here")
     p.add_argument("--report", default=None,
                    help="write the JSON report here instead of stdout")
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_solve_pbvp)
 
     p = sub.add_parser("reproduce", help="rebuild a bundled example and "
@@ -441,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("example_id")
     p.add_argument("--params", nargs="*", default=[],
                    help="builder parameters as key=value")
-    common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_reproduce)
     return parser
 

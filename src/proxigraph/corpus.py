@@ -206,11 +206,10 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
     phi1 = GaugeSpec("floor_fraction")
     phi2 = GaugeSpec("identity")
 
-    geom = pair_distance(space)
-    _require(abs(geom.d_ab - 1.0) < 1e-15, "d(A,B) = 1")
-    _require(bool(is_sharp_proximal(space, geom)), "sharp proximal pair")
-    _require(bool(has_property_uc(space, geom)), "property UC")
-    _require(bool(is_g_chebyshev(space, geom)), "parallel pairs are edges")
+    _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
+    _require(bool(is_sharp_proximal(space)), "sharp proximal pair")
+    _require(bool(has_property_uc(space)), "property UC")
+    _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
     _require(bool(check_property_star(space, within=space.side_a())),
              "edge transitivity within A")
     bpps = enumerate_bpps(space, tmap)
@@ -315,11 +314,10 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
         mapping[f"b_{lab[v]}"] = f"a_{lab[down(v)]}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
-    geom = pair_distance(space)
-    _require(abs(geom.d_ab - 1.0) < 1e-15, "d(A,B) = 1")
-    _require(bool(has_property_uc(space, geom)), "property UC")
-    _require(bool(is_sharp_proximal(space, geom)), "sharp proximal pair")
-    _require(bool(is_g_chebyshev(space, geom)), "parallel pairs are edges")
+    _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
+    _require(bool(has_property_uc(space)), "property UC")
+    _require(bool(is_sharp_proximal(space)), "sharp proximal pair")
+    _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
     _require(bool(check_property_star(space, within=space.side_a())),
              "edge transitivity within A")
     _require(enumerate_bpps(space, tmap) == frozenset({"a_0"}),
@@ -347,7 +345,7 @@ def _checks_ex33(inst: CyclicInstance) -> list[Check]:
     sp, tm = inst.space, inst.tmap
     bp = sorted(enumerate_bpps(sp, tm))
     con = verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2)
-    excesses = sorted({round(l - r, 12) for _, _, l, r in con.violations})
+    excesses = sorted({l - r for _, _, l, r in con.violations})
     reached = [solve_bpp(sp, tm, s).bpp for s in sp.side_a()]
     gaps = [np.array(iterate_orbit(sp, tm, s).gaps) for s in sp.side_a()]
     eq = check_equivalence_theorem(sp, tm, inst.phi1, inst.phi2,
@@ -433,10 +431,9 @@ def build_ex35_not_bpo(depth: int = 6) -> CyclicInstance:
         mapping[f"b_{lab[v]}"] = f"a_{lab[step(v)]}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
-    geom = pair_distance(space)
-    _require(abs(geom.d_ab - 1.0) < 1e-15, "d(A,B) = 1")
-    _require(bool(has_property_uc(space, geom)), "property UC")
-    _require(bool(is_g_chebyshev(space, geom)), "parallel pairs are edges")
+    _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
+    _require(bool(has_property_uc(space)), "property UC")
+    _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
     _require(enumerate_bpps(space, tmap) == frozenset({"a_0", "a_1"}),
              "best proximity points at both endpoints")
     _require(x_t2_a_set(space, tmap) == frozenset({"a_0", "a_1"}),
@@ -637,7 +634,7 @@ def _checks_ex53(inst: PbvpInstance) -> list[Check]:
 # ----- random hypothesis-passing instances ------------------------------
 
 
-def build_random_chain(seed: int, max_extra_levels: int = 3) -> CyclicInstance:
+def build_random_chain(seed: int) -> CyclicInstance:
     """Random instance guaranteed to pass every solver hypothesis.
 
     One to three components, each a geometric chain of levels above a ground

@@ -177,6 +177,23 @@ def verify_gauge_classes(phi1: GaugeSpec, phi2: GaugeSpec, grid) -> CheckResult:
 # ----- cyclic map tables ------------------------------------------------
 
 
+def check_side_map(space: FiniteMetricGraph, name: str, table: dict[str, str],
+                   src: str) -> None:
+    """The map rule for one source side: every point of side src has an entry
+    in table, the entry is a known point, and that point lies on the other side."""
+    dst = "B" if src == "A" else "A"
+    side = space.side
+    for x in space.side_a() if src == "A" else space.side_b():
+        y = table.get(x)
+        if y is None:
+            raise InstanceFormatError(f"{name} is not total on {src}: missing {x!r}")
+        on = side.get(y)
+        if on is None:
+            raise InstanceFormatError(f"{name} entry {x!r} -> {y!r} references unknown point")
+        if dst not in on:
+            raise SideMismatch(f"{name} must send {src} into {dst}, but {x!r} -> {y!r}")
+
+
 @dataclass(frozen=True)
 class CyclicMapTable:
     """Total self-map table that swaps the two sides: T(A) in B and T(B) in A."""
@@ -189,41 +206,22 @@ class CyclicMapTable:
         t.validate(space)
         return t
 
-    @classmethod
-    def from_dict(cls, data) -> "CyclicMapTable":
-        if not isinstance(data, dict) or "map" not in data or not isinstance(data["map"], dict):
-            raise InstanceFormatError("map spec must be an object with a 'map' table")
-        return cls({str(k): str(v) for k, v in data["map"].items()})
-
     def to_dict(self) -> dict:
         return {"map": {k: self.mapping[k] for k in sorted(self.mapping)}}
 
     def validate(self, space: FiniteMetricGraph):
-        for p in space.ids:
-            if p not in self.mapping:
-                raise InstanceFormatError(f"map table is not total: missing {p!r}")
-        for src, dst in self.mapping.items():
-            if src not in space.index or dst not in space.index:
-                raise InstanceFormatError(f"map entry {src!r} -> {dst!r} references unknown point")
-            if "A" in space.side[src] and "B" not in space.side[dst]:
-                raise SideMismatch(f"T must send A into B, but {src!r} -> {dst!r}")
-            if "B" in space.side[src] and "A" not in space.side[dst]:
-                raise SideMismatch(f"T must send B into A, but {src!r} -> {dst!r}")
+        check_side_map(space, "T", self.mapping, "A")
+        check_side_map(space, "T", self.mapping, "B")
+        # every point has an entry, so a longer table has a key that is no point
+        if len(self.mapping) > len(space.ids):
+            key = next(k for k in self.mapping if k not in space.index)
+            raise InstanceFormatError(f"T has an entry for {key!r}, which is no point")
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
 
     def twice(self, x: str) -> str:
         return self.mapping[self.mapping[x]]
-
-
-def m_value(space: FiniteMetricGraph, tmap: CyclicMapTable, x: str, y: str) -> float:
-    """max of the two orbit gaps d(x, Tx) and d(y, Ty), for x in A and y in B."""
-    if "A" not in space.side.get(x, ""):
-        raise SideMismatch(f"{x!r} is not on side A")
-    if "B" not in space.side.get(y, ""):
-        raise SideMismatch(f"{y!r} is not on side B")
-    return max(space.d(x, tmap(x)), space.d(y, tmap(y)))
 
 
 def verify_t2_preserves_edges(space: FiniteMetricGraph, tmap: CyclicMapTable) -> CheckResult:
@@ -256,29 +254,32 @@ class ContractionReport:
     a0_witness: tuple | None = None
 
 
-def eligible_pair(space: FiniteMetricGraph, tmap: CyclicMapTable, x: str, y: str) -> bool:
-    ty = tmap(y)
-    return (space.has_edge(x, y) or space.has_edge(x, ty) or space.has_edge(ty, x))
+def _shift_term(phi1: GaugeSpec, phi2: GaugeSpec, d_ab: float) -> float:
+    """(phi1 + phi2 - I)(d(A, B)), the term of the bound that no pair changes."""
+    return eval_gauge(phi1, d_ab) + eval_gauge(phi2, d_ab) - d_ab
 
 
-def contraction_rhs(space: FiniteMetricGraph, tmap: CyclicMapTable,
-                    phi1: GaugeSpec, phi2: GaugeSpec, geom: PairGeometry,
-                    x: str, y: str) -> float:
-    dxy = space.d(x, y)
-    m = m_value(space, tmap, x, y)
-    dab = geom.d_ab
-    return ((dxy - eval_gauge(phi1, dxy))
-            + (m - eval_gauge(phi2, m))
-            + (eval_gauge(phi1, dab) + eval_gauge(phi2, dab) - dab))
+def _bound(phi1: GaugeSpec, phi2: GaugeSpec, dxy: float, m: float, shift: float) -> float:
+    """The right-hand side (I - phi1)(d(x, y)) + (I - phi2)(m(x, y)) + shift."""
+    return (dxy - eval_gauge(phi1, dxy)) + (m - eval_gauge(phi2, m)) + shift
 
 
 def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
                phi1: GaugeSpec, phi2: GaugeSpec, x: str, y: str,
                geom: PairGeometry | None = None, tol: float = TOL_INEQ):
-    """Re-check a single pair; returns (ok, lhs, rhs).  Used for witness replay."""
+    """Re-check a single pair, x on A and y on B; returns (ok, lhs, rhs).
+
+    Used for witness replay: the terms are the sweep's own float operations,
+    so a replayed violation matches the sweep's lhs and rhs bit for bit.
+    """
+    if "A" not in space.side.get(x, ""):
+        raise SideMismatch(f"{x!r} is not on side A")
+    if "B" not in space.side.get(y, ""):
+        raise SideMismatch(f"{y!r} is not on side B")
     geom = geom or pair_distance(space)
+    m = max(space.d(x, tmap(x)), space.d(y, tmap(y)))
     lhs = space.d(tmap(x), tmap(y))
-    rhs = contraction_rhs(space, tmap, phi1, phi2, geom, x, y)
+    rhs = _bound(phi1, phi2, space.d(x, y), m, _shift_term(phi1, phi2, geom.d_ab))
     return lhs <= rhs + tol, lhs, rhs
 
 
@@ -295,23 +296,30 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     """
     tmap.validate(space)
     geom = pair_distance(space)
-    a, b = space.side_a(), space.side_b()
+    a, b = sorted(space.side_a()), sorted(space.side_b())
+    has_edge = space.has_edge
 
-    pairs = [(x, y) for x in sorted(a) for y in sorted(b)
-             if all_pairs or eligible_pair(space, tmap, x, y)]
+    # each orbit gap d(p, Tp), and each checked pair's d(x, y) and m(x, y),
+    # is computed once; the same floats go to the grid and to the bound
+    gap = {p: space.d(p, tmap(p)) for p in {*a, *b}}
+    b_images = [(y, tmap(y)) for y in b]
+    pairs = [(x, y, space.d(x, y), max(gap[x], gap[y]))
+             for x in a for y, ty in b_images
+             if all_pairs or has_edge(x, y) or has_edge(x, ty) or has_edge(ty, x)]
 
     grid = {geom.d_ab}
-    for x, y in pairs:
-        grid.add(space.d(x, y))
-        grid.add(m_value(space, tmap, x, y))
+    for _, _, dxy, m in pairs:
+        grid.add(dxy)
+        grid.add(m)
     ok = verify_gauge_classes(phi1, phi2, grid)
     if not ok:
         raise GaugeClassViolation(f"gauge class check failed: {ok.witness}")
 
+    shift = _shift_term(phi1, phi2, geom.d_ab)
     violations = []
-    for x, y in pairs:
+    for x, y, dxy, m in pairs:
         lhs = space.d(tmap(x), tmap(y))
-        rhs = contraction_rhs(space, tmap, phi1, phi2, geom, x, y)
+        rhs = _bound(phi1, phi2, dxy, m, shift)
         if lhs > rhs + tol:
             violations.append((x, y, lhs, rhs))
 
@@ -341,5 +349,10 @@ def load_gauge_pair(path, strict=False) -> tuple[GaugeSpec, GaugeSpec]:
     return GaugeSpec.from_dict(data["phi1"]), GaugeSpec.from_dict(data["phi2"])
 
 
-def load_map(path, strict=False) -> CyclicMapTable:
-    return CyclicMapTable.from_dict(read_document(path, {"schema", "map"}, "map file", strict))
+def load_map(path, strict=False) -> dict[str, str]:
+    """The {id: id} table of {"schema": "1", "map": {...}} in a file.  A map is
+    made from it, and checked against its space, by a for_space constructor."""
+    data = read_document(path, {"schema", "map"}, "map file", strict)
+    if not isinstance(data.get("map"), dict):
+        raise InstanceFormatError("map spec must be an object with a 'map' table")
+    return {str(k): str(v) for k, v in data["map"].items()}

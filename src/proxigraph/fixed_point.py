@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bpp_solver import OrbitTrace
-from .cyclic_contraction import GaugeSpec, eval_gauge, interpolate, parse_knots
+from .cyclic_contraction import (
+    GaugeSpec,
+    check_side_map,
+    eval_gauge,
+    interpolate,
+    parse_knots,
+)
 from .errors import (
     InstanceFormatError,
     InvalidPsi,
@@ -138,13 +144,14 @@ class PairMaps:
         return pm
 
     def validate(self, space: FiniteMetricGraph):
-        for name, t, src, dst, points in (("t1", self.t1, "A", "B", space.side_a()),
-                                          ("t2", self.t2, "B", "A", space.side_b())):
-            for x in points:
-                if x not in t:
-                    raise InstanceFormatError(f"{name} is not total on {src}: missing {x!r}")
-                if dst not in space.side[t[x]]:
-                    raise SideMismatch(f"{name} must send {src} into {dst}, but {x!r} -> {t[x]!r}")
+        check_side_map(space, "t1", self.t1, "A")
+        check_side_map(space, "t2", self.t2, "B")
+
+
+def residual(space: FiniteMetricGraph, pair: PairMaps, p: str) -> float:
+    """How far p is from a common fixed point: max(d(p, T1 p), d(p, T2 T1 p))."""
+    q = pair.t1[p]
+    return max(space.d(p, q), space.d(p, pair.t2[q]))
 
 
 @dataclass(frozen=True)
@@ -226,11 +233,6 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
         if not star:
             raise SeedNotEligible("property (*) on the union graph", star.witness)
 
-    def residuals(p):
-        r1 = space.d(p, pair.t1[p])
-        r2 = space.d(p, pair.t2[pair.t1[p]])
-        return max(r1, r2)
-
     points = [x0]
     gaps: list[float] = []
     seen_even = {x0}
@@ -238,7 +240,7 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
     for _ in range(max_iter):
         cur = points[-1]
         if len(points) % 2 == 1:  # even index: a point of A
-            if residuals(cur) <= tol:
+            if residual(space, pair, cur) <= tol:
                 reason = "converged"
                 break
             nxt = pair.t1[cur]

@@ -393,26 +393,19 @@ def _pair_geometry(space: FiniteMetricGraph) -> PairGeometry:
     )
 
 
-def _close_block(space: FiniteMetricGraph, geom: PairGeometry) -> np.ndarray:
+def _close_block(space: FiniteMetricGraph) -> np.ndarray:
     """A x B mask of the pairs at distance d(A,B), up to TOL_PARALLEL."""
     ia, ib = space._side("A")[1], space._side("B")[1]
-    return np.abs(space.dist[np.ix_(ia, ib)] - geom.d_ab) <= TOL_PARALLEL
+    return np.abs(space.dist[np.ix_(ia, ib)] - pair_distance(space).d_ab) <= TOL_PARALLEL
 
 
-def _geometry_verdict(space, name, check, geom) -> CheckResult:
-    """check(space, geom), kept on the space when geom is the space's own."""
-    if geom is None or geom is space._memo.get("geometry"):
-        return space._cached(name, lambda: check(space, pair_distance(space)))
-    return check(space, geom)
-
-
-def is_sharp_proximal(space: FiniteMetricGraph, geom: PairGeometry | None = None) -> CheckResult:
+def is_sharp_proximal(space: FiniteMetricGraph) -> CheckResult:
     """Every point of A has exactly one partner in B at distance d(A,B), and vice versa."""
-    return _geometry_verdict(space, "sharp_proximal", _sharp_proximal, geom)
+    return space._cached("sharp_proximal", lambda: _sharp_proximal(space))
 
 
-def _sharp_proximal(space, geom):
-    close = _close_block(space, geom)
+def _sharp_proximal(space):
+    close = _close_block(space)
     a, b = space.side_a(), space.side_b()
     for points, others, mask in ((a, b, close), (b, a, close.T)):
         bad = np.flatnonzero(mask.sum(axis=1) != 1)
@@ -423,29 +416,29 @@ def _sharp_proximal(space, geom):
     return CheckResult(True)
 
 
-def is_g_chebyshev(space: FiniteMetricGraph, geom: PairGeometry | None = None) -> CheckResult:
+def is_g_chebyshev(space: FiniteMetricGraph) -> CheckResult:
     """Every parallel pair (x, y) in A x B at distance d(A,B) is an edge."""
-    return _geometry_verdict(space, "g_chebyshev", _g_chebyshev, geom)
+    return space._cached("g_chebyshev", lambda: _g_chebyshev(space))
 
 
-def _g_chebyshev(space, geom):
-    for pair in sorted(geom.parallel_pairs):
+def _g_chebyshev(space):
+    for pair in sorted(pair_distance(space).parallel_pairs):
         if pair not in space.edges:
             return CheckResult(False, pair)
     return CheckResult(True)
 
 
-def has_property_uc(space: FiniteMetricGraph, geom: PairGeometry | None = None) -> CheckResult:
+def has_property_uc(space: FiniteMetricGraph) -> CheckResult:
     """No point of B sits at distance d(A,B) from two distinct points of A.
 
     Finite surrogate of the uniform-closeness property: two A-points equally
     proximal to the same B-point must coincide.
     """
-    return _geometry_verdict(space, "property_uc", _property_uc, geom)
+    return space._cached("property_uc", lambda: _property_uc(space))
 
 
-def _property_uc(space, geom):
-    close = _close_block(space, geom)
+def _property_uc(space):
+    close = _close_block(space)
     bad = np.flatnonzero(close.sum(axis=0) > 1)
     if bad.size:
         j = int(bad[0])

@@ -236,11 +236,10 @@ def _segment(nodes: np.ndarray, x):
 def make_h(spec, alpha: float | None = None):
     """Comparison weight h(t) from a config dict or a plain number.
 
-    kinds: const (value) and exp_gap (alpha - e^t, alpha taken from the dict
-    itself or from the surrounding solver context).
+    kinds: const (a finite positive value) and exp_gap (alpha - e^t, with a
+    finite alpha taken from the dict itself or from the surrounding solver
+    context).
     """
-    if callable(spec):
-        return spec
     if isinstance(spec, (int, float)):
         v = float(spec)
         _require_positive(v, "h")
@@ -251,13 +250,16 @@ def make_h(spec, alpha: float | None = None):
     params = dict(spec.get("params", {}))
     params.update({k: v for k, v in spec.items() if k not in ("kind", "params", "schema")})
     if kind == "const":
-        v = _number(params.get("value", params.get("c", 0.0)), "const h value")
+        v = _number(params.get("value", params.get("c")), "const h value")
+        _require_positive(v, "const h value")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
     if kind == "exp_gap":
         a = params.get("alpha", alpha)
         if a is None:
             raise InstanceFormatError("exp_gap h needs an alpha")
         a = _number(a, "exp_gap h alpha")
+        if not math.isfinite(a):
+            raise ParamOutOfRange(f"exp_gap h alpha must be finite, got {a}")
         return lambda t: a - np.exp(np.asarray(t, dtype=float))
     raise InstanceFormatError(f"unknown h kind {kind!r}")
 

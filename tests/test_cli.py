@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from proxigraph import build
-from proxigraph.cli import main
+from proxigraph.cli import _emit, main
 from proxigraph.cyclic_contraction import check_pair
 from proxigraph.corpus import EXAMPLE_IDS, build_ex41_fixed_point
 
@@ -151,6 +152,15 @@ def test_solve_bpp_seed_gate(capsys, tmp_path):
         "--skip-hypothesis-checks"])
     assert code == 0
     assert doc["bpp"] == "a_0"
+
+
+def test_report_encoding_of_sets_and_numpy_values(capsys):
+    _emit({"set": set("hcafbged"), "frozen": frozenset({2, 1}), "int": np.int64(3),
+           "float32": np.float32(0.5), "float64": np.float64(0.1), "flag": np.bool_(True),
+           "array": np.array([[1.5, 2.0]]), "pairs": ((1, 2),)}, None)
+    assert json.loads(capsys.readouterr().out) == {
+        "set": list("abcdefgh"), "frozen": [1, 2], "int": 3, "float32": 0.5,
+        "float64": 0.1, "flag": True, "array": [[1.5, 2.0]], "pairs": [[1, 2]]}
 
 
 def test_output_files_are_byte_identical(tmp_path):
@@ -392,8 +402,13 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,"x"],[1,1]]}'),
     ("--h", '{"kind":"const","value":"x"}'),
     ("--h", '{"kind":"exp_gap","alpha":[2]}'),
+    ("--h", '{"kind":"const","value":NaN}'),
+    ("--h", '{"kind":"exp_gap","alpha":Infinity}'),
+    ("--h", '{"kind":"const"}'),
+    ("--h", '{"kind":"const","value":-1}'),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
-        "h_value_not_a_number", "h_alpha_not_a_number"])
+        "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
+        "h_alpha_infinite", "h_value_missing", "h_value_negative"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}
@@ -410,6 +425,23 @@ def test_solve_pbvp_non_finite_or_non_positive_number_is_an_input_error(capsys, 
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--N": "11", "--w0": "const:-1", flag: value}
     assert_input_error(capsys, ["solve-pbvp"] + [a for kv in argv.items() for a in kv])
+
+
+@pytest.mark.parametrize("flag", ["map", "t1"])
+def test_map_entry_naming_an_unknown_point_is_an_input_error(capsys, tmp_path, ex22_files,
+                                                             ex41_files, flag):
+    _, p22 = ex22_files
+    paths, argv_of = (p22, verify_argv) if flag == "map" else (ex41_files, fixed_point_argv)
+    doc = json.loads(open(paths[flag]).read())
+    first = sorted(doc["map"])[0]
+    doc["map"][first] = "nowhere"
+    bad = tmp_path / f"unknown_{flag}.json"
+    bad.write_text(json.dumps(doc))
+    assert_input_error(capsys, argv_of(dict(paths, **{flag: str(bad)})))
+    assert main(argv_of(dict(paths, **{flag: str(bad)}))) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 1 and err.count("\n") == 1
+    assert f"{first!r} -> 'nowhere' references unknown point" in err
 
 
 @pytest.mark.parametrize("flag", ["t1", "t2", "psi"])

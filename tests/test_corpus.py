@@ -76,6 +76,13 @@ def test_every_depth_inside_the_gate_builds(example_id, name, lo, hi):
             build(example_id, **{name: value})
 
 
+@pytest.mark.parametrize("depth", range(2, 29))
+def test_ex33_reproduces_at_every_depth_to_28(depth):
+    # each excess is exactly 2^-(depth + 1); at depth 29 it falls below TOL_INEQ
+    report = corpus.reproduce("ex33_dyadic_l1", {"depth": depth})
+    assert report["all_pass"], [c for c in report["checks"] if not c["pass"]]
+
+
 # (example, expected entry, wrong value, checks that must then fail): one per
 # pass rule, a key shared by two checks, and a check reading two entries
 WRONG_EXPECTATIONS = [

@@ -16,12 +16,9 @@ from proxigraph import (
     OutOfDomain,
     SideMismatch,
     build,
-    contraction_rhs,
-    eligible_pair,
     eval_gauge,
     kappa,
     kappa_total,
-    m_value,
     pair_distance,
     verify_g_cyclic_contraction,
     verify_gauge_classes,
@@ -150,6 +147,23 @@ def test_map_table_validation():
     with pytest.raises(SideMismatch):          # A -> A is not cyclic
         CyclicMapTable.for_space(sp, {"a0": "a1", "a1": "b1",
                                       "b0": "a0", "b1": "a1"})
+    with pytest.raises(SideMismatch):          # nor is B -> B
+        CyclicMapTable.for_space(sp, {"a0": "b0", "a1": "b1",
+                                      "b0": "b1", "b1": "a1"})
+    with pytest.raises(InstanceFormatError, match="unknown point"):  # image is no point
+        CyclicMapTable.for_space(sp, {"a0": "b9", "a1": "b0",
+                                      "b0": "a0", "b1": "a0"})
+    with pytest.raises(InstanceFormatError, match="entry for 'a9', which is no point"):
+        CyclicMapTable.for_space(sp, {"a0": "b0", "a1": "b0", "a9": "b0",
+                                      "b0": "a0", "b1": "a0"})
+
+
+def m_through_check_pair(sp, tmap, x, y):
+    """m(x, y) read off check_pair's rhs: with phi1 = I the d(x, y) term is 0,
+    and with phi2 = s / 2 the rhs is m / 2 + d(A, B) / 2."""
+    _, _, rhs = check_pair(sp, tmap, GaugeSpec("identity"),
+                           GaugeSpec("linear", {"c": 0.5}), x, y)
+    return 2.0 * rhs - pair_distance(sp).d_ab
 
 
 def test_m_value_and_sides():
@@ -157,9 +171,11 @@ def test_m_value_and_sides():
     tmap = CyclicMapTable.for_space(sp, {"a0": "b0", "a1": "b1",
                                          "b0": "a0", "b1": "a1"})
     # m = max(d(a1, T a1), d(b0, T b0)) = max(1, 1) = 1
-    assert m_value(sp, tmap, "a1", "b0") == 1.0
+    assert m_through_check_pair(sp, tmap, "a1", "b0") == 1.0
     with pytest.raises(SideMismatch):
-        m_value(sp, tmap, "b0", "a1")
+        m_through_check_pair(sp, tmap, "b0", "a1")
+    with pytest.raises(SideMismatch):
+        m_through_check_pair(sp, tmap, "a0", "a1")
 
 
 def test_t2_edge_preservation():
@@ -188,15 +204,24 @@ def test_rhs_collapses_to_d_ab_at_the_floor():
                                          "b0": "a0", "b1": "a1"})
     geom = pair_distance(sp)
     assert sp.d("a0", "b0") == geom.d_ab
-    assert m_value(sp, tmap, "a0", "b0") == geom.d_ab
+    assert m_through_check_pair(sp, tmap, "a0", "b0") == geom.d_ab
     pairs = [(GaugeSpec("linear", {"c": 0.5}), GaugeSpec("identity")),
              (GaugeSpec("floor_fraction"), GaugeSpec("identity")),
              (GaugeSpec("linear", {"c": 0.9}),
               GaugeSpec("affine_shift", {"c": 0.3})),
              (GaugeSpec("identity"), GaugeSpec("identity"))]
     for phi1, phi2 in pairs:
-        rhs = contraction_rhs(sp, tmap, phi1, phi2, geom, "a0", "b0")
+        _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a0", "b0", geom)
         assert rhs == pytest.approx(geom.d_ab, abs=1e-12)
+
+
+def eligible_pairs(space, tmap):
+    """The pairs the sweep checks: with tol = -inf every checked pair is
+    reported as a violation, so the violations list them all."""
+    rep = verify_g_cyclic_contraction(space, tmap, GaugeSpec("linear", {"c": 0.5}),
+                                      GaugeSpec("identity"), tol=-math.inf)
+    assert rep.checked_pairs == len(rep.violations)
+    return {(x, y) for x, y, _, _ in rep.violations}
 
 
 def test_eligibility_routes():
@@ -206,21 +231,21 @@ def test_eligibility_routes():
 
     direct = FiniteMetricGraph.from_coords(pts, metric="l1", edges=[("a0", "b1")])
     tmap = CyclicMapTable.for_space(direct, tm)
-    assert eligible_pair(direct, tmap, "a0", "b1")
+    assert ("a0", "b1") in eligible_pairs(direct, tmap)
 
     # (x, Ty): T b1 = a1, so the edge (a0, a1) makes (a0, b1) eligible
     via_image = FiniteMetricGraph.from_coords(pts, metric="l1", edges=[("a0", "a1")])
     tmap = CyclicMapTable.for_space(via_image, tm)
-    assert eligible_pair(via_image, tmap, "a0", "b1")
+    assert ("a0", "b1") in eligible_pairs(via_image, tmap)
 
     # (Ty, x) reversed
     via_rev = FiniteMetricGraph.from_coords(pts, metric="l1", edges=[("a1", "a0")])
     tmap = CyclicMapTable.for_space(via_rev, tm)
-    assert eligible_pair(via_rev, tmap, "a0", "b1")
+    assert ("a0", "b1") in eligible_pairs(via_rev, tmap)
 
     bare = FiniteMetricGraph.from_coords(pts, metric="l1")
     tmap = CyclicMapTable.for_space(bare, tm)
-    assert not eligible_pair(bare, tmap, "a0", "b1")
+    assert ("a0", "b1") not in eligible_pairs(bare, tmap)
 
 
 def test_probe_pair_frozen_arithmetic():
@@ -230,8 +255,8 @@ def test_probe_pair_frozen_arithmetic():
     assert abs(lhs - (1.0 + 1.0 / 6.0)) <= 1e-12
     assert abs(sp.d("f_49/100", "g_51/100") - 1.02) <= 1e-12
     # the bound the probe pair would need: 1.02 - phi1(1.02) + 1 = 1.0196
-    rhs = contraction_rhs(sp, tm, inst.phi1, inst.phi2, pair_distance(sp),
-                          "f_49/100", "g_51/100")
+    _, _, rhs = check_pair(sp, tm, inst.phi1, inst.phi2, "f_49/100", "g_51/100",
+                           pair_distance(sp))
     assert rhs == pytest.approx(1.0196, abs=1e-12)
     assert lhs > rhs
 
@@ -246,6 +271,29 @@ def test_verifier_edge_restricted_vs_all_pairs():
     assert not rep_all.holds
     probe = [(x, y) for x, y, _, _ in rep_all.violations]
     assert ("f_49/100", "g_51/100") in probe
+
+
+def replay_case(name):
+    if name != "asymmetric_gaps":
+        inst = build(name)
+        return inst.space, inst.tmap, inst.phi1, inst.phi2
+    # orbit gaps 1 on A and 2 on B, and phi2(s) = 2s, so m(x, y) = d(y, Ty)
+    # and the m-term of the bound does not cancel
+    sp = two_pair_space()
+    tmap = CyclicMapTable.for_space(sp, {"a0": "b0", "a1": "b1", "b0": "a1", "b1": "a0"})
+    phi2 = GaugeSpec("table", {"knots": [[0, 0], [1, 2]]})
+    return sp, tmap, GaugeSpec("linear", {"c": 0.5}), phi2
+
+
+@pytest.mark.parametrize("name", ["ex22_kappa", "ex33_dyadic_l1", "ex35_not_bpo",
+                                  "asymmetric_gaps"])
+def test_every_checked_pair_replays_bit_for_bit(name):
+    # with tol = -inf the sweep reports every pair it checks, with its terms
+    sp, tmap, phi1, phi2 = replay_case(name)
+    rep = verify_g_cyclic_contraction(sp, tmap, phi1, phi2, tol=-math.inf, all_pairs=True)
+    assert len(rep.violations) == len(sp.side_a()) * len(sp.side_b())
+    for x, y, lhs, rhs in rep.violations:
+        assert check_pair(sp, tmap, phi1, phi2, x, y)[1:] == (lhs, rhs)
 
 
 def test_violations_replay_through_check_pair():
@@ -295,8 +343,7 @@ def test_load_gauge_pair_and_map(tmp_path):
         "schema": "1",
         "map": {"a0": "b0", "b0": "a0"},
     }))
-    tmap = load_map(mpath)
-    assert tmap("a0") == "b0"
+    assert load_map(mpath)["a0"] == "b0"
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "1", "phi1": {"kind": "linear",

@@ -20,6 +20,7 @@ from proxigraph import (
     verify_g_psi_contraction,
 )
 from proxigraph.cyclic_contraction import CyclicMapTable
+from proxigraph.fixed_point import residual
 from proxigraph.errors import (
     InstanceFormatError,
     InvalidPsi,
@@ -112,6 +113,21 @@ def test_pair_map_validation():
     bad["f_1/2"] = "f_1/4"  # image must land on the other side
     with pytest.raises(SideMismatch):
         PairMaps.for_space(inst.space, bad, dict(inst.pair.t2))
+    bad["f_1/2"] = "nowhere"  # an image that is no point is an input error
+    with pytest.raises(InstanceFormatError, match="t1 entry 'f_1/2' -> 'nowhere'"):
+        PairMaps.for_space(inst.space, bad, dict(inst.pair.t2))
+
+
+def test_residual_measures_the_distance_to_a_common_fixed_point():
+    # on a line: d(p, T1 p) = 1 but d(p, T2 T1 p) = 3; for r the first term wins
+    sp = FiniteMetricGraph.from_coords(
+        [("p", (0.0,), "A"), ("r", (3.0,), "A"), ("q", (1.0,), "B")], metric="l1")
+    pair = PairMaps.for_space(sp, {"p": "q", "r": "q"}, {"q": "r"})
+    assert residual(sp, pair, "p") == 3.0
+    assert residual(sp, pair, "r") == 2.0
+    inst = build("ex41_fixed_point")
+    point, _ = solve_common_fixed_point(inst.space, inst.pair, inst.psi, "f_1/2")
+    assert residual(inst.space, inst.pair, point) == 0.0
 
 
 def test_oscillation_instance_frozen_counts():

@@ -20,7 +20,7 @@ from proxigraph import (
 from proxigraph.corpus import build_random_chain
 from proxigraph.cyclic_contraction import (
     CyclicMapTable,
-    contraction_rhs,
+    check_pair,
     eval_gauge,
     kappa,
 )
@@ -79,7 +79,7 @@ def test_rhs_collapses_at_the_floor(phi1, phi2, d_ab):
         edges=[("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
     tmap = CyclicMapTable.for_space(sp, {"a": "b", "b": "a"})
     geom = pair_distance(sp)
-    rhs = contraction_rhs(sp, tmap, phi1, phi2, geom, "a", "b")
+    _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a", "b", geom)
     assert rhs == pytest.approx(d_ab, abs=1e-9)
 
 
