@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic_contraction import CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
-from .errors import (
-    HypothesisViolated,
-    NoConvergence,
-    SeedNotEligible,
-    SideMismatch,
-)
+from .errors import NoConvergence, SeedNotEligible, SideMismatch, require
 from .metric_graph import (
     FiniteMetricGraph,
     check_property_star,
@@ -88,12 +83,8 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
 
 
 def _check_theorem_hypotheses(space, tmap, x0=None):
-    star = check_property_star(space, within=space.side_a())
-    if not star:
-        raise HypothesisViolated("property (*) on side A", star.witness)
-    uc = has_property_uc(space)
-    if not uc:
-        raise HypothesisViolated("property UC", uc.witness)
+    require("property (*) on side A", check_property_star(space, within=space.side_a()))
+    require("property UC", has_property_uc(space))
     # x0 sits on side A (the callers check), so it lies in X_T2_A exactly
     # when it carries an edge to its image under the squared map
     if x0 is not None:
@@ -188,14 +179,10 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     falsification event for the equivalence.
     """
     if check_hypotheses:
-        sharp = is_sharp_proximal(space)
-        if not sharp:
-            raise HypothesisViolated("sharp proximal pair", sharp.witness)
+        require("sharp proximal pair", is_sharp_proximal(space))
         _check_theorem_hypotheses(space, tmap, x0=None)
-        report = verify_g_cyclic_contraction(space, tmap, phi1, phi2, tol=tol)
-        if not report.holds:
-            raise HypothesisViolated("cyclic contraction bound",
-                                     report.violations[:1] or report.a0_witness)
+        require("cyclic contraction bound",
+                verify_g_cyclic_contraction(space, tmap, phi1, phi2, tol=tol))
 
     a_nodes = space.side_a()
     clause_a = is_weakly_connected(space, within=a_nodes)

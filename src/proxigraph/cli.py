@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -27,6 +28,7 @@ from .cyclic_contraction import (
 from .errors import (
     BetaNotContractive,
     ConditionIvViolated,
+    EmptySide,
     EvaluationFailure,
     GaugeClassViolation,
     HypothesisViolated,
@@ -40,6 +42,7 @@ from .errors import (
     ProxigraphError,
     SideMismatch,
     UnknownPoint,
+    require,
 )
 from .fixed_point import (
     PairMaps,
@@ -70,7 +73,7 @@ from .pbvp import (
 
 # load-time failures exit 2; anything raised while a check or solve is
 # running exits 1 with the witness in the report
-_INPUT_ERRORS = (InstanceFormatError, UnknownPoint, SideMismatch,
+_INPUT_ERRORS = (InstanceFormatError, UnknownPoint, SideMismatch, EmptySide,
                  ParamOutOfRange, OutOfDomain, InvalidPsi)
 
 _VIOLATION_SLUGS = {
@@ -102,20 +105,6 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _violation_exit(exc: ProxigraphError, out: str | None) -> int:
-    slug = "violation"
-    for klass, name in _VIOLATION_SLUGS.items():
-        if isinstance(exc, klass):
-            slug = name
-            break
-    doc = {"schema": SCHEMA_VERSION, "error": slug, "message": str(exc)}
-    witness = getattr(exc, "witness", None)
-    if witness is not None:
-        doc["witness"] = witness
-    _emit(doc, out)
-    return 1
 
 
 def _parse_inline(text: str, what: str):
@@ -179,6 +168,8 @@ def _cmd_verify(args) -> int:
                     for x, y, l, r in con.violations
                 ],
             }
+            if not con.maps_a0_into_b0:
+                report["contraction"]["a0_witness"] = con.a0_witness
             failed = not con.holds
     elif args.gauges:
         raise InstanceFormatError("--gauges needs --map")
@@ -198,10 +189,8 @@ def _cmd_solve_bpp(args) -> int:
     checks = not args.skip_hypothesis_checks
     if args.gauges and checks:
         phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
-        con = verify_g_cyclic_contraction(space, tmap, phi1, phi2)
-        if not con.holds:
-            x, y, lhs, rhs = con.violations[0]
-            raise HypothesisViolated("cyclic contraction bound", (x, y, lhs, rhs))
+        require("cyclic contraction bound",
+                verify_g_cyclic_contraction(space, tmap, phi1, phi2))
     result = solve_bpp(space, tmap, args.x0, tol=args.tol,
                        max_iter=args.max_iter, check_hypotheses=checks)
     trace = iterate_orbit(space, tmap, args.x0, tol=args.tol, max_iter=args.max_iter)
@@ -230,10 +219,8 @@ def _cmd_solve_fixed_point(args) -> int:
                                            "psi file", args.strict))
     checks = not args.skip_hypothesis_checks
     if checks:
-        rep = verify_g_psi_contraction(space, pair, psi, strengthened=args.strengthened)
-        if not rep.holds:
-            raise HypothesisViolated("psi contraction bound",
-                                     (rep.violations or rep.edge_violations)[0])
+        require("psi contraction bound",
+                verify_g_psi_contraction(space, pair, psi, strengthened=args.strengthened))
     point, trace = solve_common_fixed_point(
         space, pair, psi, args.x0, tol=args.tol, max_iter=args.max_iter,
         check_hypotheses=checks)
@@ -272,19 +259,14 @@ def _cmd_solve_pbvp(args) -> int:
     h_spec = _parse_inline(args.h, "--h")
     grid = TimeGrid(period=args.T, n=args.N)
     w0 = _parse_w0(args.w0, grid)
-    try:
-        if f2 is None:
-            u, report = solve_pbvp(f, args.alpha, h_spec, w0, tol=args.tol,
-                                   max_iter=args.max_iter,
-                                   check_lower=not args.skip_lower_check)
-        else:
-            u, report = solve_common_pbvp(f, f2, args.alpha, h_spec, w0,
-                                          tol=args.tol, max_iter=args.max_iter,
-                                          check_lower=not args.skip_lower_check)
-    except ProxigraphError as exc:
-        if isinstance(exc, _INPUT_ERRORS):
-            raise
-        return _violation_exit(exc, args.report)
+    if f2 is None:
+        u, report = solve_pbvp(f, args.alpha, h_spec, w0, tol=args.tol,
+                               max_iter=args.max_iter,
+                               check_lower=not args.skip_lower_check)
+    else:
+        u, report = solve_common_pbvp(f, f2, args.alpha, h_spec, w0,
+                                      tol=args.tol, max_iter=args.max_iter,
+                                      check_lower=not args.skip_lower_check)
     doc = {
         "schema": SCHEMA_VERSION,
         "n": args.N,
@@ -429,12 +411,26 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            tol = getattr(args, "tol", 0.0)
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ParamOutOfRange(f"--tol must be finite and >= 0, got {tol}")
             return args.func(args)
         except _INPUT_ERRORS as exc:
             sys.stderr.write(f"input error: {exc}\n")
             return 2
         except ProxigraphError as exc:
-            return _violation_exit(exc, getattr(args, "out", None))
+            slug = "violation"
+            for klass, name in _VIOLATION_SLUGS.items():
+                if isinstance(exc, klass):
+                    slug = name
+                    break
+            doc = {"schema": SCHEMA_VERSION, "error": slug, "message": str(exc)}
+            witness = getattr(exc, "witness", None)
+            if witness is not None:
+                doc["witness"] = witness
+            # into the JSON report: solve-pbvp's --out is its solution CSV
+            _emit(doc, getattr(args, "report", args.out))
+            return 1
 
 
 if __name__ == "__main__":

@@ -58,6 +58,7 @@ from .fixed_point import (
     PsiGauge,
     apriori_bound,
     check_uniqueness_regime,
+    residual,
     solve_common_fixed_point,
     verify_g_psi_contraction,
 )
@@ -118,10 +119,6 @@ def _require(cond: bool, what: str):
         raise AssertionError(f"corpus construction invariant broke: {what}")
 
 
-def _label(v: Fraction) -> str:
-    return str(v)
-
-
 # A check's pass rule: EQUAL (measured == expected), AT_MOST (measured <=
 # expected, a cap), or a number tol (|measured - expected| <= tol).
 EQUAL, AT_MOST = "==", "<="
@@ -169,7 +166,6 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
         values.append(rep)
         values.append((rep + Fraction(1, k - 1)) / 2)
     values = sorted(set(values))
-    lab = {v: _label(v) for v in values}
     kap = {v: kappa_total(float(v)) for v in values}
 
     def rep_of(v: Fraction) -> Fraction:
@@ -177,11 +173,11 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
 
     ids, side = [], {}
     for v in values:
-        ids.append(f"f_{lab[v]}")
-        side[f"f_{lab[v]}"] = "A"
+        ids.append(f"f_{v}")
+        side[f"f_{v}"] = "A"
     for v in values:
-        ids.append(f"g_{lab[v]}")
-        side[f"g_{lab[v]}"] = "B"
+        ids.append(f"g_{v}")
+        side[f"g_{v}"] = "B"
 
     n = len(values)
     table = np.zeros((2 * n, 2 * n))
@@ -192,15 +188,15 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
     table[:n, n:] = 1.0 + gap
     table[n:, :n] = 1.0 + gap
 
-    edges = [(f"f_{lab[a]}", f"g_{lab[b]}")
+    edges = [(f"f_{a}", f"g_{b}")
              for a in values for b in values
              if a >= b and kap[a] == kap[b]]
     space = FiniteMetricGraph.from_table(ids, side, table, edges, auto_loops=True)
 
     mapping = {}
     for v in values:
-        mapping[f"f_{lab[v]}"] = f"g_{lab[rep_of(v)]}"
-        mapping[f"g_{lab[v]}"] = f"f_{lab[rep_of(v)]}"
+        mapping[f"f_{v}"] = f"g_{rep_of(v)}"
+        mapping[f"g_{v}"] = f"f_{rep_of(v)}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
     phi1 = GaugeSpec("floor_fraction")
@@ -214,7 +210,7 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
              "edge transitivity within A")
     bpps = enumerate_bpps(space, tmap)
     reps = sorted({rep_of(v) for v in values})
-    _require(bpps == frozenset(f"f_{lab[r]}" for r in reps),
+    _require(bpps == frozenset(f"f_{r}" for r in reps),
              "best proximity set is the representative family")
     _require(x_t2_a_set(space, tmap) == bpps, "X set equals the BPP set")
 
@@ -284,22 +280,21 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
         raise ParamOutOfRange(f"ex33_dyadic_l1 needs 2 <= depth <= 29, got {depth}")
     values = [Fraction(0)] + [Fraction(1, 2 ** n) for n in range(depth + 1)]
     values = sorted(set(values))
-    lab = {v: _label(v) for v in values}
     deepest = Fraction(1, 2 ** depth)
 
     points = []
     for v in values:
-        points.append((f"a_{lab[v]}", (float(v), 0.0), "A"))
+        points.append((f"a_{v}", (float(v), 0.0), "A"))
     for v in values:
-        points.append((f"b_{lab[v]}", (float(v), 1.0), "B"))
+        points.append((f"b_{v}", (float(v), 1.0), "B"))
 
     a_ids = [p for p, _, s in points if s == "A"]
     b_ids = [p for p, _, s in points if s == "B"]
     edges = [(x, y) for x in a_ids for y in a_ids]
     edges += [(x, y) for x in b_ids for y in b_ids]
     for v in values:
-        edges.append((f"a_{lab[v]}", f"b_{lab[v]}"))
-        edges.append((f"b_{lab[v]}", f"a_{lab[v]}"))
+        edges.append((f"a_{v}", f"b_{v}"))
+        edges.append((f"b_{v}", f"a_{v}"))
     space = FiniteMetricGraph.from_coords(points, metric="l1", edges=edges,
                                           auto_loops=True)
 
@@ -310,8 +305,8 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
 
     mapping = {}
     for v in values:
-        mapping[f"a_{lab[v]}"] = f"b_{lab[down(v)]}"
-        mapping[f"b_{lab[v]}"] = f"a_{lab[down(v)]}"
+        mapping[f"a_{v}"] = f"b_{down(v)}"
+        mapping[f"b_{v}"] = f"a_{down(v)}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
     _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
@@ -391,29 +386,28 @@ def build_ex35_not_bpo(depth: int = 6) -> CyclicInstance:
         raise ParamOutOfRange(f"ex35_not_bpo needs 2 <= depth <= 14, got {depth}")
     values = sorted({Fraction(0), Fraction(1)}
                     | {Fraction(1, 2 ** n) for n in range(1, depth + 1)})
-    lab = {v: _label(v) for v in values}
     deepest = Fraction(1, 2 ** depth)
 
     points = []
     for v in values:
-        points.append((f"a_{lab[v]}", (0.0, float(v)), "A"))
+        points.append((f"a_{v}", (0.0, float(v)), "A"))
     for v in values:
-        points.append((f"b_{lab[v]}", (1.0, float(v)), "B"))
+        points.append((f"b_{v}", (1.0, float(v)), "B"))
 
     def interior(v: Fraction) -> bool:
         return 0 < v < 1
 
     edges = []
     for v in values:
-        edges.append((f"a_{lab[v]}", f"b_{lab[v]}"))
-        edges.append((f"b_{lab[v]}", f"a_{lab[v]}"))
+        edges.append((f"a_{v}", f"b_{v}"))
+        edges.append((f"b_{v}", f"a_{v}"))
     for v in values:
         w = v / 2
-        if interior(v) and interior(w) and w in lab:
-            for p, q in ((f"a_{lab[v]}", f"b_{lab[w]}"),
-                         (f"b_{lab[w]}", f"a_{lab[v]}"),
-                         (f"a_{lab[w]}", f"b_{lab[v]}"),
-                         (f"b_{lab[v]}", f"a_{lab[w]}")):
+        if interior(v) and interior(w) and w in values:
+            for p, q in ((f"a_{v}", f"b_{w}"),
+                         (f"b_{w}", f"a_{v}"),
+                         (f"a_{w}", f"b_{v}"),
+                         (f"b_{v}", f"a_{w}")):
                 edges.append((p, q))
     space = FiniteMetricGraph.from_coords(points, metric="l2", edges=edges,
                                           auto_loops=True)
@@ -427,8 +421,8 @@ def build_ex35_not_bpo(depth: int = 6) -> CyclicInstance:
 
     mapping = {}
     for v in values:
-        mapping[f"a_{lab[v]}"] = f"b_{lab[step(v)]}"
-        mapping[f"b_{lab[v]}"] = f"a_{lab[step(v)]}"
+        mapping[f"a_{v}"] = f"b_{step(v)}"
+        mapping[f"b_{v}"] = f"a_{step(v)}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
     _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
@@ -501,16 +495,15 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
     if not 8 <= n_time <= 1024:
         raise ParamOutOfRange(f"ex41_fixed_point needs 8 <= n_time <= 1024, got {n_time}")
     amps = [Fraction(1, 2 ** n) for n in range(1, depth + 1)]
-    lab = {c: _label(c) for c in amps}
     t = np.arange(n_time) / n_time
     cos_v = np.cos(2 * np.pi * t)
     sin_v = np.sin(2 * np.pi * t)
 
     points = [("zero", tuple(0.0 for _ in range(n_time)), "AB")]
     for c in amps:
-        points.append((f"f_{lab[c]}", tuple(float(c) * cos_v), "A"))
+        points.append((f"f_{c}", tuple(float(c) * cos_v), "A"))
     for c in amps:
-        points.append((f"g_{lab[c]}", tuple(float(c) * sin_v), "B"))
+        points.append((f"g_{c}", tuple(float(c) * sin_v), "B"))
 
     ids = [p for p, _, _ in points]
     coords = {p: np.array(xy) for p, xy, _ in points}
@@ -523,8 +516,8 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
     t1 = {"zero": "zero"}
     t2 = {"zero": "zero"}
     for c in amps:
-        t1[f"f_{lab[c]}"] = "zero" if c == deepest else f"g_{lab[c / 2]}"
-        t2[f"g_{lab[c]}"] = "zero" if c == deepest else f"f_{lab[c / 2]}"
+        t1[f"f_{c}"] = "zero" if c == deepest else f"g_{c / 2}"
+        t2[f"g_{c}"] = "zero" if c == deepest else f"f_{c / 2}"
     pair = PairMaps.for_space(space, t1, t2)
     psi = PsiGauge.constant(0.5)
 
@@ -559,14 +552,12 @@ def _checks_ex41(inst: FixedPointInstance) -> list[Check]:
     d0 = gaps[0] if gaps else 0.0
     under = all(g <= apriori_bound(d0, psi(d0), n) + 1e-12
                 for n, g in enumerate(gaps))
-    residual = max(sp.d(point, pair.t1[point]),
-                   sp.d(point, pair.t2[pair.t1[point]]))
     return [
         Check("psi_contraction_holds", ver.holds, EQUAL, "pointwise rate sweep"),
         Check("psi_contraction_strengthened", ver_s.holds, EQUAL,
               "ordered-pair rate sweep"),
         Check("fixed_point", point, EQUAL, "alternating orbit"),
-        Check("residual", residual, AT_MOST, "direct distance evaluation"),
+        Check("residual", residual(sp, pair, point), AT_MOST, "direct distance evaluation"),
         Check("gaps_under_apriori", under, EQUAL, "geometric tail bound"),
         Check("uniqueness_regime", check_uniqueness_regime(sp), EQUAL,
               "connectivity scan"),

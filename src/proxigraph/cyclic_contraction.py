@@ -24,7 +24,6 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
-    PairGeometry,
     _number,
     _params,
     pair_distance,
@@ -178,20 +177,33 @@ def verify_gauge_classes(phi1: GaugeSpec, phi2: GaugeSpec, grid) -> CheckResult:
 
 
 def check_side_map(space: FiniteMetricGraph, name: str, table: dict[str, str],
-                   src: str) -> None:
-    """The map rule for one source side: every point of side src has an entry
-    in table, the entry is a known point, and that point lies on the other side."""
-    dst = "B" if src == "A" else "A"
+                   sources: str) -> None:
+    """The map rule for the source sides ("A", "B" or "AB"): every point of a
+    source side has an entry in table, the entry is a known point, and that
+    point lies on the other side; and every key of table is a point of a
+    source side."""
     side = space.side
-    for x in space.side_a() if src == "A" else space.side_b():
-        y = table.get(x)
-        if y is None:
-            raise InstanceFormatError(f"{name} is not total on {src}: missing {x!r}")
-        on = side.get(y)
-        if on is None:
-            raise InstanceFormatError(f"{name} entry {x!r} -> {y!r} references unknown point")
-        if dst not in on:
-            raise SideMismatch(f"{name} must send {src} into {dst}, but {x!r} -> {y!r}")
+    covered = 0
+    for src in sources:
+        dst = "B" if src == "A" else "A"
+        points = space.side_a() if src == "A" else space.side_b()
+        covered += len(points)
+        for x in points:
+            y = table.get(x)
+            if y is None:
+                raise InstanceFormatError(f"{name} is not total on {src}: missing {x!r}")
+            on = side.get(y)
+            if on is None:
+                raise InstanceFormatError(
+                    f"{name} entry {x!r} -> {y!r} references unknown point")
+            if dst not in on:
+                raise SideMismatch(f"{name} must send {src} into {dst}, but {x!r} -> {y!r}")
+    # every point of a source side has an entry, so a longer table has a key
+    # that is not one; a point on both sides was counted once per side
+    if len(table) > min(covered, len(space.ids)):
+        key = next(k for k in table if not any(s in side.get(k, "") for s in sources))
+        where = "" if key not in side else f" of {sources}"
+        raise InstanceFormatError(f"{name} has an entry for {key!r}, which is no point{where}")
 
 
 @dataclass(frozen=True)
@@ -210,12 +222,7 @@ class CyclicMapTable:
         return {"map": {k: self.mapping[k] for k in sorted(self.mapping)}}
 
     def validate(self, space: FiniteMetricGraph):
-        check_side_map(space, "T", self.mapping, "A")
-        check_side_map(space, "T", self.mapping, "B")
-        # every point has an entry, so a longer table has a key that is no point
-        if len(self.mapping) > len(space.ids):
-            key = next(k for k in self.mapping if k not in space.index)
-            raise InstanceFormatError(f"T has an entry for {key!r}, which is no point")
+        check_side_map(space, "T", self.mapping, "AB")
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -240,7 +247,7 @@ def verify_t2_preserves_edges(space: FiniteMetricGraph, tmap: CyclicMapTable) ->
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Aggregated result of a contraction sweep.
+    """Aggregated result of a contraction sweep, and a verdict like CheckResult.
 
     violations hold (x, y, lhs, rhs) sorted by id pair.  holds is True exactly
     when no inequality violation was found and the proximal set A0 mapped into
@@ -252,6 +259,14 @@ class ContractionReport:
     violations: tuple[tuple[str, str, float, float], ...]
     maps_a0_into_b0: bool = True
     a0_witness: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    @property
+    def witness(self) -> tuple | None:
+        """The first violation, or else the A0 pair whose image misses B0."""
+        return self.violations[0] if self.violations else self.a0_witness
 
 
 def _shift_term(phi1: GaugeSpec, phi2: GaugeSpec, d_ab: float) -> float:
@@ -266,7 +281,7 @@ def _bound(phi1: GaugeSpec, phi2: GaugeSpec, dxy: float, m: float, shift: float)
 
 def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
                phi1: GaugeSpec, phi2: GaugeSpec, x: str, y: str,
-               geom: PairGeometry | None = None, tol: float = TOL_INEQ):
+               tol: float = TOL_INEQ):
     """Re-check a single pair, x on A and y on B; returns (ok, lhs, rhs).
 
     Used for witness replay: the terms are the sweep's own float operations,
@@ -276,10 +291,10 @@ def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
         raise SideMismatch(f"{x!r} is not on side A")
     if "B" not in space.side.get(y, ""):
         raise SideMismatch(f"{y!r} is not on side B")
-    geom = geom or pair_distance(space)
     m = max(space.d(x, tmap(x)), space.d(y, tmap(y)))
     lhs = space.d(tmap(x), tmap(y))
-    rhs = _bound(phi1, phi2, space.d(x, y), m, _shift_term(phi1, phi2, geom.d_ab))
+    d_ab = pair_distance(space).d_ab
+    rhs = _bound(phi1, phi2, space.d(x, y), m, _shift_term(phi1, phi2, d_ab))
     return lhs <= rhs + tol, lhs, rhs
 
 

@@ -48,6 +48,13 @@ class HypothesisViolated(ProxigraphError):
         super().__init__(f"hypothesis failed: {predicate}{detail}")
 
 
+def require(predicate: str, verdict) -> None:
+    """Raise HypothesisViolated(predicate, verdict.witness) unless verdict holds.
+    A verdict is a CheckResult or a sweep report: true when it holds."""
+    if not verdict:
+        raise HypothesisViolated(predicate, verdict.witness)
+
+
 class SeedNotEligible(HypothesisViolated):
     """The starting point does not satisfy the seed condition of the solver."""
 

@@ -27,6 +27,7 @@ from .errors import (
     NoConvergence,
     SeedNotEligible,
     SideMismatch,
+    require,
 )
 from .metric_graph import (
     FiniteMetricGraph,
@@ -156,10 +157,20 @@ def residual(space: FiniteMetricGraph, pair: PairMaps, p: str) -> float:
 
 @dataclass(frozen=True)
 class PsiContractionReport:
+    """Result of a rate sweep, and a verdict like CheckResult."""
+
     holds: bool
     checked: int
     violations: tuple[tuple[str, str, float, float], ...]
     edge_violations: tuple[tuple[str, str, str], ...]
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    @property
+    def witness(self) -> tuple | None:
+        """The first rate violation, or else the first image pair that is no edge."""
+        return (self.violations or self.edge_violations or (None,))[0]
 
 
 def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
@@ -175,31 +186,27 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
     uniqueness-grade condition.
     """
     pair.validate(space)
-    a, b = space.side_a(), space.side_b()
     checked = 0
     viols: list[tuple[str, str, float, float]] = []
     edge_viols: list[tuple[str, str, str]] = []
-
-    def step(i, x, y):
-        nonlocal checked
-        ti, tj = (pair.t1, pair.t2) if i == 1 else (pair.t2, pair.t1)
-        img = ti[y]
-        lead = ti[x]
-        nxt = tj[img]
-        checked += 1
-        d0 = space.d(x, img)
-        if not space.has_edge(lead, nxt):
-            edge_viols.append((lead, nxt, f"image pair of ({x}, {y}) is not an edge"))
-        lhs = space.d(lead, nxt)
-        rhs = psi(d0) * d0
-        if lhs > rhs + tol:
-            viols.append((x, y, lhs, rhs))
-
-    for i, side, ti in ((1, a, pair.t1), (2, b, pair.t2)):
+    for side, ti, tj in ((space.side_a(), pair.t1, pair.t2),
+                         (space.side_b(), pair.t2, pair.t1)):
         for x in sorted(side):
             for y in sorted(side) if strengthened else (x,):
-                if space.has_edge(x, ti[y]):
-                    step(i, x, y)
+                img = ti[y]
+                if not space.has_edge(x, img):
+                    continue
+                lead = ti[x]
+                nxt = tj[img]
+                checked += 1
+                d0 = space.d(x, img)
+                if not space.has_edge(lead, nxt):
+                    edge_viols.append((lead, nxt,
+                                       f"image pair of ({x}, {y}) is not an edge"))
+                lhs = space.d(lead, nxt)
+                rhs = psi(d0) * d0
+                if lhs > rhs + tol:
+                    viols.append((x, y, lhs, rhs))
 
     return PsiContractionReport(
         holds=not viols and not edge_viols,
@@ -229,9 +236,7 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
     if check_hypotheses:
         if not space.has_edge(x0, pair.t1[x0]):
             raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
-        star = check_property_star(space)
-        if not star:
-            raise SeedNotEligible("property (*) on the union graph", star.witness)
+        require("property (*) on the union graph", check_property_star(space))
 
     points = [x0]
     gaps: list[float] = []

@@ -36,6 +36,7 @@ from .errors import (
 from .metric_graph import CheckResult, _number, _params
 
 TOL_PBVP = 1e-10
+TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
 MAX_ITER = 10_000
 
 RHS_KINDS = ("linear", "exp_linear", "cosine_forced", "table")
@@ -268,9 +269,8 @@ def make_h(spec, alpha: float | None = None):
 
 
 def integral_operator(kernel: GreensKernel, f: RhsFunction, u: GridFunction,
-                      weights: np.ndarray | None = None) -> GridFunction:
-    """(F u)(t_i) on the grid of u."""
-    W = kernel_matrix(kernel, u.grid) if weights is None else weights
+                      W: np.ndarray) -> GridFunction:
+    """(F u)(t_i) on the grid of u, with W = kernel_matrix(kernel, u.grid)."""
     t = u.grid.nodes
     try:
         fv = np.asarray(f(t, u.values), dtype=float)
@@ -296,16 +296,16 @@ def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def is_lower_solution(f: RhsFunction, w: GridFunction, tol: float = 1e-6) -> CheckResult:
+def is_lower_solution(f: RhsFunction, w: GridFunction) -> CheckResult:
     """w' <= f(t, w) at every node (finite differences) and w(0) <= w(T)."""
     t = w.grid.nodes
     dw = _derivative(w.values, w.grid.spacing)
     fw = np.asarray(f(t, w.values), dtype=float)
-    bad = np.nonzero(dw > fw + tol)[0]
+    bad = np.nonzero(dw > fw + TOL_LOWER)[0]
     if bad.size:
         i = int(bad[0])
         return CheckResult(False, (float(t[i]), float(dw[i]), float(fw[i])))
-    if w.values[0] > w.values[-1] + tol:
+    if w.values[0] > w.values[-1] + TOL_LOWER:
         return CheckResult(False, ("endpoint order", float(w.values[0]), float(w.values[-1])))
     return CheckResult(True)
 
@@ -375,18 +375,16 @@ def _beta_of(h, alpha: float, grid: TimeGrid) -> float:
 
 def solve_pbvp(f: RhsFunction, alpha: float, h, w0: GridFunction,
                tol: float = TOL_PBVP, max_iter: int = MAX_ITER,
-               check_lower: bool = True,
-               lower_tol: float = 1e-6) -> tuple[GridFunction, PbvpReport]:
+               check_lower: bool = True) -> tuple[GridFunction, PbvpReport]:
     """Picard iteration u_{k+1} = F u_k starting one step above the lower
     solution w0.  Stops when the sup increment drops to tol.  Whether each
     step kept the monotone ordering is recorded, not enforced."""
-    return _picard((f,), alpha, h, w0, tol, max_iter, check_lower, lower_tol)
+    return _picard((f,), alpha, h, w0, tol, max_iter, check_lower)
 
 
 def solve_common_pbvp(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
-                      w0: GridFunction, tol: float = TOL_PBVP,
-                      max_iter: int = MAX_ITER, check_lower: bool = True,
-                      lower_tol: float = 1e-6) -> tuple[GridFunction, PbvpReport]:
+                      w0: GridFunction, tol: float = TOL_PBVP, max_iter: int = MAX_ITER,
+                      check_lower: bool = True) -> tuple[GridFunction, PbvpReport]:
     """Alternating iteration for a pair of periodic problems sharing a solution.
 
     F1 applies the kernel to f2 + alpha * id, F2 applies it to f1 + alpha * id;
@@ -394,10 +392,10 @@ def solve_common_pbvp(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
     condition is sampled on the grid and a state lattice before iterating, and
     each step is checked for the pointwise monotone ordering.
     """
-    return _picard((f1, f2), alpha, h, w0, tol, max_iter, check_lower, lower_tol)
+    return _picard((f1, f2), alpha, h, w0, tol, max_iter, check_lower)
 
 
-def _picard(fs, alpha, h, w0, tol, max_iter, check_lower, lower_tol):
+def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     """The Picard driver of both solvers: step k applies the kernel to
     fs[k % len(fs)] + alpha * id, starting from w0 with k = 0.
 
@@ -411,7 +409,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower, lower_tol):
     if not beta < 1.0:
         raise BetaNotContractive(f"sup h / alpha = {beta} is not < 1")
     if check_lower:
-        low = is_lower_solution(fs[0], w0, tol=lower_tol)
+        low = is_lower_solution(fs[0], w0)
         if not low:
             of_f1 = " of f1" if pair else ""
             raise NotLowerSolution(f"w0 is not a lower solution{of_f1}: witness {low.witness}")

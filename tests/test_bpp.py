@@ -17,6 +17,7 @@ from proxigraph import (
     enumerate_bpps,
     iterate_orbit,
     solve_bpp,
+    verify_g_cyclic_contraction,
     x_t2_a_set,
 )
 from proxigraph.errors import SeedNotEligible
@@ -137,8 +138,11 @@ def test_equivalence_all_true_and_all_false():
 
 def test_equivalence_gate_trips_on_broken_bound():
     inst = build("ex33_dyadic_l1", depth=6)
-    with pytest.raises(HypothesisViolated, match="contraction"):
+    with pytest.raises(HypothesisViolated, match="contraction") as exc:
         check_equivalence_theorem(inst.space, inst.tmap, inst.phi1, inst.phi2)
+    # the witness is the sweep's first violation itself
+    rep = verify_g_cyclic_contraction(inst.space, inst.tmap, inst.phi1, inst.phi2)
+    assert exc.value.witness == rep.violations[0]
 
 
 def test_cardinality_needs_every_class_to_carry_an_eligible_point():

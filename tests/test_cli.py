@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxigraph import build
+from proxigraph import build, cli, errors
 from proxigraph.cli import _emit, main
 from proxigraph.cyclic_contraction import check_pair
 from proxigraph.corpus import EXAMPLE_IDS, build_ex41_fixed_point
@@ -298,7 +298,8 @@ TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
     {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
      "dist_table": [[0, 1], [1]]},
     {"metric": "l1", "points": [{"id": "a", "coords": "12", "side": "A"}, TWO_POINTS[1]]},
-], ids=["one_element_edge", "ragged_table", "string_coords"])
+    {"metric": "l1", "points": TWO_POINTS[:1]},
+], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point"])
 def test_verify_rejects_malformed_instances(tmp_path, doc):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
@@ -468,3 +469,113 @@ def test_unknown_fields_warn_on_one_line_each(capsys, tmp_path, ex22_files):
         "warning: unknown instance field(s): ['flavor']\n"
         "warning: unknown point field(s): ['colour']\n")
     assert_input_error(capsys, ["verify", "--instance", str(path), "--strict"])
+
+
+# side A: a0 (1, 0), a1 (2, 0), a2 (0, 0); side B: b0 (3, 2), b1 (3, 1), b2 (1, 2);
+# l1, loops only.  d(A, B) = 2 is realised by (a0, b2) and (a1, b1), so A0 is
+# {a0, a1} and B0 is {b1, b2}.  Every eligible pair meets the bound with
+# phi1 = 0.05 s and phi2 = s, but T sends a1 to b0, outside B0.
+A0_MISS = {
+    "instance": {"schema": "1", "metric": "l1", "auto_loops": True, "points": [
+        {"id": p, "coords": xy, "side": p[0].upper()} for p, xy in (
+            ("a0", [1, 0]), ("a1", [2, 0]), ("a2", [0, 0]),
+            ("b0", [3, 2]), ("b1", [3, 1]), ("b2", [1, 2]))]},
+    "map": {"schema": "1", "map": {"a0": "b2", "a1": "b0", "a2": "b2",
+                                   "b0": "a2", "b1": "a0", "b2": "a0"}},
+    "gauges": {"schema": "1", "phi1": {"kind": "linear", "params": {"c": 0.05}},
+               "phi2": {"kind": "identity"}},
+}
+
+
+@pytest.fixture
+def a0_miss_files(tmp_path):
+    paths = {}
+    for kind, doc in A0_MISS.items():
+        paths[kind] = tmp_path / f"a0_miss_{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def test_solve_bpp_contraction_gate_names_the_a0_pair(capsys, a0_miss_files):
+    p = a0_miss_files
+    code, doc, err = run(capsys, ["solve-bpp", "--instance", p["instance"], "--map", p["map"],
+                                  "--gauges", p["gauges"], "--x0", "a0"])
+    assert (code, err) == (1, "")
+    assert doc["error"] == "hypothesis_violated"
+    assert doc["witness"] == ["a1", "b0"]
+
+
+def test_verify_reports_the_a0_pair(capsys, a0_miss_files):
+    code, doc, _ = run(capsys, verify_argv(a0_miss_files))
+    assert code == 1 and doc["verified"] is False
+    con = doc["contraction"]
+    assert con["holds"] is False and con["violations"] == []
+    assert con["a0_witness"] == ["a1", "b0"]
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("t1", "nowhere"), ("t1", "g_1/2"), ("t2", "nowhere"), ("t2", "f_1/2"),
+])
+def test_map_key_off_its_source_side_is_an_input_error(capsys, tmp_path, ex41_files,
+                                                       flag, key):
+    doc = json.loads(open(ex41_files[flag]).read())
+    doc["map"][key] = "zero"
+    bad = tmp_path / f"stray_{flag}.json"
+    bad.write_text(json.dumps(doc))
+    assert_input_error(capsys, fixed_point_argv(dict(ex41_files, **{flag: str(bad)})))
+    assert main(fixed_point_argv(dict(ex41_files, **{flag: str(bad)}))) == 2
+    assert f"{flag} has an entry for {key!r}, which is no point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("command", ["verify", "solve-bpp", "solve-fixed-point",
+                                     "solve-pbvp"])
+def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, ex22_files, ex41_files,
+                                             command, value):
+    _, p22 = ex22_files
+    argv = {
+        "verify": verify_argv(p22) + ["--all-pairs"],
+        "solve-bpp": ["solve-bpp", "--instance", p22["instance"], "--map", p22["map"],
+                      "--x0", "f_1/2"],
+        "solve-fixed-point": fixed_point_argv(ex41_files),
+        "solve-pbvp": ["solve-pbvp", "--rhs", '{"kind":"linear","a":-1.0}',
+                       "--alpha", "2.0", "--h", "1.0", "--N", "11", "--w0", "const:-1"],
+    }[command]
+    assert_input_error(capsys, argv + [f"--tol={value}"])
+    assert main(argv + [f"--tol={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: --tol must be finite and >= 0, got {float(value)}\n"
+
+
+def test_solve_pbvp_failure_goes_to_the_report_and_never_to_the_csv(capsys, tmp_path):
+    sol, rep = tmp_path / "solution.csv", tmp_path / "report.json"
+    argv = ["solve-pbvp", "--rhs", '{"kind":"linear","a":-1.0}', "--alpha", "2.0",
+            "--h", "3.0", "--N", "11", "--w0", "const:-1", "--out", str(sol)]
+    code, doc, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert doc["error"] == "beta_not_contractive"
+    assert main(argv + ["--report", str(rep)]) == 1
+    assert capsys.readouterr().out == ""
+    assert json.loads(rep.read_text()) == doc
+    assert not sol.exists()
+
+
+ERROR_CLASSES = sorted((k for k in vars(errors).values()
+                        if isinstance(k, type) and issubclass(k, errors.ProxigraphError)
+                        and k is not errors.ProxigraphError), key=lambda k: k.__name__)
+
+
+@pytest.mark.parametrize("klass", ERROR_CLASSES, ids=lambda k: k.__name__)
+def test_every_error_class_has_an_exit_route(capsys, monkeypatch, klass):
+    # each failure exits 2 as an input error or exits 1 under its own slug,
+    # never under the catch-all "violation"
+    def fail(args):
+        raise klass("census")
+
+    monkeypatch.setattr(cli, "_cmd_reproduce", fail)
+    code, doc, err = run(capsys, ["reproduce", "ex22_kappa"])
+    if code == 2:
+        assert err.startswith("input error:") and doc is None
+    else:
+        assert code == 1 and err == ""
+        assert doc["error"] != "violation"

@@ -211,7 +211,7 @@ def test_rhs_collapses_to_d_ab_at_the_floor():
               GaugeSpec("affine_shift", {"c": 0.3})),
              (GaugeSpec("identity"), GaugeSpec("identity"))]
     for phi1, phi2 in pairs:
-        _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a0", "b0", geom)
+        _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a0", "b0")
         assert rhs == pytest.approx(geom.d_ab, abs=1e-12)
 
 
@@ -255,8 +255,7 @@ def test_probe_pair_frozen_arithmetic():
     assert abs(lhs - (1.0 + 1.0 / 6.0)) <= 1e-12
     assert abs(sp.d("f_49/100", "g_51/100") - 1.02) <= 1e-12
     # the bound the probe pair would need: 1.02 - phi1(1.02) + 1 = 1.0196
-    _, _, rhs = check_pair(sp, tm, inst.phi1, inst.phi2, "f_49/100", "g_51/100",
-                           pair_distance(sp))
+    _, _, rhs = check_pair(sp, tm, inst.phi1, inst.phi2, "f_49/100", "g_51/100")
     assert rhs == pytest.approx(1.0196, abs=1e-12)
     assert lhs > rhs
 
@@ -266,11 +265,27 @@ def test_verifier_edge_restricted_vs_all_pairs():
     rep = verify_g_cyclic_contraction(inst.space, inst.tmap, inst.phi1, inst.phi2)
     assert rep.holds and not rep.violations
     assert rep.maps_a0_into_b0
+    assert rep and rep.witness is None
     rep_all = verify_g_cyclic_contraction(inst.space, inst.tmap,
                                           inst.phi1, inst.phi2, all_pairs=True)
     assert not rep_all.holds
     probe = [(x, y) for x, y, _, _ in rep_all.violations]
     assert ("f_49/100", "g_51/100") in probe
+    assert not rep_all and rep_all.witness == rep_all.violations[0]
+
+
+def test_a0_pair_is_the_witness_when_no_pair_violates():
+    # d(A, B) = 2 at (a0, b2) and (a1, b1); T sends a1 to b0, outside B0, while
+    # the three eligible pairs (loops only) meet the bound 0.95 d(x, y) + 0.1
+    sp = FiniteMetricGraph.from_coords(
+        [("a0", (1, 0), "A"), ("a1", (2, 0), "A"), ("a2", (0, 0), "A"),
+         ("b0", (3, 2), "B"), ("b1", (3, 1), "B"), ("b2", (1, 2), "B")], metric="l1")
+    tmap = CyclicMapTable.for_space(sp, {"a0": "b2", "a1": "b0", "a2": "b2",
+                                         "b0": "a2", "b1": "a0", "b2": "a0"})
+    rep = verify_g_cyclic_contraction(sp, tmap, GaugeSpec("linear", {"c": 0.05}),
+                                      GaugeSpec("identity"))
+    assert (rep.checked_pairs, rep.violations, rep.maps_a0_into_b0) == (3, (), False)
+    assert not rep and rep.witness == rep.a0_witness == ("a1", "b0")
 
 
 def replay_case(name):

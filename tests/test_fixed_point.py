@@ -8,11 +8,13 @@ import pytest
 
 from proxigraph import (
     FiniteMetricGraph,
+    HypothesisViolated,
     GaugeSpec,
     PairMaps,
     PsiGauge,
     apriori_bound,
     build,
+    check_property_star,
     check_uniqueness_regime,
     psi_from_phi,
     solve_common_fixed_point,
@@ -116,6 +118,15 @@ def test_pair_map_validation():
     bad["f_1/2"] = "nowhere"  # an image that is no point is an input error
     with pytest.raises(InstanceFormatError, match="t1 entry 'f_1/2' -> 'nowhere'"):
         PairMaps.for_space(inst.space, bad, dict(inst.pair.t2))
+    # every key must be a point of the source side
+    for key, where in (("nowhere", ""), ("g_1/2", " of A")):
+        with pytest.raises(InstanceFormatError,
+                           match=f"t1 has an entry for '{key}', which is no point{where}$"):
+            PairMaps.for_space(inst.space, dict(inst.pair.t1, **{key: "g_1/4"}),
+                               dict(inst.pair.t2))
+    with pytest.raises(InstanceFormatError, match="t2 has an entry for 'f_1/2'"):
+        PairMaps.for_space(inst.space, dict(inst.pair.t1),
+                           dict(inst.pair.t2, **{"f_1/2": "zero"}))
 
 
 def test_residual_measures_the_distance_to_a_common_fixed_point():
@@ -153,9 +164,22 @@ def test_strengthened_mode_sees_cross_pair_edges():
     sp = drop_edge(inst.space, ("g_1/4", "f_1/16"))
     rep = verify_g_psi_contraction(sp, inst.pair, inst.psi)
     assert (rep.holds, rep.checked) == (True, 14)
+    assert rep and rep.witness is None
     rep = verify_g_psi_contraction(sp, inst.pair, inst.psi, strengthened=True)
     assert not rep.holds
     assert ("g_1/4", "f_1/16") in {(a, b) for a, b, _ in rep.edge_violations}
+    # no rate violation, so the report's witness is its first missing image edge
+    assert not rep and rep.violations == ()
+    assert rep.witness == rep.edge_violations[0]
+    assert rep.witness[:2] == ("g_1/4", "f_1/16")
+
+
+def test_rate_violation_is_the_witness_before_a_missing_edge():
+    inst = build("ex41_fixed_point")
+    sp = drop_edge(inst.space, ("g_1/4", "f_1/8"))
+    rep = verify_g_psi_contraction(sp, inst.pair, PsiGauge.constant(0.25))
+    assert rep.violations and rep.edge_violations
+    assert not rep and rep.witness == rep.violations[0]
 
 
 def test_apriori_bound_values_and_validation():
@@ -197,6 +221,17 @@ def test_seed_gates():
     fp, _ = solve_common_fixed_point(sp, inst.pair, inst.psi, "f_1/2",
                                      check_hypotheses=False)
     assert fp == "zero"
+
+
+def test_union_star_gate_is_a_hypothesis_not_a_seed_gate():
+    # f_1/4 -> zero -> g_1/8 stays, f_1/4 -> g_1/8 goes: property (*) fails,
+    # while the seed edge (f_1/2, g_1/4) is kept
+    inst = build("ex41_fixed_point")
+    sp = drop_edge(inst.space, ("f_1/4", "g_1/8"))
+    with pytest.raises(HypothesisViolated, match="union graph") as exc:
+        solve_common_fixed_point(sp, inst.pair, inst.psi, "f_1/2")
+    assert not isinstance(exc.value, SeedNotEligible)
+    assert exc.value.witness == check_property_star(sp).witness
 
 
 def test_uniqueness_regime():

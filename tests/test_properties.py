@@ -78,8 +78,7 @@ def test_rhs_collapses_at_the_floor(phi1, phi2, d_ab):
         metric="l1",
         edges=[("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
     tmap = CyclicMapTable.for_space(sp, {"a": "b", "b": "a"})
-    geom = pair_distance(sp)
-    _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a", "b", geom)
+    _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a", "b")
     assert rhs == pytest.approx(d_ab, abs=1e-9)
 
 
