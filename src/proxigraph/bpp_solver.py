@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic_contraction import CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
-from .errors import NoConvergence, SeedNotEligible, SideMismatch, require
+from .errors import NoConvergence, SeedNotEligible, SideMismatch, require, require_tol
 from .metric_graph import (
     FiniteMetricGraph,
     check_property_star,
@@ -57,6 +57,7 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
                   max_iter: int = MAX_ITER, tol: float = TOL_BPP) -> OrbitTrace:
     """Follow the orbit until the gap reaches d(A, B), an even-orbit point
     repeats, or max_iter steps have been taken."""
+    require_tol(tol)
     if "A" not in space.side.get(x0, ""):
         raise SideMismatch(f"orbit must start on side A, got {x0!r}")
     d_ab = pair_distance(space).d_ab
@@ -115,6 +116,7 @@ def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
               tol: float = TOL_BPP, max_iter: int = MAX_ITER,
               check_hypotheses: bool = True) -> BppResult:
     """Drive the even orbit of x0 to a stationary point realizing d(A, B)."""
+    require_tol(tol)
     if "A" not in space.side.get(x0, ""):
         raise SideMismatch(f"solve_bpp needs a seed on side A, got {x0!r}")
     tmap.validate(space)
@@ -137,6 +139,7 @@ def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
 def enumerate_bpps(space: FiniteMetricGraph, tmap: CyclicMapTable,
                    tol: float = TOL_BPP) -> frozenset[str]:
     """All best proximity points on side A, by exhaustive scan."""
+    require_tol(tol)
     d_ab = pair_distance(space).d_ab
     return frozenset(x for x in space.side_a()
                      if abs(space.d(x, tmap(x)) - d_ab) <= tol)

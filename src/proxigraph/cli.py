@@ -414,6 +414,9 @@ def main(argv=None) -> int:
             tol = getattr(args, "tol", 0.0)
             if not (math.isfinite(tol) and tol >= 0.0):
                 raise ParamOutOfRange(f"--tol must be finite and >= 0, got {tol}")
+            max_iter = getattr(args, "max_iter", 1)
+            if max_iter < 1:
+                raise ParamOutOfRange(f"--max-iter must be >= 1, got {max_iter}")
             return args.func(args)
         except _INPUT_ERRORS as exc:
             sys.stderr.write(f"input error: {exc}\n")

@@ -607,7 +607,7 @@ def build_ex53_pbvp(n_nodes: int = 201) -> PbvpInstance:
 def _checks_ex53(inst: PbvpInstance) -> list[Check]:
     u, rep = solve_pbvp(inst.f, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
     wplus = GridFunction.constant(inst.grid, 1.0)
-    quad = "split trapezoid quadrature"
+    quad = "product-integration quadrature"
     return [
         Check("beta", rep.beta, 1e-12, "sup-ratio arithmetic"),
         Check("sup_norm", u.sup_norm(), AT_MOST, quad),

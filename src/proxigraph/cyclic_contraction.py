@@ -20,6 +20,7 @@ from .errors import (
     InstanceFormatError,
     OutOfDomain,
     SideMismatch,
+    require_tol,
 )
 from .metric_graph import (
     CheckResult,
@@ -309,6 +310,7 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     along edges.  Gauge monotonicity classes are validated first on the grid of
     distance values the sweep will touch.
     """
+    require_tol(tol)
     tmap.validate(space)
     geom = pair_distance(space)
     a, b = sorted(space.side_a()), sorted(space.side_b())

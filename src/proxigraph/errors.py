@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package."""
 from __future__ import annotations
 
+import math
+
 
 class ProxigraphError(ValueError):
     """Base class for all package-specific failures."""
@@ -53,6 +55,14 @@ def require(predicate: str, verdict) -> None:
     A verdict is a CheckResult or a sweep report: true when it holds."""
     if not verdict:
         raise HypothesisViolated(predicate, verdict.witness)
+
+
+def require_tol(tol: float) -> None:
+    """Refuse a NaN tolerance: every comparison against NaN is false, so a
+    solver would accept or refuse every candidate without a word.  -inf stays
+    allowed; a sweep run with it reports every pair it checks."""
+    if math.isnan(tol):
+        raise ParamOutOfRange(f"tol must not be NaN, got {tol}")
 
 
 class SeedNotEligible(HypothesisViolated):

@@ -28,6 +28,7 @@ from .errors import (
     SeedNotEligible,
     SideMismatch,
     require,
+    require_tol,
 )
 from .metric_graph import (
     FiniteMetricGraph,
@@ -185,6 +186,7 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
     d(T_i x, T_j T_i y) against psi(d(x, T_i y)) * d(x, T_i y); that is the
     uniqueness-grade condition.
     """
+    require_tol(tol)
     pair.validate(space)
     checked = 0
     viols: list[tuple[str, str, float, float]] = []
@@ -230,6 +232,7 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
                              tol: float = TOL_FIX, max_iter: int = MAX_ITER,
                              check_hypotheses: bool = True) -> tuple[str, OrbitTrace]:
     """Alternate T1 and T2 from x0 in A until both residuals vanish."""
+    require_tol(tol)
     pair.validate(space)
     if "A" not in space.side.get(x0, ""):
         raise SideMismatch(f"seed must lie on side A, got {x0!r}")

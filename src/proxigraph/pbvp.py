@@ -1,15 +1,21 @@
 """Periodic boundary value problems u' = f(t, u), u(0) = u(T) via Picard
 iteration on an equivalent integral equation.
 
-The kernel
-    G(t, s) = e^{alpha (T + s - t)} / (e^{alpha T} - 1)   for s < t
-    G(t, s) = e^{alpha (s - t)}     / (e^{alpha T} - 1)   for s > t
-satisfies int_0^T G(t, s) ds = 1 / alpha for every t.  At s = t the left
-branch is used.  The fixed-point operator is
+The kernel, written in its decaying form,
+    G(t, s) = e^{-alpha (t - s)}     / (1 - e^{-alpha T})   for s <= t
+    G(t, s) = e^{-alpha (t + T - s)} / (1 - e^{-alpha T})   for s > t
+satisfies int_0^T G(t, s) ds = 1 / alpha for every t.  The fixed-point
+operator is
     (F u)(t) = int_0^T G(t, s) [f(s, u(s)) + alpha u(s)] ds,
-discretized by composite trapezoid on each side of the diagonal, so the node
-s = t contributes both branch values with half weights.  The scheme is second
-order in the grid spacing.
+discretized by product integration: G is integrated exactly against the
+piecewise-linear interpolant of g = f(., u) + alpha u on the grid.  Each
+segment contributes two positive weights, so the discrete operator has
+exactly the kernel's mass 1/alpha, stays monotone, and contracts by the same
+factor as the continuous one.  The integral over [0, t_i] is a first-order
+recurrence and the one over [t_i, T] a reversed cumulative sum, so one
+application costs O(n) time and memory.  The scheme is second order in the
+grid spacing.  `kernel_matrix` keeps the older dense trapezoid rule as a test
+oracle.
 
 Iteration starts from a lower solution w (w' <= f(t, w), w(0) <= w(T)) and is
 a contraction with factor beta = sup h / alpha when the state dependence of
@@ -32,6 +38,7 @@ from .errors import (
     NotLowerSolution,
     OutOfDomain,
     ParamOutOfRange,
+    require_tol,
 )
 from .metric_graph import CheckResult, _number, _params
 
@@ -115,15 +122,21 @@ def greens_kernel_value(kernel: GreensKernel, t: float, s: float) -> float:
     return math.exp(kernel.alpha * (s - t)) / denom
 
 
+def _require_same_period(kernel: GreensKernel, grid: TimeGrid) -> None:
+    if abs(grid.period - kernel.period) > 1e-12 * max(1.0, kernel.period):
+        raise ParamOutOfRange("grid period does not match kernel period")
+
+
 def kernel_matrix(kernel: GreensKernel, grid: TimeGrid) -> np.ndarray:
-    """Quadrature weight matrix W with (F u)_i = sum_j W[i, j] g_j.
+    """Dense trapezoid oracle, not on any solver path: the matrix W with
+    (F u)_i ~ sum_j W[i, j] g_j.
 
     Row i integrates with trapezoid over [0, t_i] using the left branch and
     over [t_i, T] using the right branch, so the diagonal node carries half of
-    each branch value.
+    each branch value.  Its row mass is 1/alpha only up to O((alpha h)^2), it
+    overflows to NaN once e^{alpha T} does, and it takes O(n^2) memory.
     """
-    if abs(grid.period - kernel.period) > 1e-12 * max(1.0, kernel.period):
-        raise ParamOutOfRange("grid period does not match kernel period")
+    _require_same_period(kernel, grid)
     t = grid.nodes
     h = grid.spacing
     n = grid.n
@@ -145,6 +158,79 @@ def kernel_matrix(kernel: GreensKernel, grid: TimeGrid) -> np.ndarray:
             w[0] = w[-1] = h / 2
             W[i, i:] += w * right[i, i:]
     return W
+
+
+# the largest exponent a block of the left recurrence scales by: e^600 ~ 4e260
+# leaves room for segment integrals up to ~1e47 before the product overflows
+_BLOCK_EXPONENT = 600.0
+_SERIES_TERMS = 20  # x^20 / 22! < 1e-21 for x < 1
+
+
+def segment_weights(alpha: float, h: float) -> tuple[float, float]:
+    """The weights (w0, w1) of one grid segment [t_{i-1}, t_i]:
+        int_{t_{i-1}}^{t_i} e^{-alpha (t_i - s)} g(s) ds = w0 g_{i-1} + w1 g_i
+    for g linear on the segment.  With x = alpha h,
+        w0 = h (1 - (1 + x) e^{-x}) / x^2,   w1 = h (x - 1 + e^{-x}) / x^2,
+    both positive, with w0 + w1 = (1 - e^{-x}) / alpha.  Below x = 1 both
+    closed forms cancel, so they are summed from their alternating series
+        w0 = h sum_k (k + 1) (-x)^k / (k + 2)!,   w1 = h sum_k (-x)^k / (k + 2)!
+    whose terms decrease from the first.
+    """
+    x = alpha * h
+    if x < 1.0:
+        w0 = w1 = 0.0
+        for k in reversed(range(_SERIES_TERMS)):
+            term = (-x) ** k / math.factorial(k + 2)
+            w0 += (k + 1) * term
+            w1 += term
+    else:
+        mean = -math.expm1(-x) / x  # (1 - e^{-x}) / x
+        w0 = (mean - math.exp(-x)) / x
+        w1 = (1.0 - mean) / x
+    return h * w0, h * w1
+
+
+@dataclass(frozen=True, eq=False)
+class ProductWeights:
+    """The product-integration weights of one (kernel, grid) pair, built once
+    per solve by `product_weights` and read by every `integral_operator` call.
+
+    c_j = w0 g_j + w1 g_{j+1} is the exactly weighted integral of segment j,
+    [t_j, t_{j+1}], against e^{-alpha (t_{j+1} - s)}.  Then
+        L_i = sum_{j < i} e^{-alpha (t_i - t_{j+1})} c_j
+    runs blockwise: from the carried L_b, L_{b+1+k} = down_k (decay L_b +
+    sum_{j <= k} up_j c_{b+j}), a scaled cumulative sum.  And
+        R_i = head_i sum_{j >= i} tail_j c_j
+    with head_i = e^{-alpha t_i} and tail_j = e^{-alpha (T - t_{j+1})} <= 1.
+    (F u)_i = scale (L_i + R_i), scale = 1 / (1 - e^{-alpha T}).
+    """
+
+    kernel: GreensKernel
+    grid: TimeGrid
+    nodes: np.ndarray
+    w0: float
+    w1: float
+    decay: float      # e^{-alpha h}
+    up: np.ndarray    # e^{alpha h k}, k = 0 .. block - 1
+    down: np.ndarray  # e^{-alpha h k}, k = 0 .. block - 1
+    head: np.ndarray  # e^{-alpha t_i}, i = 0 .. n - 2
+    tail: np.ndarray  # e^{-alpha (T - t_{j+1})}, j = 0 .. n - 2
+    scale: float
+
+
+def product_weights(kernel: GreensKernel, grid: TimeGrid) -> ProductWeights:
+    """Build the O(n) weights of the product-integration operator."""
+    _require_same_period(kernel, grid)
+    alpha, h, n = kernel.alpha, grid.spacing, grid.n
+    t = grid.nodes
+    w0, w1 = segment_weights(alpha, h)
+    block = int(min(n - 1, 1 + _BLOCK_EXPONENT // (alpha * h)))
+    k = np.arange(block) * (alpha * h)
+    return ProductWeights(
+        kernel=kernel, grid=grid, nodes=t, w0=w0, w1=w1, decay=math.exp(-alpha * h),
+        up=np.exp(k), down=np.exp(-k),
+        head=np.exp(-alpha * t[:-1]), tail=np.exp(-alpha * (grid.period - t[1:])),
+        scale=-1.0 / math.expm1(-alpha * grid.period))
 
 
 # ----- right-hand sides -------------------------------------------------
@@ -269,21 +355,47 @@ def make_h(spec, alpha: float | None = None):
 
 
 def integral_operator(kernel: GreensKernel, f: RhsFunction, u: GridFunction,
-                      W: np.ndarray) -> GridFunction:
-    """(F u)(t_i) on the grid of u, with W = kernel_matrix(kernel, u.grid)."""
-    t = u.grid.nodes
+                      W: ProductWeights) -> GridFunction:
+    """(F u)(t_i) on the grid of u, with W = product_weights(kernel, u.grid).
+
+    Output node n - 1 is written as node 0: (F u)(T) = (F u)(0) holds
+    exactly for this kernel.
+    """
+    if W.kernel != kernel or W.grid != u.grid:
+        raise ParamOutOfRange("weights were built for another kernel or grid")
+    t = W.nodes
     try:
         fv = np.asarray(f(t, u.values), dtype=float)
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise EvaluationFailure(f"right-hand side failed on the grid: {exc}") from exc
-    if fv.shape != u.values.shape:
-        fv = np.broadcast_to(fv, u.values.shape)
-    if not np.all(np.isfinite(fv)):
-        i = int(np.nonzero(~np.isfinite(fv))[0][0])
-        raise EvaluationFailure(
-            f"right-hand side is not finite at t = {t[i]}, s = {u.values[i]}")
+    # a non-finite f value or an overflow reaches the output, which is checked
+    # once at the end
     g = fv + kernel.alpha * u.values
-    return GridFunction(u.grid, W @ g)
+    c = W.w0 * g[:-1] + W.w1 * g[1:]
+    out = np.empty_like(g)
+    out[0] = 0.0
+    block = len(W.up)
+    for b in range(0, len(c), block):
+        seg = c[b:b + block]
+        m = len(seg)
+        out[b + 1:b + 1 + m] = W.down[:m] * (W.decay * out[b] + (W.up[:m] * seg).cumsum())
+    out[:-1] += W.head * (W.tail * c)[::-1].cumsum()[::-1]
+    out *= W.scale
+    out[-1] = out[0]
+    if not np.isfinite(out).all():
+        raise _non_finite(t, u.values, np.broadcast_to(fv, g.shape), out)
+    return GridFunction(u.grid, out)
+
+
+def _non_finite(t, values, fv, out) -> EvaluationFailure:
+    """Name the first node where f is not finite, or else the first node
+    where the operator's output is not."""
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return EvaluationFailure(f"right-hand side is not finite at t = {t[i]}, s = {values[i]}")
+    i = int(np.argmax(~np.isfinite(out)))
+    return EvaluationFailure(f"integral operator output is not finite at t = {t[i]}")
 
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -402,6 +514,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     A pair (f1, f2) must also pass condition (iv), keep the monotone ordering
     at every step, and stop only where both operators fix the iterate.
     """
+    require_tol(tol)
     pair = len(fs) > 1
     grid = w0.grid
     kernel = GreensKernel(alpha=alpha, period=grid.period)
@@ -422,10 +535,10 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
         if not ok:
             raise ConditionIvViolated(ok.witness)
 
-    W = kernel_matrix(kernel, grid)
+    W = product_weights(kernel, grid)
 
     u = integral_operator(kernel, fs[0], w0, W)
-    monotone = [bool(np.all(u.values >= w0.values - 1e-12))]
+    monotone = [bool((u.values >= w0.values - 1e-12).all())]
     if pair and not monotone[0]:
         raise MonotonicityBroken("first step fell below the lower solution")
     prev_inc = None
@@ -433,8 +546,8 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     floor = 100 * np.finfo(float).eps * max(1.0, u.sup_norm())
     for k in range(max_iter):
         nxt = integral_operator(kernel, fs[(k + 1) % len(fs)], u, W)
-        inc = float(np.max(np.abs(nxt.values - u.values)))
-        monotone.append(bool(np.all(nxt.values >= u.values - 1e-12)))
+        inc = float(np.abs(nxt.values - u.values).max())
+        monotone.append(bool((nxt.values >= u.values - 1e-12).all()))
         if pair and not monotone[-1]:
             raise MonotonicityBroken(f"step {k} lost the pointwise ordering")
         if prev_inc is not None and prev_inc > floor:

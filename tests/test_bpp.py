@@ -20,7 +20,7 @@ from proxigraph import (
     verify_g_cyclic_contraction,
     x_t2_a_set,
 )
-from proxigraph.errors import SeedNotEligible
+from proxigraph.errors import ParamOutOfRange, SeedNotEligible
 
 
 def test_x_set_contents():
@@ -118,6 +118,20 @@ def test_settled_orbit_off_the_floor_raises():
     # a1 is squared-map fixed but its gap d(a1, b2) = 2 > 1 = d(A, B)
     with pytest.raises(NoConvergence, match="gap"):
         solve_bpp(sp, tmap, "a1", check_hypotheses=False)
+
+
+def test_nan_tol_is_refused():
+    # every comparison against NaN is false: solve_bpp used to return a1 with
+    # gap 6.0, although d(A, B) = 1
+    sp, tmap = nontrivial_cycle_instance()
+    nan = float("nan")
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        solve_bpp(sp, tmap, "a1", tol=nan, check_hypotheses=False)
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        enumerate_bpps(sp, tmap, tol=nan)
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        iterate_orbit(sp, tmap, "a1", tol=nan)
+    assert enumerate_bpps(sp, tmap, tol=float("-inf")) == frozenset()
 
 
 def test_equivalence_all_true_and_all_false():

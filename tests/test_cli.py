@@ -547,6 +547,23 @@ def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, ex22_files, ex41_
     assert err == f"input error: --tol must be finite and >= 0, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["solve-bpp", "solve-fixed-point", "solve-pbvp"])
+def test_max_iter_must_be_positive(capsys, ex22_files, ex41_files, command, value):
+    # before the check, a budget of no steps exited 1 as no_convergence
+    _, p22 = ex22_files
+    argv = {
+        "solve-bpp": ["solve-bpp", "--instance", p22["instance"], "--map", p22["map"],
+                      "--x0", "f_1/2"],
+        "solve-fixed-point": fixed_point_argv(ex41_files),
+        "solve-pbvp": ["solve-pbvp", "--rhs", '{"kind":"linear","a":-1.0}',
+                       "--alpha", "2.0", "--h", "1.0", "--N", "11", "--w0", "const:-1"],
+    }[command]
+    code, doc, err = run(capsys, argv + [f"--max-iter={value}"])
+    assert (code, doc) == (2, None)
+    assert err == f"input error: --max-iter must be >= 1, got {value}\n"
+
+
 def test_solve_pbvp_failure_goes_to_the_report_and_never_to_the_csv(capsys, tmp_path):
     sol, rep = tmp_path / "solution.csv", tmp_path / "report.json"
     argv = ["solve-pbvp", "--rhs", '{"kind":"linear","a":-1.0}', "--alpha", "2.0",

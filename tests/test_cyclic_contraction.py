@@ -25,6 +25,7 @@ from proxigraph import (
     verify_t2_preserves_edges,
 )
 from proxigraph.cyclic_contraction import check_pair, load_gauge_pair, load_map
+from proxigraph.errors import ParamOutOfRange
 
 
 # ----- kappa ------------------------------------------------------------
@@ -272,6 +273,14 @@ def test_verifier_edge_restricted_vs_all_pairs():
     probe = [(x, y) for x, y, _, _ in rep_all.violations]
     assert ("f_49/100", "g_51/100") in probe
     assert not rep_all and rep_all.witness == rep_all.violations[0]
+
+
+def test_sweep_refuses_a_nan_tol():
+    # lhs > rhs + nan is never true, so the sweep would report no violation
+    inst = build("ex22_kappa", N=8)
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        verify_g_cyclic_contraction(inst.space, inst.tmap, inst.phi1, inst.phi2,
+                                    tol=float("nan"), all_pairs=True)
 
 
 def test_a0_pair_is_the_witness_when_no_pair_violates():

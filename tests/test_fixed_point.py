@@ -26,6 +26,7 @@ from proxigraph.fixed_point import residual
 from proxigraph.errors import (
     InstanceFormatError,
     InvalidPsi,
+    ParamOutOfRange,
     SeedNotEligible,
     SideMismatch,
 )
@@ -139,6 +140,15 @@ def test_residual_measures_the_distance_to_a_common_fixed_point():
     inst = build("ex41_fixed_point")
     point, _ = solve_common_fixed_point(inst.space, inst.pair, inst.psi, "f_1/2")
     assert residual(inst.space, inst.pair, point) == 0.0
+
+
+def test_nan_tol_is_refused():
+    inst = build("ex41_fixed_point")
+    nan = float("nan")
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        verify_g_psi_contraction(inst.space, inst.pair, inst.psi, tol=nan)
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        solve_common_fixed_point(inst.space, inst.pair, inst.psi, "f_1/2", tol=nan)
 
 
 def test_oscillation_instance_frozen_counts():

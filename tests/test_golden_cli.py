@@ -7,7 +7,11 @@ the corpus the same way they were written then.  The solve-pbvp and
 solve-fixed-point files were captured later, before the JSON readers, the two
 Picard loops and the two squared-map walks were each merged into one.  The
 reproduce files with builder parameters were captured before the reproduce
-checks moved from the command line into the corpus records.
+checks moved from the command line into the corpus records.  The four ex53
+files (both reproduce files and both solve-pbvp reports, with the solution
+CSV) were captured again when the PBVP operator moved from the dense
+trapezoid kernel to exact product integration; each new solution is closer
+to the closed form u = 0 than the one it replaced.
 """
 from __future__ import annotations
 

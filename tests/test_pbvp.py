@@ -2,6 +2,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from proxigraph import (
     verify_condition_iv,
 )
 from proxigraph.corpus import E_SQUARED
+from proxigraph.pbvp import integral_operator, product_weights, segment_weights
 from proxigraph.errors import (
     BetaNotContractive,
     ConditionIvViolated,
@@ -355,3 +362,142 @@ def test_no_convergence_names_the_iteration():
 def test_rhs_rejects_malformed_parameters(doc, match):
     with pytest.raises(InstanceFormatError, match=match):
         RhsFunction.from_dict(doc)
+
+
+# ----- product-integration operator --------------------------------------
+
+
+def apply_operator(alpha, n, f, values):
+    grid = TimeGrid(1.0, n)
+    kernel = GreensKernel(alpha=alpha, period=1.0)
+    u = GridFunction(grid, np.broadcast_to(values, (n,)))
+    return integral_operator(kernel, f, u, product_weights(kernel, grid)).values
+
+
+def test_operator_agrees_with_the_dense_trapezoid_oracle():
+    # both rules are second order, so they differ by O(h^2)
+    grid = TimeGrid(1.0, 2001)
+    kernel = GreensKernel(alpha=2.0, period=1.0)
+    f = RhsFunction("cosine_forced", {"a": -1.0, "amp": 1.0, "freq": 1.0})
+    values = np.sin(2.0 * np.pi * grid.nodes) + grid.nodes ** 2
+    g = f(grid.nodes, values) + 2.0 * values
+    dense = kernel_matrix(kernel, grid) @ g
+    ours = apply_operator(2.0, 2001, f, values)
+    assert float(np.max(np.abs(ours - dense))) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", [2.0, 50.0, 1000.0])
+@pytest.mark.parametrize("n", [101, 2001])
+def test_operator_mass_is_exactly_reciprocal_alpha(alpha, n):
+    # g = 0 + alpha / alpha = 1, so F u = int G = 1 / alpha at every node; the
+    # dense trapezoid's alpha x mass is 1.0207 at alpha = 50, N = 101 and NaN
+    # at alpha = 1000
+    out = apply_operator(alpha, n, RhsFunction("linear", {}), 1.0 / alpha)
+    assert np.all(np.isfinite(out))
+    assert float(np.max(np.abs(alpha * out - 1.0))) <= 1e-13
+    assert out[-1] == out[0]
+
+
+def test_operator_output_is_finite_at_large_alpha():
+    f = RhsFunction("cosine_forced", {"a": -1.0, "amp": 1.0, "freq": 3.0})
+    out = apply_operator(1000.0, 101, f, np.linspace(-1.0, 1.0, 101))
+    assert np.all(np.isfinite(out))
+    assert float(np.max(np.abs(out))) <= 1.0 + 2.0 / 1000.0
+
+
+def reference_weights(alpha: float, h: float) -> tuple[Decimal, Decimal]:
+    """w0 = h (1 - (1 + x) e^{-x}) / x^2 and w1 = h (x - 1 + e^{-x}) / x^2 in
+    80-digit decimal arithmetic, where the cancellation costs nothing."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        hd = Decimal(h)
+        x = Decimal(alpha) * hd
+        e = (-x).exp()
+        return hd * (1 - (1 + x) * e) / (x * x), hd * (x - 1 + e) / (x * x)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.999, 1.0, 1.001, 50.0, 1e5])
+def test_segment_weights_are_positive_and_accurate(x):
+    h = 0.01
+    alpha = x / h
+    w0, w1 = segment_weights(alpha, h)
+    assert w0 > 0.0 and w1 > 0.0
+    for ours, ref in zip((w0, w1), reference_weights(alpha, h)):
+        assert abs(Decimal(ours) / ref - 1) <= Decimal("1e-14")
+
+
+def test_weights_must_match_the_kernel_and_grid():
+    kernel = GreensKernel(alpha=2.0, period=1.0)
+    W = product_weights(kernel, TimeGrid(1.0, 11))
+    f = RhsFunction("linear", {})
+    with pytest.raises(ParamOutOfRange, match="another kernel or grid"):
+        integral_operator(kernel, f, GridFunction.constant(TimeGrid(1.0, 12), 0.0), W)
+    with pytest.raises(ParamOutOfRange, match="another kernel or grid"):
+        integral_operator(GreensKernel(alpha=3.0, period=1.0), f,
+                          GridFunction.constant(TimeGrid(1.0, 11), 0.0), W)
+    with pytest.raises(ParamOutOfRange, match="period"):
+        product_weights(kernel, TimeGrid(2.0, 11))
+
+
+def test_solve_converges_where_the_dense_kernel_stopped_contracting():
+    # u' = 1 - u at alpha = 50: the dense trapezoid kernel's mass made this
+    # raise NoConvergence after 10000 steps
+    grid = TimeGrid(1.0, 101)
+    f = RhsFunction("linear", {"a": -1.0, "b": 1.0})
+    u, rep = solve_pbvp(f, 50.0, 49.0, GridFunction.constant(grid, 0.0))
+    assert float(np.max(np.abs(u.values - 1.0))) <= 1e-8
+    # the last increments are near 1e-10, where rounding moves a ratio by ~1e-6
+    assert rep.max_ratio <= rep.beta + 1e-5
+    assert rep.periodicity_residual == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_output_names_the_operator():
+    grid = TimeGrid(1.0, 11)
+    # f = 0 is finite, but g = 2 x 1e308 overflows
+    with pytest.raises(EvaluationFailure, match="^integral operator output") as info:
+        solve_pbvp(RhsFunction("linear", {}), 2.0, 1.0,
+                   GridFunction.constant(grid, 1e308), check_lower=False)
+    assert "right-hand side" not in str(info.value)
+    nan_tab = RhsFunction("table", {"t_nodes": [0.0, 1.0], "s_nodes": [-2.0, 2.0],
+                                    "values": [[0.0, 0.0], [0.0, float("nan")]]})
+    with pytest.raises(EvaluationFailure, match="^right-hand side is not finite at t = 0.0"):
+        solve_pbvp(nan_tab, 2.0, 1.0, GridFunction.constant(grid, 0.0), check_lower=False)
+
+
+def test_solve_memory_is_linear_in_the_grid():
+    # the dense kernel would need three 4001 x 4001 arrays, 384 MB
+    inst = build("ex53_pbvp", n_nodes=4001)
+    tracemalloc.start()
+    try:
+        u, _ = solve_pbvp(inst.f, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.sup_norm() <= 1e-6
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("solver", [solve_pbvp, solve_common_pbvp])
+def test_nan_tol_is_refused(solver):
+    f = RhsFunction("linear", {"a": -1.0, "b": 1.0})
+    fs = (f,) if solver is solve_pbvp else (f, f)
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        solver(*fs, 2.0, 1.0, GridFunction.constant(TimeGrid(1.0, 11), 0.0),
+               tol=float("nan"))
+
+
+def test_a_solve_loads_numpy_only():
+    # numpy is the package's one runtime dependency; scipy is for tests only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "import proxigraph as pg\n"
+            "grid = pg.TimeGrid(1.0, 101)\n"
+            "f = pg.RhsFunction('linear', {'a': -1.0, 'b': 1.0})\n"
+            "pg.solve_pbvp(f, 2.0, 1.0, pg.GridFunction.constant(grid, 0.0))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
