@@ -156,9 +156,8 @@ def _cmd_verify(args) -> int:
         report["t2_preserves_edges"] = _check_doc(verify_t2_preserves_edges(space, tmap))
         if args.gauges:
             phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
-            tol = 0.0 if args.strict_inequality else args.tol
             con = verify_g_cyclic_contraction(space, tmap, phi1, phi2,
-                                              tol=tol, all_pairs=args.all_pairs)
+                                              tol=args.tol, all_pairs=args.all_pairs)
             report["contraction"] = {
                 "holds": con.holds,
                 "all_pairs": args.all_pairs,
@@ -337,11 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gauges", default=None)
     p.add_argument("--all-pairs", action="store_true",
                    help="sweep every cross pair instead of edge-eligible ones")
-    p.add_argument("--strict-inequality", action="store_true",
-                   help="allow no slack when comparing the two sides")
     p.add_argument("--require-predicates", action="store_true",
                    help="exit 1 unless every hypothesis predicate holds")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="slack allowed when comparing the two sides; 0 allows none")
     common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     GaugeClassViolation,
@@ -177,19 +179,16 @@ def verify_gauge_classes(phi1: GaugeSpec, phi2: GaugeSpec, grid) -> CheckResult:
 # ----- cyclic map tables ------------------------------------------------
 
 
-def check_side_map(space: FiniteMetricGraph, name: str, table: dict[str, str],
+def check_side_map(space: FiniteMetricGraph, name: str, table: Mapping[str, str],
                    sources: str) -> None:
     """The map rule for the source sides ("A", "B" or "AB"): every point of a
     source side has an entry in table, the entry is a known point, and that
     point lies on the other side; and every key of table is a point of a
     source side."""
     side = space.side
-    covered = 0
     for src in sources:
         dst = "B" if src == "A" else "A"
-        points = space.side_a() if src == "A" else space.side_b()
-        covered += len(points)
-        for x in points:
+        for x in space.side_a() if src == "A" else space.side_b():
             y = table.get(x)
             if y is None:
                 raise InstanceFormatError(f"{name} is not total on {src}: missing {x!r}")
@@ -199,23 +198,33 @@ def check_side_map(space: FiniteMetricGraph, name: str, table: dict[str, str],
                     f"{name} entry {x!r} -> {y!r} references unknown point")
             if dst not in on:
                 raise SideMismatch(f"{name} must send {src} into {dst}, but {x!r} -> {y!r}")
-    # every point of a source side has an entry, so a longer table has a key
-    # that is not one; a point on both sides was counted once per side
-    if len(table) > min(covered, len(space.ids)):
-        key = next(k for k in table if not any(s in side.get(k, "") for s in sources))
-        where = "" if key not in side else f" of {sources}"
-        raise InstanceFormatError(f"{name} has an entry for {key!r}, which is no point{where}")
+    for key in table:
+        if not any(s in side.get(key, "") for s in sources):
+            where = "" if key not in side else f" of {sources}"
+            raise InstanceFormatError(f"{name} has an entry for {key!r}, which is no point{where}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicMapTable:
-    """Total self-map table that swaps the two sides: T(A) in B and T(B) in A."""
+    """Total self-map table that swaps the two sides: T(A) in B and T(B) in A.
 
-    mapping: dict[str, str]
+    `mapping` is a read-only view of a private copy, so the table cannot
+    change once made.  A map is compared by identity, and its check against a
+    space runs once and is kept on that space.
+    """
+
+    mapping: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
+
+    def __reduce__(self):
+        # read-only mappings do not pickle; rebuild from a plain copy instead
+        return (type(self), (dict(self.mapping),))
 
     @classmethod
-    def for_space(cls, space: FiniteMetricGraph, mapping: dict[str, str]) -> "CyclicMapTable":
-        t = cls(dict(mapping))
+    def for_space(cls, space: FiniteMetricGraph, mapping: Mapping[str, str]) -> "CyclicMapTable":
+        t = cls(mapping)
         t.validate(space)
         return t
 
@@ -223,7 +232,7 @@ class CyclicMapTable:
         return {"map": {k: self.mapping[k] for k in sorted(self.mapping)}}
 
     def validate(self, space: FiniteMetricGraph):
-        check_side_map(space, "T", self.mapping, "AB")
+        space._cached(("map", self), lambda: check_side_map(space, "T", self.mapping, "AB"))
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]

@@ -11,7 +11,9 @@ typically have d(A, B) = 0.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .bpp_solver import OrbitTrace
 from .cyclic_contraction import (
@@ -132,22 +134,37 @@ def psi_from_phi(phi: GaugeSpec, d_ab: float, grid) -> PsiGauge:
     return PsiGauge("table", {"knots": fixed})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairMaps:
-    """Tables for the two directions: t1 on side A, t2 on side B."""
+    """Tables for the two directions: t1 on side A, t2 on side B.
 
-    t1: dict[str, str]
-    t2: dict[str, str]
+    Like `CyclicMapTable`, each table is a read-only view of a private copy, a
+    pair is compared by identity, and its check against a space is kept on
+    that space.
+    """
+
+    t1: Mapping[str, str]
+    t2: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "t1", MappingProxyType(dict(self.t1)))
+        object.__setattr__(self, "t2", MappingProxyType(dict(self.t2)))
+
+    def __reduce__(self):
+        # read-only mappings do not pickle; rebuild from plain copies instead
+        return (type(self), (dict(self.t1), dict(self.t2)))
 
     @classmethod
     def for_space(cls, space: FiniteMetricGraph, t1, t2) -> "PairMaps":
-        pm = cls(dict(t1), dict(t2))
+        pm = cls(t1, t2)
         pm.validate(space)
         return pm
 
     def validate(self, space: FiniteMetricGraph):
-        check_side_map(space, "t1", self.t1, "A")
-        check_side_map(space, "t2", self.t2, "B")
+        def check():
+            check_side_map(space, "t1", self.t1, "A")
+            check_side_map(space, "t2", self.t2, "B")
+        space._cached(("map", self), check)
 
 
 def residual(space: FiniteMetricGraph, pair: PairMaps, p: str) -> float:

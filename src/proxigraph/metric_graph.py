@@ -9,7 +9,10 @@ coordinate maps are read-only views.  What follows from the space alone --
 the side index arrays, the pair geometry, the weak-component labels and the
 verdicts of the hypothesis predicates -- is computed on first use and kept on
 the space, so solvers that start from many seeds pay for it once.  None of it
-copies the distance array or its A x B block.
+copies the distance array or its A x B block.  The same memo holds the verdict
+of each cyclic map checked against the space (maps are read-only too), so a
+map is checked once per space; the memo keeps that map alive as long as the
+space.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.

@@ -354,15 +354,15 @@ def make_h(spec, alpha: float | None = None):
 # ----- operator and checks ----------------------------------------------
 
 
-def integral_operator(kernel: GreensKernel, f: RhsFunction, u: GridFunction,
-                      W: ProductWeights) -> GridFunction:
-    """(F u)(t_i) on the grid of u, with W = product_weights(kernel, u.grid).
+def integral_operator(f: RhsFunction, u: GridFunction, W: ProductWeights) -> GridFunction:
+    """(F u)(t_i) on the grid of u for the kernel of W, with
+    W = product_weights(kernel, u.grid).
 
     Output node n - 1 is written as node 0: (F u)(T) = (F u)(0) holds
     exactly for this kernel.
     """
-    if W.kernel != kernel or W.grid != u.grid:
-        raise ParamOutOfRange("weights were built for another kernel or grid")
+    if W.grid != u.grid:
+        raise ParamOutOfRange("weights were built for another grid")
     t = W.nodes
     try:
         fv = np.asarray(f(t, u.values), dtype=float)
@@ -370,7 +370,7 @@ def integral_operator(kernel: GreensKernel, f: RhsFunction, u: GridFunction,
         raise EvaluationFailure(f"right-hand side failed on the grid: {exc}") from exc
     # a non-finite f value or an overflow reaches the output, which is checked
     # once at the end
-    g = fv + kernel.alpha * u.values
+    g = fv + W.kernel.alpha * u.values
     c = W.w0 * g[:-1] + W.w1 * g[1:]
     out = np.empty_like(g)
     out[0] = 0.0
@@ -480,9 +480,19 @@ def _ode_residuals(f: RhsFunction, u: GridFunction) -> tuple[float, float]:
     return res_one, res_per
 
 
+def _require_at_every_node(ok: np.ndarray, values: np.ndarray, grid: TimeGrid,
+                           what: str) -> None:
+    """Raise ParamOutOfRange naming the first node where ok is False."""
+    if not ok.all():
+        i = int(np.argmax(~ok))
+        raise ParamOutOfRange(f"{what}, got {values[i]} at t = {grid.nodes[i]}")
+
+
 def _beta_of(h, alpha: float, grid: TimeGrid) -> float:
-    hfun = make_h(h, alpha)
-    return float(np.max(np.asarray(hfun(grid.nodes), dtype=float))) / alpha
+    """sup h / alpha over the grid, once h is positive at every node."""
+    hv = np.asarray(make_h(h, alpha)(grid.nodes), dtype=float)
+    _require_at_every_node(hv > 0.0, hv, grid, "h must be positive on the grid")
+    return float(np.max(hv)) / alpha
 
 
 def solve_pbvp(f: RhsFunction, alpha: float, h, w0: GridFunction,
@@ -515,8 +525,9 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     at every step, and stop only where both operators fix the iterate.
     """
     require_tol(tol)
-    pair = len(fs) > 1
     grid = w0.grid
+    _require_at_every_node(np.isfinite(w0.values), w0.values, grid, "w0 must be finite")
+    pair = len(fs) > 1
     kernel = GreensKernel(alpha=alpha, period=grid.period)
     beta = _beta_of(h, alpha, grid)
     if not beta < 1.0:
@@ -537,7 +548,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
 
     W = product_weights(kernel, grid)
 
-    u = integral_operator(kernel, fs[0], w0, W)
+    u = integral_operator(fs[0], w0, W)
     monotone = [bool((u.values >= w0.values - 1e-12).all())]
     if pair and not monotone[0]:
         raise MonotonicityBroken("first step fell below the lower solution")
@@ -545,7 +556,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     ratios: list[float] = []
     floor = 100 * np.finfo(float).eps * max(1.0, u.sup_norm())
     for k in range(max_iter):
-        nxt = integral_operator(kernel, fs[(k + 1) % len(fs)], u, W)
+        nxt = integral_operator(fs[(k + 1) % len(fs)], u, W)
         inc = float(np.abs(nxt.values - u.values).max())
         monotone.append(bool((nxt.values >= u.values - 1e-12).all()))
         if pair and not monotone[-1]:
@@ -554,7 +565,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
             ratios.append(inc / prev_inc)
         prev_inc = inc
         u = nxt
-        if inc <= tol and (not pair or _fixed_by_all(kernel, fs, u, W, tol)):
+        if inc <= tol and (not pair or _fixed_by_all(fs, u, W, tol)):
             res_one, res_per = _ode_residuals(fs[0], u)
             report = PbvpReport(
                 iterations=k + 2,
@@ -572,8 +583,8 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     raise NoConvergence(f"{name} iteration did not reach {tol} in {max_iter} steps")
 
 
-def _fixed_by_all(kernel, fs, u, W, tol) -> bool:
+def _fixed_by_all(fs, u, W, tol) -> bool:
     """Every operator of fs moves u by at most max(10 tol, 1e-9)."""
-    moves = [float(np.max(np.abs(integral_operator(kernel, f, u, W).values - u.values)))
+    moves = [float(np.max(np.abs(integral_operator(f, u, W).values - u.values)))
              for f in reversed(fs)]
     return max(moves) <= max(10 * tol, 1e-9)

@@ -407,9 +407,12 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--h", '{"kind":"exp_gap","alpha":Infinity}'),
     ("--h", '{"kind":"const"}'),
     ("--h", '{"kind":"const","value":-1}'),
+    ("--h", '{"kind":"exp_gap","alpha":0.5}'),
+    ("--h", '{"kind":"exp_gap"}'),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
         "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
-        "h_alpha_infinite", "h_value_missing", "h_value_negative"])
+        "h_alpha_infinite", "h_value_missing", "h_value_negative",
+        "h_exp_gap_negative", "h_exp_gap_negative_late"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}
@@ -420,6 +423,7 @@ def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     ("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "-1"),
     ("--T", "nan"), ("--T", "inf"), ("--T", "0"),
     ("--h", "nan"), ("--h", "inf"), ("--h", "0"), ("--h", "-1"),
+    ("--w0", "const:nan"), ("--w0", "const:inf"), ("--w0", "const:-inf"),
 ])
 def test_solve_pbvp_non_finite_or_non_positive_number_is_an_input_error(capsys, flag,
                                                                         value):

@@ -2,7 +2,8 @@
 
 The vectorised predicates and the cached components are checked against the
 scalar loops they replaced, kept here as reference oracles, and against
-scipy's connected components.
+scipy's connected components.  The read-only cyclic maps, whose check against
+a space is kept on that space, are tested at the end.
 """
 from __future__ import annotations
 
@@ -16,11 +17,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from proxigraph import (
+    CyclicMapTable,
     EmptySide,
     FiniteMetricGraph,
     InstanceFormatError,
+    PairMaps,
     SideMismatch,
     UnknownPoint,
+    build,
     check_property_star,
     component_of,
     components,
@@ -30,7 +34,12 @@ from proxigraph import (
     is_weakly_connected,
     pair_distance,
     solve_bpp,
+    solve_common_fixed_point,
+    verify_g_cyclic_contraction,
+    verify_g_psi_contraction,
+    x_t2_a_set,
 )
+from proxigraph import cyclic_contraction, fixed_point
 from proxigraph.corpus import build_random_chain
 from proxigraph.metric_graph import TOL_METRIC, TOL_PARALLEL, CheckResult, PairGeometry
 
@@ -315,3 +324,90 @@ def test_checks_still_raise_on_every_call():
     for _ in range(2):
         with pytest.raises(EmptySide):
             pair_distance(one_sided)
+
+
+# ----- cyclic maps: read-only, checked once per space ----------------------
+
+
+def test_map_tables_are_read_only():
+    inst, ex41 = build_random_chain(7), build("ex41_fixed_point")
+    x, p = inst.space.side_a()[0], ex41.space.side_a()[0]
+    for table, key in ((inst.tmap.mapping, x), (ex41.pair.t1, p), (ex41.pair.t2, p)):
+        with pytest.raises(TypeError):
+            table[key] = key
+    raw = dict(inst.tmap.mapping)
+    tm = CyclicMapTable.for_space(inst.space, raw)
+    raw[x] = "ghost"
+    assert tm(x) == inst.tmap(x)
+
+
+def count_map_checks(monkeypatch) -> list[str]:
+    calls = []
+    real = cyclic_contraction.check_side_map
+
+    def counted(space, name, table, sources):
+        calls.append(name)
+        return real(space, name, table, sources)
+
+    for module in (cyclic_contraction, fixed_point):
+        monkeypatch.setattr(module, "check_side_map", counted)
+    return calls
+
+
+def test_a_map_is_checked_once_per_space(monkeypatch):
+    inst = build_random_chain(7)
+    sp = inst.space
+    calls = count_map_checks(monkeypatch)
+    tm = CyclicMapTable.for_space(sp, inst.tmap.mapping)
+    seeds = sorted(x_t2_a_set(sp, tm))
+    assert seeds
+    for x in seeds:
+        solve_bpp(sp, tm, x)
+    assert verify_g_cyclic_contraction(sp, tm, inst.phi1, inst.phi2)
+    assert calls == ["T"]
+
+
+def test_a_pair_is_checked_once_per_space(monkeypatch):
+    inst = build("ex41_fixed_point")
+    calls = count_map_checks(monkeypatch)
+    pair = PairMaps.for_space(inst.space, inst.pair.t1, inst.pair.t2)
+    for strengthened in (False, True):
+        verify_g_psi_contraction(inst.space, pair, inst.psi, strengthened=strengthened)
+    solve_common_fixed_point(inst.space, pair, inst.psi, "f_1/2")
+    assert calls == ["t1", "t2"]
+    # another space checks the same pair on its first use there, and only then
+    pts = [(p, inst.space.coords[p], inst.space.side[p]) for p in inst.space.ids]
+    other = FiniteMetricGraph.from_coords(
+        pts, metric=inst.space.metric,
+        edges=[e for e in inst.space.edges if e != ("g_1/4", "f_1/16")])
+    for strengthened in (False, True):
+        verify_g_psi_contraction(other, pair, inst.psi, strengthened=strengthened)
+    assert calls == ["t1", "t2"] * 2
+
+
+def test_a_map_on_a_space_it_does_not_fit_is_refused():
+    inst = build_random_chain(7)
+    sp, tm = inst.space, inst.tmap
+    moved = sp.side_b()[0]
+    pts = [(p, sp.coords[p], "A" if p == moved else sp.side[p]) for p in sp.ids]
+    other = FiniteMetricGraph.from_coords(pts, metric=sp.metric, edges=sp.edges)
+    assert other.ids == sp.ids
+    seed = sp.side_a()[0]
+    solve_bpp(sp, tm, min(x_t2_a_set(sp, tm)))
+    for _ in range(2):
+        with pytest.raises(SideMismatch):
+            solve_bpp(other, tm, seed)
+
+
+def test_maps_pickle_round_trip():
+    inst, ex41 = build_random_chain(7), build("ex41_fixed_point")
+    tm = pickle.loads(pickle.dumps(inst.tmap))
+    assert tm is not inst.tmap and tm.mapping == inst.tmap.mapping
+    assert tm.to_dict() == inst.tmap.to_dict()
+    pair = pickle.loads(pickle.dumps(ex41.pair))
+    assert (pair.t1, pair.t2) == (ex41.pair.t1, ex41.pair.t2)
+    with pytest.raises(TypeError):
+        pair.t1["f_1/2"] = "zero"
+    x0 = min(x_t2_a_set(inst.space, tm))
+    assert solve_bpp(inst.space, tm, x0) == solve_bpp(inst.space, inst.tmap, x0)
+    assert solve_common_fixed_point(ex41.space, pair, ex41.psi, "f_1/2")[0] == "zero"

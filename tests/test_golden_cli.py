@@ -11,7 +11,9 @@ checks moved from the command line into the corpus records.  The four ex53
 files (both reproduce files and both solve-pbvp reports, with the solution
 CSV) were captured again when the PBVP operator moved from the dense
 trapezoid kernel to exact product integration; each new solution is closer
-to the closed form u = 0 than the one it replaced.
+to the closed form u = 0 than the one it replaced.  The ex33 depth-29 file
+with zero slack was captured with the `--strict-inequality` flag, which was
+then dropped as a second name for `--tol 0`.
 """
 from __future__ import annotations
 
@@ -81,6 +83,8 @@ CASES = [
      ["solve-bpp", "--map", "--x0", "a_1", "--skip-hypothesis-checks"], 0),
     ("solve_bpp_ex35_depth6_seed_gate.json", "ex35_not_bpo", {"depth": 6},
      ["solve-bpp", "--map", "--x0", "a_1/2"], 1),
+    ("verify_ex33_depth29_tol0.json", "ex33_dyadic_l1", {"depth": 29},
+     ["verify", "--map", "--gauges", "--tol", "0"], 1),
 ]
 
 

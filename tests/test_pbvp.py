@@ -308,7 +308,7 @@ def count_operator_calls(monkeypatch):
     real = pbvp.integral_operator
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pbvp, "integral_operator", counted)
@@ -371,7 +371,7 @@ def apply_operator(alpha, n, f, values):
     grid = TimeGrid(1.0, n)
     kernel = GreensKernel(alpha=alpha, period=1.0)
     u = GridFunction(grid, np.broadcast_to(values, (n,)))
-    return integral_operator(kernel, f, u, product_weights(kernel, grid)).values
+    return integral_operator(f, u, product_weights(kernel, grid)).values
 
 
 def test_operator_agrees_with_the_dense_trapezoid_oracle():
@@ -430,11 +430,8 @@ def test_weights_must_match_the_kernel_and_grid():
     kernel = GreensKernel(alpha=2.0, period=1.0)
     W = product_weights(kernel, TimeGrid(1.0, 11))
     f = RhsFunction("linear", {})
-    with pytest.raises(ParamOutOfRange, match="another kernel or grid"):
-        integral_operator(kernel, f, GridFunction.constant(TimeGrid(1.0, 12), 0.0), W)
-    with pytest.raises(ParamOutOfRange, match="another kernel or grid"):
-        integral_operator(GreensKernel(alpha=3.0, period=1.0), f,
-                          GridFunction.constant(TimeGrid(1.0, 11), 0.0), W)
+    with pytest.raises(ParamOutOfRange, match="another grid"):
+        integral_operator(f, GridFunction.constant(TimeGrid(1.0, 12), 0.0), W)
     with pytest.raises(ParamOutOfRange, match="period"):
         product_weights(kernel, TimeGrid(2.0, 11))
 
