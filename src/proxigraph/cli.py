@@ -26,22 +26,10 @@ from .cyclic_contraction import (
     verify_t2_preserves_edges,
 )
 from .errors import (
-    BetaNotContractive,
-    ConditionIvViolated,
-    EmptySide,
-    EvaluationFailure,
-    GaugeClassViolation,
-    HypothesisViolated,
     InstanceFormatError,
-    InvalidPsi,
-    MonotonicityBroken,
-    NoConvergence,
-    NotLowerSolution,
-    OutOfDomain,
     ParamOutOfRange,
     ProxigraphError,
-    SideMismatch,
-    UnknownPoint,
+    UnknownField,
     require,
 )
 from .fixed_point import (
@@ -70,23 +58,6 @@ from .pbvp import (
     solve_common_pbvp,
     solve_pbvp,
 )
-
-# load-time failures exit 2; anything raised while a check or solve is
-# running exits 1 with the witness in the report
-_INPUT_ERRORS = (InstanceFormatError, UnknownPoint, SideMismatch, EmptySide,
-                 ParamOutOfRange, OutOfDomain, InvalidPsi)
-
-_VIOLATION_SLUGS = {
-    HypothesisViolated: "hypothesis_violated",
-    NoConvergence: "no_convergence",
-    GaugeClassViolation: "gauge_class_violation",
-    BetaNotContractive: "beta_not_contractive",
-    NotLowerSolution: "not_lower_solution",
-    ConditionIvViolated: "condition_iv_violated",
-    MonotonicityBroken: "monotonicity_broken",
-    EvaluationFailure: "evaluation_failure",
-}
-
 
 def _json_default(obj):
     """What json cannot encode by itself: a set becomes a sorted list, and a
@@ -136,7 +107,7 @@ def _check_doc(result) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
+    space = FiniteMetricGraph.from_json(args.instance)
     report: dict = {
         "schema": SCHEMA_VERSION,
         "d_ab": pair_distance(space).d_ab,
@@ -152,10 +123,10 @@ def _cmd_verify(args) -> int:
     }
     failed = False
     if args.map:
-        tmap = CyclicMapTable.for_space(space, load_map(args.map, strict=args.strict))
+        tmap = CyclicMapTable.for_space(space, load_map(args.map))
         report["t2_preserves_edges"] = _check_doc(verify_t2_preserves_edges(space, tmap))
         if args.gauges:
-            phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
+            phi1, phi2 = load_gauge_pair(args.gauges)
             con = verify_g_cyclic_contraction(space, tmap, phi1, phi2,
                                               tol=args.tol, all_pairs=args.all_pairs)
             report["contraction"] = {
@@ -183,11 +154,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_bpp(args) -> int:
-    space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
-    tmap = CyclicMapTable.for_space(space, load_map(args.map, strict=args.strict))
+    space = FiniteMetricGraph.from_json(args.instance)
+    tmap = CyclicMapTable.for_space(space, load_map(args.map))
     checks = not args.skip_hypothesis_checks
     if args.gauges and checks:
-        phi1, phi2 = load_gauge_pair(args.gauges, strict=args.strict)
+        phi1, phi2 = load_gauge_pair(args.gauges)
         require("cyclic contraction bound",
                 verify_g_cyclic_contraction(space, tmap, phi1, phi2))
     result = solve_bpp(space, tmap, args.x0, tol=args.tol,
@@ -211,11 +182,9 @@ def _cmd_solve_bpp(args) -> int:
 
 
 def _cmd_solve_fixed_point(args) -> int:
-    space = FiniteMetricGraph.from_json(args.instance, strict=args.strict)
-    pair = PairMaps.for_space(space, load_map(args.t1, strict=args.strict),
-                              load_map(args.t2, strict=args.strict))
-    psi = PsiGauge.from_dict(read_document(args.psi, {"schema", "kind", "params"},
-                                           "psi file", args.strict))
+    space = FiniteMetricGraph.from_json(args.instance)
+    pair = PairMaps.for_space(space, load_map(args.t1), load_map(args.t2))
+    psi = PsiGauge.from_dict(read_document(args.psi, {"schema", "kind", "params"}, "psi file"))
     checks = not args.skip_hypothesis_checks
     if checks:
         require("psi contraction bound",
@@ -326,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--strict", action="store_true",
-                       help="reject unknown fields in the JSON input files")
+                       help="reject unknown fields and parameter names in the JSON inputs")
         add_out(p)
 
     p = sub.add_parser("verify", help="check instance structure and the "
@@ -408,6 +377,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
+        if getattr(args, "strict", False):
+            warnings.simplefilter("error", UnknownField)
         try:
             tol = getattr(args, "tol", 0.0)
             if not (math.isfinite(tol) and tol >= 0.0):
@@ -416,16 +387,13 @@ def main(argv=None) -> int:
             if max_iter < 1:
                 raise ParamOutOfRange(f"--max-iter must be >= 1, got {max_iter}")
             return args.func(args)
-        except _INPUT_ERRORS as exc:
-            sys.stderr.write(f"input error: {exc}\n")
-            return 2
         except ProxigraphError as exc:
-            slug = "violation"
-            for klass, name in _VIOLATION_SLUGS.items():
-                if isinstance(exc, klass):
-                    slug = name
-                    break
-            doc = {"schema": SCHEMA_VERSION, "error": slug, "message": str(exc)}
+            # an input error exits 2; anything raised while a check or solve
+            # is running exits 1 with the witness in the report
+            if exc.slug is None:
+                sys.stderr.write(f"input error: {exc}\n")
+                return 2
+            doc = {"schema": SCHEMA_VERSION, "error": exc.slug, "message": str(exc)}
             witness = getattr(exc, "witness", None)
             if witness is not None:
                 doc["witness"] = witness

@@ -27,6 +27,7 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
+    _check_fields,
     _number,
     _params,
     pair_distance,
@@ -36,7 +37,9 @@ from .metric_graph import (
 TOL_INEQ = 1e-9       # slack allowed when checking the contraction inequality
 KAPPA_SNAP = 1e-12    # snap width for z that is a float neighbour of some 1/n
 
-GAUGE_KINDS = ("linear", "affine_shift", "floor_fraction", "identity", "table")
+# kind -> the parameter names that kind reads
+GAUGE_PARAMS = {"linear": {"c"}, "affine_shift": {"c"}, "floor_fraction": set(),
+                "identity": set(), "table": {"knots"}}
 
 
 def kappa(z: float) -> int:
@@ -82,8 +85,9 @@ class GaugeSpec:
 
     def __post_init__(self):
         # the parameters are parsed here once; eval_gauge reads _c and _knots
-        if self.kind not in GAUGE_KINDS:
+        if self.kind not in GAUGE_PARAMS:
             raise InstanceFormatError(f"unknown gauge kind {self.kind!r}")
+        _check_fields(self.params, GAUGE_PARAMS[self.kind], f"{self.kind} gauge parameter")
         if self.kind == "linear":
             c = _number(self.params.get("c", -1.0), "linear gauge c")
             if not 0.0 < c <= 1.0:
@@ -106,6 +110,7 @@ class GaugeSpec:
     def from_dict(cls, data) -> "GaugeSpec":
         if not isinstance(data, dict) or "kind" not in data:
             raise InstanceFormatError("gauge spec must be an object with a 'kind'")
+        _check_fields(data, {"kind", "params"}, "gauge")
         return cls(kind=str(data["kind"]), params=_params(data, "gauge"))
 
     def to_dict(self) -> dict:
@@ -367,18 +372,18 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
 # ----- JSON helpers for CLI ---------------------------------------------
 
 
-def load_gauge_pair(path, strict=False) -> tuple[GaugeSpec, GaugeSpec]:
+def load_gauge_pair(path) -> tuple[GaugeSpec, GaugeSpec]:
     """Read {"schema": "1", "phi1": {...}, "phi2": {...}} from a file."""
-    data = read_document(path, {"schema", "phi1", "phi2"}, "gauge file", strict)
+    data = read_document(path, {"schema", "phi1", "phi2"}, "gauge file")
     if "phi1" not in data or "phi2" not in data:
         raise InstanceFormatError("gauge file needs 'phi1' and 'phi2' entries")
     return GaugeSpec.from_dict(data["phi1"]), GaugeSpec.from_dict(data["phi2"])
 
 
-def load_map(path, strict=False) -> dict[str, str]:
+def load_map(path) -> dict[str, str]:
     """The {id: id} table of {"schema": "1", "map": {...}} in a file.  A map is
     made from it, and checked against its space, by a for_space constructor."""
-    data = read_document(path, {"schema", "map"}, "map file", strict)
+    data = read_document(path, {"schema", "map"}, "map file")
     if not isinstance(data.get("map"), dict):
         raise InstanceFormatError("map spec must be an object with a 'map' table")
     return {str(k): str(v) for k, v in data["map"].items()}

@@ -5,35 +5,47 @@ import math
 
 
 class ProxigraphError(ValueError):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.  slug names the failure in
+    the CLI's violation document (exit 1); an InputError has none (exit 2)."""
+    slug: str | None = "violation"
 
 
-class InstanceFormatError(ProxigraphError):
+class InputError(ProxigraphError):
+    """The input could not be loaded, parsed or accepted."""
+    slug = None
+
+
+class InstanceFormatError(InputError):
     """Instance, gauge, or map data is malformed or breaks a structural invariant."""
 
 
-class UnknownPoint(ProxigraphError):
+class UnknownField(InstanceFormatError, UserWarning):
+    """A field or parameter name that nothing reads, issued as a warning."""
+
+
+class UnknownPoint(InputError):
     """A referenced point id does not exist in the instance."""
 
 
-class EmptySide(ProxigraphError):
+class EmptySide(InputError):
     """An operation needs both sides of the pair to be nonempty."""
 
 
-class SideMismatch(ProxigraphError):
+class SideMismatch(InputError):
     """A point is on the wrong side for the requested operation."""
 
 
-class OutOfDomain(ProxigraphError):
+class OutOfDomain(InputError):
     """Argument lies outside the mathematical domain of the function."""
 
 
-class ParamOutOfRange(ProxigraphError):
+class ParamOutOfRange(InputError):
     """A builder or solver parameter is outside its supported range."""
 
 
 class GaugeClassViolation(ProxigraphError):
     """A gauge failed its declared monotonicity class on the sampled grid."""
+    slug = "gauge_class_violation"
 
 
 class HypothesisViolated(ProxigraphError):
@@ -42,6 +54,7 @@ class HypothesisViolated(ProxigraphError):
     Carries the name of the failed predicate and a witness, so callers can
     report exactly which hypothesis broke.
     """
+    slug = "hypothesis_violated"
 
     def __init__(self, predicate: str, witness=None):
         self.predicate = predicate
@@ -71,26 +84,31 @@ class SeedNotEligible(HypothesisViolated):
 
 class NoConvergence(ProxigraphError):
     """Iteration stopped without reaching the requested tolerance."""
+    slug = "no_convergence"
 
 
 class EvaluationFailure(ProxigraphError):
     """A right-hand side produced a non-finite value at a grid node."""
+    slug = "evaluation_failure"
 
 
-class InvalidPsi(ProxigraphError):
+class InvalidPsi(InputError):
     """A rate gauge left the half-open unit interval or lost monotonicity."""
 
 
 class BetaNotContractive(ProxigraphError):
     """sup h / alpha reached 1, so the integral operator is not a contraction."""
+    slug = "beta_not_contractive"
 
 
 class NotLowerSolution(ProxigraphError):
     """The supplied starting profile is not a lower solution."""
+    slug = "not_lower_solution"
 
 
 class ConditionIvViolated(ProxigraphError):
     """The one-sided coupling inequality between the two right-hand sides failed."""
+    slug = "condition_iv_violated"
 
     def __init__(self, witness):
         self.witness = witness
@@ -99,3 +117,4 @@ class ConditionIvViolated(ProxigraphError):
 
 class MonotonicityBroken(ProxigraphError):
     """A Picard step lost the pointwise monotone ordering."""
+    slug = "monotonicity_broken"

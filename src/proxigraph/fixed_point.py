@@ -34,6 +34,7 @@ from .errors import (
 )
 from .metric_graph import (
     FiniteMetricGraph,
+    _check_fields,
     _number,
     _params,
     check_property_star,
@@ -43,7 +44,8 @@ from .metric_graph import (
 TOL_FIX = 1e-9
 MAX_ITER = 10_000
 
-PSI_KINDS = ("constant", "table")
+# kind -> the parameter names that kind reads
+PSI_PARAMS = {"constant": {"value"}, "table": {"knots"}}
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class PsiGauge:
 
     def __post_init__(self):
         # the parameters are parsed here once; __call__ reads _value and _knots
-        if self.kind not in PSI_KINDS:
+        if self.kind not in PSI_PARAMS:
             raise InvalidPsi(f"unknown psi kind {self.kind!r}")
+        _check_fields(self.params, PSI_PARAMS[self.kind], f"{self.kind} psi parameter")
         if self.kind == "constant":
             v = _number(self.params.get("value", -1.0), "constant psi value")
             if not 0.0 <= v < 1.0:
@@ -208,10 +211,10 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
     checked = 0
     viols: list[tuple[str, str, float, float]] = []
     edge_viols: list[tuple[str, str, str]] = []
-    for side, ti, tj in ((space.side_a(), pair.t1, pair.t2),
-                         (space.side_b(), pair.t2, pair.t1)):
-        for x in sorted(side):
-            for y in sorted(side) if strengthened else (x,):
+    for side, ti, tj in ((sorted(space.side_a()), pair.t1, pair.t2),
+                         (sorted(space.side_b()), pair.t2, pair.t1)):
+        for x in side:
+            for y in side if strengthened else (x,):
                 img = ti[y]
                 if not space.has_edge(x, img):
                     continue
@@ -264,14 +267,14 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
     reason = "max_iter"
     for _ in range(max_iter):
         cur = points[-1]
-        if len(points) % 2 == 1:  # even index: a point of A
-            if residual(space, pair, cur) <= tol:
-                reason = "converged"
-                break
-            nxt = pair.t1[cur]
-        else:
-            nxt = pair.t2[cur]
-        gaps.append(space.d(cur, nxt))
+        on_a = len(points) % 2 == 1  # even index: a point of A
+        nxt = (pair.t1 if on_a else pair.t2)[cur]
+        gap = space.d(cur, nxt)
+        # on A, gap is d(p, T1 p), the first term of residual(space, pair, p)
+        if on_a and max(gap, space.d(cur, pair.t2[nxt])) <= tol:
+            reason = "converged"
+            break
+        gaps.append(gap)
         points.append(nxt)
         if len(points) % 2 == 1:
             if points[-1] in seen_even:

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import EmptySide, InstanceFormatError, UnknownPoint
+from .errors import EmptySide, InstanceFormatError, UnknownField, UnknownPoint
 
 TOL_METRIC = 1e-9       # relative tolerance for triangle-inequality validation
 TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
@@ -133,20 +133,17 @@ class FiniteMetricGraph:
                    coords or {}, "table")
 
     @classmethod
-    def from_dict(cls, data, strict=False):
+    def from_dict(cls, data):
         """Build from the JSON instance format (schema "1")."""
-        if not isinstance(data, dict):
-            raise InstanceFormatError("instance document must be a JSON object")
-        _check_fields(data, _INSTANCE_FIELDS, "instance", strict)
-        return cls._from_document(data, strict)
+        _check_fields(data, _INSTANCE_FIELDS, "instance")
+        return cls._from_document(data)
 
     @classmethod
-    def from_json(cls, path, strict=False):
-        return cls._from_document(read_document(path, _INSTANCE_FIELDS, "instance", strict),
-                                  strict)
+    def from_json(cls, path):
+        return cls._from_document(read_document(path, _INSTANCE_FIELDS, "instance"))
 
     @classmethod
-    def _from_document(cls, data, strict):
+    def _from_document(cls, data):
         """from_dict once the top-level fields have passed the field policy."""
         schema = data.get("schema", SCHEMA_VERSION)
         if str(schema) != SCHEMA_VERSION:
@@ -159,7 +156,7 @@ class FiniteMetricGraph:
             raise InstanceFormatError(f"unknown metric {metric!r}")
         ids, side, coords = [], {}, {}
         for rec in pts:
-            _check_fields(rec, _POINT_FIELDS, "point", strict)
+            _check_fields(rec, _POINT_FIELDS, "point")
             try:
                 pid = str(rec["id"])
             except (KeyError, TypeError):
@@ -271,19 +268,17 @@ def _check_side(s):
     return s
 
 
-def _check_fields(rec, allowed, what, strict):
-    """The one unknown-field policy: warn, or reject under strict."""
+def _check_fields(rec, allowed, what):
+    """The one unknown-field policy: each name of rec outside allowed is an
+    UnknownField warning, an error under simplefilter("error", UnknownField)."""
     if not isinstance(rec, dict):
         raise InstanceFormatError(f"{what} record must be an object")
-    unknown = set(rec) - allowed
+    unknown = rec.keys() - allowed
     if unknown:
-        msg = f"unknown {what} field(s): {sorted(unknown)}"
-        if strict:
-            raise InstanceFormatError(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(f"unknown {what} field(s): {sorted(unknown)}", UnknownField, stacklevel=2)
 
 
-def read_document(path, allowed, what, strict) -> dict:
+def read_document(path, allowed, what) -> dict:
     """The JSON object in the file at path, its fields checked by _check_fields.
     An unreadable file, invalid JSON or a non-object raises InstanceFormatError."""
     try:
@@ -293,16 +288,19 @@ def read_document(path, allowed, what, strict) -> dict:
         raise InstanceFormatError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from None
-    _check_fields(data, allowed, what, strict)
+    _check_fields(data, allowed, what)
     return data
 
 
 def _number(value, what) -> float:
-    """A spec parameter as a float; what names it in the error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InstanceFormatError(f"{what} must be a number, got {value!r}") from None
+    """A spec parameter as a float; what names it in the error.  A JSON
+    boolean is no number, though Python's bool converts to one."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InstanceFormatError(f"{what} must be a number, got {value!r}")
 
 
 def _params(data: dict, what: str) -> dict:

@@ -40,17 +40,17 @@ from .errors import (
     ParamOutOfRange,
     require_tol,
 )
-from .metric_graph import CheckResult, _number, _params
+from .metric_graph import CheckResult, _check_fields, _number, _params
 
 TOL_PBVP = 1e-10
 TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
 MAX_ITER = 10_000
 
-RHS_KINDS = ("linear", "exp_linear", "cosine_forced", "table")
-# the numeric parameters of each formula kind, with their defaults
-_RHS_NUMBERS = {"linear": {"a": 0.0, "b": 0.0}, "exp_linear": {"c": 1.0},
-                "cosine_forced": {"a": 0.0, "amp": 1.0, "freq": 1.0}}
-H_KINDS = ("const", "exp_gap")
+# kind -> the parameter names that kind reads, with a formula kind's defaults
+RHS_PARAMS = {"linear": {"a": 0.0, "b": 0.0}, "exp_linear": {"c": 1.0},
+              "cosine_forced": {"a": 0.0, "amp": 1.0, "freq": 1.0},
+              "table": dict.fromkeys(("t_nodes", "s_nodes", "values"))}
+H_PARAMS = {"const": {"value"}, "exp_gap": {"alpha"}}
 
 
 def _require_positive(value, what: str) -> None:
@@ -252,12 +252,13 @@ class RhsFunction:
 
     def __post_init__(self):
         # the parameters are parsed here once; __call__ reads _numbers or _table
-        if self.kind not in RHS_KINDS:
+        if self.kind not in RHS_PARAMS:
             raise InstanceFormatError(f"unknown rhs kind {self.kind!r}")
         p = self.params
+        _check_fields(p, RHS_PARAMS[self.kind], f"{self.kind} rhs parameter")
         if self.kind != "table":
             numbers = {key: _number(p.get(key, default), f"{self.kind} rhs {key}")
-                       for key, default in _RHS_NUMBERS[self.kind].items()}
+                       for key, default in RHS_PARAMS[self.kind].items()}
             object.__setattr__(self, "_numbers", numbers)
             return
         if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
@@ -279,10 +280,7 @@ class RhsFunction:
     def from_dict(cls, data) -> "RhsFunction":
         if not isinstance(data, dict) or "kind" not in data:
             raise InstanceFormatError("rhs spec must be an object with a 'kind'")
-        params = {k: v for k, v in data.items() if k not in ("kind", "schema")}
-        params.update(_params(data, "rhs"))
-        params.pop("params", None)
-        return cls(kind=str(data["kind"]), params=params)
+        return cls(kind=str(data["kind"]), params=_spec_params(data, "rhs"))
 
     def __call__(self, t, s):
         t = np.asarray(t, dtype=float)
@@ -320,6 +318,17 @@ def _segment(nodes: np.ndarray, x):
     return i, w
 
 
+def _spec_params(data: dict, what: str) -> dict:
+    """An inline spec's 'params' object and its fields beside 'kind' (but a
+    'schema'), as one dict; a name given both ways is an input error."""
+    params = _params(data, what)
+    inline = {k: v for k, v in data.items() if k not in ("kind", "params", "schema")}
+    if params.keys() & inline.keys():
+        raise InstanceFormatError(f"{what} parameter(s) {sorted(params.keys() & inline)} "
+                                  "given both beside 'kind' and in 'params'")
+    return {**params, **inline}
+
+
 def make_h(spec, alpha: float | None = None):
     """Comparison weight h(t) from a config dict or a plain number.
 
@@ -327,28 +336,28 @@ def make_h(spec, alpha: float | None = None):
     finite alpha taken from the dict itself or from the surrounding solver
     context).
     """
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         v = float(spec)
         _require_positive(v, "h")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InstanceFormatError("h spec must be a number or an object with a 'kind'")
-    kind = spec["kind"]
-    params = dict(spec.get("params", {}))
-    params.update({k: v for k, v in spec.items() if k not in ("kind", "params", "schema")})
+    kind = str(spec["kind"])
+    if kind not in H_PARAMS:
+        raise InstanceFormatError(f"unknown h kind {kind!r}")
+    params = _spec_params(spec, "h")
+    _check_fields(params, H_PARAMS[kind], f"{kind} h parameter")
     if kind == "const":
-        v = _number(params.get("value", params.get("c")), "const h value")
+        v = _number(params.get("value"), "const h value")
         _require_positive(v, "const h value")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-    if kind == "exp_gap":
-        a = params.get("alpha", alpha)
-        if a is None:
-            raise InstanceFormatError("exp_gap h needs an alpha")
-        a = _number(a, "exp_gap h alpha")
-        if not math.isfinite(a):
-            raise ParamOutOfRange(f"exp_gap h alpha must be finite, got {a}")
-        return lambda t: a - np.exp(np.asarray(t, dtype=float))
-    raise InstanceFormatError(f"unknown h kind {kind!r}")
+    a = params.get("alpha", alpha)
+    if a is None:
+        raise InstanceFormatError("exp_gap h needs an alpha")
+    a = _number(a, "exp_gap h alpha")
+    if not math.isfinite(a):
+        raise ParamOutOfRange(f"exp_gap h alpha must be finite, got {a}")
+    return lambda t: a - np.exp(np.asarray(t, dtype=float))
 
 
 # ----- operator and checks ----------------------------------------------

@@ -374,6 +374,7 @@ BAD_GAUGES = {
     "gauge_c_not_a_number": {"kind": "linear", "params": {"c": "x"}},
     "gauge_one_element_knot": {"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0]]}},
     "gauge_params_list": {"kind": "linear", "params": [0.5]},
+    "gauge_c_true": {"kind": "linear", "params": {"c": True}},
 }
 
 
@@ -409,10 +410,19 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--h", '{"kind":"const","value":-1}'),
     ("--h", '{"kind":"exp_gap","alpha":0.5}'),
     ("--h", '{"kind":"exp_gap"}'),
+    ("--h", '{"kind":"const","params":5}'),
+    ("--h", '{"kind":"const","params":[1]}'),
+    ("--h", '{"kind":"const","params":"ab"}'),
+    ("--h", "true"),
+    ("--rhs", '{"kind":"linear","a":-1,"b":true}'),
+    ("--rhs", '{"kind":"linear","a":-1,"params":{"a":-2}}'),
+    ("--h", '{"kind":"const","value":1,"params":{"value":1}}'),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
         "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
         "h_alpha_infinite", "h_value_missing", "h_value_negative",
-        "h_exp_gap_negative", "h_exp_gap_negative_late"])
+        "h_exp_gap_negative", "h_exp_gap_negative_late", "h_params_number",
+        "h_params_list", "h_params_string", "h_true", "b_true", "rhs_both_ways",
+        "h_both_ways"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}
@@ -473,6 +483,62 @@ def test_unknown_fields_warn_on_one_line_each(capsys, tmp_path, ex22_files):
         "warning: unknown instance field(s): ['flavor']\n"
         "warning: unknown point field(s): ['colour']\n")
     assert_input_error(capsys, ["verify", "--instance", str(path), "--strict"])
+
+
+def pbvp_argv(**specs):
+    argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
+            "--N": "11", "--w0": "const:-1", **{f"--{k}": v for k, v in specs.items()}}
+    return ["solve-pbvp"] + [a for kv in argv.items() for a in kv]
+
+
+# a misspelled name in each spec family: (where it goes, the spec, the message)
+MISSPELLED = {
+    "gauge_object": ("phi1", {"kind": "floor_fraction", "params": {}, "colour": "red"},
+                     "unknown gauge field(s): ['colour']"),
+    "gauge_params": ("phi2", {"kind": "identity", "params": {"c": 1.0}},
+                     "unknown identity gauge parameter field(s): ['c']"),
+    "psi_params": ("psi", {"schema": "1", "kind": "constant",
+                           "params": {"value": 0.5, "vaule": 0.25}},
+                   "unknown constant psi parameter field(s): ['vaule']"),
+    "rhs_inline": ("rhs", '{"kind":"cosine_forced","a":-1,"amp":1,"frequency":2}',
+                   "unknown cosine_forced rhs parameter field(s): ['frequency']"),
+    "rhs_params": ("rhs", '{"kind":"linear","params":{"a":-1,"bb":1}}',
+                   "unknown linear rhs parameter field(s): ['bb']"),
+    "h_inline": ("h", '{"kind":"const","value":1,"vlaue":2}',
+                 "unknown const h parameter field(s): ['vlaue']"),
+    "h_params": ("h", '{"kind":"exp_gap","params":{"alpha":3,"beta":1}}',
+                 "unknown exp_gap h parameter field(s): ['beta']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSPELLED))
+def test_a_misspelled_spec_parameter_warns_and_strict_rejects_it(capsys, tmp_path, ex22_files,
+                                                                 ex41_files, case):
+    where, spec, message = MISSPELLED[case]
+    if where in ("phi1", "phi2"):
+        _, p22 = ex22_files
+        gauges = dict(json.loads(open(p22["gauges"]).read()), **{where: spec})
+        path = tmp_path / "gauges.json"
+        path.write_text(json.dumps(gauges))
+        argv = verify_argv(dict(p22, gauges=str(path)))
+    elif where == "psi":
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(spec))
+        argv = fixed_point_argv(dict(ex41_files, psi=str(path)))
+    else:
+        argv = pbvp_argv(alpha="4.0", **{where: spec})
+    code, doc, err = run(capsys, argv)
+    assert (code, err) == (0, f"warning: {message}\n")
+    if argv[0] != "solve-pbvp":  # the subcommands that read JSON files have --strict
+        code, doc, err = run(capsys, argv + ["--strict"])
+        assert (code, doc, err) == (2, None, f"input error: {message}\n")
+
+
+def test_const_h_has_no_second_name_for_its_value(capsys):
+    code, doc, err = run(capsys, pbvp_argv(h='{"kind":"const","c":1}'))
+    assert (code, doc) == (2, None)
+    assert err == ("warning: unknown const h parameter field(s): ['c']\n"
+                   "input error: const h value must be a number, got None\n")
 
 
 # side A: a0 (1, 0), a1 (2, 0), a2 (0, 0); side B: b0 (3, 2), b1 (3, 1), b2 (1, 2);
@@ -584,6 +650,20 @@ def test_solve_pbvp_failure_goes_to_the_report_and_never_to_the_csv(capsys, tmp_
 ERROR_CLASSES = sorted((k for k in vars(errors).values()
                         if isinstance(k, type) and issubclass(k, errors.ProxigraphError)
                         and k is not errors.ProxigraphError), key=lambda k: k.__name__)
+
+
+def test_every_failure_slug_is_unchanged():
+    assert {k.__name__: k.slug for k in ERROR_CLASSES if k.slug is not None} == {
+        "BetaNotContractive": "beta_not_contractive",
+        "ConditionIvViolated": "condition_iv_violated",
+        "EvaluationFailure": "evaluation_failure",
+        "GaugeClassViolation": "gauge_class_violation",
+        "HypothesisViolated": "hypothesis_violated",
+        "MonotonicityBroken": "monotonicity_broken",
+        "NoConvergence": "no_convergence",
+        "NotLowerSolution": "not_lower_solution",
+        "SeedNotEligible": "hypothesis_violated",
+    }
 
 
 @pytest.mark.parametrize("klass", ERROR_CLASSES, ids=lambda k: k.__name__)

@@ -26,6 +26,7 @@ from proxigraph.fixed_point import residual
 from proxigraph.errors import (
     InstanceFormatError,
     InvalidPsi,
+    NoConvergence,
     ParamOutOfRange,
     SeedNotEligible,
     SideMismatch,
@@ -149,6 +150,26 @@ def test_nan_tol_is_refused():
         verify_g_psi_contraction(inst.space, inst.pair, inst.psi, tol=nan)
     with pytest.raises(ParamOutOfRange, match="NaN"):
         solve_common_fixed_point(inst.space, inst.pair, inst.psi, "f_1/2", tol=nan)
+
+
+@pytest.mark.parametrize("t2", [{"b0": "a1", "b1": "a0"}, {"b0": "a0", "b1": "a1"}],
+                         ids=["a0_b0_a1_b1", "a0_b0"])
+def test_alternating_orbit_back_at_its_seed_is_a_cycle(t2):
+    # on the unit square no point is fixed; in the second case T2 T1 fixes
+    # a0 although T1 moves it, so d(a0, T2 T1 a0) = 0 alone is no stop
+    sp = FiniteMetricGraph.from_coords(
+        [("a0", (0.0, 0.0), "A"), ("a1", (1.0, 0.0), "A"),
+         ("b0", (0.0, 1.0), "B"), ("b1", (1.0, 1.0), "B")], metric="l1")
+    pair = PairMaps.for_space(sp, {"a0": "b0", "a1": "b1"}, t2)
+    with pytest.raises(NoConvergence, match="stopped with cycle_detected$"):
+        solve_common_fixed_point(sp, pair, PsiGauge.constant(0.5), "a0",
+                                 check_hypotheses=False)
+
+
+def test_step_budget_runs_out_before_the_fixed_point():
+    inst = build("ex41_fixed_point")
+    with pytest.raises(NoConvergence, match="stopped with max_iter$"):
+        solve_common_fixed_point(inst.space, inst.pair, inst.psi, "f_1/2", max_iter=1)
 
 
 def test_oscillation_instance_frozen_counts():

@@ -13,7 +13,8 @@ CSV) were captured again when the PBVP operator moved from the dense
 trapezoid kernel to exact product integration; each new solution is closer
 to the closed form u = 0 than the one it replaced.  The ex33 depth-29 file
 with zero slack was captured with the `--strict-inequality` flag, which was
-then dropped as a second name for `--tol 0`.
+then dropped as a second name for `--tol 0`.  No golden invocation writes
+to stderr: a documented input draws no unknown-field warning.
 """
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ def write_inputs(tmp_path, example_id, **params) -> dict[str, str]:
 @pytest.mark.parametrize("example_id", EXAMPLES)
 def test_reproduce_stdout(capsys, example_id):
     assert main(["reproduce", example_id]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
     assert out.encode() == (GOLDEN / f"reproduce_{example_id}.json").read_bytes()
 
 
@@ -65,7 +67,8 @@ PARAM_CASES = [
                          ids=[c[0] for c in PARAM_CASES])
 def test_reproduce_stdout_with_params(capsys, example_id, params):
     assert main(["reproduce", example_id, "--params", *params]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
     name = "_".join([example_id] + [p.replace("=", "") for p in params])
     assert out.encode() == (GOLDEN / f"reproduce_{name}.json").read_bytes()
 
@@ -90,7 +93,7 @@ CASES = [
 
 @pytest.mark.parametrize("golden, example_id, params, args, code", CASES,
                          ids=[c[0].removesuffix(".json") for c in CASES])
-def test_report_file(tmp_path, golden, example_id, params, args, code):
+def test_report_file(capsys, tmp_path, golden, example_id, params, args, code):
     paths = write_inputs(tmp_path, example_id, **params)
     argv = [args[0], "--instance", paths["instance"]]
     for arg in args[1:]:
@@ -99,6 +102,7 @@ def test_report_file(tmp_path, golden, example_id, params, args, code):
             argv.append(paths[arg[2:]])
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
@@ -115,12 +119,13 @@ def write_fixed_point_inputs(tmp_path) -> dict[str, str]:
     return paths
 
 
-def test_solve_fixed_point_report(tmp_path):
+def test_solve_fixed_point_report(capsys, tmp_path):
     p = write_fixed_point_inputs(tmp_path)
     out = tmp_path / "report.json"
     assert main(["solve-fixed-point", "--instance", p["instance"], "--t1", p["t1"],
                  "--t2", p["t2"], "--psi", p["psi"], "--x0", "f_1/2",
                  "--strengthened", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
     assert out.read_bytes() == (GOLDEN / "solve_fixed_point_ex41.json").read_bytes()
 
 
@@ -137,9 +142,10 @@ PBVP_CASES = [("solve_pbvp_ex53_N201_report.json", []),
 
 @pytest.mark.parametrize("golden, extra", PBVP_CASES,
                          ids=[c[0].removesuffix("_report.json") for c in PBVP_CASES])
-def test_solve_pbvp_report_and_solution(tmp_path, golden, extra):
+def test_solve_pbvp_report_and_solution(capsys, tmp_path, golden, extra):
     report, solution = tmp_path / "report.json", tmp_path / "solution.csv"
     assert main(EX53_ARGV + extra + ["--out", str(solution),
                                      "--report", str(report)]) == 0
+    assert capsys.readouterr() == ("", "")
     assert report.read_bytes() == (GOLDEN / golden).read_bytes()
     assert solution.read_bytes() == (GOLDEN / "solve_pbvp_ex53_N201_solution.csv").read_bytes()

@@ -21,6 +21,7 @@ from proxigraph import (
     is_weakly_connected,
     pair_distance,
 )
+from proxigraph.errors import UnknownField
 
 
 def square(metric="l2", edges=(), auto_loops=True):
@@ -194,5 +195,7 @@ def test_unknown_fields_warn_or_reject():
         warnings.simplefilter("always")
         FiniteMetricGraph.from_dict(doc)
     assert any("flavor" in str(w.message) for w in caught)
-    with pytest.raises(InstanceFormatError):
-        FiniteMetricGraph.from_dict(doc, strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnknownField)
+        with pytest.raises(InstanceFormatError, match="flavor"):
+            FiniteMetricGraph.from_dict(doc)
