@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -69,8 +70,46 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# one violation as json.dumps(indent=2, sort_keys=True) writes its object at
+# depth 3 of a report: an item of contraction.violations
+_ROW = ('\n      {\n        "lhs": %s,\n        "rhs": %s,\n        "x": %s,\n'
+        '        "y": %s\n      }')
+
+
+def _json_floats(values) -> list[str]:
+    """Each float as json writes it: its repr, or Infinity, -Infinity or NaN.
+    A sweep's values repeat, so each distinct bit pattern is written once."""
+    bits, index = np.unique(np.array(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = [float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+            for v in bits.view(float).tolist()]
+    return list(map(text.__getitem__, index.tolist()))
+
+
+def _violation_rows(rows) -> str:
+    """The nonempty (x, y, lhs, rhs) rows as json.dumps(indent=2,
+    sort_keys=True) writes the list of their {"lhs", "rhs", "x", "y"}
+    objects, as the value of a report's contraction.violations."""
+    x, y, lhs, rhs = zip(*rows)
+    cells = zip(_json_floats(lhs), _json_floats(rhs),
+                map(encode_basestring_ascii, x), map(encode_basestring_ascii, y))
+    return "[" + ",".join(map(_ROW.__mod__, cells)) + "\n    ]"
+
+
 def _emit(doc: dict, out: str | None) -> None:
+    """Write doc as json.dumps(doc, sort_keys=True, indent=2) does, and a
+    newline.  A verify report's contraction.violations holds the sweep's
+    (x, y, lhs, rhs) rows; _violation_rows writes them in the same bytes as
+    their objects, without json's Python encoder."""
+    rows = doc.get("contraction", {}).get("violations")
+    if rows:
+        doc = {**doc, "contraction": {**doc["contraction"], "violations": []}}
     text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    if rows:
+        # a report has one violations key, and inside a JSON string every '"'
+        # is escaped, so this text occurs once
+        head, _, tail = text.partition('"violations": []')
+        text = head + '"violations": ' + _violation_rows(rows) + tail
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -133,10 +172,7 @@ def _cmd_verify(args) -> int:
                 "holds": con.holds,
                 "all_pairs": args.all_pairs,
                 "checked_pairs": con.checked_pairs,
-                "violations": [
-                    {"x": x, "y": y, "lhs": l, "rhs": r}
-                    for x, y, l, r in con.violations
-                ],
+                "violations": con.violations,
             }
             if not con.maps_a0_into_b0:
                 report["contraction"]["a0_witness"] = con.a0_witness
@@ -184,7 +220,9 @@ def _cmd_solve_bpp(args) -> int:
 def _cmd_solve_fixed_point(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance)
     pair = PairMaps.for_space(space, load_map(args.t1), load_map(args.t2))
-    psi = PsiGauge.from_dict(read_document(args.psi, {"schema", "kind", "params"}, "psi file"))
+    doc = read_document(args.psi, {"schema", "kind", "params"}, "psi file")
+    # the file's fields have had their warning: the spec gets only kind and params
+    psi = PsiGauge.from_dict({k: doc[k] for k in ("kind", "params") if k in doc})
     checks = not args.skip_hypothesis_checks
     if checks:
         require("psi contraction bound",

@@ -17,6 +17,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
+import numpy as np
+
 from .errors import (
     GaugeClassViolation,
     InstanceFormatError,
@@ -118,13 +120,16 @@ class GaugeSpec:
 
 
 def parse_knots(knots, what) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The abscissae and the values of (s, value) knots, as floats."""
+    """The abscissae and the values of (s, value) knots, as floats.  A JSON
+    boolean is no number, though Python's bool converts to one."""
     try:
-        pairs = [(float(s), float(v)) for s, v in knots]
+        pairs = [(float(s), float(v)) for s, v in knots
+                 if not isinstance(s, bool) and not isinstance(v, bool)]
+        if len(pairs) == len(knots):
+            return tuple(s for s, _ in pairs), tuple(v for _, v in pairs)
     except (TypeError, ValueError):
-        raise InstanceFormatError(
-            f"{what} knots must be (s, value) pairs of numbers, got {knots!r}") from None
-    return tuple(s for s, _ in pairs), tuple(v for _, v in pairs)
+        pass
+    raise InstanceFormatError(f"{what} knots must be (s, value) pairs of numbers, got {knots!r}")
 
 
 def interpolate(ss, vs, s: float) -> float:
@@ -159,25 +164,60 @@ def eval_gauge(gauge: GaugeSpec, s: float) -> float:
     return interpolate(*gauge._knots, s)
 
 
+def gauge_values(gauge: GaugeSpec, s) -> np.ndarray:
+    """eval_gauge at every entry of the array s, bit for bit: each kind runs
+    eval_gauge's own float operations in the same order."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise OutOfDomain(f"gauges are defined on [0, inf), got {float(s[s < 0][0])}")
+    if gauge.kind == "linear":
+        return gauge._c * s
+    if gauge.kind == "affine_shift":
+        return gauge._c + s
+    if gauge.kind == "identity":
+        return s.copy()
+    if gauge.kind == "floor_fraction":
+        out = np.floor(s)
+        frac = s - out
+        inner = frac > KAPPA_SNAP
+        z = frac[inner]
+        # kappa(z): the snapped nearest reciprocal, or else the reciprocal's ceiling
+        recip = 1.0 / z
+        near = np.rint(recip)  # round half to even, as Python's round
+        snap = (near >= 1) & (np.abs(z - 1.0 / near) <= KAPPA_SNAP)
+        out[inner] += z / np.where(snap, near, np.ceil(recip))
+        return out
+    # interpolate: the segment ending at the first knot >= s, end segments extended
+    ss, vs = (np.array(k) for k in gauge._knots)
+    hi = np.clip(np.searchsorted(ss, s, side="left"), 1, len(ss) - 1)
+    lo = hi - 1
+    t = (s - ss[lo]) / (ss[hi] - ss[lo])
+    return vs[lo] + t * (vs[hi] - vs[lo])
+
+
 def verify_gauge_classes(phi1: GaugeSpec, phi2: GaugeSpec, grid) -> CheckResult:
     """phi1 strictly increasing and phi2 - I non-decreasing over the sorted grid.
 
     Grid values closer than the snap width collapse to one representative:
     they are the same distance up to float noise, and comparing gauge output
-    across them would only measure rounding.
+    across them would only measure rounding.  The witness is the first pair
+    of neighbouring representatives that breaks either class, phi1 first.
     """
-    raw = sorted(set(float(s) for s in grid))
-    values: list[float] = []
-    for s in raw:
-        if not values or s - values[-1] > KAPPA_SNAP:
-            values.append(s)
-    for lo, hi in zip(values, values[1:]):
-        if not eval_gauge(phi1, hi) > eval_gauge(phi1, lo):
-            return CheckResult(False, ("phi1 not increasing", lo, hi))
-        shift_lo = eval_gauge(phi2, lo) - lo
-        shift_hi = eval_gauge(phi2, hi) - hi
-        if shift_hi < shift_lo - KAPPA_SNAP:
-            return CheckResult(False, ("phi2 - I decreasing", lo, hi))
+    raw = np.unique(np.asarray(grid if isinstance(grid, np.ndarray) else list(grid),
+                               dtype=float))
+    kept: list[float] = []
+    for s in raw.tolist():
+        if not kept or s - kept[-1] > KAPPA_SNAP:
+            kept.append(s)
+    values = np.array(kept)
+    p1 = gauge_values(phi1, values)
+    shift = gauge_values(phi2, values) - values
+    not_increasing = ~(p1[1:] > p1[:-1])
+    bad = not_increasing | (shift[1:] < shift[:-1] - KAPPA_SNAP)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "phi1 not increasing" if not_increasing[i] else "phi2 - I decreasing"
+        return CheckResult(False, (what, kept[i], kept[i + 1]))
     return CheckResult(True)
 
 
@@ -236,8 +276,15 @@ class CyclicMapTable:
     def to_dict(self) -> dict:
         return {"map": {k: self.mapping[k] for k in sorted(self.mapping)}}
 
-    def validate(self, space: FiniteMetricGraph):
-        space._cached(("map", self), lambda: check_side_map(space, "T", self.mapping, "AB"))
+    def validate(self, space: FiniteMetricGraph) -> np.ndarray:
+        """Check the map against space, once per space, and return its image
+        array there: the read-only position of T(ids[i]) at each position i."""
+        def check():
+            check_side_map(space, "T", self.mapping, "AB")
+            image = np.array([space.index[self.mapping[p]] for p in space.ids], dtype=np.intp)
+            image.flags.writeable = False
+            return image
+        return space._cached(("map", self), check)
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -289,9 +336,10 @@ def _shift_term(phi1: GaugeSpec, phi2: GaugeSpec, d_ab: float) -> float:
     return eval_gauge(phi1, d_ab) + eval_gauge(phi2, d_ab) - d_ab
 
 
-def _bound(phi1: GaugeSpec, phi2: GaugeSpec, dxy: float, m: float, shift: float) -> float:
-    """The right-hand side (I - phi1)(d(x, y)) + (I - phi2)(m(x, y)) + shift."""
-    return (dxy - eval_gauge(phi1, dxy)) + (m - eval_gauge(phi2, m)) + shift
+def _bound(dxy, phi1_dxy, m, phi2_m, shift):
+    """The right-hand side (I - phi1)(d(x, y)) + (I - phi2)(m(x, y)) + shift,
+    from the gauge values phi1(d(x, y)) and phi2(m(x, y)); floats or arrays."""
+    return (dxy - phi1_dxy) + (m - phi2_m) + shift
 
 
 def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
@@ -300,7 +348,8 @@ def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
     """Re-check a single pair, x on A and y on B; returns (ok, lhs, rhs).
 
     Used for witness replay: the terms are the sweep's own float operations,
-    so a replayed violation matches the sweep's lhs and rhs bit for bit.
+    one pair at a time, so a replayed violation matches the sweep's lhs and
+    rhs bit for bit.
     """
     if "A" not in space.side.get(x, ""):
         raise SideMismatch(f"{x!r} is not on side A")
@@ -309,7 +358,9 @@ def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
     m = max(space.d(x, tmap(x)), space.d(y, tmap(y)))
     lhs = space.d(tmap(x), tmap(y))
     d_ab = pair_distance(space).d_ab
-    rhs = _bound(phi1, phi2, space.d(x, y), m, _shift_term(phi1, phi2, d_ab))
+    dxy = space.d(x, y)
+    rhs = _bound(dxy, eval_gauge(phi1, dxy), m, eval_gauge(phi2, m),
+                 _shift_term(phi1, phi2, d_ab))
     return lhs <= rhs + tol, lhs, rhs
 
 
@@ -323,47 +374,53 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     (classical) contraction claim is refuted on instances that only contract
     along edges.  Gauge monotonicity classes are validated first on the grid of
     distance values the sweep will touch.
+
+    The sweep runs as array expressions over the A x B block, rows and columns
+    in id order, so the pairs come out in (x, y) order.
     """
     require_tol(tol)
-    tmap.validate(space)
+    image = tmap.validate(space)
     geom = pair_distance(space)
+    dist = space.dist
     a, b = sorted(space.side_a()), sorted(space.side_b())
-    has_edge = space.has_edge
+    ia = np.array([space.index[x] for x in a], dtype=np.intp)
+    ib = np.array([space.index[y] for y in b], dtype=np.intp)
 
-    # each orbit gap d(p, Tp), and each checked pair's d(x, y) and m(x, y),
-    # is computed once; the same floats go to the grid and to the bound
-    gap = {p: space.d(p, tmap(p)) for p in {*a, *b}}
-    b_images = [(y, tmap(y)) for y in b]
-    pairs = [(x, y, space.d(x, y), max(gap[x], gap[y]))
-             for x in a for y, ty in b_images
-             if all_pairs or has_edge(x, y) or has_edge(x, ty) or has_edge(ty, x)]
+    if all_pairs:
+        eligible = np.ones((len(a), len(b)), dtype=bool)
+    else:
+        # an edge (x, y), (x, Ty) or (Ty, x)
+        edge, tb = space._adjacency(), image[ib]
+        eligible = edge[np.ix_(ia, ib)] | edge[np.ix_(ia, tb)] | edge[np.ix_(tb, ia)].T
+    rows, cols = np.nonzero(eligible)
+    x, y = ia[rows], ib[cols]
+    dxy = dist[x, y]
+    gap = dist[np.arange(len(image)), image]  # d(p, Tp)
+    gap_x, gap_y = gap[x], gap[y]
+    m = np.where(gap_y > gap_x, gap_y, gap_x)  # max(gap_x, gap_y), as Python's max picks
 
-    grid = {geom.d_ab}
-    for _, _, dxy, m in pairs:
-        grid.add(dxy)
-        grid.add(m)
-    ok = verify_gauge_classes(phi1, phi2, grid)
+    ok = verify_gauge_classes(phi1, phi2, np.concatenate(([geom.d_ab], dxy, m)))
     if not ok:
         raise GaugeClassViolation(f"gauge class check failed: {ok.witness}")
 
-    shift = _shift_term(phi1, phi2, geom.d_ab)
-    violations = []
-    for x, y, dxy, m in pairs:
-        lhs = space.d(tmap(x), tmap(y))
-        rhs = _bound(phi1, phi2, dxy, m, shift)
-        if lhs > rhs + tol:
-            violations.append((x, y, lhs, rhs))
+    lhs = dist[image[x], image[y]]
+    rhs = _bound(dxy, gauge_values(phi1, dxy), m, gauge_values(phi2, m),
+                 _shift_term(phi1, phi2, geom.d_ab))
+    bad = lhs > rhs + tol
+    violations = tuple(zip([a[i] for i in rows[bad].tolist()],
+                           [b[j] for j in cols[bad].tolist()],
+                           lhs[bad].tolist(), rhs[bad].tolist()))
 
     a0_ok, a0_witness = True, None
-    for x in sorted(geom.a0):
-        if tmap(x) not in geom.b0:
-            a0_ok, a0_witness = False, (x, tmap(x))
+    for p in sorted(geom.a0):
+        if tmap(p) not in geom.b0:
+            a0_ok, a0_witness = False, (p, tmap(p))
             break
 
     return ContractionReport(
         holds=not violations and a0_ok,
-        checked_pairs=len(pairs),
-        violations=tuple(violations),
+        checked_pairs=len(rows),
+        violations=violations,
         maps_a0_into_b0=a0_ok,
         a0_witness=a0_witness,
     )

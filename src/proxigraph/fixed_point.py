@@ -90,6 +90,7 @@ class PsiGauge:
     def from_dict(cls, data) -> "PsiGauge":
         if not isinstance(data, dict) or "kind" not in data:
             raise InstanceFormatError("psi spec must be an object with a 'kind'")
+        _check_fields(data, {"kind", "params"}, "psi")
         return cls(kind=str(data["kind"]), params=_params(data, "psi"))
 
     def to_dict(self) -> dict:

@@ -6,13 +6,14 @@ edge set is a set of ordered id pairs; every point must carry its trivial loop.
 
 A space is immutable: its distance array is read-only and its side and
 coordinate maps are read-only views.  What follows from the space alone --
-the side index arrays, the pair geometry, the weak-component labels and the
-verdicts of the hypothesis predicates -- is computed on first use and kept on
-the space, so solvers that start from many seeds pay for it once.  None of it
-copies the distance array or its A x B block.  The same memo holds the verdict
-of each cyclic map checked against the space (maps are read-only too), so a
-map is checked once per space; the memo keeps that map alive as long as the
-space.
+the side index arrays, the boolean edge-adjacency array, the pair geometry,
+the weak-component labels and the verdicts of the hypothesis predicates -- is
+computed on first use and kept on the space, so solvers that start from many
+seeds pay for it once.  None of it copies the distance array or its A x B
+block.  The same memo holds, for each cyclic map checked against the space
+(maps are read-only too), the map's verdict and its read-only integer image
+array, so a map is checked and indexed once per space; the memo keeps that map
+alive as long as the space.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -23,6 +24,7 @@ import json
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -230,6 +232,17 @@ class FiniteMetricGraph:
             return tuple(self.ids[i] for i in pos), np.array(pos, dtype=np.intp)
         return self._cached(("side", s), members)
 
+    def _adjacency(self) -> np.ndarray:
+        """Read-only boolean n x n array: [i, j] is whether (ids[i], ids[j]) is an edge."""
+        def adjacency():
+            adj = np.zeros((len(self.ids), len(self.ids)), dtype=bool)
+            rows = [self.index[x] for x, _ in self.edges]
+            cols = [self.index[y] for _, y in self.edges]
+            adj[rows, cols] = True
+            adj.flags.writeable = False
+            return adj
+        return self._cached("adjacency", adjacency)
+
     # ----- validation ---------------------------------------------------
 
     def _validate(self):
@@ -313,11 +326,11 @@ def _params(data: dict, what: str) -> dict:
 
 def _coord_tuple(pid, xy) -> tuple[float, ...]:
     """Coordinates as floats.  A string is malformed, not a sequence of
-    digits, and so are scalars and non-number entries."""
+    digits, and so are scalars and non-number entries (a JSON boolean too)."""
     if not isinstance(xy, (str, bytes)):
         try:
             vals = tuple(xy)
-            if not any(isinstance(v, (str, bytes)) for v in vals):
+            if not any(isinstance(v, (str, bytes, bool)) for v in vals):
                 return tuple(float(v) for v in vals)
         except (TypeError, ValueError):
             pass
@@ -342,12 +355,27 @@ def _coord_dist(ids, coords, metric) -> np.ndarray:
         return np.abs(diff).max(axis=2)
 
 
+def _float_array(values, message: str) -> np.ndarray:
+    """values, a number or nested lists of numbers, as a fresh float array;
+    message is the error when they are not.  A JSON boolean is no number,
+    though numpy converts it to one."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(message) from None
+    if not isinstance(values, np.ndarray):
+        # np.array took every nesting level of values, so each one iterates
+        flat = [values]
+        for _ in range(arr.ndim):
+            flat = chain.from_iterable(flat)
+        if bool in set(map(type, flat)):
+            raise InstanceFormatError(message)
+    return arr
+
+
 def _table_array(table, n: int) -> np.ndarray:
     """The distance table as a fresh n x n float array."""
-    try:
-        dist = np.array(table, dtype=float)
-    except (TypeError, ValueError):
-        raise InstanceFormatError("distance table must be a square array of numbers") from None
+    dist = _float_array(table, "distance table must be a square array of numbers")
     if dist.shape != (n, n):
         raise InstanceFormatError("distance table shape does not match point count")
     return dist

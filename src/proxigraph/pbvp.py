@@ -40,7 +40,7 @@ from .errors import (
     ParamOutOfRange,
     require_tol,
 )
-from .metric_graph import CheckResult, _check_fields, _number, _params
+from .metric_graph import CheckResult, _check_fields, _float_array, _number, _params
 
 TOL_PBVP = 1e-10
 TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
@@ -223,6 +223,7 @@ def product_weights(kernel: GreensKernel, grid: TimeGrid) -> ProductWeights:
     _require_same_period(kernel, grid)
     alpha, h, n = kernel.alpha, grid.spacing, grid.n
     t = grid.nodes
+    t.flags.writeable = False  # a right-hand side may keep values computed from it
     w0, w1 = segment_weights(alpha, h)
     block = int(min(n - 1, 1 + _BLOCK_EXPONENT // (alpha * h)))
     k = np.arange(block) * (alpha * h)
@@ -252,6 +253,7 @@ class RhsFunction:
 
     def __post_init__(self):
         # the parameters are parsed here once; __call__ reads _numbers or _table
+        object.__setattr__(self, "_last_exp", ())
         if self.kind not in RHS_PARAMS:
             raise InstanceFormatError(f"unknown rhs kind {self.kind!r}")
         p = self.params
@@ -263,11 +265,8 @@ class RhsFunction:
             return
         if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
             raise InstanceFormatError("table rhs needs t_nodes, s_nodes, values")
-        try:
-            tn, sn, vals = (np.array(p[k], dtype=float)
-                            for k in ("t_nodes", "s_nodes", "values"))
-        except (TypeError, ValueError):
-            raise InstanceFormatError("table rhs nodes and values must be numbers") from None
+        tn, sn, vals = (_float_array(p[k], "table rhs nodes and values must be numbers")
+                        for k in ("t_nodes", "s_nodes", "values"))
         if tn.ndim != 1 or sn.ndim != 1 or not (tn.size and sn.size):
             raise InstanceFormatError("table rhs nodes must be non-empty lists")
         if not (np.all(tn[1:] >= tn[:-1]) and np.all(sn[1:] >= sn[:-1])):
@@ -290,11 +289,22 @@ class RhsFunction:
         elif self.kind == "linear":
             out = self._numbers["a"] * s + self._numbers["b"]
         elif self.kind == "exp_linear":
-            out = self._numbers["c"] * np.exp(t) * s
+            out = self._numbers["c"] * self._exp(t) * s
         else:
             n = self._numbers
             out = n["a"] * s + n["amp"] * np.cos(2.0 * np.pi * n["freq"] * t)
         return out if out.shape else float(out)
+
+    def _exp(self, t: np.ndarray) -> np.ndarray:
+        """e^t, kept for the last read-only t: a solve passes its grid nodes
+        again at every Picard step."""
+        last = self._last_exp
+        if last and last[0] is t:
+            return last[1]
+        e = np.exp(t)
+        if not t.flags.writeable:
+            object.__setattr__(self, "_last_exp", (t, e))
+        return e
 
     def _bilinear(self, t, s):
         tn, sn, vals = self._table

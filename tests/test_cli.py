@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from proxigraph import build, cli, errors
 from proxigraph.cli import _emit, main
-from proxigraph.cyclic_contraction import check_pair
+from proxigraph.cyclic_contraction import check_pair, verify_g_cyclic_contraction
 from proxigraph.corpus import EXAMPLE_IDS, build_ex41_fixed_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +164,61 @@ def test_report_encoding_of_sets_and_numpy_values(capsys):
         "float64": 0.1, "flag": True, "array": [[1.5, 2.0]], "pairs": [[1, 2]]}
 
 
+WRITER_IDS = ['f_"q"', "b\\s", "c\x01\x1f\t\n", "f_\u00e9", "g_\u20ac\U0001f600", "x/y"]
+WRITER_FLOATS = [5e-324, 1e-300, 1e16, 0.1 + 0.2, 2.0, -0.0, 0.0, 1.0857142857142856]
+
+
+def verify_report(rows):
+    """A verify report whose contraction.violations holds rows as the sweep
+    gives them, and the same report with each row as its JSON object."""
+    doc = {"schema": "1", "d_ab": 1.0, "n_points": 4, "verified": not rows,
+           "predicates": {"star_a": {"ok": False, "witness": ("a", "b", "c")}},
+           "contraction": {"holds": not rows, "all_pairs": True, "checked_pairs": 9,
+                           "a0_witness": ("a", 'b"'), "violations": tuple(rows)}}
+    objects = [{"x": x, "y": y, "lhs": lhs, "rhs": rhs} for x, y, lhs, rhs in rows]
+    return doc, {**doc, "contraction": {**doc["contraction"], "violations": objects}}
+
+
+WRITER_ROWS = {
+    "none": [],
+    "one": [("f_1/2", "g_1/3", 1.25, 1.0)],
+    "many": [(x, y, lhs, rhs) for x in WRITER_IDS for y in WRITER_IDS[::-1]
+             for lhs, rhs in zip(WRITER_FLOATS, WRITER_FLOATS[::-1])],
+    "non_finite": [("a", "b", math.inf, 1.0), ("a", "c", 2.0, -math.inf),
+                   ("a", "d", math.nan, 0.5), ("a", "e", 1.0, math.nan)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_ROWS))
+def test_violation_writer_gives_the_bytes_of_json_dumps(capsys, tmp_path, name):
+    doc, objects = verify_report(WRITER_ROWS[name])
+    want = json.dumps(objects, indent=2, sort_keys=True) + "\n"
+    _emit(doc, str(tmp_path / "report.json"))
+    assert (tmp_path / "report.json").read_bytes() == want.encode()
+    _emit(doc, None)
+    assert capsys.readouterr().out == want
+
+
+def test_ex22_all_pairs_report_is_the_json_dumps_of_its_sweep(tmp_path):
+    inst = build("ex22_kappa", N=64)
+    paths = {}
+    for kind, doc in (("instance", inst.space.to_dict()), ("map", inst.tmap.to_dict()),
+                      ("gauges", {"schema": "1", "phi1": inst.phi1.to_dict(),
+                                  "phi2": inst.phi2.to_dict()})):
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        Path(paths[kind]).write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(verify_argv(paths) + ["--all-pairs", "--out", str(out)]) == 1
+    text = out.read_text()
+    report = json.loads(text)
+    assert len(text) > 1_000_000
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    con = verify_g_cyclic_contraction(inst.space, inst.tmap, inst.phi1, inst.phi2,
+                                      all_pairs=True)
+    rows = [(v["x"], v["y"], v["lhs"], v["rhs"]) for v in report["contraction"]["violations"]]
+    assert len(rows) == 10866 and rows == list(con.violations)
+
+
 def test_output_files_are_byte_identical(tmp_path):
     _, ip, mp, _ = write_instance(tmp_path, "ex33_dyadic_l1", depth=6)
     outs = []
@@ -299,7 +355,11 @@ TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
      "dist_table": [[0, 1], [1]]},
     {"metric": "l1", "points": [{"id": "a", "coords": "12", "side": "A"}, TWO_POINTS[1]]},
     {"metric": "l1", "points": TWO_POINTS[:1]},
-], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point"])
+    {"metric": "l1", "points": [{"id": "a", "coords": [True, 0], "side": "A"}, TWO_POINTS[1]]},
+    {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
+     "dist_table": [[0, 1], [True, 0]]},
+], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point", "bool_coords",
+        "bool_table"])
 def test_verify_rejects_malformed_instances(tmp_path, doc):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
@@ -307,7 +367,7 @@ def test_verify_rejects_malformed_instances(tmp_path, doc):
         [sys.executable, "-m", "proxigraph.cli", "verify", "--instance", str(path)],
         capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "input error" in proc.stderr
+    assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -340,7 +400,7 @@ def assert_input_error(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     assert code == 2
-    assert out.err.startswith("input error:")
+    assert out.err.startswith("input error:") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
     assert out.out == ""
 
@@ -375,6 +435,7 @@ BAD_GAUGES = {
     "gauge_one_element_knot": {"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0]]}},
     "gauge_params_list": {"kind": "linear", "params": [0.5]},
     "gauge_c_true": {"kind": "linear", "params": {"c": True}},
+    "gauge_knot_true": {"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0, True]]}},
 }
 
 
@@ -391,7 +452,8 @@ def test_malformed_gauge_file_is_an_input_error(capsys, tmp_path, ex22_files, na
     {"schema": "1", "kind": "table", "params": {"knots": [[1]]}},
     [{"kind": "constant", "params": {"value": 0.5}}],
     {"schema": "1", "kind": "constant", "params": {"value": "x"}},
-], ids=["one_element_knot", "top_level_list", "value_not_a_number"])
+    {"schema": "1", "kind": "table", "params": {"knots": [[0.0, 0.25], [False, 0.5]]}},
+], ids=["one_element_knot", "top_level_list", "value_not_a_number", "knot_false"])
 def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc):
     psi = tmp_path / "bad_psi.json"
     psi.write_text(json.dumps(doc))
@@ -417,12 +479,14 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--rhs", '{"kind":"linear","a":-1,"b":true}'),
     ("--rhs", '{"kind":"linear","a":-1,"params":{"a":-2}}'),
     ("--h", '{"kind":"const","value":1,"params":{"value":1}}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,true],"s_nodes":[0,1],"values":[[0,0],[1,1]]}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,0],[1,true]]}'),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
         "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
         "h_alpha_infinite", "h_value_missing", "h_value_negative",
         "h_exp_gap_negative", "h_exp_gap_negative_late", "h_params_number",
         "h_params_list", "h_params_string", "h_true", "b_true", "rhs_both_ways",
-        "h_both_ways"])
+        "h_both_ways", "table_node_true", "table_value_true"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}

@@ -399,6 +399,16 @@ def test_a_map_on_a_space_it_does_not_fit_is_refused():
             solve_bpp(other, tm, seed)
 
 
+def test_the_memo_keeps_read_only_adjacency_and_image_arrays():
+    inst = build_random_chain(7)
+    sp, tm = inst.space, inst.tmap
+    edge, image = sp._adjacency(), tm.validate(sp)
+    assert edge is sp._adjacency() and image is tm.validate(sp)
+    assert not edge.flags.writeable and not image.flags.writeable
+    assert {(sp.ids[i], sp.ids[j]) for i, j in zip(*np.nonzero(edge))} == sp.edges
+    assert [sp.ids[i] for i in image] == [tm(p) for p in sp.ids]
+
+
 def test_maps_pickle_round_trip():
     inst, ex41 = build_random_chain(7), build("ex41_fixed_point")
     tm = pickle.loads(pickle.dumps(inst.tmap))

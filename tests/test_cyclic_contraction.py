@@ -24,7 +24,14 @@ from proxigraph import (
     verify_gauge_classes,
     verify_t2_preserves_edges,
 )
-from proxigraph.cyclic_contraction import check_pair, load_gauge_pair, load_map
+from proxigraph.corpus import build_random_chain
+from proxigraph.cyclic_contraction import (
+    KAPPA_SNAP,
+    check_pair,
+    gauge_values,
+    load_gauge_pair,
+    load_map,
+)
 from proxigraph.errors import ParamOutOfRange
 
 
@@ -437,6 +444,8 @@ def test_linear_gauge_rejects_non_numbers(params, match):
     [[0.0, 0.0], ["one", 1.0]],
     [[0.0, 0.0], 1.0],
     5,
+    [[0.0, 0.0], [1.0, True]],
+    [[False, 0.0], [1.0, 1.0]],
 ])
 def test_table_gauge_rejects_malformed_knots(knots):
     with pytest.raises(InstanceFormatError, match="knots"):
@@ -446,3 +455,118 @@ def test_table_gauge_rejects_malformed_knots(knots):
 def test_gauge_params_must_be_an_object():
     with pytest.raises(InstanceFormatError, match="params"):
         GaugeSpec.from_dict({"kind": "linear", "params": [0.5]})
+
+
+# ----- the array sweep against its scalar references --------------------
+
+
+def near_bracket_edges():
+    """The bracket edges 1/n, and values within and just beyond KAPPA_SNAP of them."""
+    out = []
+    for n in (2, 3, 7, 49, 50, 1000):
+        for d in (0.0, 0.5 * KAPPA_SNAP, KAPPA_SNAP, 2.0 * KAPPA_SNAP):
+            out += [1.0 / n - d, 1.0 / n + d]
+    return out
+
+
+TABLE_KNOTS = [[0.5, 0.2], [1.0, 0.7], [1.75, 1.0], [3.0, 2.5]]
+GAUGE_PROBES = {
+    "linear": GaugeSpec("linear", {"c": 0.3}),
+    "affine_shift": GaugeSpec("affine_shift", {"c": 0.25}),
+    "identity": GaugeSpec("identity"),
+    "floor_fraction": GaugeSpec("floor_fraction"),
+    "table": GaugeSpec("table", {"knots": TABLE_KNOTS}),
+}
+
+
+def probe_values(kind):
+    rng = np.random.default_rng(7)
+    common = [0.0, 1.0, 2.0, 7.0, 0.02, 1.02, 2.02, 0.1 + 0.2, 5e-324, 1e300]
+    common += near_bracket_edges() + [k + v for k in (1.0, 3.0) for v in near_bracket_edges()]
+    common += rng.uniform(0.0, 4.0, 200).tolist()
+    if kind == "floor_fraction":
+        z = 1.0 / 49.0
+        common += [z, float(np.nextafter(z, 0.0)), float(np.nextafter(z, 1.0)),
+                   float(np.nextafter(0.02, 0.0)), 0.51 - 0.49]
+    if kind == "table":
+        ss = [s for s, _ in TABLE_KNOTS]
+        common += ss + [float(np.nextafter(s, d)) for s in ss for d in (0.0, 9.0)]
+        common += [0.25, 0.49, 3.5, 10.0]  # below the first knot and past the last
+    return common
+
+
+@pytest.mark.parametrize("kind", sorted(GAUGE_PROBES))
+def test_gauge_values_match_eval_gauge_bit_for_bit(kind):
+    g = GAUGE_PROBES[kind]
+    probes = probe_values(kind)
+    got = gauge_values(g, np.array(probes))
+    assert [v.hex() for v in got.tolist()] == [eval_gauge(g, s).hex() for s in probes]
+    with pytest.raises(OutOfDomain):
+        gauge_values(g, np.array([0.0, -0.1]))
+
+
+def scalar_gauge_classes(phi1, phi2, grid):
+    """verify_gauge_classes one neighbouring pair at a time through eval_gauge."""
+    values = []
+    for s in sorted(set(float(s) for s in grid)):
+        if not values or s - values[-1] > KAPPA_SNAP:
+            values.append(s)
+    for lo, hi in zip(values, values[1:]):
+        if not eval_gauge(phi1, hi) > eval_gauge(phi1, lo):
+            return False, ("phi1 not increasing", lo, hi)
+        if eval_gauge(phi2, hi) - hi < eval_gauge(phi2, lo) - lo - KAPPA_SNAP:
+            return False, ("phi2 - I decreasing", lo, hi)
+    return True, None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gauge_classes_match_the_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    grid = rng.uniform(0.0, 3.0, 300)
+    # float twins and near twins of grid values, and the bracket edges
+    grid = np.concatenate([grid, grid[:40] + rng.choice([0.3, 2.0], 40) * KAPPA_SNAP,
+                           near_bracket_edges()])
+    gauges = list(GAUGE_PROBES.values()) + [
+        GaugeSpec("table", {"knots": [[0.0, 1.0], [1.5, 1.0], [3.0, 2.0]]}),  # flat
+        GaugeSpec("table", {"knots": [[0.0, 0.0], [1.0, 1.5], [3.0, 1.6]]}),  # phi - I falls
+    ]
+    for phi1 in gauges:
+        for phi2 in gauges:
+            want = scalar_gauge_classes(phi1, phi2, grid.tolist())
+            for form in (grid, set(grid.tolist()), grid.tolist()):
+                got = verify_gauge_classes(phi1, phi2, form)
+                assert (got.ok, got.witness) == want
+
+
+def scalar_sweep(space, tmap, phi1, phi2, tol, all_pairs):
+    """The sweep one pair at a time: eligibility from the edge set, and each
+    pair's verdict and terms from check_pair."""
+    checked, violations = 0, []
+    for x in sorted(space.side_a()):
+        for y in sorted(space.side_b()):
+            ty = tmap(y)
+            if (all_pairs or space.has_edge(x, y) or space.has_edge(x, ty)
+                    or space.has_edge(ty, x)):
+                checked += 1
+                ok, lhs, rhs = check_pair(space, tmap, phi1, phi2, x, y, tol)
+                if not ok:
+                    violations.append((x, y, lhs.hex(), rhs.hex()))
+    return checked, violations
+
+
+SWEEP_CASES = [f"chain_{seed}" for seed in range(6)] + [
+    "ex22_kappa", "ex33_dyadic_l1", "ex35_not_bpo"]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, -math.inf])
+@pytest.mark.parametrize("all_pairs", [False, True])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_array_sweep_matches_a_scalar_check_pair_pass(case, all_pairs, tol):
+    if case.startswith("chain_"):
+        inst = build_random_chain(int(case[len("chain_"):]))
+    else:
+        inst = build(case)
+    args = (inst.space, inst.tmap, inst.phi1, inst.phi2)
+    rep = verify_g_cyclic_contraction(*args, tol=tol, all_pairs=all_pairs)
+    got = [(x, y, lhs.hex(), rhs.hex()) for x, y, lhs, rhs in rep.violations]
+    assert (rep.checked_pairs, got) == scalar_sweep(*args, tol, all_pairs)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from proxigraph.errors import (
     ParamOutOfRange,
     SeedNotEligible,
     SideMismatch,
+    UnknownField,
 )
 
 
@@ -46,6 +48,16 @@ def test_psi_validation():
         PsiGauge("table", {"knots": [(0.0, 0.5), (1.0, 1.0)]})
     with pytest.raises(InvalidPsi):
         PsiGauge.constant(0.5)(-1.0)
+
+
+def test_psi_spec_fields_warn_and_strict_rejects_them():
+    spec = {"kind": "constant", "params": {"value": 0.5}, "colour": 1}
+    with pytest.warns(UnknownField, match=r"unknown psi field\(s\): \['colour'\]"):
+        assert PsiGauge.from_dict(spec)(1.0) == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnknownField)
+        with pytest.raises(UnknownField):
+            PsiGauge.from_dict(spec)
 
 
 def test_psi_table_interpolation_and_clamps():

@@ -132,6 +132,21 @@ def test_exponential_pair_small_grid():
     assert all(rep.monotone_steps)
 
 
+def test_exp_linear_keeps_e_to_the_t_only_for_read_only_nodes():
+    f = RhsFunction("exp_linear", {"c": -1.0})
+    grid = TimeGrid(1.0, 11)
+    s = np.linspace(-1.0, 1.0, 11)
+    t = grid.nodes
+    W = product_weights(GreensKernel(2.0, 1.0), grid)
+    assert not W.nodes.flags.writeable
+    want = -1.0 * np.exp(t) * s
+    for nodes in (W.nodes, W.nodes, t):
+        assert f(nodes, s).tobytes() == want.tobytes()
+    t *= 2.0  # a writable t is read afresh at every call
+    assert f(t, s).tobytes() == (-1.0 * np.exp(t) * s).tobytes()
+    assert f(W.nodes, s).tobytes() == want.tobytes()
+
+
 def test_condition_iv():
     f = RhsFunction("exp_linear", {"c": -1.0})
     alpha = E_SQUARED
