@@ -9,6 +9,7 @@ no timestamps, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,8 +92,10 @@ def _violation_rows(rows) -> str:
     sort_keys=True) writes the list of their {"lhs", "rhs", "x", "y"}
     objects, as the value of a report's contraction.violations."""
     x, y, lhs, rhs = zip(*rows)
+    ids = set(x).union(y)
+    text = dict(zip(ids, map(encode_basestring_ascii, ids)))  # each id written once
     cells = zip(_json_floats(lhs), _json_floats(rhs),
-                map(encode_basestring_ascii, x), map(encode_basestring_ascii, y))
+                map(text.__getitem__, x), map(text.__getitem__, y))
     return "[" + ",".join(map(_ROW.__mod__, cells)) + "\n    ]"
 
 
@@ -319,7 +322,10 @@ def _cmd_reproduce(args) -> int:
 # ----- parser -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It names the subcommand only;
+    main looks up its handler, _cmd_<subcommand>, when it is called."""
     parser = argparse.ArgumentParser(
         prog="proxigraph",
         description="verify contraction structure and solve proximity, "
@@ -348,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9,
                    help="slack allowed when comparing the two sides; 0 allows none")
     common(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve-bpp", help="iterate the cyclic map to a best "
                                          "proximity point")
@@ -360,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--skip-hypothesis-checks", action="store_true")
     common(p)
-    p.set_defaults(func=_cmd_solve_bpp)
 
     p = sub.add_parser("solve-fixed-point", help="alternate two maps to their "
                                                  "common fixed point")
@@ -375,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pre-verify the rate bound over ordered pairs")
     p.add_argument("--skip-hypothesis-checks", action="store_true")
     common(p)
-    p.set_defaults(func=_cmd_solve_fixed_point)
 
     p = sub.add_parser("solve-pbvp", help="iterate the periodic integral "
                                           "operator from a lower solution")
@@ -394,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the solution CSV here")
     p.add_argument("--report", default=None,
                    help="write the JSON report here instead of stdout")
-    p.set_defaults(func=_cmd_solve_pbvp)
 
     p = sub.add_parser("reproduce", help="rebuild a bundled example and "
                                          "compare against its expected results")
@@ -402,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", nargs="*", default=[],
                    help="builder parameters as key=value")
     add_out(p)
-    p.set_defaults(func=_cmd_reproduce)
     return parser
 
 
@@ -411,8 +412,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         if getattr(args, "strict", False):
@@ -424,7 +425,7 @@ def main(argv=None) -> int:
             max_iter = getattr(args, "max_iter", 1)
             if max_iter < 1:
                 raise ParamOutOfRange(f"--max-iter must be >= 1, got {max_iter}")
-            return args.func(args)
+            return handler(args)
         except ProxigraphError as exc:
             # an input error exits 2; anything raised while a check or solve
             # is running exits 1 with the witness in the report

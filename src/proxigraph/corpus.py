@@ -506,9 +506,10 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
         points.append((f"g_{c}", tuple(float(c) * sin_v), "B"))
 
     ids = [p for p, _, _ in points]
-    coords = {p: np.array(xy) for p, xy, _ in points}
-    edges = [(p, q) for p in ids for q in ids
-             if float(np.max(np.abs(coords[p] - coords[q]))) < 1.0]
+    coords = np.array([xy for _, xy, _ in points])
+    # each row's sup distances to every point in one pass
+    edges = [(p, ids[j]) for p, row in zip(ids, coords)
+             for j in np.flatnonzero(np.abs(row - coords).max(axis=1) < 1.0).tolist()]
     space = FiniteMetricGraph.from_coords(points, metric="sup", edges=edges,
                                           auto_loops=True)
 

@@ -29,6 +29,7 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
+    _NOT_NUMBERS,
     _check_fields,
     _number,
     _params,
@@ -121,10 +122,10 @@ class GaugeSpec:
 
 def parse_knots(knots, what) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The abscissae and the values of (s, value) knots, as floats.  A JSON
-    boolean is no number, though Python's bool converts to one."""
+    boolean or numeric string is no number, though float() takes both."""
     try:
         pairs = [(float(s), float(v)) for s, v in knots
-                 if not isinstance(s, bool) and not isinstance(v, bool)]
+                 if not isinstance(s, _NOT_NUMBERS) and not isinstance(v, _NOT_NUMBERS)]
         if len(pairs) == len(knots):
             return tuple(s for s, _ in pairs), tuple(v for _, v in pairs)
     except (TypeError, ValueError):

@@ -34,6 +34,13 @@ from .errors import EmptySide, InstanceFormatError, UnknownField, UnknownPoint
 TOL_METRIC = 1e-9       # relative tolerance for triangle-inequality validation
 TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
 
+# elements of a work array built at a time: coordinate differences in
+# _coord_dist, 2-paths in _property_star
+_BLOCK = 1 << 16
+
+# what Python or numpy converts to a float but an input document means as no number
+_NOT_NUMBERS = (str, bytes, bool)
+
 _COORD_METRICS = ("l1", "l2", "sup")
 _METRICS = _COORD_METRICS + ("table",)
 _SIDES = ("A", "B", "AB")
@@ -260,9 +267,11 @@ class FiniteMetricGraph:
         if self.metric == "table":
             scale = max(1.0, float(d.max())) if n else 1.0
             tol = TOL_METRIC * scale
+            slack = np.empty_like(d)  # one work buffer, reused for every k
             for k in range(n):
-                slack = d[:, :] - (d[:, k][:, None] + d[k, :][None, :])
-                if np.any(slack > tol):
+                np.add(d[:, k, None], d[k], out=slack)
+                np.subtract(d, slack, out=slack)
+                if slack.max() > tol:
                     i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
                     raise InstanceFormatError(
                         f"triangle inequality fails for ({self.ids[i]}, {self.ids[k]}, "
@@ -307,8 +316,8 @@ def read_document(path, allowed, what) -> dict:
 
 def _number(value, what) -> float:
     """A spec parameter as a float; what names it in the error.  A JSON
-    boolean is no number, though Python's bool converts to one."""
-    if not isinstance(value, bool):
+    boolean or numeric string is no number, though float() takes both."""
+    if not isinstance(value, _NOT_NUMBERS):
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -330,8 +339,8 @@ def _coord_tuple(pid, xy) -> tuple[float, ...]:
     if not isinstance(xy, (str, bytes)):
         try:
             vals = tuple(xy)
-            if not any(isinstance(v, (str, bytes, bool)) for v in vals):
-                return tuple(float(v) for v in vals)
+            if not _any_not_number(vals):
+                return tuple(map(float, vals))
         except (TypeError, ValueError):
             pass
     raise InstanceFormatError(f"coords of point {pid!r} must be a list of numbers, got {xy!r}")
@@ -346,13 +355,21 @@ def _coord_dist(ids, coords, metric) -> np.ndarray:
     if not ids:
         return np.zeros((0, 0))
     arr = np.array([coords[p] for p in ids], dtype=float)
+    n, dim = arr.shape
+    dist = np.empty((n, n))
+    # rows of about _BLOCK differences at a time; each distance is the same
+    # reduction over its own dim differences as over the whole n x n x dim array
+    rows = max(1, _BLOCK // max(1, n * dim))
     with np.errstate(over="ignore", invalid="ignore"):  # _validate rejects non-finite
-        diff = arr[:, None, :] - arr[None, :, :]
-        if metric == "l1":
-            return np.abs(diff).sum(axis=2)
-        if metric == "l2":
-            return np.sqrt((diff ** 2).sum(axis=2))
-        return np.abs(diff).max(axis=2)
+        for r in range(0, n, rows):
+            diff = arr[r:r + rows, None, :] - arr[None, :, :]
+            if metric == "l1":
+                dist[r:r + rows] = np.abs(diff).sum(axis=2)
+            elif metric == "l2":
+                dist[r:r + rows] = np.sqrt((diff ** 2).sum(axis=2))
+            else:
+                dist[r:r + rows] = np.abs(diff).max(axis=2)
+    return dist
 
 
 def _float_array(values, message: str) -> np.ndarray:
@@ -368,9 +385,16 @@ def _float_array(values, message: str) -> np.ndarray:
         flat = [values]
         for _ in range(arr.ndim):
             flat = chain.from_iterable(flat)
-        if bool in set(map(type, flat)):
+        if _any_not_number(flat):
             raise InstanceFormatError(message)
     return arr
+
+
+def _any_not_number(values) -> bool:
+    """Whether values holds a bool, str or bytes, which Python and numpy
+    convert to floats but a JSON document means as no number; one pass over
+    values, then one test per distinct type."""
+    return any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, values)))
 
 
 def _table_array(table, n: int) -> np.ndarray:
@@ -557,13 +581,34 @@ def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
 
 
 def _property_star(space, nodes):
-    node_set = set(nodes)
-    edges = [(x, y) for x, y in space.edges if x in node_set and y in node_set]
-    succ: dict[str, list[str]] = {}
-    for x, y in edges:
-        succ.setdefault(x, []).append(y)
-    for x, y in sorted(edges):
-        for z in sorted(succ.get(y, ())):
-            if (x, z) not in space.edges:
-                return CheckResult(False, (x, y, z))
+    """The lexicographically least (x, y, z) with edges x -> y -> z but no
+    edge x -> z, all three in nodes.  Each edge is an integer key x * n + y
+    over the ranks of the n nodes in sorted id order.  The 2-paths are joined
+    in blocks of about _BLOCK, in the sorted order of (x, y) and then z, and
+    each shortcut x * n + z is looked up among the sorted edge keys; the first
+    block with a miss holds the least."""
+    ranked = sorted(space.index.keys() & set(nodes))
+    rank = dict(zip(ranked, range(len(ranked))))
+    n = len(ranked)
+    keys = np.sort(np.array([rank[x] * n + rank[y] for x, y in space.edges
+                             if x in rank and y in rank], dtype=np.int64))
+    src, dst = np.divmod(keys, n)
+    out_deg = np.bincount(src, minlength=n)
+    paths = out_deg[dst]  # 2-paths x -> y -> z through each edge x -> y
+    ends = np.cumsum(paths)
+    # 2-path number g, through edge e, ends at the z of the key at g + shift[e]
+    shift = (np.cumsum(out_deg) - out_deg)[dst] - (ends - paths)
+    bounded = np.append(keys, n * n)  # a search past the last key finds no key
+    a = done = 0
+    while a < len(keys):
+        b = max(a + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
+        count = paths[a:b]
+        z_pos = np.repeat(shift[a:b], count) + np.arange(done, ends[b - 1])
+        want = np.repeat(src[a:b] * n, count) + dst[z_pos]
+        miss = bounded[np.searchsorted(keys, want)] != want
+        if miss.any():
+            i = int(np.argmax(miss))
+            e = a + int(np.searchsorted(ends[a:b], done + i, side="right"))
+            return CheckResult(False, (ranked[src[e]], ranked[dst[e]], ranked[dst[z_pos[i]]]))
+        a, done = b, int(ends[b - 1])
     return CheckResult(True)

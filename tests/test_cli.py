@@ -199,6 +199,20 @@ def test_violation_writer_gives_the_bytes_of_json_dumps(capsys, tmp_path, name):
     assert capsys.readouterr().out == want
 
 
+def test_violation_writer_encodes_each_distinct_id_once(monkeypatch):
+    rows = WRITER_ROWS["many"]
+    want = cli._violation_rows(rows)
+    calls = []
+
+    def encode(text):
+        calls.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", encode)
+    assert cli._violation_rows(rows) == want
+    assert sorted(calls) == sorted(WRITER_IDS)
+
+
 def test_ex22_all_pairs_report_is_the_json_dumps_of_its_sweep(tmp_path):
     inst = build("ex22_kappa", N=64)
     paths = {}
@@ -345,6 +359,16 @@ def test_console_script_smoke():
     assert doc["all_pass"] is True
 
 
+def test_the_parser_is_built_once_and_bad_arguments_exit_2(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for argv in (["verify"], ["no-such-command"], ["reproduce", "ex22_kappa", "--tol", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: proxigraph") and "error:" in err
+
+
 TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
               {"id": "b", "coords": [1.0, 0.0], "side": "B"}]
 
@@ -358,8 +382,13 @@ TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
     {"metric": "l1", "points": [{"id": "a", "coords": [True, 0], "side": "A"}, TWO_POINTS[1]]},
     {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
      "dist_table": [[0, 1], [True, 0]]},
+    {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
+     "dist_table": [["0", "1.5"], ["1.5", "0"]]},
+    {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
+     "dist_table": [[0, 1.5], ["1.5", 0]]},
+    {"metric": "l1", "points": [{"id": "a", "coords": ["1", 0], "side": "A"}, TWO_POINTS[1]]},
 ], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point", "bool_coords",
-        "bool_table"])
+        "bool_table", "string_table", "one_string_in_table", "string_coord_entry"])
 def test_verify_rejects_malformed_instances(tmp_path, doc):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
@@ -436,6 +465,10 @@ BAD_GAUGES = {
     "gauge_params_list": {"kind": "linear", "params": [0.5]},
     "gauge_c_true": {"kind": "linear", "params": {"c": True}},
     "gauge_knot_true": {"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0, True]]}},
+    "gauge_c_numeric_string": {"kind": "linear", "params": {"c": "0.5"}},
+    "gauge_shift_c_numeric_string": {"kind": "affine_shift", "params": {"c": "0.5"}},
+    "gauge_knot_numeric_string": {"kind": "table",
+                                  "params": {"knots": [[0.0, 0.0], ["1.0", 0.5]]}},
 }
 
 
@@ -453,7 +486,10 @@ def test_malformed_gauge_file_is_an_input_error(capsys, tmp_path, ex22_files, na
     [{"kind": "constant", "params": {"value": 0.5}}],
     {"schema": "1", "kind": "constant", "params": {"value": "x"}},
     {"schema": "1", "kind": "table", "params": {"knots": [[0.0, 0.25], [False, 0.5]]}},
-], ids=["one_element_knot", "top_level_list", "value_not_a_number", "knot_false"])
+    {"schema": "1", "kind": "constant", "params": {"value": "0.5"}},
+    {"schema": "1", "kind": "table", "params": {"knots": [[0.0, 0.25], [1.0, "0.5"]]}},
+], ids=["one_element_knot", "top_level_list", "value_not_a_number", "knot_false",
+        "value_numeric_string", "knot_numeric_string"])
 def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc):
     psi = tmp_path / "bad_psi.json"
     psi.write_text(json.dumps(doc))
@@ -481,12 +517,23 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--h", '{"kind":"const","value":1,"params":{"value":1}}'),
     ("--rhs", '{"kind":"table","t_nodes":[0,true],"s_nodes":[0,1],"values":[[0,0],[1,1]]}'),
     ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,0],[1,true]]}'),
+    ("--rhs", '{"kind":"linear","a":"-1"}'),
+    ("--rhs", '{"kind":"exp_linear","c":"0.5"}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,"1"],"s_nodes":[0,1],"values":[[0,0],[1,1]]}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":["0",1],"values":[[0,0],[1,1]]}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,0],[1,"1"]]}'),
+    ("--h", '{"kind":"const","value":"1"}'),
+    ("--h", '{"kind":"exp_gap","alpha":"3"}'),
+    ("--h", '"1.0"'),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
         "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
         "h_alpha_infinite", "h_value_missing", "h_value_negative",
         "h_exp_gap_negative", "h_exp_gap_negative_late", "h_params_number",
         "h_params_list", "h_params_string", "h_true", "b_true", "rhs_both_ways",
-        "h_both_ways", "table_node_true", "table_value_true"])
+        "h_both_ways", "table_node_true", "table_value_true", "a_numeric_string",
+        "c_numeric_string", "table_t_node_numeric_string", "table_s_node_numeric_string",
+        "table_value_numeric_string", "h_value_numeric_string", "h_alpha_numeric_string",
+        "h_numeric_string"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}

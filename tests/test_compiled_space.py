@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from proxigraph import (
     verify_g_psi_contraction,
     x_t2_a_set,
 )
-from proxigraph import cyclic_contraction, fixed_point
+from proxigraph import cyclic_contraction, fixed_point, metric_graph
 from proxigraph.corpus import build_random_chain
 from proxigraph.metric_graph import TOL_METRIC, TOL_PARALLEL, CheckResult, PairGeometry
 
@@ -113,6 +114,17 @@ def oracle_triangle(d: np.ndarray):
             i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
             return int(i), k, int(j)
     return None
+
+
+def oracle_coord_dist(arr: np.ndarray, metric: str) -> np.ndarray:
+    """Construction's coordinate distances from one n x n x dim difference array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = arr[:, None, :] - arr[None, :, :]
+        if metric == "l1":
+            return np.abs(diff).sum(axis=2)
+        if metric == "l2":
+            return np.sqrt((diff ** 2).sum(axis=2))
+        return np.abs(diff).max(axis=2)
 
 
 def scipy_components(space, nodes=None) -> set[frozenset[str]]:
@@ -239,6 +251,167 @@ def test_coordinate_metrics_take_no_table():
     with pytest.raises(InstanceFormatError, match="coords"):
         FiniteMetricGraph(("p",), {"p": "A"}, np.zeros((1, 1)), frozenset({("p", "p")}),
                           {"p": (0.0,)}, "l1")
+
+
+# ----- validation in array passes ------------------------------------------
+
+
+def coord_points(rng, n, dim):
+    """n points of dimension dim whose entries span six orders of magnitude."""
+    arr = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, dim))
+    arr[rng.random((n, dim)) < 0.05] = -0.0
+    return arr
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 17, 1024])
+@pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
+def test_coordinate_distances_are_bit_identical_to_the_broadcast(metric, dim):
+    rng = np.random.default_rng(dim)
+    # 1 point, one block, and row blocks whose last one is partial
+    for n in (1, 2, 40, 130, 300):
+        if n * n * dim > 1 << 22:
+            continue
+        arr = coord_points(rng, n, dim)
+        ids = tuple(f"p{i}" for i in range(n))
+        coords = dict(zip(ids, map(tuple, arr.tolist())))
+        got = metric_graph._coord_dist(ids, coords, metric)
+        assert got.shape == (n, n)
+        assert np.array_equal(got.view(np.int64), oracle_coord_dist(arr, metric).view(np.int64))
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
+def test_coordinate_overflow_is_rejected_in_a_late_block(metric):
+    # 500 points of dimension 64 make 250 blocks of 2 rows
+    pts = [(f"p{i:03}", (0.0,) * 64, "AB") for i in range(500)]
+    pts[-2:] = [("q", (-1e308,) * 64, "A"), ("r", (1e308,) * 64, "B")]
+    with pytest.raises(InstanceFormatError, match="non-finite"):
+        FiniteMetricGraph.from_coords(pts, metric=metric)
+
+
+def triangle_error(d: np.ndarray):
+    """The InstanceFormatError message of a table space built on d, or None."""
+    ids = [f"p{i}" for i in range(len(d))]
+    try:
+        FiniteMetricGraph.from_table(ids, dict.fromkeys(ids, "AB"), d, auto_loops=True)
+    except InstanceFormatError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_triangle_error(d: np.ndarray):
+    witness = oracle_triangle(d)
+    if witness is None:
+        return None
+    i, k, j = witness
+    return (f"triangle inequality fails for (p{i}, p{k}, p{j}): "
+            f"{d[i, j]} > {d[i, k]} + {d[k, j]}")
+
+
+def random_metric_table(rng, n):
+    pts = rng.uniform(0.0, 10.0, (n, 2))
+    return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_triangle_witness_is_the_per_k_loops(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    d = random_metric_table(rng, n)
+    i, k, j = rng.choice(n, 3, replace=False)
+    # planted just past, at or well past the tolerance, on both halves of the pair
+    scale = max(1.0, float(d.max()))
+    excess = TOL_METRIC * scale * rng.choice([0.5, 1.0, 1.0 + 1e-6, 2.0, 1e6])
+    d[i, j] = d[j, i] = d[i, k] + d[k, j] + excess
+    assert triangle_error(d) == oracle_triangle_error(d)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_triangle_witness_on_tables_asymmetric_within_tolerance(seed):
+    # collinear points in [0, 1] make every triangle tight, so the noise on
+    # each half of a pair, inside the symmetry tolerance, fails about 4 in 5
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    d = np.abs(x[:, None] - x[None, :]) + rng.uniform(-0.45, 0.45, (n, n)) * TOL_METRIC
+    np.fill_diagonal(d, 0.0)
+    d = np.abs(d)
+    assert triangle_error(d) == oracle_triangle_error(d)
+
+
+@pytest.mark.parametrize("N", [8, 36, 64])
+def test_ex22_tables_pass_the_triangle_loop(N):
+    d = np.array(build("ex22_kappa", N=N).space.dist)
+    assert oracle_triangle(d) is None and triangle_error(d) is None
+
+
+def digraph_space(rng, n, density):
+    """A space on the discrete metric whose ids sort apart from their order,
+    with random sides and each non-loop edge present with probability density."""
+    ids = [f"p{i}" for i in rng.permutation(n)]
+    side = dict(zip(ids, rng.choice(["A", "B", "AB"], n)))
+    edges = [(x, y) for x in ids for y in ids if x != y and rng.random() < density]
+    table = 1.0 - np.eye(n)
+    return FiniteMetricGraph.from_table(ids, side, table, edges, auto_loops=True)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.9, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_property_star_matches_the_scalar_loop(seed, density):
+    rng = np.random.default_rng(seed)
+    space = digraph_space(rng, int(rng.integers(1, 30)), density)
+    a, b = sides(space)
+    subsets = [None, space.ids, a, b, ()]
+    for _ in range(3):
+        subsets.append(tuple(rng.choice(space.ids, int(rng.integers(1, len(space.ids) + 1)))))
+    subsets.append(subsets[-1] + ("ghost",))
+    for within in subsets:
+        nodes = space.ids if within is None else within
+        assert metric_graph._property_star(space, nodes) == oracle_property_star(space, within)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_property_star_finds_the_least_miss_past_the_first_block(seed):
+    # a complete digraph on 70 points has 343000 2-paths, 4900 from each x
+    # and so about 13 x per block; the shortcut goes missing from the 41st x on
+    rng = np.random.default_rng(seed)
+    space = digraph_space(rng, 70, 1.0)
+    ranked = sorted(space.ids)
+    x, z = ranked[40 + 7 * seed], ranked[int(rng.integers(0, 40))]
+    space = FiniteMetricGraph.from_table(space.ids, space.side, space.dist,
+                                         space.edges - {(x, z)})
+    for within in (None, space.side_a()):
+        nodes = space.ids if within is None else within
+        assert metric_graph._property_star(space, nodes) == oracle_property_star(space, within)
+
+
+def test_property_star_joins_in_bounded_memory():
+    n = 200
+    ids = [f"p{i}" for i in range(n)]
+    space = FiniteMetricGraph.from_table(ids, dict.fromkeys(ids, "AB"), 1.0 - np.eye(n),
+                                         [(x, y) for x in ids for y in ids])
+    space._adjacency()
+    tracemalloc.start()
+    try:
+        result = metric_graph._property_star(space, space.ids)  # 8 M 2-paths
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == CheckResult(True)
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("entry", [True, False, "1.5", b"1.5", np.str_("1.5")],
+                         ids=["true", "false", "str", "bytes", "numpy_str"])
+def test_coordinates_refuse_what_is_no_number(entry):
+    with pytest.raises(InstanceFormatError, match="list of numbers"):
+        metric_graph._coord_tuple("p", [0.0, entry])
+
+
+def test_coordinates_take_ints_and_numpy_floats():
+    got = metric_graph._coord_tuple("p", [1, np.float64(0.25), 2.5])
+    assert got == (1.0, 0.25, 2.5) and all(type(v) is float for v in got)
 
 
 # ----- immutability -------------------------------------------------------

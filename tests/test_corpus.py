@@ -125,6 +125,14 @@ def test_frozen_structure_counts():
     assert (len(ex41.space.ids), len(ex41.space.edges)) == (13, 169)
 
 
+@pytest.mark.parametrize("depth, n_time", [(2, 8), (6, 64), (20, 64), (20, 1024)])
+def test_ex41_edges_are_the_pairs_under_sup_distance_one(depth, n_time):
+    space = corpus.build_ex41_fixed_point(depth=depth, n_time=n_time).space
+    coords = {p: np.array(space.coords[p]) for p in space.ids}
+    assert space.edges == {(p, q) for p in space.ids for q in space.ids
+                           if float(np.max(np.abs(coords[p] - coords[q]))) < 1.0}
+
+
 def test_pbvp_instance_fields():
     inst = build("ex53_pbvp", n_nodes=101)
     assert inst.grid.n == 101
