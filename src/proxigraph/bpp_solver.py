@@ -2,11 +2,16 @@
 
 A best proximity point of T on side A is an x in A with d(x, Tx) = d(A, B).
 On finite instances the even orbit x, TTx, TTTTx, ... either becomes
-stationary or cycles; the solvers detect both.
+stationary or cycles.  One walk follows every orbit here and in the
+fixed-point solver: it alternates two side tables, (T, T) for a cyclic map,
+and stops at the first even-index point that repeats an earlier one.  Each
+solver reads its answer off that walk, and only the ones that report gaps
+compute distances, each gap only until their stop test passes.
 
 Hypothesis pre-checks (edge transitivity on A, the uniqueness surrogate, seed
 eligibility) are opt-out via check_hypotheses so falsification experiments can
-run on non-conforming instances.
+run on non-conforming instances.  Every function that takes a map checks it
+against the space first; after the first call that check is a memo lookup.
 """
 from __future__ import annotations
 
@@ -49,8 +54,28 @@ class BppResult:
 
 def x_t2_a_set(space: FiniteMetricGraph, tmap: CyclicMapTable) -> frozenset[str]:
     """Points of A carrying an edge to their image under the squared map."""
+    tmap.validate(space)
     return frozenset(x for x in space.side_a()
                      if space.has_edge(x, tmap.twice(x)))
+
+
+def _walk(sides, x0: str, steps: int) -> tuple[list[str], bool]:
+    """The orbit x0, t1 x0, t2 t1 x0, ... of sides = (t1, t2), t1 read at the
+    even indices and t2 at the odd ones, for at most steps steps.  It stops
+    early at the first even-index point that repeats an earlier one; returns
+    the points and whether it stopped there."""
+    t1, t2 = sides
+    points, seen, y = [x0], {x0}, x0
+    for _ in range(steps // 2):
+        x = t1[y]
+        y = t2[x]
+        points += (x, y)
+        if y in seen:
+            return points, True
+        seen.add(y)
+    if steps > 0 and steps % 2:
+        points.append(t1[y])
+    return points, False
 
 
 def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
@@ -60,27 +85,18 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     require_tol(tol)
     if "A" not in space.side.get(x0, ""):
         raise SideMismatch(f"orbit must start on side A, got {x0!r}")
+    tmap.validate(space)
     d_ab = pair_distance(space).d_ab
-    points = [x0]
+    points, repeat = _walk((tmap.mapping, tmap.mapping), x0, max_iter)
     gaps: list[float] = []
-    seen_even = {x0}
-    reason = "max_iter"
-    cycle_fixed = None
-    for n in range(max_iter):
-        nxt = tmap(points[-1])
-        gaps.append(space.d(points[-1], nxt))
-        points.append(nxt)
+    for x, y in zip(points, points[1:]):
+        gaps.append(space.d(x, y))
         if abs(gaps[-1] - d_ab) <= tol:
-            reason = "converged"
-            break
-        if len(points) % 2 == 1:  # even index n+1: points[2k]
-            if nxt in seen_even:
-                reason = "cycle_detected"
-                cycle_fixed = tmap.twice(nxt) == nxt
-                break
-            seen_even.add(nxt)
-    return OrbitTrace(x0=x0, points=tuple(points), gaps=tuple(gaps),
-                      stop_reason=reason, cycle_is_t2_fixed=cycle_fixed)
+            return OrbitTrace(x0, tuple(points[:len(gaps) + 1]), tuple(gaps), "converged")
+    if repeat:
+        return OrbitTrace(x0, tuple(points), tuple(gaps), "cycle_detected",
+                          tmap.twice(points[-1]) == points[-1])
+    return OrbitTrace(x0, tuple(points), tuple(gaps), "max_iter")
 
 
 def _check_theorem_hypotheses(space, tmap, x0=None):
@@ -91,25 +107,6 @@ def _check_theorem_hypotheses(space, tmap, x0=None):
     if x0 is not None:
         if not space.has_edge(x0, tmap.twice(x0)):
             raise SeedNotEligible("seed in X_T2_A", x0)
-
-
-def _t2_walk(tmap: CyclicMapTable, x0: str, max_iter: int) -> tuple[str, int, str]:
-    """Walk x0, T^2 x0, T^4 x0, ... until it stops; returns (point, steps, stop).
-
-    stop is "settled" when point is a fixed point of T^2, reached in steps
-    steps; "cycle" when point is the first repeat of a nontrivial cycle; and
-    "max_iter" when max_iter steps ran out.
-    """
-    y, seen = x0, {x0}
-    for steps in range(max_iter):
-        z = tmap.twice(y)
-        if z == y:
-            return y, steps, "settled"
-        if z in seen:
-            return z, steps + 1, "cycle"
-        seen.add(z)
-        y = z
-    return y, max_iter, "max_iter"
 
 
 def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
@@ -123,16 +120,19 @@ def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap, x0)
     d_ab = pair_distance(space).d_ab
-    y, iterations, stop = _t2_walk(tmap, x0, max_iter)
-    if stop == "cycle":
-        raise NoConvergence(f"even orbit from {x0!r} entered a nontrivial cycle at {y!r}")
-    if stop == "max_iter":
+    # max_iter squared-map steps; the orbit settles at y when its repeat is T^2 y = y
+    points, repeat = _walk((tmap.mapping, tmap.mapping), x0, 2 * max_iter)
+    if not repeat:
         raise NoConvergence(f"even orbit from {x0!r} did not settle in {max_iter} steps")
-    gap = space.d(y, tmap(y))
+    y, ty = points[-3:-1]
+    if y != points[-1]:
+        raise NoConvergence(
+            f"even orbit from {x0!r} entered a nontrivial cycle at {points[-1]!r}")
+    gap = space.d(y, ty)
     if abs(gap - d_ab) > tol:
         raise NoConvergence(
             f"even orbit settled at {y!r} with gap {gap}, but d(A,B) = {d_ab}")
-    return BppResult(bpp=y, achieved_gap=gap, iterations=iterations,
+    return BppResult(bpp=y, achieved_gap=gap, iterations=(len(points) - 3) // 2,
                      component=component_of(space, x0))
 
 
@@ -140,6 +140,7 @@ def enumerate_bpps(space: FiniteMetricGraph, tmap: CyclicMapTable,
                    tol: float = TOL_BPP) -> frozenset[str]:
     """All best proximity points on side A, by exhaustive scan."""
     require_tol(tol)
+    tmap.validate(space)
     d_ab = pair_distance(space).d_ab
     return frozenset(x for x in space.side_a()
                      if abs(space.d(x, tmap(x)) - d_ab) <= tol)
@@ -149,6 +150,7 @@ def check_cardinality(space: FiniteMetricGraph, tmap: CyclicMapTable,
                       tol: float = TOL_BPP,
                       check_hypotheses: bool = True) -> tuple[int, int, bool]:
     """Compare |BPP set| with the number of weak components meeting side A."""
+    tmap.validate(space)
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap)
     bpps = enumerate_bpps(space, tmap, tol)
@@ -181,6 +183,7 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     A report with disagreeing clauses on a hypothesis-passing instance is a
     falsification event for the equivalence.
     """
+    tmap.validate(space)
     if check_hypotheses:
         require("sharp proximal pair", is_sharp_proximal(space))
         _check_theorem_hypotheses(space, tmap, x0=None)
@@ -193,11 +196,11 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     terminals = set()
     merged = True
     for x in a_nodes:
-        t, _, stop = _t2_walk(tmap, x, max_iter)
-        if stop != "settled":
+        points, repeat = _walk((tmap.mapping, tmap.mapping), x, 2 * max_iter)
+        if not repeat or points[-3] != points[-1]:  # unsettled, as in solve_bpp
             merged = False
             break
-        terminals.add(t)
+        terminals.add(points[-1])
     clause_b = merged and len(terminals) == 1
 
     clause_c = len(enumerate_bpps(space, tmap, tol)) <= 1

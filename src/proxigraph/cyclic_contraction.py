@@ -296,6 +296,7 @@ class CyclicMapTable:
 
 def verify_t2_preserves_edges(space: FiniteMetricGraph, tmap: CyclicMapTable) -> CheckResult:
     """Edges within A must map to edges under the squared map."""
+    tmap.validate(space)
     a = set(space.side_a())
     for x, y in sorted(space.edges):
         if x in a and y in a:

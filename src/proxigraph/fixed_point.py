@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .bpp_solver import OrbitTrace
+from .bpp_solver import OrbitTrace, _walk
 from .cyclic_contraction import (
     GaugeSpec,
     check_side_map,
@@ -262,32 +262,20 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
             raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
         require("property (*) on the union graph", check_property_star(space))
 
-    points = [x0]
+    # a stop test at step max_iter - 1 looks one point ahead
+    points, repeat = _walk((pair.t1, pair.t2), x0, max_iter + 1)
     gaps: list[float] = []
-    seen_even = {x0}
-    reason = "max_iter"
-    for _ in range(max_iter):
-        cur = points[-1]
-        on_a = len(points) % 2 == 1  # even index: a point of A
-        nxt = (pair.t1 if on_a else pair.t2)[cur]
-        gap = space.d(cur, nxt)
-        # on A, gap is d(p, T1 p), the first term of residual(space, pair, p)
-        if on_a and max(gap, space.d(cur, pair.t2[nxt])) <= tol:
-            reason = "converged"
-            break
+    for i in range(min(len(points) - 1, max_iter)):
+        p = points[i]
+        gap = space.d(p, points[i + 1])
+        # at an even index, gap is d(p, T1 p), the first term of residual(space, pair, p)
+        if i % 2 == 0 and gap <= tol and space.d(p, points[i + 2]) <= tol:
+            return p, OrbitTrace(x0=x0, points=tuple(points[:i + 1]), gaps=tuple(gaps),
+                                 stop_reason="converged", cycle_is_t2_fixed=True)
         gaps.append(gap)
-        points.append(nxt)
-        if len(points) % 2 == 1:
-            if points[-1] in seen_even:
-                reason = "cycle_detected"
-                break
-            seen_even.add(points[-1])
-    trace = OrbitTrace(x0=x0, points=tuple(points), gaps=tuple(gaps),
-                       stop_reason=reason,
-                       cycle_is_t2_fixed=(reason == "converged") or None)
-    if reason != "converged":
-        raise NoConvergence(f"alternating orbit from {x0!r} stopped with {reason}")
-    return points[-1], trace
+    # a repeat counts only within the max_iter steps the test looked at
+    reason = "cycle_detected" if repeat and len(points) <= max_iter + 1 else "max_iter"
+    raise NoConvergence(f"alternating orbit from {x0!r} stopped with {reason}")
 
 
 def check_uniqueness_regime(space: FiniteMetricGraph) -> dict[str, bool]:

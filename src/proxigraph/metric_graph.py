@@ -6,14 +6,14 @@ edge set is a set of ordered id pairs; every point must carry its trivial loop.
 
 A space is immutable: its distance array is read-only and its side and
 coordinate maps are read-only views.  What follows from the space alone --
-the side index arrays, the boolean edge-adjacency array, the pair geometry,
-the weak-component labels and the verdicts of the hypothesis predicates -- is
-computed on first use and kept on the space, so solvers that start from many
-seeds pay for it once.  None of it copies the distance array or its A x B
-block.  The same memo holds, for each cyclic map checked against the space
-(maps are read-only too), the map's verdict and its read-only integer image
-array, so a map is checked and indexed once per space; the memo keeps that map
-alive as long as the space.
+the boolean edge-adjacency array, the pair geometry, the weak-component
+labels and the verdicts of the hypothesis predicates -- is computed on first
+use and kept on the space, so solvers that start from many seeds pay for it
+once.  The ids and index arrays of each side are built with the space.  None
+of it copies the distance array or its A x B block.  The same memo holds, for
+each cyclic map checked against the space (maps are read-only too), the map's
+verdict and its read-only integer image array, so a map is checked and indexed
+once per space; the memo keeps that map alive as long as the space.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -105,10 +105,16 @@ class FiniteMetricGraph:
         else:
             dist = _coord_dist(ids, coords, self.metric)
         dist.flags.writeable = False
+        sides = {}  # s -> the ids and the read-only positions of side s, in id order
+        for s in "AB":
+            pos = np.array([i for i, p in enumerate(ids) if s in side[p]], dtype=np.intp)
+            pos.flags.writeable = False
+            sides[s] = tuple(ids[i] for i in pos.tolist()), pos
         for name, value in (("ids", ids), ("side", MappingProxyType(side)),
                             ("dist", dist), ("edges", frozenset(self.edges)),
                             ("coords", MappingProxyType(coords)),
-                            ("index", MappingProxyType(index)), ("_memo", {})):
+                            ("index", MappingProxyType(index)), ("_sides", sides),
+                            ("_memo", {})):
             object.__setattr__(self, name, value)
         self._validate()
 
@@ -208,10 +214,10 @@ class FiniteMetricGraph:
         return float(self.dist[self._i(x), self._i(y)])
 
     def side_a(self) -> tuple[str, ...]:
-        return self._side("A")[0]
+        return self._sides["A"][0]
 
     def side_b(self) -> tuple[str, ...]:
-        return self._side("B")[0]
+        return self._sides["B"][0]
 
     def has_edge(self, x: str, y: str) -> bool:
         return (x, y) in self.edges
@@ -231,13 +237,6 @@ class FiniteMetricGraph:
         except KeyError:
             value = self._memo[key] = compute()
             return value
-
-    def _side(self, s: str) -> tuple[tuple[str, ...], np.ndarray]:
-        """Ids and positions of the points on side s, in id order."""
-        def members():
-            pos = [i for i, p in enumerate(self.ids) if s in self.side[p]]
-            return tuple(self.ids[i] for i in pos), np.array(pos, dtype=np.intp)
-        return self._cached(("side", s), members)
 
     def _adjacency(self) -> np.ndarray:
         """Read-only boolean n x n array: [i, j] is whether (ids[i], ids[j]) is an edge."""
@@ -368,7 +367,8 @@ def _coord_dist(ids, coords, metric) -> np.ndarray:
             elif metric == "l2":
                 dist[r:r + rows] = np.sqrt((diff ** 2).sum(axis=2))
             else:
-                dist[r:r + rows] = np.abs(diff).max(axis=2)
+                # initial: with no coordinates every point coincides, as under l1 and l2
+                dist[r:r + rows] = np.abs(diff).max(axis=2, initial=0.0)
     return dist
 
 
@@ -380,7 +380,11 @@ def _float_array(values, message: str) -> np.ndarray:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise InstanceFormatError(message) from None
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        # a typed array holds one kind of element: a bool or a string kind is no number
+        if values.dtype.kind in "bUS":
+            raise InstanceFormatError(message)
+    else:
         # np.array took every nesting level of values, so each one iterates
         flat = [values]
         for _ in range(arr.ndim):
@@ -431,7 +435,7 @@ def pair_distance(space: FiniteMetricGraph) -> PairGeometry:
 
 
 def _pair_geometry(space: FiniteMetricGraph) -> PairGeometry:
-    (a, ia), (b, ib) = space._side("A"), space._side("B")
+    (a, ia), (b, ib) = space._sides["A"], space._sides["B"]
     if not a or not b:
         raise EmptySide("pair_distance needs nonempty A and B")
     block = space.dist[np.ix_(ia, ib)]
@@ -448,7 +452,7 @@ def _pair_geometry(space: FiniteMetricGraph) -> PairGeometry:
 
 def _close_block(space: FiniteMetricGraph) -> np.ndarray:
     """A x B mask of the pairs at distance d(A,B), up to TOL_PARALLEL."""
-    ia, ib = space._side("A")[1], space._side("B")[1]
+    ia, ib = space._sides["A"][1], space._sides["B"][1]
     return np.abs(space.dist[np.ix_(ia, ib)] - pair_distance(space).d_ab) <= TOL_PARALLEL
 
 
@@ -575,7 +579,8 @@ def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
     nodes = space.ids if within is None else tuple(within)
     for key, canonical in (("star", space.ids), ("star_A", space.side_a()),
                            ("star_B", space.side_b())):
-        if nodes == canonical:
+        # a side's own tuple is found by identity, not by comparing its ids
+        if nodes is canonical or nodes == canonical:
             return space._cached(key, lambda: _property_star(space, nodes))
     return _property_star(space, nodes)
 

@@ -401,6 +401,20 @@ def test_verify_rejects_malformed_instances(tmp_path, doc):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
+def test_verify_takes_zero_dimension_coordinates_under_every_metric(tmp_path, metric):
+    # no coordinates: every point coincides, as the l1 and l2 sums over none say
+    doc = {"schema": "1", "auto_loops": True, "metric": metric,
+           "points": [{"id": p, "coords": [], "side": s} for p, s in (("a", "A"), ("b", "B"))]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxigraph.cli", "verify", "--instance", str(path)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["d_ab"] == 0.0
+
+
 @pytest.fixture
 def ex41_files(tmp_path):
     inst = build_ex41_fixed_point()

@@ -124,7 +124,7 @@ def oracle_coord_dist(arr: np.ndarray, metric: str) -> np.ndarray:
             return np.abs(diff).sum(axis=2)
         if metric == "l2":
             return np.sqrt((diff ** 2).sum(axis=2))
-        return np.abs(diff).max(axis=2)
+        return np.abs(diff).max(axis=2, initial=0.0)
 
 
 def scipy_components(space, nodes=None) -> set[frozenset[str]]:
@@ -263,7 +263,7 @@ def coord_points(rng, n, dim):
     return arr
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 17, 1024])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9, 17, 1024])
 @pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
 def test_coordinate_distances_are_bit_identical_to_the_broadcast(metric, dim):
     rng = np.random.default_rng(dim)
@@ -407,6 +407,25 @@ def test_property_star_joins_in_bounded_memory():
 def test_coordinates_refuse_what_is_no_number(entry):
     with pytest.raises(InstanceFormatError, match="list of numbers"):
         metric_graph._coord_tuple("p", [0.0, entry])
+
+
+@pytest.mark.parametrize("array", [
+    np.array([["0", "1.5"], ["1.5", "0"]]),
+    np.array([[b"0", b"1.5"], [b"1.5", b"0"]]),
+    np.array([[False, True], [True, False]]),
+    np.array([[0.0, "1.5"], ["1.5", 0.0]], dtype=object),
+], ids=["str", "bytes", "bool", "object"])
+def test_a_table_array_refuses_what_its_nested_lists_refuse(array):
+    for table in (array.tolist(), array):
+        with pytest.raises(InstanceFormatError, match="square array of numbers"):
+            FiniteMetricGraph.from_table(["a", "b"], {"a": "A", "b": "B"}, table)
+
+
+def test_a_table_array_of_floats_or_ints_is_taken_as_is():
+    for table in (np.array([[0.0, 1.5], [1.5, 0.0]]), np.array([[0, 2], [2, 0]]),
+                  np.array([[0.0, 1.5], [1.5, 0.0]], dtype=object)):
+        sp = FiniteMetricGraph.from_table(["a", "b"], {"a": "A", "b": "B"}, table)
+        assert sp.d("a", "b") == float(table[0, 1]) and sp.dist.dtype == float
 
 
 def test_coordinates_take_ints_and_numpy_floats():
