@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -72,9 +73,10 @@ def _json_default(obj):
 
 
 # one violation as json.dumps(indent=2, sort_keys=True) writes its object at
-# depth 3 of a report: an item of contraction.violations
-_ROW = ('\n      {\n        "lhs": %s,\n        "rhs": %s,\n        "x": %s,\n'
-        '        "y": %s\n      }')
+# depth 3 of a report, an item of contraction.violations, and the comma after
+# it: the text before each of its lhs, rhs, x and y values, and after the last
+_ROW = ('\n      {\n        "lhs": ', ',\n        "rhs": ', ',\n        "x": ',
+        ',\n        "y": ', '\n      },')
 
 
 def _json_floats(values) -> list[str]:
@@ -94,9 +96,11 @@ def _violation_rows(rows) -> str:
     x, y, lhs, rhs = zip(*rows)
     ids = set(x).union(y)
     text = dict(zip(ids, map(encode_basestring_ascii, ids)))  # each id written once
-    cells = zip(_json_floats(lhs), _json_floats(rhs),
-                map(text.__getitem__, x), map(text.__getitem__, y))
-    return "[" + ",".join(map(_ROW.__mod__, cells)) + "\n    ]"
+    pieces = zip(repeat(_ROW[0]), _json_floats(lhs), repeat(_ROW[1]), _json_floats(rhs),
+                 repeat(_ROW[2]), map(text.__getitem__, x),
+                 repeat(_ROW[3]), map(text.__getitem__, y), repeat(_ROW[4]))
+    # one join of every piece; the last row's comma is dropped
+    return "[" + "".join(chain.from_iterable(pieces))[:-1] + "\n    ]"
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -114,10 +118,19 @@ def _emit(doc: dict, out: str | None) -> None:
         head, _, tail = text.partition('"violations": []')
         text = head + '"violations": ' + _violation_rows(rows) + tail
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    """text into the file at path.  A path that cannot be written is an input
+    error, as a file that cannot be read is."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_inline(text: str, what: str):
@@ -291,10 +304,8 @@ def _cmd_solve_pbvp(args) -> int:
         "final_increment": report.final_increment,
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("t,u\n")
-            for t, v in zip(grid.nodes, u.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        _write(args.out, "t,u\n" + "".join(f"{t:.17g},{v:.17g}\n"
+                                           for t, v in zip(grid.nodes, u.values)))
     else:
         doc["solution"] = {"t": grid.nodes, "u": u.values}
     _emit(doc, args.report)
@@ -428,17 +439,21 @@ def main(argv=None) -> int:
             return handler(args)
         except ProxigraphError as exc:
             # an input error exits 2; anything raised while a check or solve
-            # is running exits 1 with the witness in the report
-            if exc.slug is None:
-                sys.stderr.write(f"input error: {exc}\n")
-                return 2
-            doc = {"schema": SCHEMA_VERSION, "error": exc.slug, "message": str(exc)}
-            witness = getattr(exc, "witness", None)
-            if witness is not None:
-                doc["witness"] = witness
-            # into the JSON report: solve-pbvp's --out is its solution CSV
-            _emit(doc, getattr(args, "report", args.out))
-            return 1
+            # is running exits 1 with the witness in the report, unless the
+            # report cannot be written
+            if exc.slug is not None:
+                doc = {"schema": SCHEMA_VERSION, "error": exc.slug, "message": str(exc)}
+                witness = getattr(exc, "witness", None)
+                if witness is not None:
+                    doc["witness"] = witness
+                try:
+                    # into the JSON report: solve-pbvp's --out is its solution CSV
+                    _emit(doc, getattr(args, "report", args.out))
+                    return 1
+                except InstanceFormatError as unwritable:
+                    exc = unwritable
+            sys.stderr.write(f"input error: {exc}\n")
+            return 2
 
 
 if __name__ == "__main__":

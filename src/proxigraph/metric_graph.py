@@ -35,7 +35,7 @@ TOL_METRIC = 1e-9       # relative tolerance for triangle-inequality validation
 TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
 
 # elements of a work array built at a time: coordinate differences in
-# _coord_dist, 2-paths in _property_star
+# _coord_dist, 2-path sums in _triangle_fails, 2-paths in _property_star
 _BLOCK = 1 << 16
 
 # what Python or numpy converts to a float but an input document means as no number
@@ -260,27 +260,61 @@ class FiniteMetricGraph:
             raise InstanceFormatError("negative distance in table")
         if np.any(np.abs(np.diag(d)) > 0):
             raise InstanceFormatError("nonzero self-distance in table")
-        if np.any(np.abs(d - d.T) > TOL_METRIC * np.maximum(1.0, np.abs(d))):
+        asym = d - d.T
+        if np.any(np.abs(asym) > TOL_METRIC * np.maximum(1.0, np.abs(d))):
             raise InstanceFormatError("distance table is not symmetric")
-        # a norm-induced distance satisfies the inequality by construction
+        # a norm-induced distance satisfies the inequality by construction; a
+        # table's verdict comes from the min-plus square, and only a failure
+        # pays for the per-k scan that names the first (i, k, j)
         if self.metric == "table":
-            scale = max(1.0, float(d.max())) if n else 1.0
-            tol = TOL_METRIC * scale
-            slack = np.empty_like(d)  # one work buffer, reused for every k
-            for k in range(n):
-                np.add(d[:, k, None], d[k], out=slack)
-                np.subtract(d, slack, out=slack)
-                if slack.max() > tol:
-                    i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-                    raise InstanceFormatError(
-                        f"triangle inequality fails for ({self.ids[i]}, {self.ids[k]}, "
-                        f"{self.ids[j]}): {d[i, j]} > {d[i, k]} + {d[k, j]}")
+            symmetric = not asym.any()
+            del asym  # not held while the triangle check runs
+            tol = TOL_METRIC * (max(1.0, float(d.max())) if n else 1.0)
+            if _triangle_fails(d, tol, symmetric):
+                i, k, j = _triangle_witness(d, tol)
+                raise InstanceFormatError(
+                    f"triangle inequality fails for ({self.ids[i]}, {self.ids[k]}, "
+                    f"{self.ids[j]}): {d[i, j]} > {d[i, k]} + {d[k, j]}")
         for x, y in self.edges:
             if x not in self.index or y not in self.index:
                 raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point")
         for p in self.ids:
             if (p, p) not in self.edges:
                 raise InstanceFormatError(f"missing trivial loop edge on point {p!r}")
+
+
+def _triangle_fails(d, tol, symmetric) -> bool:
+    """Whether some fl(d[i, j] - fl(d[i, k] + d[k, j])) exceeds tol, for a
+    finite table d, decided from rows of the min-plus square M[i, j] =
+    min_k fl(d[i, k] + d[k, j]).  x -> fl(a - x) never increases, so
+    max_k fl(a - s_k) = fl(a - min_k s_k): the verdict is the per-k scan's.
+    When d equals its transpose, M does too, and row i needs only j >= i.
+    Rows go in blocks of about _BLOCK sums, at least one row at a time."""
+    n = len(d)
+    dt = d if symmetric else np.ascontiguousarray(d.T)  # dt[j, k] = d[k, j]
+    i0 = 0
+    while i0 < n:
+        lo = i0 if symmetric else 0
+        i1 = min(n, i0 + max(1, _BLOCK // ((n - lo) * n)))
+        m = (dt[None, lo:, :] + d[i0:i1, None, :]).min(axis=2)
+        if (d[i0:i1, lo:] - m).max() > tol:
+            return True
+        i0 = i1
+    return False
+
+
+def _triangle_witness(d, tol):
+    """The first intermediate point k, in index order, at which some
+    d[i, j] - (d[i, k] + d[k, j]) exceeds tol, as (i, k, j) with the (i, j)
+    of the largest excess; None when there is none."""
+    slack = np.empty_like(d)  # one work buffer, reused for every k
+    for k in range(len(d)):
+        np.add(d[:, k, None], d[k], out=slack)
+        np.subtract(d, slack, out=slack)
+        if slack.max() > tol:
+            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            return int(i), k, int(j)
+    return None
 
 
 def _check_side(s):

@@ -805,3 +805,46 @@ def test_every_error_class_has_an_exit_route(capsys, monkeypatch, klass):
     else:
         assert code == 1 and err == ""
         assert doc["error"] != "violation"
+
+
+@pytest.mark.parametrize("case", [
+    "verify", "verify_violation", "solve-bpp", "solve-bpp_violation", "solve-fixed-point",
+    "solve-pbvp_csv", "solve-pbvp_report", "solve-pbvp_violation", "reproduce",
+    "reproduce_violation"])
+def test_an_unwritable_output_path_is_an_input_error(capsys, tmp_path, ex22_files,
+                                                     ex41_files, monkeypatch, case):
+    # the run itself exits 0, or 1 with its report or violation document,
+    # when the path can be written
+    _, p22 = ex22_files
+    path = str(tmp_path / "no_such_dir" / "out")
+    _, ip, mp, gp = write_instance(tmp_path, "ex33_dyadic_l1", depth=6)
+    pbvp = pbvp_argv()
+    argv = {
+        "verify": verify_argv(p22) + ["--out", path],
+        "verify_violation": verify_argv(p22) + ["--all-pairs", "--out", path],
+        "solve-bpp": ["solve-bpp", "--instance", ip, "--map", mp, "--x0", "a_1",
+                      "--skip-hypothesis-checks", "--out", path],
+        "solve-bpp_violation": ["solve-bpp", "--instance", ip, "--map", mp, "--gauges", gp,
+                                "--x0", "a_1", "--out", path],
+        "solve-fixed-point": fixed_point_argv(ex41_files) + ["--out", path],
+        "solve-pbvp_csv": pbvp + ["--out", path],
+        "solve-pbvp_report": pbvp + ["--report", path],
+        "solve-pbvp_violation": pbvp_argv(h="3.0") + ["--report", path],
+        "reproduce": ["reproduce", "ex22_kappa", "--out", path],
+        "reproduce_violation": ["reproduce", "ex22_kappa", "--out", path],
+    }[case]
+    if case == "reproduce_violation":
+        def fail(example_id, params):
+            raise errors.NoConvergence("stopped")
+        monkeypatch.setattr(cli.corpus, "reproduce", fail)
+    assert_input_error(capsys, argv)
+    assert not (tmp_path / "no_such_dir").exists()
+    writable = argv[:-1] + [str(tmp_path / "out")]
+    assert main(writable) == (1 if "violation" in case else 0)
+    capsys.readouterr()
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_an_unwritable_output_path_is_named_with_its_reason(capsys, tmp_path):
+    assert main(["reproduce", "ex22_kappa", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"input error: cannot write {tmp_path}: Is a directory\n"

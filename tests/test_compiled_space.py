@@ -340,6 +340,60 @@ def test_triangle_witness_on_tables_asymmetric_within_tolerance(seed):
     assert triangle_error(d) == oracle_triangle_error(d)
 
 
+def triangle_table(rng, n, kind):
+    """An n-point table of one of three kinds: exactly symmetric with one
+    planted excess, at or near the tolerance or far past it; or tight
+    (collinear points in [0, 1]) with symmetric noise; or tight with noise on
+    each half of a pair, inside the symmetry tolerance.  An amplitude of 0.3
+    tolerances keeps every triangle inside the tolerance; 0.45 can break one."""
+    if kind == "planted":
+        d = random_metric_table(rng, n)
+        if n >= 3:
+            # past the shortest 2-path from i to j, so the planted excess is the largest
+            i, j = rng.choice(n, 2, replace=False)
+            via = d[i] + d[:, j]
+            via[[i, j]] = np.inf
+            scale = max(1.0, float(d.max()))
+            excess = TOL_METRIC * scale * rng.choice([0.5, 1.0, 1.0 + 1e-6, 2.0, 1e6])
+            d[i, j] = d[j, i] = via.min() + excess
+        return d
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    noise = rng.uniform(-1.0, 1.0, (n, n)) * TOL_METRIC * rng.choice([0.3, 0.45])
+    if kind == "symmetric noise":
+        noise = np.triu(noise, 1) + np.triu(noise, 1).T
+    d = np.abs(np.abs(x[:, None] - x[None, :]) + noise)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+# 37 points: many rows in one block; 256 and 257: a whole block for one row
+@pytest.mark.parametrize("n", [1, 2, 37, 256, 257])
+@given(st.sampled_from(["planted", "symmetric noise", "asymmetric noise"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_min_plus_verdict_is_the_per_k_loops(n, kind, seed):
+    d = triangle_table(np.random.default_rng(seed), n, kind)
+    assert triangle_error(d) == oracle_triangle_error(d)
+
+
+@pytest.mark.parametrize("n", [3, 37, 256, 257])
+def test_a_violation_only_below_the_diagonal_is_found(n):
+    # tight collinear points with noise of 0.1 tolerances on each half of a
+    # pair, and one triangle (n - 1, k, 0) pushed 1.35 tolerances past it
+    # below the diagonal, inside the symmetry tolerance; its mirror
+    # (0, k, n - 1) holds by as much, and every other triangle by at least 0.35
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    d = np.abs(np.abs(x[:, None] - x[None, :]) + rng.uniform(-0.1, 0.1, (n, n)) * TOL_METRIC)
+    k = n // 2
+    for a, b, sign in ((n - 1, 0, 1.0), (n - 1, k, -1.0), (k, 0, -1.0)):
+        d[a, b] = x[a] - x[b] + sign * 0.45 * TOL_METRIC
+        d[b, a] = x[a] - x[b] - sign * 0.45 * TOL_METRIC
+    np.fill_diagonal(d, 0.0)
+    assert oracle_triangle(d) == (n - 1, k, 0)
+    assert triangle_error(d) == oracle_triangle_error(d)
+
+
 @pytest.mark.parametrize("N", [8, 36, 64])
 def test_ex22_tables_pass_the_triangle_loop(N):
     d = np.array(build("ex22_kappa", N=N).space.dist)
