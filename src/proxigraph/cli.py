@@ -137,7 +137,9 @@ def _parse_inline(text: str, what: str):
     """A flag value that is either a JSON document or a plain number."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except RecursionError:
+        raise InstanceFormatError(f"{what} is JSON nested too deeply") from None
+    except ValueError:  # not JSON, or an integer of more digits than Python converts
         try:
             return float(text)
         except ValueError:

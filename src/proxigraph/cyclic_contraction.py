@@ -29,8 +29,8 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
-    _NOT_NUMBERS,
     _check_fields,
+    _float_array,
     _number,
     _params,
     pair_distance,
@@ -121,14 +121,14 @@ class GaugeSpec:
 
 
 def parse_knots(knots, what) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The abscissae and the values of (s, value) knots, as floats.  A JSON
-    boolean or numeric string is no number, though float() takes both."""
+    """The abscissae and the values of (s, value) knots, as floats, each read
+    by metric_graph._float_array's number rule; no knots give two empty tuples."""
     try:
-        pairs = [(float(s), float(v)) for s, v in knots
-                 if not isinstance(s, _NOT_NUMBERS) and not isinstance(v, _NOT_NUMBERS)]
-        if len(pairs) == len(knots):
-            return tuple(s for s, _ in pairs), tuple(v for _, v in pairs)
-    except (TypeError, ValueError):
+        arr = _float_array(knots, "")
+        if arr.shape == (0,) or arr.ndim == 2 and arr.shape[1] == 2:
+            ss, vs = arr.reshape(-1, 2).T.tolist()
+            return tuple(ss), tuple(vs)
+    except InstanceFormatError:
         pass
     raise InstanceFormatError(f"{what} knots must be (s, value) pairs of numbers, got {knots!r}")
 

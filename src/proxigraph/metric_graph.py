@@ -38,8 +38,8 @@ TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
 # _coord_dist, 2-path sums in _triangle_fails, 2-paths in _property_star
 _BLOCK = 1 << 16
 
-# what Python or numpy converts to a float but an input document means as no number
-_NOT_NUMBERS = (str, bytes, bool)
+# what float() or numpy converts (None to nan) but a document means as no number
+_NOT_NUMBERS = (str, bytes, bool, type(None))
 
 _COORD_METRICS = ("l1", "l2", "sup")
 _METRICS = _COORD_METRICS + ("table",)
@@ -98,7 +98,9 @@ class FiniteMetricGraph:
         side = {p: _check_side(self.side.get(p)) for p in ids}
         coords = {p: self.coords.get(p) for p in ids}
         if self.metric == "table":
-            dist = _table_array(self.dist, len(ids))
+            dist = _float_array(self.dist, "distance table must be a square array of numbers")
+            if dist.shape != (len(ids), len(ids)):
+                raise InstanceFormatError("distance table shape does not match point count")
         elif self.dist is not None:
             raise InstanceFormatError(
                 f"metric {self.metric!r} derives distances from coords; pass dist=None")
@@ -184,15 +186,14 @@ class FiniteMetricGraph:
         if not isinstance(edges, list):
             raise InstanceFormatError("'edges' must be a list of id pairs")
         auto_loops = bool(data.get("auto_loops", False))
+        table = None
         if metric == "table":
             table = data.get("dist_table")
             if table is None:
                 raise InstanceFormatError("metric 'table' requires 'dist_table'")
-            return cls.from_table(ids, side, table, edges, auto_loops, coords)
-        if any(coords[p] is None for p in ids):
+        elif any(coords[p] is None for p in ids):
             raise InstanceFormatError(f"metric {metric!r} requires coords on every point")
-        return cls.from_coords([(p, coords[p], side[p]) for p in ids],
-                               metric, edges, auto_loops)
+        return cls(tuple(ids), side, table, _edge_set(ids, edges, auto_loops), coords, metric)
 
     def to_dict(self) -> dict:
         return {
@@ -275,9 +276,10 @@ class FiniteMetricGraph:
                 raise InstanceFormatError(
                     f"triangle inequality fails for ({self.ids[i]}, {self.ids[k]}, "
                     f"{self.ids[j]}): {d[i, j]} > {d[i, k]} + {d[k, j]}")
-        for x, y in self.edges:
-            if x not in self.index or y not in self.index:
-                raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point")
+        unknown = [e for e in self.edges if not (e[0] in self.index and e[1] in self.index)]
+        if unknown:  # named in sorted order: the edge set's own order follows the hash seed
+            x, y = min(unknown)
+            raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point")
         for p in self.ids:
             if (p, p) not in self.edges:
                 raise InstanceFormatError(f"missing trivial loop edge on point {p!r}")
@@ -341,19 +343,21 @@ def read_document(path, allowed, what) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from None
     _check_fields(data, allowed, what)
     return data
 
 
 def _number(value, what) -> float:
-    """A spec parameter as a float; what names it in the error.  A JSON
-    boolean or numeric string is no number, though float() takes both."""
+    """One number of a document as a float; what names it in the error.  This
+    and _float_array hold the one rule for a document's numbers: a JSON
+    boolean, numeric string or null is no number, though float() or numpy
+    converts each, and neither is an integer too large for a float."""
     if not isinstance(value, _NOT_NUMBERS):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise InstanceFormatError(f"{what} must be a number, got {value!r}")
 
@@ -367,15 +371,13 @@ def _params(data: dict, what: str) -> dict:
 
 
 def _coord_tuple(pid, xy) -> tuple[float, ...]:
-    """Coordinates as floats.  A string is malformed, not a sequence of
-    digits, and so are scalars and non-number entries (a JSON boolean too)."""
-    if not isinstance(xy, (str, bytes)):
-        try:
-            vals = tuple(xy)
-            if not _any_not_number(vals):
-                return tuple(map(float, vals))
-        except (TypeError, ValueError):
-            pass
+    """Coordinates as floats: a list of numbers, read by _float_array."""
+    try:
+        arr = _float_array(xy, "")
+        if arr.ndim == 1:
+            return tuple(arr.tolist())
+    except InstanceFormatError:
+        pass
     raise InstanceFormatError(f"coords of point {pid!r} must be a list of numbers, got {xy!r}")
 
 
@@ -408,11 +410,11 @@ def _coord_dist(ids, coords, metric) -> np.ndarray:
 
 def _float_array(values, message: str) -> np.ndarray:
     """values, a number or nested lists of numbers, as a fresh float array;
-    message is the error when they are not.  A JSON boolean is no number,
-    though numpy converts it to one."""
+    message is the error when they are not.  Each number is read by
+    _number's rule, to the same double as float() gives."""
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InstanceFormatError(message) from None
     if isinstance(values, np.ndarray) and values.dtype.kind != "O":
         # a typed array holds one kind of element: a bool or a string kind is no number
@@ -420,27 +422,13 @@ def _float_array(values, message: str) -> np.ndarray:
             raise InstanceFormatError(message)
     else:
         # np.array took every nesting level of values, so each one iterates
-        flat = [values]
-        for _ in range(arr.ndim):
+        flat = values if arr.ndim else [values]
+        for _ in range(arr.ndim - 1):
             flat = chain.from_iterable(flat)
-        if _any_not_number(flat):
-            raise InstanceFormatError(message)
+        for t in set(map(type, flat)):  # one test per distinct type
+            if issubclass(t, _NOT_NUMBERS):
+                raise InstanceFormatError(message)
     return arr
-
-
-def _any_not_number(values) -> bool:
-    """Whether values holds a bool, str or bytes, which Python and numpy
-    convert to floats but a JSON document means as no number; one pass over
-    values, then one test per distinct type."""
-    return any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, values)))
-
-
-def _table_array(table, n: int) -> np.ndarray:
-    """The distance table as a fresh n x n float array."""
-    dist = _float_array(table, "distance table must be a square array of numbers")
-    if dist.shape != (n, n):
-        raise InstanceFormatError("distance table shape does not match point count")
-    return dist
 
 
 def _edge_pair(e) -> tuple[str, str]:

@@ -346,12 +346,14 @@ def make_h(spec, alpha: float | None = None):
     finite alpha taken from the dict itself or from the surrounding solver
     context).
     """
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        v = float(spec)
+    if not isinstance(spec, dict) or "kind" not in spec:
+        try:
+            v = _number(spec, "h")
+        except InstanceFormatError:
+            raise InstanceFormatError(
+                "h spec must be a number or an object with a 'kind'") from None
         _require_positive(v, "h")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InstanceFormatError("h spec must be a number or an object with a 'kind'")
     kind = str(spec["kind"])
     if kind not in H_PARAMS:
         raise InstanceFormatError(f"unknown h kind {kind!r}")

@@ -372,6 +372,8 @@ def test_the_parser_is_built_once_and_bad_arguments_exit_2(capsys):
 TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
               {"id": "b", "coords": [1.0, 0.0], "side": "B"}]
 
+HUGE = 10 ** 400  # a JSON integer too large for a float
+
 
 @pytest.mark.parametrize("doc", [
     {"metric": "l1", "points": TWO_POINTS, "edges": [["a"]]},
@@ -387,8 +389,12 @@ TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
     {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
      "dist_table": [[0, 1.5], ["1.5", 0]]},
     {"metric": "l1", "points": [{"id": "a", "coords": ["1", 0], "side": "A"}, TWO_POINTS[1]]},
+    {"metric": "l1", "points": [{"id": "a", "coords": [HUGE, 0], "side": "A"}, TWO_POINTS[1]]},
+    {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
+     "dist_table": [[0, HUGE], [HUGE, 0]]},
 ], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point", "bool_coords",
-        "bool_table", "string_table", "one_string_in_table", "string_coord_entry"])
+        "bool_table", "string_table", "one_string_in_table", "string_coord_entry",
+        "huge_int_coord", "huge_int_table"])
 def test_verify_rejects_malformed_instances(tmp_path, doc):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
@@ -483,6 +489,8 @@ BAD_GAUGES = {
     "gauge_shift_c_numeric_string": {"kind": "affine_shift", "params": {"c": "0.5"}},
     "gauge_knot_numeric_string": {"kind": "table",
                                   "params": {"knots": [[0.0, 0.0], ["1.0", 0.5]]}},
+    "gauge_c_huge_int": {"kind": "linear", "params": {"c": HUGE}},
+    "gauge_knot_huge_int": {"kind": "table", "params": {"knots": [[0.0, 0.0], [HUGE, 0.5]]}},
 }
 
 
@@ -502,8 +510,10 @@ def test_malformed_gauge_file_is_an_input_error(capsys, tmp_path, ex22_files, na
     {"schema": "1", "kind": "table", "params": {"knots": [[0.0, 0.25], [False, 0.5]]}},
     {"schema": "1", "kind": "constant", "params": {"value": "0.5"}},
     {"schema": "1", "kind": "table", "params": {"knots": [[0.0, 0.25], [1.0, "0.5"]]}},
+    {"schema": "1", "kind": "constant", "params": {"value": HUGE}},
+    {"schema": "1", "kind": "table", "params": {"knots": [[0.0, 0.25], [HUGE, 0.5]]}},
 ], ids=["one_element_knot", "top_level_list", "value_not_a_number", "knot_false",
-        "value_numeric_string", "knot_numeric_string"])
+        "value_numeric_string", "knot_numeric_string", "value_huge_int", "knot_huge_int"])
 def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc):
     psi = tmp_path / "bad_psi.json"
     psi.write_text(json.dumps(doc))
@@ -539,6 +549,10 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--h", '{"kind":"const","value":"1"}'),
     ("--h", '{"kind":"exp_gap","alpha":"3"}'),
     ("--h", '"1.0"'),
+    ("--rhs", f'{{"kind":"linear","a":-1,"b":{HUGE}}}'),
+    ("--rhs", f'{{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,0],[1,{HUGE}]]}}'),
+    ("--h", str(HUGE)),
+    ("--h", "1" * 5000),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
         "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
         "h_alpha_infinite", "h_value_missing", "h_value_negative",
@@ -547,11 +561,42 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
         "h_both_ways", "table_node_true", "table_value_true", "a_numeric_string",
         "c_numeric_string", "table_t_node_numeric_string", "table_s_node_numeric_string",
         "table_value_numeric_string", "h_value_numeric_string", "h_alpha_numeric_string",
-        "h_numeric_string"])
+        "h_numeric_string", "b_huge_int", "table_value_huge_int", "h_huge_int",
+        "h_too_many_digits"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}
     assert_input_error(capsys, ["solve-pbvp"] + [a for kv in argv.items() for a in kv])
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--h", "--rhs"])
+def test_json_nested_too_deeply_is_an_input_error(capsys, tmp_path, flag):
+    # written as raw text: json.dumps of so deep a list recurses too
+    if flag == "--instance":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert_input_error(capsys, ["verify", "--instance", str(path)])
+    else:
+        argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
+                "--w0": "const:-1", flag: "[" * 5000 + "]" * 5000}
+        assert_input_error(capsys, ["solve-pbvp"] + [a for kv in argv.items() for a in kv])
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, ex22_files):
+    _, p = ex22_files
+    bad_edges = tmp_path / "bad_edges.json"
+    bad_edges.write_text(json.dumps({
+        "schema": "1", "auto_loops": True, "metric": "l1", "points": TWO_POINTS,
+        "edges": [["a", "x"], ["y", "b"], ["q", "r"], ["m", "a"]]}))
+    path = os.pathsep.join(q for q in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if q)
+    for argv in (["verify", "--instance", str(bad_edges)], verify_argv(p) + ["--all-pairs"]):
+        seed0, seed1 = [
+            (proc.returncode, proc.stdout, proc.stderr) for proc in (
+                subprocess.run([sys.executable, "-m", "proxigraph.cli", *argv],
+                               capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+                for seed in ("0", "1"))]
+        assert seed0[0] in (1, 2) and seed0 == seed1
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxigraph import (
     FiniteMetricGraph,
@@ -23,8 +24,10 @@ from proxigraph.cyclic_contraction import (
     check_pair,
     eval_gauge,
     kappa,
+    parse_knots,
 )
-from proxigraph.metric_graph import components
+from proxigraph.errors import InstanceFormatError
+from proxigraph.metric_graph import _coord_tuple, _float_array, _number, components
 
 FLOOR = GaugeSpec("floor_fraction", {})
 
@@ -146,3 +149,43 @@ def test_orbits_descend_and_land_on_proximity_points(seed):
         assert res.bpp in bpps
         assert abs(res.achieved_gap - d_ab) <= 1e-9
         assert res.bpp in res.component and seed_pt in res.component
+
+
+# what json.loads can give where a number is due: ints past the float range,
+# floats with inf and nan, and the scalars that are no number
+JSON_SCALARS = st.one_of(
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+
+
+@given(JSON_SCALARS)
+@example(2 ** 1024 - 2 ** 971)  # the largest double
+@example(2 ** 1024 - 2 ** 970)  # rounds to 2 ** 1024: too large for a float
+@example(-(2 ** 1024 - 2 ** 970))
+@example(2 ** 53 + 1)  # rounds to even
+@settings(max_examples=400)
+def test_every_reader_takes_the_same_numbers(x):
+    readers = {
+        "_number": lambda: [_number(x, "x")],
+        "_float_array": lambda: _float_array(x, "x").ravel().tolist(),
+        "_float_array_list": lambda: _float_array([[x]], "x").ravel().tolist(),
+        "_coord_tuple": lambda: list(_coord_tuple("p", [x])),
+        "parse_knots": lambda: [v for column in parse_knots([[x, x]], "x") for v in column],
+    }
+    outcomes = {}
+    for name, read in readers.items():
+        try:
+            got = read()
+        except InstanceFormatError:
+            outcomes[name] = None
+        else:
+            assert got and all(type(v) is float for v in got), name
+            outcomes[name] = {struct.pack("<d", v) for v in got}
+    assert all(v == outcomes["_number"] for v in outcomes.values()), outcomes
+    is_number = type(x) is float or type(x) is int and abs(x) < 2 ** 1024 - 2 ** 970
+    assert (outcomes["_number"] is not None) == is_number
