@@ -71,7 +71,6 @@ from .pbvp import (
     GridFunction,
     RhsFunction,
     TimeGrid,
-    greens_kernel_value,
     is_lower_solution,
     kernel_matrix,
     solve_common_pbvp,

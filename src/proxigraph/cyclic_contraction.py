@@ -7,12 +7,12 @@ checked only for pairs (x, y) in A x B that are edge-eligible: at least one of
 (x, y), (x, Ty), (Ty, x) is an edge.  m(x, y) = max(d(x, Tx), d(y, Ty)).
 
 The floor-fraction gauge needs the reciprocal-bracket index kappa: for
-0 < z < 1, kappa(z) is the unique n + 1 with 1/(n+1) <= z < 1/n.
+0 < z < 1, kappa(z) is the unique n + 1 with 1/(n+1) <= z < 1/n.  All gauge
+arithmetic is `gauge_values`, on an array or one number: `_kappa` is its
+bracket rule, and `_knot_values` its knot rule, which psi tables share.
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -45,6 +45,13 @@ GAUGE_PARAMS = {"linear": {"c"}, "affine_shift": {"c"}, "floor_fraction": set(),
                 "identity": set(), "table": {"knots"}}
 
 
+def _kappa(z):
+    """kappa at every entry of z, 0 < z < 1, as floats: the snapped rule of kappa."""
+    recip = 1.0 / z
+    near = np.rint(recip)  # z < 1, so near >= 1
+    return np.where(np.abs(z - 1.0 / near) <= KAPPA_SNAP, near, np.ceil(recip))
+
+
 def kappa(z: float) -> int:
     """Index of the reciprocal bracket containing z, for z strictly inside (0, 1).
 
@@ -53,11 +60,7 @@ def kappa(z: float) -> int:
     """
     if not 0.0 < z < 1.0:
         raise OutOfDomain(f"kappa needs 0 < z < 1, got {z}")
-    recip = 1.0 / z
-    near = round(recip)
-    if near >= 1 and abs(z - 1.0 / near) <= KAPPA_SNAP:
-        return int(near)
-    return int(math.ceil(recip))
+    return int(_kappa(z))
 
 
 def kappa_total(z: float) -> int:
@@ -87,7 +90,7 @@ class GaugeSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # the parameters are parsed here once; eval_gauge reads _c and _knots
+        # the parameters are parsed here once; gauge_values reads _c and _knots
         if self.kind not in GAUGE_PARAMS:
             raise InstanceFormatError(f"unknown gauge kind {self.kind!r}")
         _check_fields(self.params, GAUGE_PARAMS[self.kind], f"{self.kind} gauge parameter")
@@ -107,7 +110,9 @@ class GaugeSpec:
                 raise InstanceFormatError("table gauge needs at least two knots")
             if sorted(ss) != list(ss) or len(set(ss)) != len(ss):
                 raise InstanceFormatError("table gauge knots must be strictly sorted in s")
-            object.__setattr__(self, "_knots", (ss, vs))
+            knots = np.array((ss, vs))
+            knots.flags.writeable = False
+            object.__setattr__(self, "_knots", knots)
 
     @classmethod
     def from_dict(cls, data) -> "GaugeSpec":
@@ -133,44 +138,27 @@ def parse_knots(knots, what) -> tuple[tuple[float, ...], tuple[float, ...]]:
     raise InstanceFormatError(f"{what} knots must be (s, value) pairs of numbers, got {knots!r}")
 
 
-def interpolate(ss, vs, s: float) -> float:
-    """Piecewise-linear value at s through the knots (ss, vs), ss sorted: on the
-    segment ending at the first knot >= s, or on an end segment extended."""
-    if s <= ss[0]:
-        lo, hi = 0, 1
-    elif s >= ss[-1]:
-        lo, hi = len(ss) - 2, len(ss) - 1
-    else:
-        hi = bisect_left(ss, s)
-        lo = hi - 1
-    t = (s - ss[lo]) / (ss[hi] - ss[lo])
-    return vs[lo] + t * (vs[hi] - vs[lo])
+def _knot_values(ss: np.ndarray, vs: np.ndarray, s):
+    """Piecewise-linear values at s through the knots (ss, vs), ss sorted: on
+    the segment that ends at the first knot >= s, the end segments extended.
+    That segment starts at knot lo, the number of inner knots below s."""
+    lo = np.searchsorted(ss[1:-1], s)
+    t = (s - ss[lo]) / (ss[lo + 1] - ss[lo])
+    return vs[lo] + t * (vs[lo + 1] - vs[lo])
 
 
 def eval_gauge(gauge: GaugeSpec, s: float) -> float:
-    if s < 0:
-        raise OutOfDomain(f"gauges are defined on [0, inf), got {s}")
-    if gauge.kind == "linear":
-        return gauge._c * s
-    if gauge.kind == "affine_shift":
-        return gauge._c + s
-    if gauge.kind == "identity":
-        return s
-    if gauge.kind == "floor_fraction":
-        fl = math.floor(s)
-        frac = s - fl
-        if frac <= KAPPA_SNAP:
-            return float(fl)
-        return float(fl) + frac / kappa(frac)
-    return interpolate(*gauge._knots, s)
+    """The gauge at the one number s."""
+    return float(gauge_values(gauge, s)[0])
 
 
 def gauge_values(gauge: GaugeSpec, s) -> np.ndarray:
-    """eval_gauge at every entry of the array s, bit for bit: each kind runs
-    eval_gauge's own float operations in the same order."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise OutOfDomain(f"gauges are defined on [0, inf), got {float(s[s < 0][0])}")
+    """The gauge at every entry of s, a number or an array of numbers, as an
+    array of at least one dimension.  A float array s is read, not copied."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    inside = (s >= 0.0) & (s < np.inf)
+    if not inside.all():
+        raise OutOfDomain(f"gauges are defined on [0, inf), got {float(s[~inside][0])}")
     if gauge.kind == "linear":
         return gauge._c * s
     if gauge.kind == "affine_shift":
@@ -182,18 +170,9 @@ def gauge_values(gauge: GaugeSpec, s) -> np.ndarray:
         frac = s - out
         inner = frac > KAPPA_SNAP
         z = frac[inner]
-        # kappa(z): the snapped nearest reciprocal, or else the reciprocal's ceiling
-        recip = 1.0 / z
-        near = np.rint(recip)  # round half to even, as Python's round
-        snap = (near >= 1) & (np.abs(z - 1.0 / near) <= KAPPA_SNAP)
-        out[inner] += z / np.where(snap, near, np.ceil(recip))
+        out[inner] += z / _kappa(z)
         return out
-    # interpolate: the segment ending at the first knot >= s, end segments extended
-    ss, vs = (np.array(k) for k in gauge._knots)
-    hi = np.clip(np.searchsorted(ss, s, side="left"), 1, len(ss) - 1)
-    lo = hi - 1
-    t = (s - ss[lo]) / (ss[hi] - ss[lo])
-    return vs[lo] + t * (vs[hi] - vs[lo])
+    return _knot_values(*gauge._knots, s)
 
 
 def verify_gauge_classes(phi1: GaugeSpec, phi2: GaugeSpec, grid) -> CheckResult:

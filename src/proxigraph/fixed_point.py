@@ -15,12 +15,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
+import numpy as np
+
 from .bpp_solver import OrbitTrace, _walk
 from .cyclic_contraction import (
     GaugeSpec,
+    _knot_values,
     check_side_map,
-    eval_gauge,
-    interpolate,
+    gauge_values,
     parse_knots,
 )
 from .errors import (
@@ -53,7 +55,7 @@ class PsiGauge:
     """Non-decreasing rate function [0, inf) -> [0, 1).
 
     kinds: constant (params: value) and table (piecewise linear through sorted
-    knots, clamped at the ends).
+    knots by the table gauges' `_knot_values`, but clamped at the ends).
     """
 
     kind: str
@@ -80,7 +82,9 @@ class PsiGauge:
                 raise InvalidPsi("table psi values must lie in [0, 1)")
             if any(b < a for a, b in zip(vs, vs[1:])):
                 raise InvalidPsi("table psi must be non-decreasing")
-            object.__setattr__(self, "_knots", (ss, vs))
+            knots = np.array((ss, vs))
+            knots.flags.writeable = False
+            object.__setattr__(self, "_knots", knots)
 
     @classmethod
     def constant(cls, value: float) -> "PsiGauge":
@@ -103,11 +107,8 @@ class PsiGauge:
             return self._value
         ss, vs = self._knots
         # clamped at both ends, where the gauge tables extend their end segments
-        if s <= ss[0]:
-            return vs[0]
-        if s >= ss[-1]:
-            return vs[-1]
-        return interpolate(ss, vs, s)
+        at = vs[0] if s <= ss[0] else vs[-1] if s >= ss[-1] else _knot_values(ss, vs, s)
+        return float(at)
 
 
 def psi_from_phi(phi: GaugeSpec, d_ab: float, grid) -> PsiGauge:
@@ -117,22 +118,17 @@ def psi_from_phi(phi: GaugeSpec, d_ab: float, grid) -> PsiGauge:
     values = sorted(set(float(t) for t in grid if t > d_ab))
     if not values:
         raise InvalidPsi("conversion grid needs at least one value above d_ab")
-    knots = []
-    base = eval_gauge(phi, d_ab)
-    for t in values:
-        rate = 1.0 - (eval_gauge(phi, t) - base) / t
-        if not 0.0 <= rate < 1.0:
-            raise InvalidPsi(f"converted rate {rate} at t={t} leaves [0, 1)")
-        knots.append((t, rate))
+    phi_t = gauge_values(phi, [d_ab] + values)
+    rates = 1.0 - (phi_t[1:] - phi_t[0]) / values
+    leaves = ~((rates >= 0.0) & (rates < 1.0))
+    if leaves.any():
+        i = int(np.argmax(leaves))
+        raise InvalidPsi(f"converted rate {rates[i].item()} at t={values[i]} leaves [0, 1)")
     # clamp-extension below the first knot realizes the constant extension
-    if any(b < a - 1e-12 for (_, a), (_, b) in zip(knots, knots[1:])):
+    if np.any(rates[1:] < rates[:-1] - 1e-12):
         raise InvalidPsi("converted rate is not non-decreasing on the grid")
     # repair tiny float dips so the table constructor's monotonicity gate passes
-    fixed = []
-    prev = 0.0
-    for s, v in knots:
-        prev = max(prev, v)
-        fixed.append((s, prev))
+    fixed = list(zip(values, np.maximum.accumulate(rates).tolist()))
     if len(fixed) == 1:
         return PsiGauge.constant(fixed[0][1])
     return PsiGauge("table", {"knots": fixed})

@@ -39,7 +39,7 @@ TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
 _BLOCK = 1 << 16
 
 # what float() or numpy converts (None to nan) but a document means as no number
-_NOT_NUMBERS = (str, bytes, bool, type(None))
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 _COORD_METRICS = ("l1", "l2", "sup")
 _METRICS = _COORD_METRICS + ("table",)
@@ -146,8 +146,9 @@ class FiniteMetricGraph:
     def from_table(cls, ids, side, table, edges=(), auto_loops=True, coords=None):
         ids = tuple(str(p) for p in ids)
         side = {str(p): s for p, s in side.items()}
-        return cls(ids, side, table, _edge_set(ids, edges, auto_loops),
-                   coords or {}, "table")
+        coords = {str(p): None if c is None else _coord_tuple(str(p), c)
+                  for p, c in (coords or {}).items()}
+        return cls(ids, side, table, _edge_set(ids, edges, auto_loops), coords, "table")
 
     @classmethod
     def from_dict(cls, data):

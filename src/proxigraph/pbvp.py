@@ -36,7 +36,6 @@ from .errors import (
     MonotonicityBroken,
     NoConvergence,
     NotLowerSolution,
-    OutOfDomain,
     ParamOutOfRange,
     require_tol,
 )
@@ -109,17 +108,6 @@ class GreensKernel:
     def __post_init__(self):
         _require_positive(self.alpha, "kernel alpha")
         _require_positive(self.period, "kernel period")
-
-
-def greens_kernel_value(kernel: GreensKernel, t: float, s: float) -> float:
-    """Pointwise kernel value; the diagonal uses the left branch."""
-    T = kernel.period
-    if not (0.0 <= t <= T and 0.0 <= s <= T):
-        raise OutOfDomain(f"(t, s) = ({t}, {s}) outside [0, {T}]^2")
-    denom = math.expm1(kernel.alpha * T)
-    if s <= t:
-        return math.exp(kernel.alpha * (T + s - t)) / denom
-    return math.exp(kernel.alpha * (s - t)) / denom
 
 
 def _require_same_period(kernel: GreensKernel, grid: TimeGrid) -> None:
@@ -320,7 +308,10 @@ class RhsFunction:
 
 def _segment(nodes: np.ndarray, x):
     """Clip x to [nodes[0], nodes[-1]]; the index of the segment holding it
-    and its weight within the segment (0 on a segment of zero length)."""
+    and its weight within the segment (0 on a segment of zero length).  This
+    is not the gauges' knot rule, `cyclic_contraction._knot_values`: nodes
+    may repeat, a node starts the segment on its right, and the table rhs
+    output is the (1 - w) weighting of these segments."""
     x = np.clip(x, nodes[0], nodes[-1])
     i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
     w = np.divide(x - nodes[i], nodes[i + 1] - nodes[i], out=np.zeros(np.shape(x)),

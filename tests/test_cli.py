@@ -359,6 +359,18 @@ def test_console_script_smoke():
     assert doc["all_pass"] is True
 
 
+def test_importing_the_package_loads_no_test_dependency():
+    # pyproject.toml promises numpy only; scipy, hypothesis and pytest serve the tests
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, proxigraph, proxigraph.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'hypothesis', 'pytest'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_the_parser_is_built_once_and_bad_arguments_exit_2(capsys):
     assert cli._build_parser() is cli._build_parser()
     for argv in (["verify"], ["no-such-command"], ["reproduce", "ex22_kappa", "--tol", "x"]):

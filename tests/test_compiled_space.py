@@ -482,6 +482,27 @@ def test_a_table_array_of_floats_or_ints_is_taken_as_is():
         assert sp.d("a", "b") == float(table[0, 1]) and sp.dist.dtype == float
 
 
+@pytest.mark.parametrize("read, match", [
+    (lambda v: metric_graph._number(v, "x"), "x must be a number"),
+    (lambda v: metric_graph._float_array([v, 1.0], "no numbers"), "no numbers"),
+    (lambda v: cyclic_contraction.GaugeSpec("linear", {"c": v}), "c must be a number"),
+    (lambda v: cyclic_contraction.parse_knots([[0.0, v], [1.0, 1.0]], "t"), "knots must be"),
+], ids=["_number", "_float_array", "gauge_c", "parse_knots"])
+@pytest.mark.parametrize("entry", [np.True_, np.False_], ids=["true", "false"])
+def test_numpy_booleans_are_no_number(read, match, entry):
+    with pytest.raises(InstanceFormatError, match=match):
+        read(entry)
+
+
+def test_table_space_coords_are_read_by_the_number_rule():
+    args = (["a", "b"], {"a": "A", "b": "B"}, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InstanceFormatError, match="coords of point 'a'"):
+        FiniteMetricGraph.from_table(*args, coords={"a": ("x", True)})
+    sp = FiniteMetricGraph.from_table(*args, coords={"a": [1, np.float64(0.5)], "b": None})
+    assert sp.coords == {"a": (1.0, 0.5), "b": None}
+    assert [p["coords"] for p in sp.to_dict()["points"]] == [[1.0, 0.5], None]
+
+
 def test_coordinates_take_ints_and_numpy_floats():
     got = metric_graph._coord_tuple("p", [1, np.float64(0.25), 2.5])
     assert got == (1.0, 0.25, 2.5) and all(type(v) is float for v in got)

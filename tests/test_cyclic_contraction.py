@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -503,6 +504,77 @@ def test_gauge_values_match_eval_gauge_bit_for_bit(kind):
     assert [v.hex() for v in got.tolist()] == [eval_gauge(g, s).hex() for s in probes]
     with pytest.raises(OutOfDomain):
         gauge_values(g, np.array([0.0, -0.1]))
+
+
+def scalar_kappa(z):
+    """kappa by Python's round and math.ceil, one number at a time."""
+    recip = 1.0 / z
+    near = round(recip)
+    if near >= 1 and abs(z - 1.0 / near) <= KAPPA_SNAP:
+        return int(near)
+    return int(math.ceil(recip))
+
+
+def scalar_gauge(gauge, s):
+    """A gauge at one number by the scalar formulas: math.floor, scalar_kappa,
+    and scan_lookup for a table, each reading the spec's own params."""
+    if gauge.kind == "linear":
+        return float(gauge.params["c"]) * s
+    if gauge.kind == "affine_shift":
+        return float(gauge.params["c"]) + s
+    if gauge.kind == "identity":
+        return s
+    if gauge.kind == "floor_fraction":
+        fl = math.floor(s)
+        frac = s - fl
+        if frac <= KAPPA_SNAP:
+            return float(fl)
+        return float(fl) + frac / scalar_kappa(frac)
+    return scan_lookup(gauge.params["knots"], s)
+
+
+@pytest.mark.parametrize("kind", sorted(GAUGE_PROBES))
+def test_gauge_values_match_the_scalar_formulas_hex_for_hex(kind):
+    g = GAUGE_PROBES[kind]
+    probes = probe_values(kind)
+    want = [scalar_gauge(g, s).hex() for s in probes]
+    assert [v.hex() for v in gauge_values(g, np.array(probes)).tolist()] == want
+    assert [eval_gauge(g, s).hex() for s in probes] == want
+
+
+def test_kappa_matches_the_scalar_rule():
+    rng = np.random.default_rng(3)
+    zs = [z for z in near_bracket_edges() if 0.0 < z < 1.0] + rng.uniform(0.0, 1.0, 500).tolist()
+    assert [kappa(z) for z in zs] == [scalar_kappa(z) for z in zs]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -0.1])
+@pytest.mark.parametrize("kind", sorted(GAUGE_PROBES))
+def test_gauges_are_defined_on_finite_non_negative_numbers(kind, bad):
+    g = GAUGE_PROBES[kind]
+    message = re.escape(f"gauges are defined on [0, inf), got {bad}")
+    with pytest.raises(OutOfDomain, match=message):
+        eval_gauge(g, bad)
+    with pytest.raises(OutOfDomain, match=message):
+        gauge_values(g, np.array([0.5, bad, 2.0]))
+
+
+def test_gauge_values_take_a_number_or_any_array():
+    g = GAUGE_PROBES["table"]
+    assert gauge_values(g, 0.75).shape == (1,)
+    assert gauge_values(g, np.array(0.75)).tolist() == [eval_gauge(g, 0.75)]
+    assert gauge_values(g, [[1, 3]]).tolist() == [[0.7, 2.5]]
+    assert gauge_values(g, np.array([], dtype=float)).shape == (0,)
+    s = np.array([0.25, 1.5])
+    s.flags.writeable = False
+    assert gauge_values(GaugeSpec("identity"), s).flags.writeable  # a fresh output
+
+
+def test_table_knots_are_stored_once_read_only():
+    ss, vs = GAUGE_PROBES["table"]._knots
+    assert ss.tolist() == [s for s, _ in TABLE_KNOTS] and vs.tolist() == [v for _, v in TABLE_KNOTS]
+    with pytest.raises(ValueError):
+        ss[0] = 0.0
 
 
 def scalar_gauge_classes(phi1, phi2, grid):

@@ -17,6 +17,7 @@ from proxigraph import (
     build,
     check_property_star,
     check_uniqueness_regime,
+    eval_gauge,
     psi_from_phi,
     solve_common_fixed_point,
     verify_g_cyclic_contraction,
@@ -28,6 +29,7 @@ from proxigraph.errors import (
     InstanceFormatError,
     InvalidPsi,
     NoConvergence,
+    OutOfDomain,
     ParamOutOfRange,
     SeedNotEligible,
     SideMismatch,
@@ -89,6 +91,110 @@ def test_rate_conversion_rejects_rates_leaving_unit_interval():
     steep = GaugeSpec("table", {"knots": [(0.0, 0.0), (1.0, 2.0)]})
     with pytest.raises(InvalidPsi, match="leaves"):
         psi_from_phi(steep, 0.0, [0.5, 1.0])
+
+
+def scalar_psi(knots, s):
+    """A table psi at one number: clamped at both ends, and between them on
+    the segment that ends at the first knot >= s, found by a linear scan."""
+    ss = [float(a) for a, _ in knots]
+    vs = [float(b) for _, b in knots]
+    if s <= ss[0]:
+        return vs[0]
+    if s >= ss[-1]:
+        return vs[-1]
+    hi = next(i for i, a in enumerate(ss) if a >= s)
+    t = (s - ss[hi - 1]) / (ss[hi] - ss[hi - 1])
+    return vs[hi - 1] + t * (vs[hi] - vs[hi - 1])
+
+
+PSI_TABLES = {
+    "one_knot": [[1.0, 0.3]],
+    "last_knot_lerp_is_off": [[1.0, 0.1], [2.0, 0.45]],
+    "repeated_first_s": [[1.0, 0.2], [1.0, 0.4], [2.0, 0.6]],
+    "repeated_inner_s": [[0.0, 0.1], [1.0, 0.2], [1.0, 0.4], [2.0, 0.6]],
+    "repeated_last_s": [[0.0, 0.1], [2.0, 0.4], [2.0, 0.6]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSI_TABLES))
+def test_psi_table_matches_the_scalar_clamped_lookup(name):
+    knots = PSI_TABLES[name]
+    psi = PsiGauge("table", {"knots": knots})
+    ss = sorted({s for s, _ in knots})
+    probes = ss + [(a + b) / 2 for a, b in zip(ss, ss[1:])] + [0.0, 0.5 * ss[0], ss[-1] + 1.0]
+    probes += [float(np.nextafter(s, d)) for s in ss for d in (0.0, 9.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a segment of zero length
+        got = [psi(s) for s in probes]
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [scalar_psi(knots, s).hex() for s in probes]
+
+
+def test_psi_gives_the_last_knot_value_exactly():
+    psi = PsiGauge("table", {"knots": PSI_TABLES["last_knot_lerp_is_off"]})
+    # the end segment's own formula at its end knot is one ulp off
+    assert 0.1 + 1.0 * (0.45 - 0.1) != 0.45
+    assert (psi(1.0), psi(2.0), psi(9.0)) == (0.1, 0.45, 0.45)
+    ss, vs = psi._knots
+    assert (ss.tolist(), vs.tolist()) == ([1.0, 2.0], [0.1, 0.45])
+    with pytest.raises(ValueError):  # stored once, read-only
+        vs[0] = 0.0
+
+
+def per_t_psi_from_phi(phi, d_ab, grid):
+    """psi_from_phi's knots, or its error, by a loop over t through eval_gauge."""
+    values = sorted(set(float(t) for t in grid if t > d_ab))
+    if not values:
+        return "conversion grid needs at least one value above d_ab"
+    base = eval_gauge(phi, d_ab)
+    knots = []
+    for t in values:
+        rate = 1.0 - (eval_gauge(phi, t) - base) / t
+        if not 0.0 <= rate < 1.0:
+            return f"converted rate {rate} at t={t} leaves [0, 1)"
+        knots.append((t, rate))
+    if any(b < a - 1e-12 for (_, a), (_, b) in zip(knots, knots[1:])):
+        return "converted rate is not non-decreasing on the grid"
+    fixed, prev = [], 0.0
+    for t, rate in knots:
+        prev = max(prev, rate)
+        fixed.append((t, prev))
+    return [(t.hex(), rate.hex()) for t, rate in fixed]
+
+
+def converted(phi, d_ab, grid):
+    """psi_from_phi's knots as hex pairs, or its error message."""
+    try:
+        psi = psi_from_phi(phi, d_ab, grid)
+    except InvalidPsi as exc:
+        return str(exc)
+    if psi.kind == "constant":
+        return [(min(t for t in grid if t > d_ab).hex(), psi.params["value"].hex())]
+    knots = psi.params["knots"]
+    assert type(knots) is list and all(type(k) is tuple for k in knots)
+    return [(t.hex(), rate.hex()) for t, rate in knots]
+
+
+PHI_PROBES = [GaugeSpec("linear", {"c": 0.3}), GaugeSpec("floor_fraction"),
+              GaugeSpec("identity"), GaugeSpec("affine_shift", {"c": 0.25}),
+              GaugeSpec("table", {"knots": [[0.0, 0.0], [1.0, 0.2], [2.0, 0.5], [4.0, 1.5]]})]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_psi_from_phi_matches_the_per_t_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for phi in PHI_PROBES:
+        for d_ab in (0.0, 0.25, 1.0):
+            for n in (1, 2, 5, 40):
+                grid = [d_ab] + rng.uniform(0.0, 4.0, n).tolist()
+                if rng.random() < 0.5:
+                    grid += [1.0 / k for k in range(1, 9)]  # the bracket edges
+                assert converted(phi, d_ab, grid) == per_t_psi_from_phi(phi, d_ab, grid)
+
+
+def test_psi_from_phi_refuses_an_infinite_grid_value():
+    with pytest.raises(OutOfDomain, match=r"got inf"):
+        psi_from_phi(GaugeSpec("linear", {"c": 0.5}), 0.0, [1.0, math.inf])
 
 
 def quarter_chain():

