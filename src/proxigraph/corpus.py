@@ -501,15 +501,13 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
 
     points = [("zero", tuple(0.0 for _ in range(n_time)), "AB")]
     for c in amps:
-        points.append((f"f_{c}", tuple(float(c) * cos_v), "A"))
+        points.append((f"f_{c}", tuple((float(c) * cos_v).tolist()), "A"))
     for c in amps:
-        points.append((f"g_{c}", tuple(float(c) * sin_v), "B"))
+        points.append((f"g_{c}", tuple((float(c) * sin_v).tolist()), "B"))
 
     ids = [p for p, _, _ in points]
-    coords = np.array([xy for _, xy, _ in points])
-    # each row's sup distances to every point in one pass
-    edges = [(p, ids[j]) for p, row in zip(ids, coords)
-             for j in np.flatnonzero(np.abs(row - coords).max(axis=1) < 1.0).tolist()]
+    # the complete graph; the guard below checks that every distance is < 1
+    edges = [(p, q) for p in ids for q in ids]
     space = FiniteMetricGraph.from_coords(points, metric="sup", edges=edges,
                                           auto_loops=True)
 
@@ -522,8 +520,7 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
     pair = PairMaps.for_space(space, t1, t2)
     psi = PsiGauge.constant(0.5)
 
-    _require(len(space.edges) == len(ids) * len(ids),
-             "amplitude cap keeps the graph complete")
+    _require((space.dist < 1.0).all(), "amplitude cap keeps the graph complete")
     _require(bool(check_property_star(space)), "edge transitivity on the union")
     _require(abs(pair_distance(space).d_ab) < 1e-15, "sides meet at the zero profile")
 

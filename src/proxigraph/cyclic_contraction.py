@@ -111,6 +111,8 @@ class GaugeSpec:
             if sorted(ss) != list(ss) or len(set(ss)) != len(ss):
                 raise InstanceFormatError("table gauge knots must be strictly sorted in s")
             knots = np.array((ss, vs))
+            if not np.isfinite(knots).all():  # a NaN value would pass every later bound
+                raise InstanceFormatError("table gauge knots must be finite numbers")
             knots.flags.writeable = False
             object.__setattr__(self, "_knots", knots)
 

@@ -38,6 +38,10 @@ TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
 # _coord_dist, 2-path sums in _triangle_fails, 2-paths in _property_star
 _BLOCK = 1 << 16
 
+# numpy adds fewer terms than this one after another; from this many on, its
+# pairwise summation changes the order
+_IN_ORDER = 8
+
 # what float() or numpy converts (None to nan) but a document means as no number
 _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
@@ -133,12 +137,20 @@ class FiniteMetricGraph:
         """points: iterable of (id, coords, side) triples."""
         if metric not in _COORD_METRICS:
             raise InstanceFormatError(f"metric {metric!r} needs coordinates from l1/l2/sup")
+        points = list(points)
+        try:  # every point's coordinates in one read
+            arr = _float_array([xy for _, xy, _ in points], "")
+        except (InstanceFormatError, TypeError, ValueError):  # or some point is no triple
+            arr = None
+        # without one 2-d read the loop goes point by point, so it raises what
+        # it always raised: on the first bad point, or on mixed dimensions later
+        rows = arr.tolist() if arr is not None and arr.ndim == 2 else None
         ids, side, coords = [], {}, {}
-        for pid, xy, s in points:
+        for i, (pid, xy, s) in enumerate(points):
             pid = str(pid)
             ids.append(pid)
             side[pid] = s
-            coords[pid] = _coord_tuple(pid, xy)
+            coords[pid] = _coord_tuple(pid, xy) if rows is None else tuple(rows[i])
         return cls(tuple(ids), side, None, _edge_set(ids, edges, auto_loops),
                    coords, metric)
 
@@ -256,21 +268,22 @@ class FiniteMetricGraph:
     def _validate(self):
         n = len(self.ids)
         d = self.dist
-        if np.any(~np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise InstanceFormatError("distance table contains non-finite entries")
-        if np.any(d < 0):
+        if (d < 0).any():
             raise InstanceFormatError("negative distance in table")
-        if np.any(np.abs(np.diag(d)) > 0):
+        if np.diag(d).any():  # d is finite: |x| > 0 exactly when x != 0
             raise InstanceFormatError("nonzero self-distance in table")
+        # d >= 0, so |d| is d; an exactly symmetric d passes the tolerance test
         asym = d - d.T
-        if np.any(np.abs(asym) > TOL_METRIC * np.maximum(1.0, np.abs(d))):
+        symmetric = not asym.any()
+        if not symmetric and (np.abs(asym) > TOL_METRIC * np.maximum(d, 1.0)).any():
             raise InstanceFormatError("distance table is not symmetric")
+        del asym  # not held while the triangle check runs
         # a norm-induced distance satisfies the inequality by construction; a
         # table's verdict comes from the min-plus square, and only a failure
         # pays for the per-k scan that names the first (i, k, j)
         if self.metric == "table":
-            symmetric = not asym.any()
-            del asym  # not held while the triangle check runs
             tol = TOL_METRIC * (max(1.0, float(d.max())) if n else 1.0)
             if _triangle_fails(d, tol, symmetric):
                 i, k, j = _triangle_witness(d, tol)
@@ -383,7 +396,12 @@ def _coord_tuple(pid, xy) -> tuple[float, ...]:
 
 
 def _coord_dist(ids, coords, metric) -> np.ndarray:
-    """Pairwise l1, l2 or sup distances between the points' coordinates."""
+    """Pairwise l1, l2 or sup distances between the points' coordinates.
+
+    With 1 to _IN_ORDER - 1 coordinates, _coord_passes makes one n x n pass
+    per coordinate.  With none, or with _IN_ORDER or more (ex41 has 640 to
+    1024), each row block reduces over the coordinate axis: so long an axis
+    keeps numpy's reduction fast, and passes would sum in another order."""
     if any(coords[p] is None for p in ids):
         raise InstanceFormatError(f"metric {metric!r} requires coords on every point")
     if len({len(coords[p]) for p in ids}) > 1:
@@ -393,10 +411,13 @@ def _coord_dist(ids, coords, metric) -> np.ndarray:
     arr = np.array([coords[p] for p in ids], dtype=float)
     n, dim = arr.shape
     dist = np.empty((n, n))
-    # rows of about _BLOCK differences at a time; each distance is the same
-    # reduction over its own dim differences as over the whole n x n x dim array
-    rows = max(1, _BLOCK // max(1, n * dim))
     with np.errstate(over="ignore", invalid="ignore"):  # _validate rejects non-finite
+        if 0 < dim < _IN_ORDER:
+            _coord_passes(arr, metric, dist)
+            return dist
+        # rows of about _BLOCK differences at a time; each distance is the same
+        # reduction over its own dim differences as over the whole n x n x dim array
+        rows = max(1, _BLOCK // max(1, n * dim))
         for r in range(0, n, rows):
             diff = arr[r:r + rows, None, :] - arr[None, :, :]
             if metric == "l1":
@@ -407,6 +428,34 @@ def _coord_dist(ids, coords, metric) -> np.ndarray:
                 # initial: with no coordinates every point coincides, as under l1 and l2
                 dist[r:r + rows] = np.abs(diff).max(axis=2, initial=0.0)
     return dist
+
+
+def _coord_passes(arr, metric, dist):
+    """_coord_dist's distances into dist, for 0 < dim < _IN_ORDER, as one n x n
+    pass per coordinate, in row blocks of about _BLOCK entries: the absolute
+    or squared differences of each coordinate, summed (l1, l2) or maxed (sup)
+    in coordinate order.  numpy's sum adds fewer than _IN_ORDER terms in that
+    same order, so every distance has the bits of the reduction over the
+    coordinate axis."""
+    n = len(arr)
+    cols = arr.T.copy()  # each coordinate contiguous
+    rows = max(1, _BLOCK // n)
+    work = np.empty((min(rows, n), n))
+    for r in range(0, n, rows):
+        out = dist[r:r + rows]
+        for k, col in enumerate(cols):
+            diff = work[:len(out)] if k else out
+            np.subtract(col[r:r + rows, None], col[None, :], out=diff)
+            if metric == "l2":
+                np.multiply(diff, diff, out=diff)
+            else:
+                np.abs(diff, out=diff)
+            if k and metric == "sup":
+                np.maximum(out, diff, out=out)
+            elif k:
+                out += diff
+    if metric == "l2":
+        np.sqrt(dist, out=dist)
 
 
 def _float_array(values, message: str) -> np.ndarray:
@@ -443,7 +492,15 @@ def _edge_pair(e) -> tuple[str, str]:
 
 
 def _edge_set(ids, edges, auto_loops):
-    out = {_edge_pair(e) for e in edges}
+    edges = list(edges)
+    out = None
+    if set(map(type, edges)) <= {tuple, list}:  # no str, bytes or array edge
+        try:
+            out = {(str(x), str(y)) for x, y in edges}
+        except (TypeError, ValueError):
+            pass  # the loop below names the first bad edge
+    if out is None:
+        out = {_edge_pair(e) for e in edges}
     if auto_loops:
         out |= {(p, p) for p in ids}
     return frozenset(out)

@@ -905,3 +905,18 @@ def test_an_unwritable_output_path_is_an_input_error(capsys, tmp_path, ex22_file
 def test_an_unwritable_output_path_is_named_with_its_reason(capsys, tmp_path):
     assert main(["reproduce", "ex22_kappa", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"input error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_a_nan_table_knot_is_an_input_error(capsys, ex22_files, ex41_files, tmp_path):
+    # a NaN phi2 value made every bound false, and verify --all-pairs passed
+    _, p = ex22_files
+    nan_phi2 = {"kind": "table", "params": {"knots": [[0, 0], [1, math.nan], [5, 5]]}}
+    gauges = tmp_path / "nan_gauges.json"
+    gauges.write_text(json.dumps({"schema": "1", "phi1": {"kind": "floor_fraction"},
+                                  "phi2": nan_phi2}))
+    assert_input_error(capsys, ["verify", "--instance", p["instance"], "--map", p["map"],
+                                "--gauges", str(gauges), "--all-pairs"])
+    psi = tmp_path / "nan_psi.json"
+    psi.write_text(json.dumps({"schema": "1", "kind": "table",
+                               "params": {"knots": [[0, 0.1], [math.nan, 0.2], [2, 0.5]]}}))
+    assert_input_error(capsys, fixed_point_argv(dict(ex41_files, psi=str(psi))))

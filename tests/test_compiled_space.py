@@ -288,6 +288,136 @@ def test_coordinate_overflow_is_rejected_in_a_late_block(metric):
         FiniteMetricGraph.from_coords(pts, metric=metric)
 
 
+@pytest.mark.parametrize("dim", [4, 5, 6])
+@pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
+def test_per_coordinate_passes_keep_the_bits_at_dims_4_to_6(metric, dim):
+    rng = np.random.default_rng(100 + dim)
+    # 300 and 600 points: two and three row blocks, the last one partial
+    for n in (1, 3, 37, 300, 600):
+        arr = coord_points(rng, n, dim)
+        arr[0, :] = -0.0
+        ids = tuple(f"p{i}" for i in range(n))
+        coords = dict(zip(ids, map(tuple, arr.tolist())))
+        got = metric_graph._coord_dist(ids, coords, metric)
+        assert np.array_equal(got.view(np.int64), oracle_coord_dist(arr, metric).view(np.int64))
+
+
+# (name, the coords of the second and third points, the error), the first
+# point at (0, 0): each is the message of the per-point read, which names
+# the first bad point
+BAD_COORDS = [
+    ("ragged", [[[1.0], [2.0, 3.0]], [1.0, 2.0]], "coords of point 'p1' must be a list of numbers, got [[1.0], [2.0, 3.0]]"),
+    ("mixed_dimension", [[1.0], [1.0, 2.0, 3.0]], "points have mixed coordinate dimensions"),
+    ("string", ["12", [1.0, 2.0]], "coords of point 'p1' must be a list of numbers, got '12'"),
+    ("strings", [["1", "2"], ["3", "4"]], "coords of point 'p1' must be a list of numbers, got ['1', '2']"),
+    ("bool", [[True, 0.0], True], "coords of point 'p1' must be a list of numbers, got [True, 0.0]"),
+    ("none_entry", [[None, 0.0], [1.0, 2.0]], "coords of point 'p1' must be a list of numbers, got [None, 0.0]"),
+    ("numpy_bool", [np.array([True, False]), np.array([False, True])], "coords of point 'p1' must be a list of numbers, got array([ True, False])"),
+    ("scalar", [5.0, 6.0], "coords of point 'p1' must be a list of numbers, got 5.0"),
+    ("huge_int", [[10**400, 0], [1.0, 2.0]], f"coords of point 'p1' must be a list of numbers, got {[10**400, 0]!r}"),
+]
+
+
+@pytest.mark.parametrize("bad, message", [c[1:] for c in BAD_COORDS],
+                         ids=[c[0] for c in BAD_COORDS])
+def test_malformed_coordinates_name_the_first_bad_point(bad, message):
+    coords = [[0.0, 0.0]] + bad
+    points = [(f"p{i}", xy, "AB") for i, xy in enumerate(coords)]
+    for pts in (points, iter(points)):
+        with pytest.raises(InstanceFormatError) as exc:
+            FiniteMetricGraph.from_coords(pts, metric="l1")
+        assert str(exc.value) == message
+    doc = {"metric": "l1", "auto_loops": True,
+           "points": [{"id": f"p{i}", "coords": xy, "side": "AB"}
+                      for i, xy in enumerate(coords)]}
+    with pytest.raises(InstanceFormatError) as exc:
+        FiniteMetricGraph.from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_none_for_coordinates_in_code_and_in_a_document():
+    points = [("p0", [0.0, 0.0], "AB"), ("p1", None, "AB")]
+    with pytest.raises(InstanceFormatError) as exc:
+        FiniteMetricGraph.from_coords(points, metric="l1")
+    assert str(exc.value) == "coords of point 'p1' must be a list of numbers, got None"
+    doc = {"metric": "l1", "auto_loops": True,
+           "points": [{"id": p, "coords": xy, "side": s} for p, xy, s in points]}
+    with pytest.raises(InstanceFormatError) as exc:
+        FiniteMetricGraph.from_dict(doc)
+    assert str(exc.value) == "metric 'l1' requires coords on every point"
+
+
+@pytest.mark.parametrize("bad", ["ab", b"ab", ["a"], ("a", "b", "c"), 5],
+                         ids=["str", "bytes", "one", "three", "int"])
+def test_malformed_edges_name_the_first_bad_edge(bad):
+    message = f"an edge must be a pair of point ids, got {bad!r}"
+    points = [("a", (0.0,), "A"), ("b", (1.0,), "B")]
+    for edges in ([("a", "b"), bad, ["b"]], [["a", "b"], bad, "ba"]):
+        with pytest.raises(InstanceFormatError) as exc:
+            FiniteMetricGraph.from_coords(points, metric="l1", edges=edges)
+        assert str(exc.value) == message
+        doc = {"metric": "l1", "auto_loops": True, "edges": edges,
+               "points": [{"id": p, "coords": list(xy), "side": s} for p, xy, s in points]}
+        with pytest.raises(InstanceFormatError) as exc:
+            FiniteMetricGraph.from_dict(doc)
+        assert str(exc.value) == message
+
+
+def test_edges_mix_lists_and_tuples_and_come_from_any_iterable():
+    points = [(0, (0.0,), "A"), (1, (1.0,), "B")]
+    want = frozenset({("0", "0"), ("1", "1"), ("0", "1"), ("1", "0")})
+    for edges in ([(0, 1), ["1", 0]], iter([(0, 1), ["1", 0]]), {(0, 1): 1, (1, 0): 2}):
+        assert FiniteMetricGraph.from_coords(points, metric="l1", edges=edges).edges == want
+
+
+def oracle_validate_error(d: np.ndarray):
+    """The message of construction's first failing array check on a table,
+    from the expressions it was first written with, or None."""
+    if np.any(~np.isfinite(d)):
+        return "distance table contains non-finite entries"
+    if np.any(d < 0):
+        return "negative distance in table"
+    if np.any(np.abs(np.diag(d)) > 0):
+        return "nonzero self-distance in table"
+    if np.any(np.abs(d - d.T) > TOL_METRIC * np.maximum(1.0, np.abs(d))):
+        return "distance table is not symmetric"
+    return None
+
+
+def crafted_tables():
+    base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    for name, entries in [
+            ("nan", {(0, 1): np.nan}), ("inf", {(2, 1): np.inf}),
+            ("negative", {(1, 2): -1e-300}), ("negative_zero_diagonal", {(1, 1): -0.0}),
+            # points a and b coincide, at -0.0 one way and 0.0 the other
+            ("negative_zero_entry", {(0, 1): -0.0, (1, 0): 0.0, (1, 2): 2.0, (2, 1): 2.0}),
+            ("subnormal_diagonal", {(2, 2): 5e-324}),
+            ("asymmetric_above", {(2, 0): 2.0 + 2.0 * TOL_METRIC * 1.001}),
+            ("asymmetric_below", {(2, 0): 2.0 + 2.0 * TOL_METRIC * 0.999}),
+            ("asymmetric_small_above", {(1, 0): 1.0 + TOL_METRIC * 1.001}),
+            ("asymmetric_small_below", {(1, 0): 1.0 + TOL_METRIC * 0.999}),
+            # past the tolerance of the smaller entry only, where d - d.T is negative
+            ("asymmetric_past_the_smaller", {(0, 2): 2.001455, (2, 0): 2.001455002001455})]:
+        d = base.copy()
+        for ij, value in entries.items():
+            d[ij] = value
+        yield name, d
+
+
+@pytest.mark.parametrize("name, d", list(crafted_tables()),
+                         ids=[name for name, _ in crafted_tables()])
+def test_table_checks_give_the_verdicts_of_the_first_expressions(name, d):
+    expected = oracle_validate_error(d)
+    assert (expected is None) == name.endswith(("_below", "zero_diagonal", "zero_entry"))
+    ids = ["a", "b", "c"]
+    try:
+        FiniteMetricGraph.from_table(ids, dict.fromkeys(ids, "AB"), d, auto_loops=True)
+        got = None
+    except InstanceFormatError as exc:
+        got = str(exc)
+    assert got == expected
+
+
 def triangle_error(d: np.ndarray):
     """The InstanceFormatError message of a table space built on d, or None."""
     ids = [f"p{i}" for i in range(len(d))]

@@ -453,6 +453,18 @@ def test_table_gauge_rejects_malformed_knots(knots):
         GaugeSpec("table", {"knots": knots})
 
 
+@pytest.mark.parametrize("knots", [
+    [[0.0, 0.0], [1.0, math.nan], [5.0, 5.0]],
+    [[0.0, 0.0], [math.nan, 1.0], [5.0, 5.0]],
+    [[0.0, 0.0], [1.0, math.inf]],
+    [[0.0, 0.0], [math.inf, 1.0]],
+    [[-math.inf, 0.0], [1.0, 1.0]],
+], ids=["nan_value", "nan_s", "inf_value", "inf_s", "minus_inf_s"])
+def test_table_gauge_refuses_knots_that_are_not_finite(knots):
+    with pytest.raises(InstanceFormatError, match="table gauge knots must be finite numbers"):
+        GaugeSpec("table", {"knots": knots})
+
+
 def test_gauge_params_must_be_an_object():
     with pytest.raises(InstanceFormatError, match="params"):
         GaugeSpec.from_dict({"kind": "linear", "params": [0.5]})

@@ -443,3 +443,90 @@ def test_psi_rejects_malformed_parameters(kind, params):
 def test_psi_params_must_be_an_object():
     with pytest.raises(InstanceFormatError, match="params"):
         PsiGauge.from_dict({"kind": "constant", "params": [0.5]})
+
+
+@pytest.mark.parametrize("knots", [
+    [[0.0, 0.1], [math.nan, 0.2], [2.0, 0.5]],
+    [[0.0, 0.1], [math.inf, 0.2]],
+    [[-math.inf, 0.1], [1.0, 0.2]],
+], ids=["nan_s", "inf_s", "minus_inf_s"])
+def test_table_psi_refuses_knots_that_are_not_finite(knots):
+    with pytest.raises(InvalidPsi, match="table psi knots must be finite numbers"):
+        PsiGauge("table", {"knots": knots})
+    # a NaN value is already outside [0, 1)
+    with pytest.raises(InvalidPsi, match=r"values must lie in \[0, 1\)"):
+        PsiGauge("table", {"knots": [[0.0, 0.1], [1.0, math.nan]]})
+
+
+def per_pair_psi_sweep(space, pair, psi, tol, strengthened):
+    """The rate sweep with one psi call per checked pair: the checked count
+    and the sorted rate and edge violations."""
+    checked, viols, edge_viols = 0, [], []
+    for side, ti, tj in ((sorted(space.side_a()), pair.t1, pair.t2),
+                         (sorted(space.side_b()), pair.t2, pair.t1)):
+        for x in side:
+            for y in side if strengthened else (x,):
+                img = ti[y]
+                if not space.has_edge(x, img):
+                    continue
+                lead, nxt = ti[x], tj[img]
+                checked += 1
+                d0 = space.d(x, img)
+                if not space.has_edge(lead, nxt):
+                    edge_viols.append((lead, nxt, f"image pair of ({x}, {y}) is not an edge"))
+                lhs = space.d(lead, nxt)
+                rhs = psi(d0) * d0
+                if lhs > rhs + tol:
+                    viols.append((x, y, lhs, rhs))
+    return checked, sorted(viols), sorted(edge_viols)
+
+
+def sweep_psis(space):
+    """Constant and table rates; the tables have knots at distances of the
+    space, a single knot, and repeated abscissae inside and at an end."""
+    near, mid, far = (space.d("f_1/8", "g_1/16"), space.d("f_1/4", "g_1/8"),
+                      space.d("f_1/2", "g_1/4"))
+    return [
+        PsiGauge.constant(0.5), PsiGauge.constant(0.25),
+        PsiGauge("table", {"knots": [[near, 0.05], [mid, 0.3], [far, 0.45]]}),
+        PsiGauge("table", {"knots": [[mid, 0.2]]}),
+        PsiGauge("table", {"knots": [[0.0, 0.1], [mid, 0.2], [mid, 0.4], [far, 0.6]]}),
+        PsiGauge("table", {"knots": [[near, 0.1], [near, 0.3], [far, 0.35], [far, 0.5]]}),
+    ]
+
+
+def hexed(violations):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in viol) for viol in violations]
+
+
+@pytest.mark.parametrize("strengthened", [False, True], ids=["default", "strengthened"])
+def test_psi_sweep_matches_the_per_pair_loop_hex_for_hex(strengthened):
+    inst = build("ex41_fixed_point", depth=8, n_time=64)
+    found = set()
+    for space in (inst.space, drop_edge(inst.space, ("g_1/4", "f_1/8"))):
+        for psi in sweep_psis(space):
+            for tol in (1e-9, 0.0, -math.inf):
+                rep = verify_g_psi_contraction(space, inst.pair, psi, tol=tol,
+                                               strengthened=strengthened)
+                checked, viols, edge_viols = per_pair_psi_sweep(
+                    space, inst.pair, psi, tol, strengthened)
+                assert rep.checked == checked
+                assert hexed(rep.violations) == hexed(viols)
+                assert list(rep.edge_violations) == edge_viols
+                assert rep.witness == (viols or edge_viols or [None])[0]
+                found.add((bool(viols), bool(edge_viols)))
+    # sweeps that hold, and sweeps with rate violations, edge violations or both
+    assert len(found) == 4
+
+
+def test_psi_rates_are_the_scalar_clamps_and_knot_rule():
+    space = build("ex41_fixed_point", depth=8, n_time=64).space
+    s = np.unique(space.dist)
+    s = np.concatenate([s, (s[:-1] + s[1:]) / 2, [0.0, 10.0]])
+    for psi in sweep_psis(space):
+        want = [psi._value if psi.kind == "constant" else scalar_psi(psi.params["knots"], v)
+                for v in s.tolist()]
+        assert [r.hex() for r in psi.rates(s).tolist()] == [w.hex() for w in want]
+        assert [psi(v) for v in s.tolist()] == want
+    with pytest.raises(InvalidPsi, match=r"defined on \[0, inf\), got -0.5"):
+        sweep_psis(space)[2].rates(np.array([0.0, -0.5, -1.0]))
