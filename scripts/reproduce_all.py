@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every bundled example through the reproduce pipeline and summarize.
 
-Run it with the package importable, for example
-`PYTHONPATH=src python3 scripts/reproduce_all.py`.
+Run it from anywhere, as `python3 scripts/reproduce_all.py`: it imports
+proxigraph from the `src` directory of its own checkout, and so do the
+subprocesses it starts.
 
 Exit status is the number of examples whose expected results did not
 reproduce (0 when everything matches).
@@ -10,17 +11,24 @@ reproduce (0 when everything matches).
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from proxigraph.corpus import EXAMPLE_IDS
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
+
+from proxigraph.corpus import EXAMPLE_IDS  # noqa: E402
 
 
 def main() -> int:
     failures = 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     for example_id in EXAMPLE_IDS:
         cmd = [sys.executable, "-m", "proxigraph.cli", "reproduce", example_id]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         status = "ok" if proc.returncode == 0 else "FAIL"
         detail = ""
         if proc.stdout:

@@ -54,9 +54,10 @@ class BppResult:
 
 def x_t2_a_set(space: FiniteMetricGraph, tmap: CyclicMapTable) -> frozenset[str]:
     """Points of A carrying an edge to their image under the squared map."""
-    tmap.validate(space)
-    return frozenset(x for x in space.side_a()
-                     if space.has_edge(x, tmap.twice(x)))
+    image = tmap.validate(space)
+    a, ia = space._sides["A"]
+    hit = space._adjacency()[ia, image[image[ia]]]
+    return frozenset(x for x, h in zip(a, hit.tolist()) if h)
 
 
 def _walk(sides, x0: str, steps: int) -> tuple[list[str], bool]:
@@ -104,9 +105,8 @@ def _check_theorem_hypotheses(space, tmap, x0=None):
     require("property UC", has_property_uc(space))
     # x0 sits on side A (the callers check), so it lies in X_T2_A exactly
     # when it carries an edge to its image under the squared map
-    if x0 is not None:
-        if not space.has_edge(x0, tmap.twice(x0)):
-            raise SeedNotEligible("seed in X_T2_A", x0)
+    if x0 is not None and not space.has_edge(x0, tmap.twice(x0)):
+        raise SeedNotEligible("seed in X_T2_A", x0)
 
 
 def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,

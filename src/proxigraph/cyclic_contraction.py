@@ -276,15 +276,17 @@ class CyclicMapTable:
 
 
 def verify_t2_preserves_edges(space: FiniteMetricGraph, tmap: CyclicMapTable) -> CheckResult:
-    """Edges within A must map to edges under the squared map."""
-    tmap.validate(space)
-    a = set(space.side_a())
-    for x, y in sorted(space.edges):
-        if x in a and y in a:
-            img = (tmap.twice(x), tmap.twice(y))
-            if img not in space.edges:
-                return CheckResult(False, (x, y, img[0], img[1]))
-    return CheckResult(True)
+    """Edges within A must map to edges under the squared map; the witness
+    is the least failing edge (x, y) in sorted id order, with its image."""
+    image = tmap.validate(space)
+    twice = image[image]
+    x, y = space._edges_within(space.side_a())[1].T
+    bad = ~space._adjacency()[twice[x], twice[y]]
+    if not bad.any():
+        return CheckResult(True)
+    x, y, rank = x[bad], y[bad], space._rank
+    i = int(np.argmin(rank[x] * len(rank) + rank[y]))
+    return CheckResult(False, tuple(space.ids[p] for p in (x[i], y[i], twice[x[i]], twice[y[i]])))
 
 
 # ----- contraction verification ----------------------------------------
@@ -365,12 +367,11 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     image = tmap.validate(space)
     geom = pair_distance(space)
     dist = space.dist
-    a, b = sorted(space.side_a()), sorted(space.side_b())
-    ia = np.array([space.index[x] for x in a], dtype=np.intp)
-    ib = np.array([space.index[y] for y in b], dtype=np.intp)
+    # each side's positions in sorted id order
+    ia, ib = (p[np.argsort(space._rank[p])] for p in (space._sides["A"][1], space._sides["B"][1]))
 
     if all_pairs:
-        eligible = np.ones((len(a), len(b)), dtype=bool)
+        eligible = np.ones((len(ia), len(ib)), dtype=bool)
     else:
         # an edge (x, y), (x, Ty) or (Ty, x)
         edge, tb = space._adjacency(), image[ib]
@@ -390,15 +391,12 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     rhs = _bound(dxy, gauge_values(phi1, dxy), m, gauge_values(phi2, m),
                  _shift_term(phi1, phi2, geom.d_ab))
     bad = lhs > rhs + tol
-    violations = tuple(zip([a[i] for i in rows[bad].tolist()],
-                           [b[j] for j in cols[bad].tolist()],
+    ids = space.ids
+    violations = tuple(zip([ids[i] for i in x[bad].tolist()], [ids[j] for j in y[bad].tolist()],
                            lhs[bad].tolist(), rhs[bad].tolist()))
 
-    a0_ok, a0_witness = True, None
-    for p in sorted(geom.a0):
-        if tmap(p) not in geom.b0:
-            a0_ok, a0_witness = False, (p, tmap(p))
-            break
+    a0_witness = next(((p, tmap(p)) for p in sorted(geom.a0) if tmap(p) not in geom.b0), None)
+    a0_ok = a0_witness is None
 
     return ContractionReport(
         holds=not violations and a0_ok,

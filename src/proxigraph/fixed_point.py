@@ -293,14 +293,8 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
 def check_uniqueness_regime(space: FiniteMetricGraph) -> dict[str, bool]:
     """Graph-side conditions under which the common fixed point is unique:
     overall weak connectivity, or a common in-neighbour for every pair in A."""
-    weakly = is_weakly_connected(space)
-    a = space.side_a()
-    friendship = True
-    for i, x in enumerate(a):
-        for y in a[i:]:
-            if not any(space.has_edge(u, x) and space.has_edge(u, y) for u in a):
-                friendship = False
-                break
-        if not friendship:
-            break
-    return {"weakly_connected": weakly, "weak_friendship": friendship}
+    ia = space._sides["A"][1]
+    into = space._adjacency()[np.ix_(ia, ia)]  # [u, x]: whether u -> x is an edge
+    # x and y have a common in-neighbour in A where (into^T into)[x, y] is true
+    return {"weakly_connected": is_weakly_connected(space),
+            "weak_friendship": bool((into.T @ into).all())}

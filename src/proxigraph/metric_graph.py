@@ -5,15 +5,19 @@ coordinates under a named metric (l1, l2, sup) or from an explicit table.  The
 edge set is a set of ordered id pairs; every point must carry its trivial loop.
 
 A space is immutable: its distance array is read-only and its side and
-coordinate maps are read-only views.  What follows from the space alone --
-the boolean edge-adjacency array, the pair geometry, the weak-component
-labels and the verdicts of the hypothesis predicates -- is computed on first
-use and kept on the space, so solvers that start from many seeds pay for it
-once.  The ids and index arrays of each side are built with the space.  None
-of it copies the distance array or its A x B block.  The same memo holds, for
-each cyclic map checked against the space (maps are read-only too), the map's
-verdict and its read-only integer image array, so a map is checked and indexed
-once per space; the memo keeps that map alive as long as the space.
+coordinate maps are read-only views.  Built with the space are the ids and
+index arrays of each side, the sorted-id rank of each point, and the edges,
+resolved once into a read-only (m, 2) array of positions.  Every graph
+question reads that array, or the boolean adjacency built from it: the weak
+components, property (*), T^2 edge preservation, X_T2_A and the uniqueness
+regime's common in-neighbours.  What else follows from the space alone --
+the adjacency, the pair geometry, the component labels and the verdicts of
+the hypothesis predicates -- is computed on first use and kept on the space,
+so solvers that start from many seeds pay for it once.  None of it copies
+the distance array or its A x B block.  The same memo holds, for each cyclic
+map checked against the space (maps are read-only too), the map's verdict
+and its read-only integer image array, so a map is checked and indexed once
+per space; the memo keeps that map alive as long as the space.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -116,13 +120,16 @@ class FiniteMetricGraph:
             pos = np.array([i for i, p in enumerate(ids) if s in side[p]], dtype=np.intp)
             pos.flags.writeable = False
             sides[s] = tuple(ids[i] for i in pos.tolist()), pos
+        # rank[i] is the place of ids[i] in sorted id order
+        rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+        rank.flags.writeable = False
         for name, value in (("ids", ids), ("side", MappingProxyType(side)),
                             ("dist", dist), ("edges", frozenset(self.edges)),
                             ("coords", MappingProxyType(coords)),
                             ("index", MappingProxyType(index)), ("_sides", sides),
-                            ("_memo", {})):
+                            ("_rank", rank), ("_memo", {})):
             object.__setattr__(self, name, value)
-        self._validate()
+        self._validate(index)
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from plain copies instead
@@ -256,16 +263,22 @@ class FiniteMetricGraph:
         """Read-only boolean n x n array: [i, j] is whether (ids[i], ids[j]) is an edge."""
         def adjacency():
             adj = np.zeros((len(self.ids), len(self.ids)), dtype=bool)
-            rows = [self.index[x] for x, _ in self.edges]
-            cols = [self.index[y] for _, y in self.edges]
-            adj[rows, cols] = True
+            adj[self._edge_pos[:, 0], self._edge_pos[:, 1]] = True
             adj.flags.writeable = False
             return adj
         return self._cached("adjacency", adjacency)
 
+    def _edges_within(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the point ids in nodes, each resolved by _i, and
+        the rows of _edge_pos with both ends among them."""
+        pos = np.fromiter(map(self._i, nodes), dtype=np.intp)
+        inside = np.zeros(len(self.ids), dtype=bool)
+        inside[pos] = True
+        return pos, self._edge_pos[inside[self._edge_pos].all(axis=1)]
+
     # ----- validation ---------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, index):
         n = len(self.ids)
         d = self.dist
         if not np.isfinite(d).all():
@@ -290,13 +303,17 @@ class FiniteMetricGraph:
                 raise InstanceFormatError(
                     f"triangle inequality fails for ({self.ids[i]}, {self.ids[k]}, "
                     f"{self.ids[j]}): {d[i, j]} > {d[i, k]} + {d[k, j]}")
-        unknown = [e for e in self.edges if not (e[0] in self.index and e[1] in self.index)]
-        if unknown:  # named in sorted order: the edge set's own order follows the hash seed
-            x, y = min(unknown)
-            raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point")
+        try:  # both ends of every edge, in the edge set's order, in one pass
+            pos = np.fromiter(map(index.__getitem__, chain.from_iterable(self.edges)),
+                              dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+        except KeyError:  # named in sorted order: the edge set's own order follows the hash seed
+            x, y = min(e for e in self.edges if not (e[0] in index and e[1] in index))
+            raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point") from None
         for p in self.ids:
             if (p, p) not in self.edges:
                 raise InstanceFormatError(f"missing trivial loop edge on point {p!r}")
+        pos.flags.writeable = False
+        object.__setattr__(self, "_edge_pos", pos)
 
 
 def _triangle_fails(d, tol, symmetric) -> bool:
@@ -559,10 +576,8 @@ def is_g_chebyshev(space: FiniteMetricGraph) -> CheckResult:
 
 
 def _g_chebyshev(space):
-    for pair in sorted(pair_distance(space).parallel_pairs):
-        if pair not in space.edges:
-            return CheckResult(False, pair)
-    return CheckResult(True)
+    missing = pair_distance(space).parallel_pairs - space.edges
+    return CheckResult(not missing, min(missing) if missing else None)
 
 
 def has_property_uc(space: FiniteMetricGraph) -> CheckResult:
@@ -588,41 +603,37 @@ def _property_uc(space):
 # ----- graph structure --------------------------------------------------
 
 
-def _undirected_adj(nodes, edges) -> dict[str, set[str]]:
-    """Adjacency of the graph induced on nodes, edge directions forgotten."""
-    adj: dict[str, set[str]] = {p: set() for p in nodes}
-    for x, y in edges:
-        if x in adj and y in adj:
-            adj[x].add(y)
-            adj[y].add(x)
-    return adj
-
-
-def _reach(adj: dict[str, set[str]], start: str) -> set[str]:
-    """Every node reachable from start in adj."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+def _roots(n, ends) -> np.ndarray:
+    """The least point of each of n points' weak component, under the edges
+    in the (m, 2) array ends: each round hooks the larger root of every edge
+    whose ends have two roots under the smaller one, then shortcuts every
+    point to its root (Shiloach and Vishkin's hook and shortcut).  A point
+    never points above itself, so a root is the least point under it."""
+    root = np.arange(n)
+    while True:
+        r = np.sort(root[ends], axis=1)  # each edge's two roots, the smaller first
+        split = r[:, 0] != r[:, 1]
+        if not split.any():
+            return root
+        np.minimum.at(root, r[split, 1], r[split, 0])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def _components(space: FiniteMetricGraph) -> tuple[tuple[frozenset[str], ...], tuple[int, ...]]:
     """Weak components ordered by smallest member id, and the component label
-    of each point in id order, from one pass over the points."""
+    of each point in id order.  The labelling runs on sorted-id ranks, so
+    each component's root is its smallest member."""
     def labels():
-        adj = _undirected_adj(space.ids, space.edges)
-        label: dict[str, int] = {}
-        comps = []
-        for p in sorted(space.ids):
-            if p not in label:
-                comp = frozenset(_reach(adj, p))
-                label.update(dict.fromkeys(comp, len(comps)))
-                comps.append(comp)
-        return tuple(comps), tuple(label[p] for p in space.ids)
+        rank = space._rank
+        roots, label = np.unique(_roots(len(rank), rank[space._edge_pos])[rank],
+                                 return_inverse=True)
+        label = label.tolist()
+        members = [[] for _ in roots]
+        for p, k in zip(space.ids, label):
+            members[k].append(p)
+        return tuple(map(frozenset, members)), tuple(label)
     return space._cached("components", labels)
 
 
@@ -639,13 +650,8 @@ def components(space: FiniteMetricGraph) -> list[frozenset[str]]:
 
 def is_weakly_connected(space: FiniteMetricGraph, within=None) -> bool:
     """Connectivity after symmetrizing edges, optionally on an induced subset."""
-    if within is None:
-        return len(_components(space)[0]) <= 1
-    nodes = tuple(within)
-    if not nodes:
-        return True
-    adj = _undirected_adj(nodes, space.edges)
-    return len(_reach(adj, nodes[0])) == len(adj)
+    pos, ends = space._edges_within(space.ids if within is None else within)
+    return len(np.unique(_roots(len(space.ids), ends)[pos])) <= 1
 
 
 def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
@@ -666,17 +672,15 @@ def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
 
 
 def _property_star(space, nodes):
-    """The lexicographically least (x, y, z) with edges x -> y -> z but no
-    edge x -> z, all three in nodes.  Each edge is an integer key x * n + y
-    over the ranks of the n nodes in sorted id order.  The 2-paths are joined
-    in blocks of about _BLOCK, in the sorted order of (x, y) and then z, and
-    each shortcut x * n + z is looked up among the sorted edge keys; the first
-    block with a miss holds the least."""
-    ranked = sorted(space.index.keys() & set(nodes))
-    rank = dict(zip(ranked, range(len(ranked))))
-    n = len(ranked)
-    keys = np.sort(np.array([rank[x] * n + rank[y] for x, y in space.edges
-                             if x in rank and y in rank], dtype=np.int64))
+    """The lexicographically least (x, y, z) in sorted id order with edges
+    x -> y -> z but no edge x -> z, all three in nodes.  Each edge is an
+    integer key x * n + y over the sorted-id ranks of the n points.  The
+    2-paths are joined in blocks of about _BLOCK, in the sorted order of
+    (x, y) and then z, and each shortcut x * n + z is looked up among the
+    sorted edge keys; the first block with a miss holds the least."""
+    n = len(space.ids)
+    x, y = space._rank[space._edges_within(nodes)[1]].T
+    keys = np.sort(x * n + y)
     src, dst = np.divmod(keys, n)
     out_deg = np.bincount(src, minlength=n)
     paths = out_deg[dst]  # 2-paths x -> y -> z through each edge x -> y
@@ -694,6 +698,7 @@ def _property_star(space, nodes):
         if miss.any():
             i = int(np.argmax(miss))
             e = a + int(np.searchsorted(ends[a:b], done + i, side="right"))
+            ranked = sorted(space.ids)
             return CheckResult(False, (ranked[src[e]], ranked[dst[e]], ranked[dst[z_pos[i]]]))
         a, done = b, int(ends[b - 1])
     return CheckResult(True)

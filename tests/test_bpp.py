@@ -13,11 +13,17 @@ from proxigraph import (
     build,
     check_cardinality,
     check_equivalence_theorem,
+    check_property_star,
     component_of,
+    components,
     enumerate_bpps,
+    has_property_uc,
+    is_g_chebyshev,
+    is_sharp_proximal,
     iterate_orbit,
     solve_bpp,
     verify_g_cyclic_contraction,
+    verify_t2_preserves_edges,
     x_t2_a_set,
 )
 from proxigraph.errors import ParamOutOfRange, SeedNotEligible
@@ -210,3 +216,25 @@ def test_equivalence_sees_a_cycle_as_unsettled():
     phi = build("ex33_dyadic_l1", depth=2).phi1
     rep = check_equivalence_theorem(sp, tmap, phi, phi, check_hypotheses=False)
     assert rep.orbits_merge is False
+
+
+def test_smallest_count_mismatch_keeps_its_answers():
+    # the smallest mismatch between |BPP| and the component count found by
+    # the random search of ROADMAP item 2: two best proximity points in one
+    # weak component, with only G-Chebyshev failing among the checks below.
+    # Frozen as the graph code computes it; it decides nothing about the theorem.
+    pts = [("a0", (0.0, 0.0), "A"), ("a1", (0.0, 1.25), "A"),
+           ("b0", (1.0, 1.0), "B"), ("b1", (1.0, 0.25), "B")]
+    sp = FiniteMetricGraph.from_coords(pts, metric="l1", auto_loops=True,
+                                       edges=[("b0", "b1"), ("b1", "a0"), ("b1", "a1")])
+    tmap = CyclicMapTable.for_space(sp, {"a0": "b1", "a1": "b0", "b0": "a0", "b1": "a0"})
+    assert components(sp) == [frozenset(sp.ids)]
+    assert enumerate_bpps(sp, tmap) == {"a0", "a1"}
+    assert check_cardinality(sp, tmap) == (2, 1, False)
+    cheb = is_g_chebyshev(sp)
+    assert (cheb.ok, cheb.witness) == (False, ("a0", "b1"))
+    for holds in (is_sharp_proximal(sp), has_property_uc(sp),
+                  check_property_star(sp, within=sp.side_a()),
+                  verify_t2_preserves_edges(sp, tmap)):
+        assert holds
+    assert x_t2_a_set(sp, tmap) == {"a0"}

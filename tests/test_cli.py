@@ -350,6 +350,15 @@ def test_reproduce_all_script_passes():
     assert [line.split()[:2] for line in lines] == [[e, "ok"] for e in EXAMPLE_IDS]
 
 
+def test_reproduce_all_script_passes_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_all.py")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
+        [e, "ok"] for e in EXAMPLE_IDS]
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "proxigraph.cli", "reproduce", "ex35_not_bpo"],
@@ -609,6 +618,36 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path, ex22_files):
                                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
                 for seed in ("0", "1"))]
         assert seed0[0] in (1, 2) and seed0 == seed1
+
+
+def test_graph_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
+    # four parallel pairs (ai, bi), none an edge; a chain within A without its
+    # shortcuts; and T^2 = (a0 a2)(a1 a3), which takes two edges of A off the graph
+    points = [{"id": f"{s}{i}", "coords": [float(s == "b"), float(i)], "side": s.upper()}
+              for s in "ab" for i in range(4)]
+    edges = [["a0", "a1"], ["a1", "a2"], ["a2", "a3"], ["a3", "a1"], ["b2", "b0"], ["b0", "b3"]]
+    instance, tmap = tmp_path / "instance.json", tmp_path / "map.json"
+    instance.write_text(json.dumps({"schema": "1", "auto_loops": True, "metric": "l1",
+                                    "points": points, "edges": edges}))
+    tmap.write_text(json.dumps({"map": {**{f"a{i}": f"b{i}" for i in range(4)},
+                                        **{f"b{i}": f"a{(i + 2) % 4}" for i in range(4)}}}))
+    argv = ["verify", "--instance", str(instance), "--map", str(tmap), "--require-predicates"]
+    path = os.pathsep.join(q for q in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if q)
+    seed0, seed1 = [
+        (proc.returncode, proc.stdout, proc.stderr) for proc in (
+            subprocess.run([sys.executable, "-m", "proxigraph.cli", *argv], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+            for seed in ("0", "1"))]
+    assert seed0 == seed1 and seed0[0] == 1
+    report = json.loads(seed0[1])
+    checks = {**report["predicates"], "t2_preserves_edges": report["t2_preserves_edges"]}
+    assert {name: check.get("witness") for name, check in checks.items() if not check["ok"]} == {
+        "g_chebyshev": ["a0", "b0"],
+        "star_union": ["a0", "a1", "a2"],
+        "star_a": ["a0", "a1", "a2"],
+        "star_b": ["b2", "b0", "b3"],
+        "t2_preserves_edges": ["a1", "a2", "a3", "a0"],
+    }
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -38,9 +38,11 @@ from proxigraph import (
     solve_common_fixed_point,
     verify_g_cyclic_contraction,
     verify_g_psi_contraction,
+    verify_t2_preserves_edges,
     x_t2_a_set,
 )
 from proxigraph import cyclic_contraction, fixed_point, metric_graph
+from proxigraph.fixed_point import check_uniqueness_regime
 from proxigraph.corpus import build_random_chain
 from proxigraph.metric_graph import TOL_METRIC, TOL_PARALLEL, CheckResult, PairGeometry
 
@@ -213,6 +215,142 @@ def test_components_match_scipy(space, data):
 def test_chain_components_match_scipy(seed):
     space = build_random_chain(seed).space
     assert set(components(space)) == scipy_components(space)
+
+
+# ----- graph questions against the loops they replaced -----------------------
+
+
+def undirected(nodes, edges) -> dict[str, set[str]]:
+    """Adjacency of the graph induced on nodes, edge directions forgotten."""
+    adj: dict[str, set[str]] = {p: set() for p in nodes}
+    for x, y in edges:
+        if x in adj and y in adj:
+            adj[x].add(y)
+            adj[y].add(x)
+    return adj
+
+
+def reach(adj, start) -> set[str]:
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def oracle_components(space):
+    """The dict-of-sets DFS: components by smallest member id, each point's label."""
+    adj = undirected(space.ids, space.edges)
+    label: dict[str, int] = {}
+    comps = []
+    for p in sorted(space.ids):
+        if p not in label:
+            comp = frozenset(reach(adj, p))
+            label.update(dict.fromkeys(comp, len(comps)))
+            comps.append(comp)
+    return comps, tuple(label[p] for p in space.ids)
+
+
+def oracle_weakly_connected(space, within) -> bool:
+    nodes = tuple(within)
+    if not nodes:
+        return True
+    adj = undirected(nodes, space.edges)
+    return len(reach(adj, nodes[0])) == len(adj)
+
+
+def oracle_t2_preserves_edges(space, tmap) -> CheckResult:
+    """The sorted walk over the edges within A."""
+    a = set(space.side_a())
+    for x, y in sorted(space.edges):
+        if x in a and y in a:
+            img = (tmap.twice(x), tmap.twice(y))
+            if img not in space.edges:
+                return CheckResult(False, (x, y, img[0], img[1]))
+    return CheckResult(True)
+
+
+def oracle_x_t2_a(space, tmap) -> frozenset[str]:
+    return frozenset(x for x in space.side_a() if space.has_edge(x, tmap.twice(x)))
+
+
+def oracle_friendship(space) -> bool:
+    """The triple loop: a common in-neighbour in A for every pair of A."""
+    a = space.side_a()
+    return all(any(space.has_edge(u, x) and space.has_edge(u, y) for u in a)
+               for i, x in enumerate(a) for y in a[i:])
+
+
+@st.composite
+def mapped_digraphs(draw):
+    """A space on the discrete metric, its ids sorting apart from their order,
+    with random sides and edges, a cyclic map, and a subset of its ids.  With
+    `closed` drawn, one point of A gets an edge to every point of A and the
+    edges within A are closed under T^2, so the friendship test and T^2 edge
+    preservation hold; otherwise they mostly fail."""
+    n = draw(st.integers(1, 12))
+    ids = [f"p{i}" for i in draw(st.permutations(range(n)))]
+    sides = draw(st.lists(st.sampled_from(("A", "B", "AB")), min_size=n, max_size=n))
+    if not any("A" in s for s in sides) or not any("B" in s for s in sides):
+        sides[0] = "AB"
+    side = dict(zip(ids, sides))
+    # T sends A into B and B into A, so a point on both sides goes to one on both
+    mapping = {x: draw(st.sampled_from([p for p in ids
+                                        if ("A" not in side[x] or "B" in side[p])
+                                        and ("B" not in side[x] or "A" in side[p])]))
+               for x in ids}
+    edges = set(draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=3 * n)))
+    a = [p for p in ids if "A" in side[p]]
+    if draw(st.booleans()):
+        edges |= {(a[0], x) for x in a}
+        while True:
+            twice = {(mapping[mapping[x]], mapping[mapping[y]])
+                     for x, y in edges if x in a and y in a}
+            if twice <= edges:
+                break
+            edges |= twice
+    space = FiniteMetricGraph.from_table(ids, side, 1.0 - np.eye(n), sorted(edges),
+                                         auto_loops=True)
+    subset = draw(st.lists(st.sampled_from(ids), max_size=n))
+    return space, CyclicMapTable.for_space(space, mapping), subset
+
+
+@given(mapped_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_graph_questions_match_the_loops_they_replaced(case):
+    space, tmap, subset = case
+    comps, labels = oracle_components(space)
+    assert components(space) == comps
+    assert metric_graph._components(space)[1] == labels
+    for p in space.ids:
+        assert component_of(space, p) == comps[labels[space.ids.index(p)]]
+    assert is_weakly_connected(space) == (len(comps) == 1)
+    for within in (subset, space.side_a(), space.side_b(), ()):
+        assert is_weakly_connected(space, within) == oracle_weakly_connected(space, within)
+    assert verify_t2_preserves_edges(space, tmap) == oracle_t2_preserves_edges(space, tmap)
+    assert x_t2_a_set(space, tmap) == oracle_x_t2_a(space, tmap)
+    assert check_uniqueness_regime(space) == {"weakly_connected": len(comps) == 1,
+                                             "weak_friendship": oracle_friendship(space)}
+
+
+def test_the_reference_loops_see_both_verdicts():
+    # one space where T^2 edge preservation and the friendship test fail, and
+    # one where they hold, so the comparison above covers both answers
+    ids = ["a0", "a1", "a2", "b0", "b1"]
+    side = {"a0": "A", "a1": "A", "a2": "A", "b0": "B", "b1": "B"}
+    # T^2 swaps a0 and a1 and sends a2 to a0
+    mapping = {"a0": "b0", "a1": "b1", "a2": "b1", "b0": "a1", "b1": "a0"}
+    for edges, holds in (([("a0", "a2")], False),
+                         ([("a1", "a0"), ("a1", "a2"), ("a0", "a1")], True)):
+        space = FiniteMetricGraph.from_table(ids, side, 1.0 - np.eye(5), edges)
+        tmap = CyclicMapTable.for_space(space, mapping)
+        assert bool(verify_t2_preserves_edges(space, tmap)) is holds
+        assert check_uniqueness_regime(space)["weak_friendship"] is holds
+        assert oracle_t2_preserves_edges(space, tmap) == verify_t2_preserves_edges(space, tmap)
+        assert oracle_friendship(space) is holds
 
 
 # ----- coordinate metrics need no triangle loop ---------------------------
@@ -549,10 +687,11 @@ def test_property_star_matches_the_scalar_loop(seed, density):
     subsets = [None, space.ids, a, b, ()]
     for _ in range(3):
         subsets.append(tuple(rng.choice(space.ids, int(rng.integers(1, len(space.ids) + 1)))))
-    subsets.append(subsets[-1] + ("ghost",))
     for within in subsets:
         nodes = space.ids if within is None else within
         assert metric_graph._property_star(space, nodes) == oracle_property_star(space, within)
+    with pytest.raises(UnknownPoint, match="unknown point id 'ghost'"):
+        check_property_star(space, subsets[-1] + ("ghost",))
 
 
 @pytest.mark.parametrize("seed", range(4))

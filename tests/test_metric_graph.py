@@ -21,6 +21,7 @@ from proxigraph import (
     is_weakly_connected,
     pair_distance,
 )
+from proxigraph.corpus import build_random_chain
 from proxigraph.errors import UnknownField
 
 
@@ -199,3 +200,16 @@ def test_unknown_fields_warn_or_reject():
         warnings.simplefilter("error", UnknownField)
         with pytest.raises(InstanceFormatError, match="flavor"):
             FiniteMetricGraph.from_dict(doc)
+
+
+def test_is_weakly_connected_refuses_an_unknown_id_in_within():
+    sp = build_random_chain(3).space
+    with pytest.raises(UnknownPoint, match="^unknown point id 'ghost'$"):
+        is_weakly_connected(sp, within=["a0_0", "ghost"])
+
+
+def test_check_property_star_refuses_an_unknown_id_in_within():
+    sp = build_random_chain(3).space
+    assert check_property_star(sp, within=sp.side_a())
+    with pytest.raises(UnknownPoint, match="^unknown point id 'ghost'$"):
+        check_property_star(sp, within=list(sp.side_a()) + ["ghost"])
