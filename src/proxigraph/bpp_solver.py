@@ -11,11 +11,15 @@ compute distances, each gap only until their stop test passes.
 Hypothesis pre-checks (edge transitivity on A, the uniqueness surrogate, seed
 eligibility) are opt-out via check_hypotheses so falsification experiments can
 run on non-conforming instances.  Every function that takes a map checks it
-against the space first; after the first call that check is a memo lookup.
+against the space first; after the first call that check is a memo lookup,
+which also returns the map's image array.  `enumerate_bpps` reads d(x, Tx)
+off the distance array at that array, and the seed gate reads the X_T2_A
+set that `x_t2_a_set` keeps on the space.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .cyclic_contraction import CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
 from .errors import NoConvergence, SeedNotEligible, SideMismatch, require, require_tol
@@ -53,11 +57,13 @@ class BppResult:
 
 
 def x_t2_a_set(space: FiniteMetricGraph, tmap: CyclicMapTable) -> frozenset[str]:
-    """Points of A carrying an edge to their image under the squared map."""
-    image = tmap.validate(space)
-    a, ia = space._sides["A"]
-    hit = space._adjacency()[ia, image[image[ia]]]
-    return frozenset(x for x, h in zip(a, hit.tolist()) if h)
+    """Points of A carrying an edge to their image under the squared map,
+    read off the adjacency at the map's image array; kept on the space."""
+    def points():
+        image = tmap.validate(space)
+        a, ia = space._sides["A"]
+        return frozenset(compress(a, space._adjacency()[ia, image[image[ia]]].tolist()))
+    return space._cached(("x_t2_a", tmap), points)
 
 
 def _walk(sides, x0: str, steps: int) -> tuple[list[str], bool]:
@@ -103,9 +109,7 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
 def _check_theorem_hypotheses(space, tmap, x0=None):
     require("property (*) on side A", check_property_star(space, within=space.side_a()))
     require("property UC", has_property_uc(space))
-    # x0 sits on side A (the callers check), so it lies in X_T2_A exactly
-    # when it carries an edge to its image under the squared map
-    if x0 is not None and not space.has_edge(x0, tmap.twice(x0)):
+    if x0 is not None and x0 not in x_t2_a_set(space, tmap):
         raise SeedNotEligible("seed in X_T2_A", x0)
 
 
@@ -140,10 +144,10 @@ def enumerate_bpps(space: FiniteMetricGraph, tmap: CyclicMapTable,
                    tol: float = TOL_BPP) -> frozenset[str]:
     """All best proximity points on side A, by exhaustive scan."""
     require_tol(tol)
-    tmap.validate(space)
-    d_ab = pair_distance(space).d_ab
-    return frozenset(x for x in space.side_a()
-                     if abs(space.d(x, tmap(x)) - d_ab) <= tol)
+    image = tmap.validate(space)
+    a, ia = space._sides["A"]
+    excess = space.dist[ia, image[ia]] - pair_distance(space).d_ab  # d(x, Tx) - d(A,B)
+    return frozenset(compress(a, (abs(excess) <= tol).tolist()))
 
 
 def check_cardinality(space: FiniteMetricGraph, tmap: CyclicMapTable,

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import corpus
+from . import bpp_solver, corpus, cyclic_contraction, fixed_point, pbvp
 from .bpp_solver import iterate_orbit, solve_bpp
 from .cyclic_contraction import (
     CyclicMapTable,
@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep every cross pair instead of edge-eligible ones")
     p.add_argument("--require-predicates", action="store_true",
                    help="exit 1 unless every hypothesis predicate holds")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=cyclic_contraction.TOL_INEQ,
                    help="slack allowed when comparing the two sides; 0 allows none")
     common(p)
 
@@ -374,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--gauges", default=None)
     p.add_argument("--x0", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=bpp_solver.TOL_BPP)
+    p.add_argument("--max-iter", type=int, default=bpp_solver.MAX_ITER)
     p.add_argument("--skip-hypothesis-checks", action="store_true")
     common(p)
 
@@ -386,8 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=fixed_point.TOL_FIX)
+    p.add_argument("--max-iter", type=int, default=fixed_point.MAX_ITER)
     p.add_argument("--strengthened", action="store_true",
                    help="pre-verify the rate bound over ordered pairs")
     p.add_argument("--skip-hypothesis-checks", action="store_true")
@@ -404,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--N", type=int, default=201)
     p.add_argument("--w0", default="const:0", help="initial iterate, const:VALUE")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=pbvp.TOL_PBVP)
+    p.add_argument("--max-iter", type=int, default=pbvp.MAX_ITER)
     p.add_argument("--skip-lower-check", action="store_true")
     p.add_argument("--out", default=None, help="write the solution CSV here")
     p.add_argument("--report", default=None,

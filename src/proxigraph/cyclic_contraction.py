@@ -231,6 +231,16 @@ def check_side_map(space: FiniteMetricGraph, name: str, table: Mapping[str, str]
             raise InstanceFormatError(f"{name} has an entry for {key!r}, which is no point{where}")
 
 
+def _image_array(space: FiniteMetricGraph, table: Mapping[str, str]) -> np.ndarray:
+    """The read-only position of table[p] at the position of each point p of
+    space that table maps, for a table check_side_map has passed; elsewhere
+    len(space.ids), which indexes no array of the space, so a stray read raises."""
+    n = len(space.ids)
+    image = np.fromiter((space.index.get(table.get(p), n) for p in space.ids), np.intp, n)
+    image.flags.writeable = False
+    return image
+
+
 @dataclass(frozen=True, eq=False)
 class CyclicMapTable:
     """Total self-map table that swaps the two sides: T(A) in B and T(B) in A.
@@ -263,9 +273,7 @@ class CyclicMapTable:
         array there: the read-only position of T(ids[i]) at each position i."""
         def check():
             check_side_map(space, "T", self.mapping, "AB")
-            image = np.array([space.index[self.mapping[p]] for p in space.ids], dtype=np.intp)
-            image.flags.writeable = False
-            return image
+            return _image_array(space, self.mapping)
         return space._cached(("map", self), check)
 
     def __call__(self, x: str) -> str:

@@ -7,7 +7,9 @@ and the stepped pair is again an edge.  The strengthened variant quantifies
 over cross pairs (x, T_i y), which is what uniqueness arguments use.
 
 Common fixed points live in the overlap of the two sides, so instances here
-typically have d(A, B) = 0.
+typically have d(A, B) = 0.  The rate sweep and the seed gate read the
+space's adjacency and distance arrays at the image arrays that
+`PairMaps.validate` returns.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import numpy as np
 from .bpp_solver import OrbitTrace, _walk
 from .cyclic_contraction import (
     GaugeSpec,
+    _image_array,
     _knot_values,
     check_side_map,
     gauge_values,
@@ -174,11 +177,14 @@ class PairMaps:
         pm.validate(space)
         return pm
 
-    def validate(self, space: FiniteMetricGraph):
+    def validate(self, space: FiniteMetricGraph) -> tuple[np.ndarray, np.ndarray]:
+        """Check the pair against space, once per space, and return the image
+        arrays of t1 and t2 there, len(space.ids) off each table's side."""
         def check():
             check_side_map(space, "t1", self.t1, "A")
             check_side_map(space, "t2", self.t2, "B")
-        space._cached(("map", self), check)
+            return _image_array(space, self.t1), _image_array(space, self.t2)
+        return space._cached(("map", self), check)
 
 
 def residual(space: FiniteMetricGraph, pair: PairMaps, p: str) -> float:
@@ -215,40 +221,28 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
     image pair is again an edge.  Strengthened mode quantifies over ordered
     pairs (x, y) on the same side with (x, T_i y) an edge, comparing
     d(T_i x, T_j T_i y) against psi(d(x, T_i y)) * d(x, T_i y); that is the
-    uniqueness-grade condition.
+    uniqueness-grade condition.  Each side is swept in sorted id order.
     """
     require_tol(tol)
-    pair.validate(space)
-    steps: list[tuple[str, str]] = []  # the checked pairs (x, y)
-    d0s: list[float] = []
-    lhss: list[float] = []
-    edge_viols: list[tuple[str, str, str]] = []
-    for side, ti, tj in ((sorted(space.side_a()), pair.t1, pair.t2),
-                         (sorted(space.side_b()), pair.t2, pair.t1)):
-        for x in side:
-            for y in side if strengthened else (x,):
-                img = ti[y]
-                if not space.has_edge(x, img):
-                    continue
-                lead = ti[x]
-                nxt = tj[img]
-                steps.append((x, y))
-                d0s.append(space.d(x, img))
-                if not space.has_edge(lead, nxt):
-                    edge_viols.append((lead, nxt,
-                                       f"image pair of ({x}, {y}) is not an edge"))
-                lhss.append(space.d(lead, nxt))
-    # every checked pair's rate in one call
-    d0 = np.array(d0s, dtype=float)
-    rhs = (psi.rates(d0) * d0).tolist()
-    viols = [(x, y, lhs, r) for (x, y), lhs, r in zip(steps, lhss, rhs) if lhs > r + tol]
-
-    return PsiContractionReport(
-        holds=not viols and not edge_viols,
-        checked=len(steps),
-        violations=tuple(sorted(viols)),
-        edge_violations=tuple(sorted(edge_viols)),
-    )
+    images = pair.validate(space)
+    edge, dist, names = space._adjacency(), space.dist, np.array(space.ids, dtype=object)
+    cols = []  # per side, for each checked pair: x, y, T_i y, T_i x and T_j T_i y
+    for s, ti, tj in (("A", *images), ("B", *images[::-1])):
+        p = space._sides[s][1]
+        p = p[np.argsort(space._rank[p])]
+        x, y = (np.repeat(p, len(p)), np.tile(p, len(p))) if strengthened else (p, p)
+        on = edge[x, ti[y]]  # (x, T_i y) is an edge
+        x, y = x[on], y[on]
+        cols.append((x, y, ti[y], ti[x], tj[ti[y]]))
+    x, y, img, lead, nxt = map(np.concatenate, zip(*cols))
+    d0, lhs = dist[x, img], dist[lead, nxt]
+    rhs = psi.rates(d0) * d0
+    bad, off = lhs > rhs + tol, ~edge[lead, nxt]
+    viols = tuple(sorted(zip(names[x[bad]].tolist(), names[y[bad]].tolist(),
+                             lhs[bad].tolist(), rhs[bad].tolist())))
+    edge_viols = tuple(sorted((u, v, f"image pair of ({i}, {j}) is not an edge") for i, j, u, v
+                              in zip(*(names[c[off]].tolist() for c in (x, y, lead, nxt)))))
+    return PsiContractionReport(not viols and not edge_viols, len(x), viols, edge_viols)
 
 
 def apriori_bound(d0: float, psi_at_d0: float, n: int) -> float:
@@ -266,11 +260,12 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
                              check_hypotheses: bool = True) -> tuple[str, OrbitTrace]:
     """Alternate T1 and T2 from x0 in A until both residuals vanish."""
     require_tol(tol)
-    pair.validate(space)
+    t1 = pair.validate(space)[0]
     if "A" not in space.side.get(x0, ""):
         raise SideMismatch(f"seed must lie on side A, got {x0!r}")
     if check_hypotheses:
-        if not space.has_edge(x0, pair.t1[x0]):
+        i = space.index[x0]
+        if not space._adjacency()[i, t1[i]]:
             raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
         require("property (*) on the union graph", check_property_star(space))
 

@@ -9,14 +9,17 @@ coordinate maps are read-only views.  Built with the space are the ids and
 index arrays of each side, the sorted-id rank of each point, and the edges,
 resolved once into a read-only (m, 2) array of positions.  Every graph
 question reads that array, or the boolean adjacency built from it: the weak
-components, property (*), T^2 edge preservation, X_T2_A and the uniqueness
-regime's common in-neighbours.  What else follows from the space alone --
-the adjacency, the pair geometry, the component labels and the verdicts of
-the hypothesis predicates -- is computed on first use and kept on the space,
-so solvers that start from many seeds pay for it once.  None of it copies
-the distance array or its A x B block.  The same memo holds, for each cyclic
-map checked against the space (maps are read-only too), the map's verdict
-and its read-only integer image array, so a map is checked and indexed once
+components, property (*), T^2 edge preservation, X_T2_A, the rate sweep and
+the uniqueness regime's common in-neighbours.  Closeness to d(A,B) is one
+float test, made once into a boolean A x B mask that A0, B0, the parallel
+pairs, sharp proximality and property UC all read.  What else follows from
+the space alone -- the adjacency, that mask and the pair geometry, the
+component labels and the verdicts of the hypothesis predicates -- is
+computed on first use and kept on the space, so solvers that start from
+many seeds pay for it once.  None of it copies the distance array or its
+A x B block.  The same memo holds, for each map checked against the space
+(maps are read-only too), the map's verdict and its read-only integer image
+arrays, and a cyclic map's X_T2_A set, so a map is checked and indexed once
 per space; the memo keeps that map alive as long as the space.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
@@ -528,29 +531,27 @@ def _edge_set(ids, edges, auto_loops):
 
 def pair_distance(space: FiniteMetricGraph) -> PairGeometry:
     """d(A,B) together with the proximal subsets A0, B0 and the realizing pairs."""
-    return space._cached("geometry", lambda: _pair_geometry(space))
+    return _closeness(space)[0]
 
 
-def _pair_geometry(space: FiniteMetricGraph) -> PairGeometry:
-    (a, ia), (b, ib) = space._sides["A"], space._sides["B"]
-    if not a or not b:
-        raise EmptySide("pair_distance needs nonempty A and B")
-    block = space.dist[np.ix_(ia, ib)]
-    best = float(block.min())
-    rows, cols = np.nonzero(block <= best + TOL_PARALLEL)
-    pairs = frozenset((a[i], b[j]) for i, j in zip(rows.tolist(), cols.tolist()))
-    return PairGeometry(
-        d_ab=best,
-        a0=frozenset(x for x, _ in pairs),
-        b0=frozenset(y for _, y in pairs),
-        parallel_pairs=pairs,
-    )
-
-
-def _close_block(space: FiniteMetricGraph) -> np.ndarray:
-    """A x B mask of the pairs at distance d(A,B), up to TOL_PARALLEL."""
-    ia, ib = space._sides["A"][1], space._sides["B"][1]
-    return np.abs(space.dist[np.ix_(ia, ib)] - pair_distance(space).d_ab) <= TOL_PARALLEL
+def _closeness(space: FiniteMetricGraph) -> tuple[PairGeometry, np.ndarray]:
+    """The pair geometry and the read-only A x B mask, rows and columns in id
+    order, of the pairs whose distance exceeds d(A,B) by at most TOL_PARALLEL:
+    the one closeness rule, kept on the space.  Near d(A,B) the difference
+    is exact (Sterbenz), so the rule compares the true excess."""
+    def closeness():
+        (a, ia), (b, ib) = space._sides["A"], space._sides["B"]
+        if not a or not b:
+            raise EmptySide("pair_distance needs nonempty A and B")
+        block = space.dist[np.ix_(ia, ib)]
+        d_ab = float(block.min())
+        close = block - d_ab <= TOL_PARALLEL
+        close.flags.writeable = False
+        rows, cols = np.nonzero(close)
+        pairs = frozenset(zip([a[i] for i in rows.tolist()], [b[j] for j in cols.tolist()]))
+        return PairGeometry(d_ab, frozenset(x for x, _ in pairs),
+                            frozenset(y for _, y in pairs), pairs), close
+    return space._cached("geometry", closeness)
 
 
 def is_sharp_proximal(space: FiniteMetricGraph) -> CheckResult:
@@ -559,7 +560,7 @@ def is_sharp_proximal(space: FiniteMetricGraph) -> CheckResult:
 
 
 def _sharp_proximal(space):
-    close = _close_block(space)
+    close = _closeness(space)[1]
     a, b = space.side_a(), space.side_b()
     for points, others, mask in ((a, b, close), (b, a, close.T)):
         bad = np.flatnonzero(mask.sum(axis=1) != 1)
@@ -590,7 +591,7 @@ def has_property_uc(space: FiniteMetricGraph) -> CheckResult:
 
 
 def _property_uc(space):
-    close = _close_block(space)
+    close = _closeness(space)[1]
     bad = np.flatnonzero(close.sum(axis=0) > 1)
     if bad.size:
         j = int(bad[0])

@@ -390,6 +390,22 @@ def test_the_parser_is_built_once_and_bad_arguments_exit_2(capsys):
         assert err.startswith("usage: proxigraph") and "error:" in err
 
 
+def test_parser_defaults_are_the_library_defaults():
+    from proxigraph import bpp_solver, cyclic_contraction, fixed_point, pbvp
+    argv = {"verify": ["--instance", "i"],
+            "solve-bpp": ["--instance", "i", "--map", "m", "--x0", "x"],
+            "solve-fixed-point": ["--instance", "i", "--t1", "a", "--t2", "b",
+                                  "--psi", "p", "--x0", "x"],
+            "solve-pbvp": ["--rhs", "r", "--alpha", "1", "--h", "1"]}
+    want = {"verify": (cyclic_contraction.TOL_INEQ, None),
+            "solve-bpp": (bpp_solver.TOL_BPP, bpp_solver.MAX_ITER),
+            "solve-fixed-point": (fixed_point.TOL_FIX, fixed_point.MAX_ITER),
+            "solve-pbvp": (pbvp.TOL_PBVP, pbvp.MAX_ITER)}
+    for sub, rest in argv.items():
+        args = cli._build_parser().parse_args([sub, *rest])
+        assert (args.tol, getattr(args, "max_iter", None)) == want[sub]
+
+
 TWO_POINTS = [{"id": "a", "coords": [0.0, 0.0], "side": "A"},
               {"id": "b", "coords": [1.0, 0.0], "side": "B"}]
 

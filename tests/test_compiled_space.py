@@ -23,12 +23,14 @@ from proxigraph import (
     FiniteMetricGraph,
     InstanceFormatError,
     PairMaps,
+    SeedNotEligible,
     SideMismatch,
     UnknownPoint,
     build,
     check_property_star,
     component_of,
     components,
+    enumerate_bpps,
     has_property_uc,
     is_g_chebyshev,
     is_sharp_proximal,
@@ -58,8 +60,9 @@ def sides(space):
 def oracle_pair_distance(space) -> PairGeometry:
     a, b = sides(space)
     best = min(space.d(x, y) for x in a for y in b)
+    # the one closeness rule: d(x, y) exceeds d(A,B) by at most TOL_PARALLEL
     pairs = frozenset((x, y) for x in a for y in b
-                      if space.d(x, y) <= best + TOL_PARALLEL)
+                      if space.d(x, y) - best <= TOL_PARALLEL)
     return PairGeometry(d_ab=best, a0=frozenset(x for x, _ in pairs),
                         b0=frozenset(y for _, y in pairs), parallel_pairs=pairs)
 
@@ -276,6 +279,12 @@ def oracle_x_t2_a(space, tmap) -> frozenset[str]:
     return frozenset(x for x in space.side_a() if space.has_edge(x, tmap.twice(x)))
 
 
+def oracle_bpps(space, tmap, tol) -> frozenset[str]:
+    """The per-point scan: each x of A whose gap d(x, Tx) is within tol of d(A,B)."""
+    d_ab = pair_distance(space).d_ab
+    return frozenset(x for x in space.side_a() if abs(space.d(x, tmap(x)) - d_ab) <= tol)
+
+
 def oracle_friendship(space) -> bool:
     """The triple loop: a common in-neighbour in A for every pair of A."""
     a = space.side_a()
@@ -351,6 +360,32 @@ def test_the_reference_loops_see_both_verdicts():
         assert check_uniqueness_regime(space)["weak_friendship"] is holds
         assert oracle_t2_preserves_edges(space, tmap) == verify_t2_preserves_edges(space, tmap)
         assert oracle_friendship(space) is holds
+
+
+def scan_instances():
+    yield from (build_random_chain(seed) for seed in range(200))
+    yield from (build(name) for name in ("ex22_kappa", "ex33_dyadic_l1", "ex35_not_bpo"))
+
+
+def test_scans_and_the_seed_gate_match_the_per_point_loops():
+    met = set()
+    for inst in scan_instances():
+        sp, tm = inst.space, inst.tmap
+        eligible = x_t2_a_set(sp, tm)
+        assert eligible == oracle_x_t2_a(sp, tm)
+        assert eligible is x_t2_a_set(sp, tm)
+        for tol in (1e-9, 0.0, 1.0, -np.inf):
+            assert enumerate_bpps(sp, tm, tol) == oracle_bpps(sp, tm, tol)
+        refused = set()
+        for x in sp.side_a():
+            try:
+                solve_bpp(sp, tm, x)
+            except SeedNotEligible:
+                refused.add(x)
+        assert refused == set(sp.side_a()) - eligible
+        met.add((bool(refused), bool(eligible)))
+    # instances with and without refused seeds
+    assert met == {(False, True), (True, True)}
 
 
 # ----- coordinate metrics need no triangle loop ---------------------------
@@ -943,6 +978,24 @@ def test_the_memo_keeps_read_only_adjacency_and_image_arrays():
     assert not edge.flags.writeable and not image.flags.writeable
     assert {(sp.ids[i], sp.ids[j]) for i, j in zip(*np.nonzero(edge))} == sp.edges
     assert [sp.ids[i] for i in image] == [tm(p) for p in sp.ids]
+    geom, close = metric_graph._closeness(sp)
+    assert geom is pair_distance(sp) and close is metric_graph._closeness(sp)[1]
+    assert not close.flags.writeable
+    # a pair's two image arrays, each len(ids) off its table's side
+    ex41 = build("ex41_fixed_point")
+    sp, pair = ex41.space, ex41.pair
+    images = pair.validate(sp)
+    assert images is pair.validate(sp)
+    n = len(sp.ids)
+    for image, table in zip(images, (pair.t1, pair.t2)):
+        assert not image.flags.writeable
+        assert [sp.ids[i] if i < n else None for i in image.tolist()] == [
+            table.get(p) for p in sp.ids]
+        off = np.flatnonzero(image == n)
+        assert off.size
+        for arr in (sp.dist, sp._adjacency(), image):
+            with pytest.raises(IndexError):
+                arr[image[off]]
 
 
 def test_maps_pickle_round_trip():

@@ -23,6 +23,7 @@ from proxigraph import (
 )
 from proxigraph.corpus import build_random_chain
 from proxigraph.errors import UnknownField
+from proxigraph.metric_graph import CheckResult
 
 
 def square(metric="l2", edges=(), auto_loops=True):
@@ -106,9 +107,28 @@ def test_pair_distance_geometry():
 
 
 def test_pair_distance_needs_both_sides():
-    sp = FiniteMetricGraph.from_coords([("p", (0.0,), "A"), ("q", (1.0,), "A")])
-    with pytest.raises(EmptySide):
-        pair_distance(sp)
+    # and so does every predicate that reads the closeness of A x B pairs
+    for side in "AB":
+        sp = FiniteMetricGraph.from_coords([("p", (0.0,), side), ("q", (1.0,), side)])
+        for check in (pair_distance, is_sharp_proximal, has_property_uc, is_g_chebyshev):
+            with pytest.raises(EmptySide, match="needs nonempty A and B"):
+                check(sp)
+
+
+def test_closeness_verdicts_agree_at_the_last_ulp():
+    # d(a1, b0) - d(A,B) is 1.0000889e-12, just above TOL_PARALLEL, while
+    # 1.0 + TOL_PARALLEL rounds up to d: one rule decides it for every check
+    d = 1.000000000001
+    sp = FiniteMetricGraph.from_table(
+        ["a0", "a1", "b0", "b1"], {"a0": "A", "a1": "A", "b0": "B", "b1": "B"},
+        [[0, .5, 1, 2], [.5, 0, d, 2], [1, d, 0, 2.5], [2, 2, 2.5, 0]], [("a0", "b0")])
+    geom = pair_distance(sp)
+    assert (geom.d_ab, geom.a0, geom.b0) == (1.0, {"a0"}, {"b0"})
+    assert geom.parallel_pairs == {("a0", "b0")}
+    assert is_g_chebyshev(sp) == CheckResult(True)
+    # a1 has no partner at d(A,B), so it is outside A0 and UC has no pair to refuse
+    assert is_sharp_proximal(sp) == CheckResult(False, ("a1", ()))
+    assert has_property_uc(sp) == CheckResult(True)
 
 
 def test_sharp_proximal_positive_and_negative():
