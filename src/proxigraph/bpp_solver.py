@@ -58,11 +58,12 @@ class BppResult:
 
 def x_t2_a_set(space: FiniteMetricGraph, tmap: CyclicMapTable) -> frozenset[str]:
     """Points of A carrying an edge to their image under the squared map,
-    read off the adjacency at the map's image array; kept on the space."""
+    each (x, T^2 x) looked up by the space's `_is_edge` at the map's image
+    array; kept on the space."""
     def points():
         image = tmap.validate(space)
         a, ia = space._sides["A"]
-        return frozenset(compress(a, space._adjacency()[ia, image[image[ia]]].tolist()))
+        return frozenset(compress(a, space._is_edge(ia, image[image[ia]]).tolist()))
     return space._cached(("x_t2_a", tmap), points)
 
 

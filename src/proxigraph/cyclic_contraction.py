@@ -289,11 +289,11 @@ def verify_t2_preserves_edges(space: FiniteMetricGraph, tmap: CyclicMapTable) ->
     image = tmap.validate(space)
     twice = image[image]
     x, y = space._edges_within(space.side_a())[1].T
-    bad = ~space._adjacency()[twice[x], twice[y]]
+    bad = ~space._is_edge(twice[x], twice[y])
     if not bad.any():
         return CheckResult(True)
     x, y, rank = x[bad], y[bad], space._rank
-    i = int(np.argmin(rank[x] * len(rank) + rank[y]))
+    i = int(np.lexsort((rank[y], rank[x]))[0])
     return CheckResult(False, tuple(space.ids[p] for p in (x[i], y[i], twice[x[i]], twice[y[i]])))
 
 
@@ -382,8 +382,8 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
         eligible = np.ones((len(ia), len(ib)), dtype=bool)
     else:
         # an edge (x, y), (x, Ty) or (Ty, x)
-        edge, tb = space._adjacency(), image[ib]
-        eligible = edge[np.ix_(ia, ib)] | edge[np.ix_(ia, tb)] | edge[np.ix_(tb, ia)].T
+        edge, col, tb = space._is_edge, ia[:, None], image[ib]
+        eligible = edge(col, ib) | edge(col, tb) | edge(tb, col)
     rows, cols = np.nonzero(eligible)
     x, y = ia[rows], ib[cols]
     dxy = dist[x, y]

@@ -7,9 +7,9 @@ and the stepped pair is again an edge.  The strengthened variant quantifies
 over cross pairs (x, T_i y), which is what uniqueness arguments use.
 
 Common fixed points live in the overlap of the two sides, so instances here
-typically have d(A, B) = 0.  The rate sweep and the seed gate read the
-space's adjacency and distance arrays at the image arrays that
-`PairMaps.validate` returns.
+typically have d(A, B) = 0.  The rate sweep looks its edges up with the
+space's `_is_edge`, and reads its distance array, at the image arrays that
+`PairMaps.validate` returns; the seed gate asks `has_edge` for (x0, T1 x0).
 """
 from __future__ import annotations
 
@@ -225,19 +225,19 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
     """
     require_tol(tol)
     images = pair.validate(space)
-    edge, dist, names = space._adjacency(), space.dist, np.array(space.ids, dtype=object)
+    edge, dist, names = space._is_edge, space.dist, np.array(space.ids, dtype=object)
     cols = []  # per side, for each checked pair: x, y, T_i y, T_i x and T_j T_i y
     for s, ti, tj in (("A", *images), ("B", *images[::-1])):
         p = space._sides[s][1]
         p = p[np.argsort(space._rank[p])]
         x, y = (np.repeat(p, len(p)), np.tile(p, len(p))) if strengthened else (p, p)
-        on = edge[x, ti[y]]  # (x, T_i y) is an edge
+        on = edge(x, ti[y])  # (x, T_i y) is an edge
         x, y = x[on], y[on]
         cols.append((x, y, ti[y], ti[x], tj[ti[y]]))
     x, y, img, lead, nxt = map(np.concatenate, zip(*cols))
     d0, lhs = dist[x, img], dist[lead, nxt]
     rhs = psi.rates(d0) * d0
-    bad, off = lhs > rhs + tol, ~edge[lead, nxt]
+    bad, off = lhs > rhs + tol, ~edge(lead, nxt)
     viols = tuple(sorted(zip(names[x[bad]].tolist(), names[y[bad]].tolist(),
                              lhs[bad].tolist(), rhs[bad].tolist())))
     edge_viols = tuple(sorted((u, v, f"image pair of ({i}, {j}) is not an edge") for i, j, u, v
@@ -260,12 +260,11 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
                              check_hypotheses: bool = True) -> tuple[str, OrbitTrace]:
     """Alternate T1 and T2 from x0 in A until both residuals vanish."""
     require_tol(tol)
-    t1 = pair.validate(space)[0]
+    pair.validate(space)
     if "A" not in space.side.get(x0, ""):
         raise SideMismatch(f"seed must lie on side A, got {x0!r}")
     if check_hypotheses:
-        i = space.index[x0]
-        if not space._adjacency()[i, t1[i]]:
+        if not space.has_edge(x0, pair.t1[x0]):
             raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
         require("property (*) on the union graph", check_property_star(space))
 
@@ -289,7 +288,9 @@ def check_uniqueness_regime(space: FiniteMetricGraph) -> dict[str, bool]:
     """Graph-side conditions under which the common fixed point is unique:
     overall weak connectivity, or a common in-neighbour for every pair in A."""
     ia = space._sides["A"][1]
-    into = space._adjacency()[np.ix_(ia, ia)]  # [u, x]: whether u -> x is an edge
-    # x and y have a common in-neighbour in A where (into^T into)[x, y] is true
+    # [u, x]: whether u -> x is an edge, as 0 or 1
+    into = space._is_edge(ia[:, None], ia).astype(float)
+    # (into^T into)[x, y] counts the common in-neighbours in A of x and y; in
+    # float64 the product goes through BLAS, and counts up to |A| < 2^53 are exact
     return {"weakly_connected": is_weakly_connected(space),
             "weak_friendship": bool((into.T @ into).all())}

@@ -7,20 +7,23 @@ edge set is a set of ordered id pairs; every point must carry its trivial loop.
 A space is immutable: its distance array is read-only and its side and
 coordinate maps are read-only views.  Built with the space are the ids and
 index arrays of each side, the sorted-id rank of each point, and the edges,
-resolved once into a read-only (m, 2) array of positions.  Every graph
-question reads that array, or the boolean adjacency built from it: the weak
-components, property (*), T^2 edge preservation, X_T2_A, the rate sweep and
-the uniqueness regime's common in-neighbours.  Closeness to d(A,B) is one
-float test, made once into a boolean A x B mask that A0, B0, the parallel
-pairs, sharp proximality and property UC all read.  What else follows from
-the space alone -- the adjacency, that mask and the pair geometry, the
-component labels and the verdicts of the hypothesis predicates -- is
-computed on first use and kept on the space, so solvers that start from
-many seeds pay for it once.  None of it copies the distance array or its
-A x B block.  The same memo holds, for each map checked against the space
-(maps are read-only too), the map's verdict and its read-only integer image
-arrays, and a cyclic map's X_T2_A set, so a map is checked and indexed once
-per space; the memo keeps that map alive as long as the space.
+resolved once into a read-only (m, 2) array of positions.  From them come,
+on first use, the sorted edge keys rank[x] * n + rank[y], which property (*)
+joins and `_is_edge` searches: the one edge lookup over position arrays,
+which T^2 edge preservation, X_T2_A, both contraction sweeps and the
+uniqueness regime's common in-neighbours ask, as `has_edge` is the one for
+a pair of ids.  No other module reads how edges are stored, and the space
+keeps no n x n adjacency.  Closeness to d(A,B) is one float test, made once
+into a boolean A x B mask that A0, B0, the parallel pairs, sharp
+proximality and property UC all read.  What else follows from the space
+alone -- the edge keys, that mask and the pair geometry, the component
+labels and the verdicts of the hypothesis predicates -- is computed on
+first use and kept on the space, so solvers that start from many seeds pay
+for it once.  None of it copies the distance array or its A x B block.
+The same memo holds, for each map checked against the space (maps are
+read-only too), the map's verdict and its read-only integer image arrays,
+and a cyclic map's X_T2_A set, so a map is checked and indexed once per
+space; the memo keeps that map alive as long as the space.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -208,7 +211,9 @@ class FiniteMetricGraph:
         edges = data.get("edges", [])
         if not isinstance(edges, list):
             raise InstanceFormatError("'edges' must be a list of id pairs")
-        auto_loops = bool(data.get("auto_loops", False))
+        auto_loops = data.get("auto_loops", False)
+        if not isinstance(auto_loops, bool):  # a JSON true or false, not any truthy value
+            raise InstanceFormatError(f"'auto_loops' must be true or false, got {auto_loops!r}")
         table = None
         if metric == "table":
             table = data.get("dist_table")
@@ -262,19 +267,34 @@ class FiniteMetricGraph:
             value = self._memo[key] = compute()
             return value
 
-    def _adjacency(self) -> np.ndarray:
-        """Read-only boolean n x n array: [i, j] is whether (ids[i], ids[j]) is an edge."""
-        def adjacency():
-            adj = np.zeros((len(self.ids), len(self.ids)), dtype=bool)
-            adj[self._edge_pos[:, 0], self._edge_pos[:, 1]] = True
-            adj.flags.writeable = False
-            return adj
-        return self._cached("adjacency", adjacency)
+    def _edge_keys(self) -> np.ndarray:
+        """The read-only sorted keys rank[x] * n + rank[y] of the edges (x, y),
+        over the sorted-id ranks of the n points."""
+        def keys():
+            x, y = self._rank[self._edge_pos].T
+            keys = np.sort(x * len(self.ids) + y)
+            keys.flags.writeable = False
+            return keys
+        return self._cached("edge_keys", keys)
+
+    def _is_edge(self, x, y) -> np.ndarray:
+        """Whether (ids[x], ids[y]) is an edge, for position arrays x and y
+        broadcast against each other: each key searched among the sorted
+        edge keys.  A position off the space raises IndexError."""
+        keys, rank = self._edge_keys(), self._rank
+        want = rank[x] * len(rank) + rank[y]
+        # the loop on the last id in sorted order is the largest key, n * n - 1:
+        # no search goes past it
+        return keys[np.searchsorted(keys, want)] == want
+
+    def _positions(self, nodes) -> np.ndarray:
+        """The positions of the point ids in nodes, each resolved by _i."""
+        return np.fromiter(map(self._i, nodes), dtype=np.intp)
 
     def _edges_within(self, nodes) -> tuple[np.ndarray, np.ndarray]:
         """The positions of the point ids in nodes, each resolved by _i, and
         the rows of _edge_pos with both ends among them."""
-        pos = np.fromiter(map(self._i, nodes), dtype=np.intp)
+        pos = self._positions(nodes)
         inside = np.zeros(len(self.ids), dtype=bool)
         inside[pos] = True
         return pos, self._edge_pos[inside[self._edge_pos].all(axis=1)]
@@ -674,28 +694,31 @@ def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
 
 def _property_star(space, nodes):
     """The lexicographically least (x, y, z) in sorted id order with edges
-    x -> y -> z but no edge x -> z, all three in nodes.  Each edge is an
-    integer key x * n + y over the sorted-id ranks of the n points.  The
-    2-paths are joined in blocks of about _BLOCK, in the sorted order of
-    (x, y) and then z, and each shortcut x * n + z is looked up among the
-    sorted edge keys; the first block with a miss holds the least."""
+    x -> y -> z but no edge x -> z, all three in nodes.  The space's sorted
+    edge keys x * n + y, over the sorted-id ranks of the n points, are masked
+    to the edges within nodes.  The 2-paths are joined in blocks of about
+    _BLOCK, in the sorted order of (x, y) and then z, and each shortcut
+    x * n + z is looked up among those keys; the first block with a miss
+    holds the least."""
     n = len(space.ids)
-    x, y = space._rank[space._edges_within(nodes)[1]].T
-    keys = np.sort(x * n + y)
+    inside = np.zeros(n, dtype=bool)  # by sorted-id rank
+    inside[space._rank[space._positions(nodes)]] = True
+    keys = space._edge_keys()
     src, dst = np.divmod(keys, n)
+    within = inside[src] & inside[dst]  # a mask keeps the keys sorted
+    keys, src, dst = keys[within], src[within], dst[within]
     out_deg = np.bincount(src, minlength=n)
     paths = out_deg[dst]  # 2-paths x -> y -> z through each edge x -> y
     ends = np.cumsum(paths)
     # 2-path number g, through edge e, ends at the z of the key at g + shift[e]
     shift = (np.cumsum(out_deg) - out_deg)[dst] - (ends - paths)
-    bounded = np.append(keys, n * n)  # a search past the last key finds no key
     a = done = 0
     while a < len(keys):
         b = max(a + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
         count = paths[a:b]
         z_pos = np.repeat(shift[a:b], count) + np.arange(done, ends[b - 1])
         want = np.repeat(src[a:b] * n, count) + dst[z_pos]
-        miss = bounded[np.searchsorted(keys, want)] != want
+        miss = keys.take(np.searchsorted(keys, want), mode="clip") != want
         if miss.any():
             i = int(np.argmax(miss))
             e = a + int(np.searchsorted(ends[a:b], done + i, side="right"))

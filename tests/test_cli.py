@@ -429,9 +429,11 @@ HUGE = 10 ** 400  # a JSON integer too large for a float
     {"metric": "l1", "points": [{"id": "a", "coords": [HUGE, 0], "side": "A"}, TWO_POINTS[1]]},
     {"metric": "table", "points": [{"id": "a", "side": "A"}, {"id": "b", "side": "B"}],
      "dist_table": [[0, HUGE], [HUGE, 0]]},
+    {"metric": "l1", "points": TWO_POINTS, "auto_loops": "false"},
+    {"metric": "l1", "points": TWO_POINTS, "auto_loops": 1},
 ], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point", "bool_coords",
         "bool_table", "string_table", "one_string_in_table", "string_coord_entry",
-        "huge_int_coord", "huge_int_table"])
+        "huge_int_coord", "huge_int_table", "string_auto_loops", "int_auto_loops"])
 def test_verify_rejects_malformed_instances(tmp_path, doc):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
@@ -642,20 +644,38 @@ def test_graph_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     points = [{"id": f"{s}{i}", "coords": [float(s == "b"), float(i)], "side": s.upper()}
               for s in "ab" for i in range(4)]
     edges = [["a0", "a1"], ["a1", "a2"], ["a2", "a3"], ["a3", "a1"], ["b2", "b0"], ["b0", "b3"]]
-    instance, tmap = tmp_path / "instance.json", tmp_path / "map.json"
-    instance.write_text(json.dumps({"schema": "1", "auto_loops": True, "metric": "l1",
-                                    "points": points, "edges": edges}))
-    tmap.write_text(json.dumps({"map": {**{f"a{i}": f"b{i}" for i in range(4)},
-                                        **{f"b{i}": f"a{(i + 2) % 4}" for i in range(4)}}}))
-    argv = ["verify", "--instance", str(instance), "--map", str(tmap), "--require-predicates"]
+    t1, t2 = {f"a{i}": f"b{i}" for i in range(4)}, {f"b{i}": f"a{(i + 2) % 4}" for i in range(4)}
+    files = {"instance": {"schema": "1", "auto_loops": True, "metric": "l1",
+                          "points": points, "edges": edges},
+             "map": {"map": {**t1, **t2}}, "t1": {"map": t1}, "t2": {"map": t2},
+             "gauges": {"phi1": {"kind": "linear", "params": {"c": 0.5}},
+                        "phi2": {"kind": "identity"}},
+             "psi": {"kind": "constant", "params": {"value": 0.5}}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    paths = {f"--{name}": str(tmp_path / f"{name}.json") for name in files}
+    # verify sweeps the edge-eligible pairs (no --all-pairs); the seed a0 has
+    # no edge to its t1 image, so solve-fixed-point stops at its seed gate
+    runs = [["verify", "--require-predicates"] + [a for f in ("--instance", "--map", "--gauges")
+                                                  for a in (f, paths[f])],
+            ["solve-fixed-point", "--x0", "a0"] + [a for f in ("--instance", "--t1", "--t2",
+                                                              "--psi") for a in (f, paths[f])]]
     path = os.pathsep.join(q for q in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if q)
     seed0, seed1 = [
-        (proc.returncode, proc.stdout, proc.stderr) for proc in (
+        [(proc.returncode, proc.stdout, proc.stderr) for proc in (
             subprocess.run([sys.executable, "-m", "proxigraph.cli", *argv], capture_output=True,
                            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
-            for seed in ("0", "1"))]
-    assert seed0 == seed1 and seed0[0] == 1
-    report = json.loads(seed0[1])
+            for argv in runs)]
+        for seed in ("0", "1")]
+    assert seed0 == seed1 and [code for code, _, _ in seed0] == [1, 1]
+    gate = json.loads(seed0[1][1])
+    assert (gate["error"], gate["witness"]) == ("hypothesis_violated", "a0")
+    assert "seed edge (x0, T1 x0)" in gate["message"]
+    report = json.loads(seed0[0][1])
+    contraction = report["contraction"]
+    # of the 16 pairs of A x B, the 12 with an edge (x, Ty) or (Ty, x) within A
+    assert not contraction["all_pairs"] and contraction["checked_pairs"] == 12
+    assert contraction["violations"]
     checks = {**report["predicates"], "t2_preserves_edges": report["t2_preserves_edges"]}
     assert {name: check.get("witness") for name, check in checks.items() if not check["ok"]} == {
         "g_chebyshev": ["a0", "b0"],

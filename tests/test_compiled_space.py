@@ -22,6 +22,7 @@ from proxigraph import (
     EmptySide,
     FiniteMetricGraph,
     InstanceFormatError,
+    NoConvergence,
     PairMaps,
     SeedNotEligible,
     SideMismatch,
@@ -749,7 +750,7 @@ def test_property_star_joins_in_bounded_memory():
     ids = [f"p{i}" for i in range(n)]
     space = FiniteMetricGraph.from_table(ids, dict.fromkeys(ids, "AB"), 1.0 - np.eye(n),
                                          [(x, y) for x in ids for y in ids])
-    space._adjacency()
+    space._edge_keys()
     tracemalloc.start()
     try:
         result = metric_graph._property_star(space, space.ids)  # 8 M 2-paths
@@ -758,6 +759,61 @@ def test_property_star_joins_in_bounded_memory():
         tracemalloc.stop()
     assert result == CheckResult(True)
     assert peak < 64 * 2**20
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_edge_lookup_is_the_edge_set(seed, density):
+    # density 0 leaves the loops only, density 1 the complete digraph; either
+    # way the loop on the last id in sorted order is the largest key, n * n - 1
+    rng = np.random.default_rng(seed)
+    space = digraph_space(rng, int(rng.integers(1, 25)), density)
+    n = len(space.ids)
+    assert space._edge_keys()[-1] == n * n - 1
+    pos = np.arange(n)
+    assert space._is_edge(pos[:, None], pos).tolist() == [
+        [space.has_edge(p, q) for q in space.ids] for p in space.ids]
+    for off in ((n, 0), (0, n), ([0, n], 0)):
+        with pytest.raises(IndexError):
+            space._is_edge(*off)
+
+
+def chain_union(target):
+    """Random chains, shifted apart along y until the union holds at least
+    target points, with the union of their maps."""
+    points, edges, mapping, y, k = [], [], {}, 0.0, 0
+    while len(points) < target:
+        inst = build_random_chain(k)
+        sp, tag = inst.space, f"c{k}_"
+        points += [(tag + p, (sp.coords[p][0], y + sp.coords[p][1]), sp.side[p]) for p in sp.ids]
+        edges += [(tag + p, tag + q) for p, q in sp.edges]
+        mapping.update({tag + p: tag + q for p, q in inst.tmap.mapping.items()})
+        y += max(c[1] for c in sp.coords.values()) + 4.0
+        k += 1
+    space = FiniteMetricGraph.from_coords(points, metric="l1", edges=edges)
+    return space, CyclicMapTable.for_space(space, mapping)
+
+
+def test_edge_questions_need_no_n_by_n_array():
+    space, tm = chain_union(2000)
+    n, a = len(space.ids), space.side_a()
+    pair = PairMaps.for_space(space, {p: tm(p) for p in a},
+                              {p: tm(p) for p in space.side_b()})
+    # the hypothesis verdicts, which the solvers only read
+    assert check_property_star(space) and check_property_star(space, a)
+    assert has_property_uc(space)
+    tracemalloc.start()
+    try:
+        eligible = x_t2_a_set(space, tm)
+        preserved = verify_t2_preserves_edges(space, tm)
+        result = solve_bpp(space, tm, a[0])
+        with pytest.raises(NoConvergence):  # d(A, B) = 1: no common fixed point
+            solve_common_fixed_point(space, pair, fixed_point.PsiGauge.constant(0.5), a[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eligible == frozenset(a) and preserved and result.achieved_gap == 1.0
+    assert peak < n * n / 2, peak
 
 
 @pytest.mark.parametrize("entry", [True, False, "1.5", b"1.5", np.str_("1.5")],
@@ -970,13 +1026,15 @@ def test_a_map_on_a_space_it_does_not_fit_is_refused():
             solve_bpp(other, tm, seed)
 
 
-def test_the_memo_keeps_read_only_adjacency_and_image_arrays():
+def test_the_memo_keeps_read_only_edge_keys_and_image_arrays():
     inst = build_random_chain(7)
     sp, tm = inst.space, inst.tmap
-    edge, image = sp._adjacency(), tm.validate(sp)
-    assert edge is sp._adjacency() and image is tm.validate(sp)
-    assert not edge.flags.writeable and not image.flags.writeable
-    assert {(sp.ids[i], sp.ids[j]) for i, j in zip(*np.nonzero(edge))} == sp.edges
+    keys, image = sp._edge_keys(), tm.validate(sp)
+    assert keys is sp._edge_keys() and image is tm.validate(sp)
+    assert not keys.flags.writeable and not image.flags.writeable
+    ranked, n = sorted(sp.ids), len(sp.ids)
+    assert (np.diff(keys) > 0).all() and len(keys) == len(sp.edges)
+    assert {(ranked[k // n], ranked[k % n]) for k in keys.tolist()} == sp.edges
     assert [sp.ids[i] for i in image] == [tm(p) for p in sp.ids]
     geom, close = metric_graph._closeness(sp)
     assert geom is pair_distance(sp) and close is metric_graph._closeness(sp)[1]
@@ -993,9 +1051,10 @@ def test_the_memo_keeps_read_only_adjacency_and_image_arrays():
             table.get(p) for p in sp.ids]
         off = np.flatnonzero(image == n)
         assert off.size
-        for arr in (sp.dist, sp._adjacency(), image):
+        for read in (sp.dist.__getitem__, image.__getitem__,
+                     lambda p: sp._is_edge(p, 0), lambda p: sp._is_edge(0, p)):
             with pytest.raises(IndexError):
-                arr[image[off]]
+                read(image[off])
 
 
 def test_maps_pickle_round_trip():
