@@ -33,6 +33,7 @@ from .metric_graph import (
     _float_array,
     _number,
     _params,
+    _point_id,
     pair_distance,
     read_document,
 )
@@ -432,4 +433,4 @@ def load_map(path) -> dict[str, str]:
     data = read_document(path, {"schema", "map"}, "map file")
     if not isinstance(data.get("map"), dict):
         raise InstanceFormatError("map spec must be an object with a 'map' table")
-    return {str(k): str(v) for k, v in data["map"].items()}
+    return {_point_id(k): _point_id(v) for k, v in data["map"].items()}

@@ -4,26 +4,19 @@ Points live on side "A", side "B", or both ("AB").  Distances come either from
 coordinates under a named metric (l1, l2, sup) or from an explicit table.  The
 edge set is a set of ordered id pairs; every point must carry its trivial loop.
 
-A space is immutable: its distance array is read-only and its side and
-coordinate maps are read-only views.  Built with the space are the ids and
-index arrays of each side, the sorted-id rank of each point, and the edges,
-resolved once into a read-only (m, 2) array of positions.  From them come,
-on first use, the sorted edge keys rank[x] * n + rank[y], which property (*)
-joins and `_is_edge` searches: the one edge lookup over position arrays,
-which T^2 edge preservation, X_T2_A, both contraction sweeps and the
-uniqueness regime's common in-neighbours ask, as `has_edge` is the one for
-a pair of ids.  No other module reads how edges are stored, and the space
-keeps no n x n adjacency.  Closeness to d(A,B) is one float test, made once
-into a boolean A x B mask that A0, B0, the parallel pairs, sharp
-proximality and property UC all read.  What else follows from the space
-alone -- the edge keys, that mask and the pair geometry, the component
-labels and the verdicts of the hypothesis predicates -- is computed on
-first use and kept on the space, so solvers that start from many seeds pay
-for it once.  None of it copies the distance array or its A x B block.
-The same memo holds, for each map checked against the space (maps are
-read-only too), the map's verdict and its read-only integer image arrays,
-and a cyclic map's X_T2_A set, so a map is checked and indexed once per
-space; the memo keeps that map alive as long as the space.
+`FiniteMetricGraph.__post_init__` reads every space; the constructors only lay
+their input out as its fields.  One rule, `_point_id`, reads point ids and edge
+ends alike, all coordinates are read in one call, and one walk over the edges
+gives the edge set and its read-only (m, 2) array of positions.  A space is
+immutable, its arrays and maps read-only, and holds each side's ids and
+positions and each point's sorted-id rank.  The sorted edge keys
+rank[x] * n + rank[y] are the one edge lookup over position arrays (`_is_edge`),
+as `has_edge` is for a pair of ids; no other module reads how edges are
+stored.  Closeness to d(A,B) is one float test, kept as an A x B mask.  What
+else follows from the space alone -- the edge keys, that mask, the pair
+geometry, the component labels and the hypothesis verdicts -- is computed on
+first use and kept on the space, as are, for each map checked against it, its
+verdict, its read-only image arrays and a cyclic map's X_T2_A set.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -92,7 +85,8 @@ class FiniteMetricGraph:
 
     For the metric "table", `dist` is the distance table.  For l1, l2 and sup
     the distances are derived from `coords` and `dist` is passed as None, so
-    they satisfy the triangle inequality by construction.
+    they satisfy the triangle inequality by construction.  `side` and
+    `coords` are mappings, or (id, value) pairs, from point ids.
     """
 
     ids: tuple[str, ...]
@@ -103,39 +97,50 @@ class FiniteMetricGraph:
     metric: str = "table"
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        index = {p: i for i, p in enumerate(ids)}
+        ids = tuple(map(_point_id, self.ids))
+        index = dict(zip(ids, range(len(ids))))
         if len(index) != len(ids):
             raise InstanceFormatError("duplicate point ids")
         if self.metric not in _METRICS:
             raise InstanceFormatError(f"unknown metric {self.metric!r}")
-        side = {p: _check_side(self.side.get(p)) for p in ids}
-        coords = {p: self.coords.get(p) for p in ids}
-        if self.metric == "table":
+        edges, edge_pos = _read_edges(self.edges, ids, index)
+        side, given = _by_id(self.side), _by_id(self.coords)
+        side = {p: _check_side(side.get(p)) for p in ids}
+        # a table space may carry coordinates on some points, of any dimension
+        table = self.metric == "table"
+        have = [p for p in ids if given.get(p) is not None] if table else ids
+        rows, arr = _read_coords(have, [given.get(p) for p in have])
+        coords = {**dict.fromkeys(ids), **dict(zip(have, rows))}
+        if table:
             dist = _float_array(self.dist, "distance table must be a square array of numbers")
             if dist.shape != (len(ids), len(ids)):
                 raise InstanceFormatError("distance table shape does not match point count")
         elif self.dist is not None:
             raise InstanceFormatError(
                 f"metric {self.metric!r} derives distances from coords; pass dist=None")
+        elif arr is None:
+            raise InstanceFormatError("points have mixed coordinate dimensions")
         else:
-            dist = _coord_dist(ids, coords, self.metric)
+            dist = _coord_dist(arr, self.metric)
+        if not np.isfinite(dist).all():
+            raise InstanceFormatError("distance table contains non-finite entries")
+        # finite sums or maxima of |a - b| pass the rest by construction
+        if table:
+            _check_table(dist, ids)
         dist.flags.writeable = False
         sides = {}  # s -> the ids and the read-only positions of side s, in id order
         for s in "AB":
-            pos = np.array([i for i, p in enumerate(ids) if s in side[p]], dtype=np.intp)
+            pos = np.array([i for i, v in enumerate(side.values()) if s in v], dtype=np.intp)
             pos.flags.writeable = False
             sides[s] = tuple(ids[i] for i in pos.tolist()), pos
         # rank[i] is the place of ids[i] in sorted id order
-        rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+        rank = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp).argsort()
         rank.flags.writeable = False
-        for name, value in (("ids", ids), ("side", MappingProxyType(side)),
-                            ("dist", dist), ("edges", frozenset(self.edges)),
-                            ("coords", MappingProxyType(coords)),
+        for name, value in (("ids", ids), ("side", MappingProxyType(side)), ("dist", dist),
+                            ("edges", edges), ("coords", MappingProxyType(coords)),
                             ("index", MappingProxyType(index)), ("_sides", sides),
-                            ("_rank", rank), ("_memo", {})):
+                            ("_rank", rank), ("_edge_pos", edge_pos), ("_memo", {})):
             object.__setattr__(self, name, value)
-        self._validate(index)
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from plain copies instead
@@ -151,29 +156,16 @@ class FiniteMetricGraph:
         if metric not in _COORD_METRICS:
             raise InstanceFormatError(f"metric {metric!r} needs coordinates from l1/l2/sup")
         points = list(points)
-        try:  # every point's coordinates in one read
-            arr = _float_array([xy for _, xy, _ in points], "")
-        except (InstanceFormatError, TypeError, ValueError):  # or some point is no triple
-            arr = None
-        # without one 2-d read the loop goes point by point, so it raises what
-        # it always raised: on the first bad point, or on mixed dimensions later
-        rows = arr.tolist() if arr is not None and arr.ndim == 2 else None
-        ids, side, coords = [], {}, {}
-        for i, (pid, xy, s) in enumerate(points):
-            pid = str(pid)
-            ids.append(pid)
-            side[pid] = s
-            coords[pid] = _coord_tuple(pid, xy) if rows is None else tuple(rows[i])
-        return cls(tuple(ids), side, None, _edge_set(ids, edges, auto_loops),
-                   coords, metric)
+        ids = [p for p, _, _ in points]
+        edges = chain(edges, zip(ids, ids)) if auto_loops else edges
+        return cls(ids, [(p, s) for p, _, s in points], None, edges,
+                   [(p, xy) for p, xy, _ in points], metric)
 
     @classmethod
     def from_table(cls, ids, side, table, edges=(), auto_loops=True, coords=None):
-        ids = tuple(str(p) for p in ids)
-        side = {str(p): s for p, s in side.items()}
-        coords = {str(p): None if c is None else _coord_tuple(str(p), c)
-                  for p, c in (coords or {}).items()}
-        return cls(ids, side, table, _edge_set(ids, edges, auto_loops), coords, "table")
+        ids = list(ids)
+        edges = chain(edges, zip(ids, ids)) if auto_loops else edges
+        return cls(ids, side, table, edges, coords or {}, "table")
 
     @classmethod
     def from_dict(cls, data):
@@ -197,31 +189,25 @@ class FiniteMetricGraph:
         metric = data.get("metric", "l2")
         if metric not in _METRICS:
             raise InstanceFormatError(f"unknown metric {metric!r}")
-        ids, side, coords = [], {}, {}
         for rec in pts:
             _check_fields(rec, _POINT_FIELDS, "point")
-            try:
-                pid = str(rec["id"])
-            except (KeyError, TypeError):
-                raise InstanceFormatError("point record missing 'id'") from None
-            ids.append(pid)
-            side[pid] = rec.get("side")
-            c = rec.get("coords")
-            coords[pid] = None if c is None else _coord_tuple(pid, c)
+            if "id" not in rec:
+                raise InstanceFormatError("point record missing 'id'")
+        ids = [rec["id"] for rec in pts]
         edges = data.get("edges", [])
         if not isinstance(edges, list):
             raise InstanceFormatError("'edges' must be a list of id pairs")
         auto_loops = data.get("auto_loops", False)
         if not isinstance(auto_loops, bool):  # a JSON true or false, not any truthy value
             raise InstanceFormatError(f"'auto_loops' must be true or false, got {auto_loops!r}")
-        table = None
-        if metric == "table":
-            table = data.get("dist_table")
-            if table is None:
-                raise InstanceFormatError("metric 'table' requires 'dist_table'")
-        elif any(coords[p] is None for p in ids):
+        table = data.get("dist_table") if metric == "table" else None
+        if metric == "table" and table is None:
+            raise InstanceFormatError("metric 'table' requires 'dist_table'")
+        if metric != "table" and any(rec.get("coords") is None for rec in pts):
             raise InstanceFormatError(f"metric {metric!r} requires coords on every point")
-        return cls(tuple(ids), side, table, _edge_set(ids, edges, auto_loops), coords, metric)
+        edges = chain(edges, zip(ids, ids)) if auto_loops else edges
+        return cls(ids, [(rec["id"], rec.get("side")) for rec in pts], table, edges,
+                   [(rec["id"], rec.get("coords")) for rec in pts], metric)
 
     def to_dict(self) -> dict:
         return {
@@ -268,11 +254,11 @@ class FiniteMetricGraph:
             return value
 
     def _edge_keys(self) -> np.ndarray:
-        """The read-only sorted keys rank[x] * n + rank[y] of the edges (x, y),
-        over the sorted-id ranks of the n points."""
+        """The read-only sorted keys rank[x] * n + rank[y], one per edge (x, y)
+        however often it is listed, over the sorted-id ranks of the n points."""
         def keys():
             x, y = self._rank[self._edge_pos].T
-            keys = np.sort(x * len(self.ids) + y)
+            keys = np.unique(x * len(self.ids) + y)
             keys.flags.writeable = False
             return keys
         return self._cached("edge_keys", keys)
@@ -299,44 +285,26 @@ class FiniteMetricGraph:
         inside[pos] = True
         return pos, self._edge_pos[inside[self._edge_pos].all(axis=1)]
 
-    # ----- validation ---------------------------------------------------
 
-    def _validate(self, index):
-        n = len(self.ids)
-        d = self.dist
-        if not np.isfinite(d).all():
-            raise InstanceFormatError("distance table contains non-finite entries")
-        if (d < 0).any():
-            raise InstanceFormatError("negative distance in table")
-        if np.diag(d).any():  # d is finite: |x| > 0 exactly when x != 0
-            raise InstanceFormatError("nonzero self-distance in table")
-        # d >= 0, so |d| is d; an exactly symmetric d passes the tolerance test
-        asym = d - d.T
-        symmetric = not asym.any()
-        if not symmetric and (np.abs(asym) > TOL_METRIC * np.maximum(d, 1.0)).any():
-            raise InstanceFormatError("distance table is not symmetric")
-        del asym  # not held while the triangle check runs
-        # a norm-induced distance satisfies the inequality by construction; a
-        # table's verdict comes from the min-plus square, and only a failure
-        # pays for the per-k scan that names the first (i, k, j)
-        if self.metric == "table":
-            tol = TOL_METRIC * (max(1.0, float(d.max())) if n else 1.0)
-            if _triangle_fails(d, tol, symmetric):
-                i, k, j = _triangle_witness(d, tol)
-                raise InstanceFormatError(
-                    f"triangle inequality fails for ({self.ids[i]}, {self.ids[k]}, "
-                    f"{self.ids[j]}): {d[i, j]} > {d[i, k]} + {d[k, j]}")
-        try:  # both ends of every edge, in the edge set's order, in one pass
-            pos = np.fromiter(map(index.__getitem__, chain.from_iterable(self.edges)),
-                              dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
-        except KeyError:  # named in sorted order: the edge set's own order follows the hash seed
-            x, y = min(e for e in self.edges if not (e[0] in index and e[1] in index))
-            raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point") from None
-        for p in self.ids:
-            if (p, p) not in self.edges:
-                raise InstanceFormatError(f"missing trivial loop edge on point {p!r}")
-        pos.flags.writeable = False
-        object.__setattr__(self, "_edge_pos", pos)
+def _check_table(d, ids):
+    """Raise unless the finite table d over ids is >= 0, zero on the diagonal,
+    symmetric to TOL_METRIC and metric: the min-plus square decides, and only
+    a failure pays for the per-k scan that names the first (i, k, j)."""
+    if (d < 0).any():
+        raise InstanceFormatError("negative distance in table")
+    if np.diag(d).any():  # d is finite: |x| > 0 exactly when x != 0
+        raise InstanceFormatError("nonzero self-distance in table")
+    # d >= 0, so |d| is d; an exactly symmetric d passes the tolerance test
+    asym = d - d.T
+    symmetric = not asym.any()
+    if not symmetric and (np.abs(asym) > TOL_METRIC * np.maximum(d, 1.0)).any():
+        raise InstanceFormatError("distance table is not symmetric")
+    del asym  # not held while the triangle check runs
+    tol = TOL_METRIC * (max(1.0, float(d.max())) if len(d) else 1.0)
+    if _triangle_fails(d, tol, symmetric):
+        i, k, j = _triangle_witness(d, tol)
+        raise InstanceFormatError(f"triangle inequality fails for ({ids[i]}, {ids[k]}, "
+                                  f"{ids[j]}): {d[i, j]} > {d[i, k]} + {d[k, j]}")
 
 
 def _triangle_fails(d, tol, symmetric) -> bool:
@@ -435,23 +403,17 @@ def _coord_tuple(pid, xy) -> tuple[float, ...]:
     raise InstanceFormatError(f"coords of point {pid!r} must be a list of numbers, got {xy!r}")
 
 
-def _coord_dist(ids, coords, metric) -> np.ndarray:
-    """Pairwise l1, l2 or sup distances between the points' coordinates.
+def _coord_dist(arr, metric) -> np.ndarray:
+    """Pairwise l1, l2 or sup distances between the rows of the (n, dim)
+    coordinate array arr.
 
     With 1 to _IN_ORDER - 1 coordinates, _coord_passes makes one n x n pass
     per coordinate.  With none, or with _IN_ORDER or more (ex41 has 640 to
     1024), each row block reduces over the coordinate axis: so long an axis
     keeps numpy's reduction fast, and passes would sum in another order."""
-    if any(coords[p] is None for p in ids):
-        raise InstanceFormatError(f"metric {metric!r} requires coords on every point")
-    if len({len(coords[p]) for p in ids}) > 1:
-        raise InstanceFormatError("points have mixed coordinate dimensions")
-    if not ids:
-        return np.zeros((0, 0))
-    arr = np.array([coords[p] for p in ids], dtype=float)
     n, dim = arr.shape
     dist = np.empty((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # _validate rejects non-finite
+    with np.errstate(over="ignore", invalid="ignore"):  # construction rejects non-finite
         if 0 < dim < _IN_ORDER:
             _coord_passes(arr, metric, dist)
             return dist
@@ -521,29 +483,58 @@ def _float_array(values, message: str) -> np.ndarray:
     return arr
 
 
-def _edge_pair(e) -> tuple[str, str]:
-    if not isinstance(e, (str, bytes)):
-        try:
-            x, y = e
-            return str(x), str(y)
-        except (TypeError, ValueError):
-            pass
-    raise InstanceFormatError(f"an edge must be a pair of point ids, got {e!r}")
+def _point_id(value) -> str:
+    """The one id rule, for point ids, edge ends and map entries: a string
+    (numpy's str_ too) is kept, an integer but a bool is written in decimal."""
+    if isinstance(value, str):
+        return str(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    raise InstanceFormatError(f"a point id must be a string or an integer, got {value!r}")
 
 
-def _edge_set(ids, edges, auto_loops):
-    edges = list(edges)
-    out = None
-    if set(map(type, edges)) <= {tuple, list}:  # no str, bytes or array edge
-        try:
-            out = {(str(x), str(y)) for x, y in edges}
-        except (TypeError, ValueError):
-            pass  # the loop below names the first bad edge
-    if out is None:
-        out = {_edge_pair(e) for e in edges}
-    if auto_loops:
-        out |= {(p, p) for p in ids}
-    return frozenset(out)
+def _by_id(m) -> dict:
+    """The mapping m, or m's (id, value) pairs, keyed by the ids _point_id reads."""
+    return {_point_id(p): v for p, v in (m.items() if isinstance(m, Mapping) else m)}
+
+
+def _read_coords(ids, values) -> tuple[list, np.ndarray | None]:
+    """The coordinates values[i] of ids[i] as float tuples and one (n, dim) array, None
+    for mixed dimensions: one _float_array call, or if it fails one per point."""
+    try:
+        arr = _float_array(values, "") if values else np.zeros((0, 0))
+        if arr.ndim == 2:
+            return list(map(tuple, arr.tolist())), arr
+    except InstanceFormatError:
+        pass
+    return [_coord_tuple(p, xy) for p, xy in zip(ids, values)], None
+
+
+def _read_edges(edges, ids, index) -> tuple[frozenset[tuple[str, str]], np.ndarray]:
+    """The edge set, and the read-only (m, 2) positions of the ends of each
+    edge as listed (repeats kept), from one walk over edges: each a list,
+    tuple or 1-d array of exactly two point ids, each read by _point_id."""
+    ends = []
+    for e in edges:
+        if type(e) not in (list, tuple) or len(e) != 2:  # the usual edge needs no more
+            pair = isinstance(e, (list, tuple)) or isinstance(e, np.ndarray) and e.ndim == 1
+            if not pair or len(e) != 2:
+                raise InstanceFormatError(f"an edge must be a pair of point ids, got {e!r}")
+        ends.extend(e)
+    if not set(map(type, ends)) <= {str}:  # _point_id keeps a str as it is
+        ends = list(map(_point_id, ends))
+    pairs = frozenset(zip(ends[::2], ends[1::2]))
+    try:
+        pos = np.fromiter(map(index.__getitem__, ends), dtype=np.intp,
+                          count=len(ends)).reshape(-1, 2)
+    except KeyError:  # named in sorted order, as the edge set's own follows the hash seed
+        x, y = min(e for e in pairs if not (e[0] in index and e[1] in index))
+        raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point") from None
+    looped = np.bincount(pos[pos[:, 0] == pos[:, 1], 0], minlength=len(ids))  # loops per point
+    if np.count_nonzero(looped) < len(ids):  # named by the first point in id order
+        raise InstanceFormatError(f"missing trivial loop edge on point {ids[looped.argmin()]!r}")
+    pos.flags.writeable = False
+    return pairs, pos
 
 
 # ----- pair geometry ----------------------------------------------------

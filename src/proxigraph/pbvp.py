@@ -44,6 +44,7 @@ from .metric_graph import CheckResult, _check_fields, _float_array, _number, _pa
 TOL_PBVP = 1e-10
 TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
 MAX_ITER = 10_000
+_PAIR_BLOCK = 1 << 13  # pairs x samples entries verify_condition_iv takes at a time
 
 # kind -> the parameter names that kind reads, with a formula kind's defaults
 RHS_PARAMS = {"linear": {"a": 0.0, "b": 0.0}, "exp_linear": {"c": 1.0},
@@ -438,26 +439,32 @@ def verify_condition_iv(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
                         t_samples, s_pairs, tol: float = 1e-12) -> CheckResult:
     """One-sided coupling bound between the shifted right-hand sides:
     |f1(t, s2) + alpha s2 - (f2(t, s1) + alpha s1)| <= h(t) (s2 - s1)
-    for sampled t and ordered pairs s1 <= s2.  Also requires sup h < alpha."""
+    for sampled t and ordered pairs s1 <= s2, in one broadcast per block of
+    pairs x samples; the witness is the first violation in pair order, then in
+    t, with no error for an unordered pair after it.  Also requires sup h < alpha."""
     hfun = make_h(h, alpha)
     ts = np.asarray(t_samples, dtype=float)
     hv = np.asarray(hfun(ts), dtype=float)
     sup_h = float(np.max(hv))
     if not sup_h < alpha:
         return CheckResult(False, ("sup h", sup_h, alpha))
-    for s1, s2 in s_pairs:
-        if s1 > s2:
-            raise ParamOutOfRange(f"s_pairs must be ordered, got ({s1}, {s2})")
-        lhs = np.abs(np.asarray(f1(ts, np.full_like(ts, float(s2))), dtype=float)
-                     + alpha * s2
-                     - np.asarray(f2(ts, np.full_like(ts, float(s1))), dtype=float)
-                     - alpha * s1)
+    pairs = list(s_pairs)
+    ends = np.array(pairs, dtype=float).reshape(-1, 2).T[:, :, None]
+    # the first pair out of order, or one past the last pair
+    stop = int(np.argmax(np.append(ends[0, :, 0] > ends[1, :, 0], True)))
+    rows = max(1, _PAIR_BLOCK // ts.size)
+    for k0 in range(0, stop, rows):
+        s1, s2 = np.repeat(ends[:, k0:min(k0 + rows, stop)], ts.size, 2)
+        lhs = np.abs(np.asarray(f1(ts, s2), dtype=float) + alpha * s2
+                     - np.asarray(f2(ts, s1), dtype=float) - alpha * s1)
         rhs = hv * (s2 - s1)
-        bad = np.nonzero(lhs > rhs + tol)[0]
-        if bad.size:
-            i = int(bad[0])
-            return CheckResult(False, (float(ts[i]), float(s1), float(s2),
-                                       float(lhs[i]), float(rhs[i])))
+        bad = lhs > rhs + tol
+        if bad.any():
+            k, i = divmod(int(np.argmax(bad)), ts.size)
+            return CheckResult(False, (float(ts[i]), float(s1[k, i]), float(s2[k, i]),
+                                       float(lhs[k, i]), float(rhs[k, i])))
+    if stop < len(pairs):
+        raise ParamOutOfRange(f"s_pairs must be ordered, got ({pairs[stop][0]}, {pairs[stop][1]})")
     return CheckResult(True)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxigraph import build, cli, errors
+from proxigraph import FiniteMetricGraph, build, cli, errors
 from proxigraph.cli import _emit, main
 from proxigraph.cyclic_contraction import check_pair, verify_g_cyclic_contraction
 from proxigraph.corpus import EXAMPLE_IDS, build_ex41_fixed_point
@@ -431,9 +431,15 @@ HUGE = 10 ** 400  # a JSON integer too large for a float
      "dist_table": [[0, HUGE], [HUGE, 0]]},
     {"metric": "l1", "points": TWO_POINTS, "auto_loops": "false"},
     {"metric": "l1", "points": TWO_POINTS, "auto_loops": 1},
+    {"metric": "l1", "points": [{**TWO_POINTS[0], "id": None}, TWO_POINTS[1]],
+     "edges": [[None, "b"]]},
+    {"metric": "l1", "points": [{**TWO_POINTS[0], "id": True}, TWO_POINTS[1]]},
+    {"metric": "l1", "points": [{**TWO_POINTS[0], "id": 1.5}, TWO_POINTS[1]]},
+    {"metric": "l1", "points": [{**TWO_POINTS[0], "id": {"a": 1}}, TWO_POINTS[1]]},
 ], ids=["one_element_edge", "ragged_table", "string_coords", "no_b_point", "bool_coords",
         "bool_table", "string_table", "one_string_in_table", "string_coord_entry",
-        "huge_int_coord", "huge_int_table", "string_auto_loops", "int_auto_loops"])
+        "huge_int_coord", "huge_int_table", "string_auto_loops", "int_auto_loops",
+        "null_id", "bool_id", "float_id", "object_id"])
 def test_verify_rejects_malformed_instances(tmp_path, doc):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"schema": "1", "auto_loops": True, **doc}))
@@ -444,6 +450,41 @@ def test_verify_rejects_malformed_instances(tmp_path, doc):
     assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("value", [None, True, 0.5, ["b"], {"b": "a"}],
+                         ids=["null", "bool", "float", "array", "object"])
+def test_verify_rejects_a_map_value_that_is_no_point_id(tmp_path, value):
+    # a point named "None" is where a null value was once read as its name
+    points = [TWO_POINTS[0], {**TWO_POINTS[1], "id": "None"}]
+    paths = {"instance": {"schema": "1", "metric": "l1", "auto_loops": True, "points": points},
+             "map": {"schema": "1", "map": {"a": value, "None": "a"}}}
+    for name, doc in paths.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxigraph.cli", "verify", "--instance",
+         str(tmp_path / "instance.json"), "--map", str(tmp_path / "map.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+    assert "must be a string or an integer" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_verify_reads_integer_ids_in_points_edges_and_maps(tmp_path):
+    points = [{"id": 0, "coords": [0.0], "side": "A"}, {"id": 1, "coords": [1.0], "side": "B"}]
+    docs = {"instance": {"schema": "1", "metric": "l1", "auto_loops": True, "points": points,
+                         "edges": [[0, "1"], ["1", 0]]},
+            "map": {"schema": "1", "map": {"0": 1, "1": 0}}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = ["verify", "--instance", str(tmp_path / "instance.json"),
+            "--map", str(tmp_path / "map.json"), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_points"] == 2 and report["t2_preserves_edges"]["ok"]
+    space = FiniteMetricGraph.from_json(tmp_path / "instance.json")
+    assert space.ids == ("0", "1") and ("0", "1") in space.edges
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "sup"])

@@ -446,9 +446,7 @@ def test_coordinate_distances_are_bit_identical_to_the_broadcast(metric, dim):
         if n * n * dim > 1 << 22:
             continue
         arr = coord_points(rng, n, dim)
-        ids = tuple(f"p{i}" for i in range(n))
-        coords = dict(zip(ids, map(tuple, arr.tolist())))
-        got = metric_graph._coord_dist(ids, coords, metric)
+        got = metric_graph._coord_dist(arr, metric)
         assert got.shape == (n, n)
         assert np.array_equal(got.view(np.int64), oracle_coord_dist(arr, metric).view(np.int64))
 
@@ -470,9 +468,7 @@ def test_per_coordinate_passes_keep_the_bits_at_dims_4_to_6(metric, dim):
     for n in (1, 3, 37, 300, 600):
         arr = coord_points(rng, n, dim)
         arr[0, :] = -0.0
-        ids = tuple(f"p{i}" for i in range(n))
-        coords = dict(zip(ids, map(tuple, arr.tolist())))
-        got = metric_graph._coord_dist(ids, coords, metric)
+        got = metric_graph._coord_dist(arr, metric)
         assert np.array_equal(got.view(np.int64), oracle_coord_dist(arr, metric).view(np.int64))
 
 
@@ -521,8 +517,8 @@ def test_none_for_coordinates_in_code_and_in_a_document():
     assert str(exc.value) == "metric 'l1' requires coords on every point"
 
 
-@pytest.mark.parametrize("bad", ["ab", b"ab", ["a"], ("a", "b", "c"), 5],
-                         ids=["str", "bytes", "one", "three", "int"])
+@pytest.mark.parametrize("bad", ["ab", b"ab", ["a"], ("a", "b", "c"), 5, {"a": 1, "b": 2}],
+                         ids=["str", "bytes", "one", "three", "int", "object"])
 def test_malformed_edges_name_the_first_bad_edge(bad):
     message = f"an edge must be a pair of point ids, got {bad!r}"
     points = [("a", (0.0,), "A"), ("b", (1.0,), "B")]
@@ -542,6 +538,58 @@ def test_edges_mix_lists_and_tuples_and_come_from_any_iterable():
     want = frozenset({("0", "0"), ("1", "1"), ("0", "1"), ("1", "0")})
     for edges in ([(0, 1), ["1", 0]], iter([(0, 1), ["1", 0]]), {(0, 1): 1, (1, 0): 2}):
         assert FiniteMetricGraph.from_coords(points, metric="l1", edges=edges).edges == want
+
+
+def test_one_id_rule_reads_points_edge_ends_and_keys():
+    # numpy's strings and integers are ids too, read as plain str
+    points = [(np.str_("a"), (0.0,), "A"), (np.int64(7), (1.0,), "B")]
+    sp = FiniteMetricGraph.from_coords(points, metric="l1",
+                                       edges=[np.array(["a", "7"]), np.array([7, 7])])
+    assert sp.ids == ("a", "7") and all(type(p) is str for p in sp.ids)
+    assert sp.edges == {("a", "a"), ("7", "7"), ("a", "7")}
+    assert all(type(p) is str for e in sp.edges for p in e)
+    # side and coords keys are read by the same rule as the ids they name
+    sp = FiniteMetricGraph.from_table([0, "1"], {"0": "A", 1: "B"}, 1.0 - np.eye(2),
+                                      coords={0: [2.0], "1": None})
+    assert dict(sp.side) == {"0": "A", "1": "B"} and dict(sp.coords) == {"0": (2.0,), "1": None}
+    with pytest.raises(InstanceFormatError, match="duplicate point ids"):
+        FiniteMetricGraph.from_table([1, "1"], {"1": "AB"}, 1.0 - np.eye(2))
+    for bad in (None, True, np.bool_(False), 1.5, np.float64(2.0), b"a", [1], ("a",), {"a": 1}):
+        message = f"a point id must be a string or an integer, got {bad!r}"
+        # as a point id, as an edge end and as a side key
+        with pytest.raises(InstanceFormatError) as exc:
+            FiniteMetricGraph.from_coords([(bad, (0.0,), "A"), ("b", (1.0,), "B")], "l1")
+        assert str(exc.value) == message
+        with pytest.raises(InstanceFormatError) as exc:
+            FiniteMetricGraph.from_coords([("a", (0.0,), "A"), ("b", (1.0,), "B")], "l1",
+                                          edges=[("a", "b"), ("b", bad)])
+        assert str(exc.value) == message
+        if not isinstance(bad, (list, dict)):  # a key must hash
+            with pytest.raises(InstanceFormatError) as exc:
+                FiniteMetricGraph.from_table(["a"], {"a": "AB", bad: "A"}, [[0.0]])
+            assert str(exc.value) == message
+
+
+def test_edge_errors_name_the_least_unknown_edge_and_the_first_loopless_point():
+    table = 1.0 - np.eye(3)
+    ids, side = ["c", "b", "a"], dict.fromkeys("abc", "AB")
+    with pytest.raises(InstanceFormatError) as exc:
+        FiniteMetricGraph.from_table(ids, side, table, [("z", "a"), ("c", "y"), ("c", "x")])
+    assert str(exc.value) == "edge ('c', 'x') references unknown point"
+    # b comes before a in id order, though not in sorted order
+    for edges in ([("c", "c")], [("c", "c"), ("a", "a"), ("c", "c")], [("a", "b"), ("c", "c")]):
+        with pytest.raises(InstanceFormatError) as exc:
+            FiniteMetricGraph.from_table(ids, side, table, edges, auto_loops=False)
+        assert str(exc.value) == "missing trivial loop edge on point 'b'"
+    # repeated edges are one edge, and every graph question reads them once
+    once = FiniteMetricGraph.from_table(ids, side, table, [("c", "b"), ("b", "a")])
+    twice = FiniteMetricGraph.from_table(ids, side, table, [("c", "b"), ("b", "a")] * 2
+                                         + [(p, p) for p in ids])
+    assert once.edges == twice.edges and len(twice._edge_pos) == 10
+    assert np.array_equal(once._edge_keys(), twice._edge_keys())
+    for sp in (once, twice):
+        assert check_property_star(sp).witness == ("c", "b", "a")
+        assert components(sp) == [frozenset(ids)]
 
 
 def oracle_validate_error(d: np.ndarray):

@@ -1,0 +1,217 @@
+"""Fuzzed instance and map documents, and metamorphic relations of `verify`.
+
+A fuzzed pair of documents starts valid; one value at a random path is then
+replaced by any JSON value, or deleted.  `verify` runs on it in process
+through `cli.main`, and must keep the exit-code contract: 0, 1 or 2, no
+traceback, and an exit 2 reported on exactly one `input error:` line.  The
+metamorphic relations rewrite valid documents in ways that must not change
+what they mean, so `verify` must answer as before.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from proxigraph import CyclicMapTable, FiniteMetricGraph, components, enumerate_bpps
+from proxigraph.cli import main
+from proxigraph.corpus import (
+    build_ex22_kappa,
+    build_ex33_dyadic_l1,
+    build_ex35_not_bpo,
+    build_random_chain,
+)
+
+# point ids: strings, among them what str() once made of a null or a
+# boolean, and integers
+ID_POOL = ("a", "b", "None", "True", "False", 3, 4)
+
+GAUGES = {"schema": "1", "phi1": {"kind": "linear", "params": {"c": 0.5}},
+          "phi2": {"kind": "identity"}}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=2),
+    max_leaves=4)
+# any JSON value, and often one that str() once read as a point's name
+REPLACEMENTS = st.sampled_from([None, True, False]) | JSON_VALUES
+
+
+def run_verify(folder, instance, mapping, *flags):
+    """verify on the instance and map documents, with the gauges above, in
+    process: its exit code, stdout and stderr."""
+    argv = ["verify"]
+    for name, doc in (("instance", instance), ("map", mapping), ("gauges", GAUGES)):
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + list(flags))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid l1 or table instance document of 2 to 6 points on sides A and
+    B, and a map document of a cyclic map on it."""
+    n = draw(st.integers(2, 6))
+    sides = ["A", "B"] + draw(st.lists(st.sampled_from("AB"), min_size=n - 2, max_size=n - 2))
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=n, max_size=n, unique=True))
+    xy = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=n, max_size=n))
+    pairs = [[x, y] for x in ids for y in ids if x != y]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=8))
+    doc = {"schema": "1", "metric": "l1", "auto_loops": True, "edges": edges,
+           "points": [{"id": p, "coords": list(c), "side": s}
+                      for p, c, s in zip(ids, xy, sides)]}
+    if draw(st.booleans()):
+        doc["metric"] = "table"
+        doc["dist_table"] = [[float(abs(a - c) + abs(b - d)) for c, d in xy] for a, b in xy]
+    onto = {s: [p for p, t in zip(ids, sides) if t != s] for s in "AB"}
+    mapping = {str(p): draw(st.sampled_from(onto[s])) for p, s in zip(ids, sides)}
+    return doc, {"schema": "1", "map": mapping}
+
+
+def paths(value, prefix=()):
+    """The path, as keys and indices, of every value nested in value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield prefix + (key,)
+        yield from paths(inner, prefix + (key,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """valid_documents with one value in one of them replaced or deleted."""
+    docs = draw(valid_documents())
+    target = docs[draw(st.integers(0, 1))]
+    path = draw(st.sampled_from(list(paths(target))))
+    parent = target
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(REPLACEMENTS)
+    return docs
+
+
+def is_id(value) -> bool:
+    return isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool)
+
+
+def names_a_non_id(instance, mapping) -> bool:
+    """Whether a point record, an edge of two ends or a map entry holds a
+    value that is no point id."""
+    points, edges, table = instance.get("points"), instance.get("edges"), mapping.get("map")
+    ids = []
+    if isinstance(points, list):
+        ids += [rec["id"] for rec in points if isinstance(rec, dict) and "id" in rec]
+    if isinstance(edges, list):
+        ids += [end for e in edges if isinstance(e, list) and len(e) == 2 for end in e]
+    if isinstance(table, dict):
+        ids += table.values()
+    return not all(map(is_id, ids))
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(valid_documents())
+@settings(max_examples=40, deadline=None)
+def test_the_fuzz_starts_from_valid_documents(folder, docs):
+    code, out, err = run_verify(folder, *docs)
+    assert code in (0, 1) and err == "" and json.loads(out)["n_points"] >= 2
+
+
+@given(fuzzed_documents())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_documents_keep_the_exit_code_contract(folder, docs):
+    # under --strict an unknown field is the input error; otherwise each is
+    # one warning line before the outcome
+    for flags in (("--strict",), ()):
+        code, out, err = run_verify(folder, *docs, *flags)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        lines = err.splitlines(keepends=True)
+        if code == 2:
+            assert out == ""
+            assert [line for line in lines if not line.startswith("warning: ")] == lines[-1:]
+            assert lines[-1].startswith("input error:") and lines[-1].endswith("\n")
+            assert len(lines) == 1 or not flags
+        else:
+            assert all(line.startswith("warning: ") for line in lines)
+        if names_a_non_id(*docs):
+            assert code == 2, err
+
+
+# ----- metamorphic relations ---------------------------------------------
+
+
+def bases():
+    chains = [build_random_chain(seed) for seed in (0, 3, 7, 11, 19)]
+    return [build_ex22_kappa(8), build_ex33_dyadic_l1(4), build_ex35_not_bpo(4), *chains]
+
+
+def instance_document(space) -> dict:
+    """The space as an instance document, every edge listed, loops too."""
+    if space.metric == "table":
+        return space.to_dict()
+    return {"schema": "1", "metric": space.metric, "auto_loops": False,
+            "edges": sorted([x, y] for x, y in space.edges),
+            "points": [{"id": p, "coords": list(space.coords[p]), "side": space.side[p]}
+                       for p in space.ids]}
+
+
+@pytest.mark.parametrize("inst", bases(), ids=lambda inst: inst.example_id)
+def test_edge_list_rewrites_leave_the_report_byte_identical(tmp_path, inst):
+    rng = random.Random(inst.example_id)
+    doc, mapping = instance_document(inst.space), {"schema": "1", "map": dict(inst.tmap.mapping)}
+    shuffled = rng.sample(doc["edges"], len(doc["edges"]))
+    repeated = shuffled + rng.sample(shuffled, len(shuffled) // 2)
+    loops = {"auto_loops": True, "edges": [[x, y] for x, y in shuffled if x != y]}
+    for flags in ((), ("--all-pairs",)):
+        want = run_verify(tmp_path, doc, mapping, *flags)
+        assert want[0] in (0, 1) and want[2] == ""
+        for edges in ({"edges": shuffled}, {"edges": repeated}, loops):
+            assert run_verify(tmp_path, {**doc, **edges}, mapping, *flags) == want
+
+
+def verdicts(folder, doc, mapping):
+    """What a permutation of the points must keep: the verify report's d(A,B),
+    predicate verdicts and contraction sweep, the components and the BPP set."""
+    code, out, _ = run_verify(folder, doc, mapping, "--all-pairs")
+    report = json.loads(out)
+    con = report["contraction"]
+    space = FiniteMetricGraph.from_dict(doc)
+    tmap = CyclicMapTable.for_space(space, mapping["map"])
+    return (code, report["d_ab"], {k: v["ok"] for k, v in report["predicates"].items()},
+            con["holds"], con["checked_pairs"], sorted(map(tuple, con["violations"])),
+            components(space), enumerate_bpps(space, tmap))
+
+
+@pytest.mark.parametrize("inst", bases(), ids=lambda inst: inst.example_id)
+def test_permuting_the_points_keeps_every_verdict(tmp_path, inst):
+    rng = random.Random(inst.example_id)
+    doc, mapping = instance_document(inst.space), {"schema": "1", "map": dict(inst.tmap.mapping)}
+    want = verdicts(tmp_path, doc, mapping)
+    for _ in range(3):
+        order = rng.sample(range(len(doc["points"])), len(doc["points"]))
+        moved = {**doc, "points": [doc["points"][i] for i in order]}
+        if "dist_table" in doc:
+            moved["dist_table"] = [[doc["dist_table"][i][j] for j in order] for i in order]
+        assert verdicts(tmp_path, moved, mapping) == want

@@ -25,7 +25,8 @@ from proxigraph import (
     verify_condition_iv,
 )
 from proxigraph.corpus import E_SQUARED
-from proxigraph.pbvp import integral_operator, product_weights, segment_weights
+from proxigraph.metric_graph import CheckResult
+from proxigraph.pbvp import integral_operator, make_h, product_weights, segment_weights
 from proxigraph.errors import (
     BetaNotContractive,
     ConditionIvViolated,
@@ -174,6 +175,104 @@ def test_condition_iv():
     assert cap.witness == ("sup h", 8.0, alpha)
     with pytest.raises(ParamOutOfRange, match="ordered"):
         verify_condition_iv(f, f, alpha, 1.0, ts, [(1.0, 0.0)])
+
+
+def condition_iv_by_pairs(f1, f2, alpha, h, t_samples, s_pairs, tol=1e-12):
+    """verify_condition_iv as first written: one pair at a time, over the grid."""
+    hfun = make_h(h, alpha)
+    ts = np.asarray(t_samples, dtype=float)
+    hv = np.asarray(hfun(ts), dtype=float)
+    sup_h = float(np.max(hv))
+    if not sup_h < alpha:
+        return CheckResult(False, ("sup h", sup_h, alpha))
+    for s1, s2 in s_pairs:
+        if s1 > s2:
+            raise ParamOutOfRange(f"s_pairs must be ordered, got ({s1}, {s2})")
+        lhs = np.abs(np.asarray(f1(ts, np.full_like(ts, float(s2))), dtype=float)
+                     + alpha * s2
+                     - np.asarray(f2(ts, np.full_like(ts, float(s1))), dtype=float)
+                     - alpha * s1)
+        rhs = hv * (s2 - s1)
+        bad = np.nonzero(lhs > rhs + tol)[0]
+        if bad.size:
+            i = int(bad[0])
+            return CheckResult(False, (float(ts[i]), float(s1), float(s2),
+                                       float(lhs[i]), float(rhs[i])))
+    return CheckResult(True)
+
+
+def picard_pairs(w0):
+    """The state pairs the coupled solver samples condition (iv) on."""
+    svals = np.linspace(float(np.min(w0)) - 1.0, float(np.max(w0)) + 1.0, 9)
+    return [(float(a), float(b)) for a in svals for b in svals if a <= b]
+
+
+def hexed(witness):
+    return None if witness is None else tuple(
+        v.hex() if isinstance(v, float) else v for v in witness)
+
+
+TABLE_RHS = RhsFunction("table", {"t_nodes": [0.0, 0.4, 1.0], "s_nodes": [-2.0, 0.0, 1.5],
+                                  "values": [[1.0, -0.5, 2.0], [0.0, 0.3, -1.0],
+                                             [2.5, 1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("n", [11, 201, 1001])
+def test_condition_iv_in_blocks_is_the_pair_loop(n):
+    ex53 = build("ex53_pbvp", n_nodes=n)
+    ts, pairs53 = ex53.grid.nodes, picard_pairs(ex53.w0.values)
+    neg = RhsFunction("linear", {"a": -1.0})
+    cases = [
+        # ex53 as its common solve checks it, and with weights too small to pass
+        (ex53.f, ex53.f, ex53.alpha, ex53.h_spec, pairs53),
+        (ex53.f, ex53.f, ex53.alpha, 0.5, pairs53),
+        (ex53.f, ex53.f, ex53.alpha, 7.0, pairs53[15:]),
+        # f1 = -s, f2 = -1.5 s: the first pair (-3, -3) already fails at t = 0
+        (neg, RhsFunction("linear", {"a": -1.5}), 4.0, 3.0,
+         picard_pairs(np.full(n, -2.0))),
+        (RhsFunction("cosine_forced", {"a": -1.0, "amp": 0.7, "freq": 2.0}), neg, 3.0,
+         {"kind": "const", "value": 1.2}, picard_pairs(np.full(n, 0.5))),
+        (TABLE_RHS, ex53.f, 6.0, 2.0, picard_pairs(np.linspace(-1.0, 1.0, n))),
+        (TABLE_RHS, TABLE_RHS, 6.0, 5.9, [(-3.0, -3.0), (-2.5, 0.0), (0, 1), (1.0, 2.5)]),
+        (neg, neg, 2.0, 1.0, []),
+    ]
+    verdicts = []
+    for f1, f2, alpha, h, pairs in cases:
+        got = verify_condition_iv(f1, f2, alpha, h, ts, pairs)
+        want = condition_iv_by_pairs(f1, f2, alpha, h, ts, pairs)
+        assert (got.ok, hexed(got.witness)) == (want.ok, hexed(want.witness))
+        verdicts.append(got.ok)
+    assert verdicts[0] and verdicts[-1] and verdicts.count(False) >= 4
+    item3 = verify_condition_iv(neg, RhsFunction("linear", {"a": -1.5}), 4.0, 3.0, ts,
+                                picard_pairs(np.full(n, -2.0)))
+    assert item3.witness[:3] == (0.0, -3.0, -3.0)
+
+
+def outcome(check, *args):
+    """A condition (iv) check's verdict and float.hex witness, or its error."""
+    try:
+        got = check(*args)
+    except ParamOutOfRange as exc:
+        return str(exc)
+    return got.ok, hexed(got.witness)
+
+
+@pytest.mark.parametrize("n", [21, 1001])
+def test_condition_iv_stops_at_the_first_violation_before_an_unordered_pair(n):
+    neg = RhsFunction("linear", {"a": -1.0})
+    ts = np.linspace(0.0, 1.0, n)
+    # equal ends pass for f1 = f2; (0, 1) fails the bound; at n = 1001 a
+    # block holds 8 pairs, so the later cases meet both past the first block
+    same = [(float(s), float(s)) for s in np.linspace(-1.0, 1.0, 20)]
+    cases = [[(0.0, 1.0), (1.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], [(0.0, 0.0), (2, 1)],
+             same + [(0.0, 1.0)], same + [(1.0, 0.0), (0.0, 1.0)],
+             same[:3] + [(1.0, 0.0), (0.0, 1.0)], same + [(0.5, 0.75), (3, 2), (0.0, 1.0)]]
+    raised = []
+    for pairs in cases:
+        want = outcome(condition_iv_by_pairs, neg, neg, 4.0, 0.1, ts, pairs)
+        assert outcome(verify_condition_iv, neg, neg, 4.0, 0.1, ts, pairs) == want
+        raised.append(isinstance(want, str))
+    assert raised == [False, True, True, False, True, True, False]
 
 
 def test_lower_solution_checks():
