@@ -232,6 +232,11 @@ def check_side_map(space: FiniteMetricGraph, name: str, table: Mapping[str, str]
             raise InstanceFormatError(f"{name} has an entry for {key!r}, which is no point{where}")
 
 
+def _read_map(table) -> Mapping[str, str]:
+    """A read-only copy of table, a mapping or (id, id) pairs, each id read by _point_id."""
+    return MappingProxyType({_point_id(x): _point_id(y) for x, y in dict(table).items()})
+
+
 def _image_array(space: FiniteMetricGraph, table: Mapping[str, str]) -> np.ndarray:
     """The read-only position of table[p] at the position of each point p of
     space that table maps, for a table check_side_map has passed; elsewhere
@@ -254,7 +259,7 @@ class CyclicMapTable:
     mapping: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
+        object.__setattr__(self, "mapping", _read_map(self.mapping))
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from a plain copy instead
@@ -289,12 +294,11 @@ def verify_t2_preserves_edges(space: FiniteMetricGraph, tmap: CyclicMapTable) ->
     is the least failing edge (x, y) in sorted id order, with its image."""
     image = tmap.validate(space)
     twice = image[image]
-    x, y = space._edges_within(space.side_a())[1].T
+    x, y = space._order[space._edges_within(space.side_a())[1]]  # in sorted id order
     bad = ~space._is_edge(twice[x], twice[y])
     if not bad.any():
         return CheckResult(True)
-    x, y, rank = x[bad], y[bad], space._rank
-    i = int(np.lexsort((rank[y], rank[x]))[0])
+    i = int(np.argmax(bad))
     return CheckResult(False, tuple(space.ids[p] for p in (x[i], y[i], twice[x[i]], twice[y[i]])))
 
 
@@ -428,9 +432,9 @@ def load_gauge_pair(path) -> tuple[GaugeSpec, GaugeSpec]:
 
 
 def load_map(path) -> dict[str, str]:
-    """The {id: id} table of {"schema": "1", "map": {...}} in a file.  A map is
-    made from it, and checked against its space, by a for_space constructor."""
+    """The {id: id} table of {"schema": "1", "map": {...}} in a file, as written.  A
+    for_space constructor reads its ids and checks it against its space."""
     data = read_document(path, {"schema", "map"}, "map file")
     if not isinstance(data.get("map"), dict):
         raise InstanceFormatError("map spec must be an object with a 'map' table")
-    return {_point_id(k): _point_id(v) for k, v in data["map"].items()}
+    return data["map"]

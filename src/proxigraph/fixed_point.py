@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .cyclic_contraction import (
     GaugeSpec,
     _image_array,
     _knot_values,
+    _read_map,
     check_side_map,
     gauge_values,
     parse_knots,
@@ -164,8 +164,8 @@ class PairMaps:
     t2: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "t1", MappingProxyType(dict(self.t1)))
-        object.__setattr__(self, "t2", MappingProxyType(dict(self.t2)))
+        object.__setattr__(self, "t1", _read_map(self.t1))
+        object.__setattr__(self, "t2", _read_map(self.t2))
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from plain copies instead

@@ -6,14 +6,15 @@ edge set is a set of ordered id pairs; every point must carry its trivial loop.
 
 `FiniteMetricGraph.__post_init__` reads every space; the constructors only lay
 their input out as its fields.  One rule, `_point_id`, reads point ids and edge
-ends alike, all coordinates are read in one call, and one walk over the edges
-gives the edge set and its read-only (m, 2) array of positions.  A space is
-immutable, its arrays and maps read-only, and holds each side's ids and
-positions and each point's sorted-id rank.  The sorted edge keys
-rank[x] * n + rank[y] are the one edge lookup over position arrays (`_is_edge`),
-as `has_edge` is for a pair of ids; no other module reads how edges are
-stored.  Closeness to d(A,B) is one float test, kept as an A x B mask.  What
-else follows from the space alone -- the edge keys, that mask, the pair
+ends alike, and all coordinates are read in one call.  A space is immutable,
+its arrays and maps read-only, and holds each side's ids and positions, the
+sorted id order and each point's rank in it.  One walk over the edges gives
+the edge set and the space's one edge array: the read-only sorted keys
+rank[x] * n + rank[y], one per edge.  They are the edge lookup over position
+arrays (`_is_edge`), as `has_edge` is for a pair of ids, and `_edges_within`
+is the one rule for the edges within a subset; no other module reads how
+edges are stored.  Closeness to d(A,B) is one float test, kept as an A x B
+mask.  What else follows from the space alone -- that mask, the pair
 geometry, the component labels and the hypothesis verdicts -- is computed on
 first use and kept on the space, as are, for each map checked against it, its
 verdict, its read-only image arrays and a cyclic map's X_T2_A set.
@@ -103,8 +104,11 @@ class FiniteMetricGraph:
             raise InstanceFormatError("duplicate point ids")
         if self.metric not in _METRICS:
             raise InstanceFormatError(f"unknown metric {self.metric!r}")
-        edges, edge_pos = _read_edges(self.edges, ids, index)
-        side, given = _by_id(self.side), _by_id(self.coords)
+        # order[r] is the position of the r-th id in sorted order, rank its inverse
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        rank = order.argsort()
+        edges, edge_keys = _read_edges(self.edges, ids, index, rank)
+        side, given = _by_id(self.side, "side", index), _by_id(self.coords, "coords", index)
         side = {p: _check_side(side.get(p)) for p in ids}
         # a table space may carry coordinates on some points, of any dimension
         table = self.metric == "table"
@@ -133,13 +137,11 @@ class FiniteMetricGraph:
             pos = np.array([i for i, v in enumerate(side.values()) if s in v], dtype=np.intp)
             pos.flags.writeable = False
             sides[s] = tuple(ids[i] for i in pos.tolist()), pos
-        # rank[i] is the place of ids[i] in sorted id order
-        rank = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp).argsort()
-        rank.flags.writeable = False
+        order.flags.writeable = rank.flags.writeable = edge_keys.flags.writeable = False
         for name, value in (("ids", ids), ("side", MappingProxyType(side)), ("dist", dist),
                             ("edges", edges), ("coords", MappingProxyType(coords)),
-                            ("index", MappingProxyType(index)), ("_sides", sides),
-                            ("_rank", rank), ("_edge_pos", edge_pos), ("_memo", {})):
+                            ("index", MappingProxyType(index)), ("_sides", sides), ("_memo", {}),
+                            ("_order", order), ("_rank", rank), ("_edge_keys", edge_keys)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
@@ -253,37 +255,25 @@ class FiniteMetricGraph:
             value = self._memo[key] = compute()
             return value
 
-    def _edge_keys(self) -> np.ndarray:
-        """The read-only sorted keys rank[x] * n + rank[y], one per edge (x, y)
-        however often it is listed, over the sorted-id ranks of the n points."""
-        def keys():
-            x, y = self._rank[self._edge_pos].T
-            keys = np.unique(x * len(self.ids) + y)
-            keys.flags.writeable = False
-            return keys
-        return self._cached("edge_keys", keys)
-
     def _is_edge(self, x, y) -> np.ndarray:
         """Whether (ids[x], ids[y]) is an edge, for position arrays x and y
         broadcast against each other: each key searched among the sorted
         edge keys.  A position off the space raises IndexError."""
-        keys, rank = self._edge_keys(), self._rank
+        keys, rank = self._edge_keys, self._rank
         want = rank[x] * len(rank) + rank[y]
         # the loop on the last id in sorted order is the largest key, n * n - 1:
         # no search goes past it
         return keys[np.searchsorted(keys, want)] == want
 
-    def _positions(self, nodes) -> np.ndarray:
-        """The positions of the point ids in nodes, each resolved by _i."""
-        return np.fromiter(map(self._i, nodes), dtype=np.intp)
-
     def _edges_within(self, nodes) -> tuple[np.ndarray, np.ndarray]:
-        """The positions of the point ids in nodes, each resolved by _i, and
-        the rows of _edge_pos with both ends among them."""
-        pos = self._positions(nodes)
+        """The one rule for the edges within a subset: the sorted-id ranks of
+        the ids in nodes, each resolved by _i, and the (2, k) ranks of the ends
+        of the k edges within them, in key order, which is sorted id order."""
+        rank = self._rank[np.fromiter(map(self._i, nodes), dtype=np.intp)]
         inside = np.zeros(len(self.ids), dtype=bool)
-        inside[pos] = True
-        return pos, self._edge_pos[inside[self._edge_pos].all(axis=1)]
+        inside[rank] = True
+        ends = np.stack(np.divmod(self._edge_keys, len(self.ids)))
+        return rank, ends[:, inside[ends].all(axis=0)]  # a mask keeps the key order
 
 
 def _check_table(d, ids):
@@ -493,9 +483,13 @@ def _point_id(value) -> str:
     raise InstanceFormatError(f"a point id must be a string or an integer, got {value!r}")
 
 
-def _by_id(m) -> dict:
-    """The mapping m, or m's (id, value) pairs, keyed by the ids _point_id reads."""
-    return {_point_id(p): v for p, v in (m.items() if isinstance(m, Mapping) else m)}
+def _by_id(m, what, index) -> dict:
+    """The mapping m, or its (id, value) pairs, keyed by _point_id; a key off index is an error."""
+    by_id = {_point_id(p): v for p, v in (m.items() if isinstance(m, Mapping) else m)}
+    if not by_id.keys() <= index.keys():
+        stray = min(by_id.keys() - index.keys())
+        raise InstanceFormatError(f"{what} has an entry for {stray!r}, which is no point")
+    return by_id
 
 
 def _read_coords(ids, values) -> tuple[list, np.ndarray | None]:
@@ -510,10 +504,11 @@ def _read_coords(ids, values) -> tuple[list, np.ndarray | None]:
     return [_coord_tuple(p, xy) for p, xy in zip(ids, values)], None
 
 
-def _read_edges(edges, ids, index) -> tuple[frozenset[tuple[str, str]], np.ndarray]:
-    """The edge set, and the read-only (m, 2) positions of the ends of each
-    edge as listed (repeats kept), from one walk over edges: each a list,
-    tuple or 1-d array of exactly two point ids, each read by _point_id."""
+def _read_edges(edges, ids, index, rank) -> tuple[frozenset[tuple[str, str]], np.ndarray]:
+    """The edge set, and its sorted keys rank[x] * n + rank[y], one per edge
+    (x, y) however often it is listed, over the sorted-id ranks of the n
+    points, from one walk over edges: each a list, tuple or 1-d array of
+    exactly two point ids, each read by _point_id."""
     ends = []
     for e in edges:
         if type(e) not in (list, tuple) or len(e) != 2:  # the usual edge needs no more
@@ -525,16 +520,17 @@ def _read_edges(edges, ids, index) -> tuple[frozenset[tuple[str, str]], np.ndarr
         ends = list(map(_point_id, ends))
     pairs = frozenset(zip(ends[::2], ends[1::2]))
     try:
-        pos = np.fromiter(map(index.__getitem__, ends), dtype=np.intp,
-                          count=len(ends)).reshape(-1, 2)
+        ranked = rank[np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))]
     except KeyError:  # named in sorted order, as the edge set's own follows the hash seed
         x, y = min(e for e in pairs if not (e[0] in index and e[1] in index))
         raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point") from None
-    looped = np.bincount(pos[pos[:, 0] == pos[:, 1], 0], minlength=len(ids))  # loops per point
-    if np.count_nonzero(looped) < len(ids):  # named by the first point in id order
-        raise InstanceFormatError(f"missing trivial loop edge on point {ids[looped.argmin()]!r}")
-    pos.flags.writeable = False
-    return pairs, pos
+    keys = np.sort(ranked[::2] * len(ids) + ranked[1::2])
+    # each edge once: np.unique hashes, several times slower at every size
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    if np.count_nonzero(keys % (len(ids) + 1) == 0) < len(ids):  # a loop's key is r * (n + 1)
+        first = ids[np.isin(rank * (len(ids) + 1), keys).argmin()]  # the first in id order
+        raise InstanceFormatError(f"missing trivial loop edge on point {first!r}")
+    return pairs, keys
 
 
 # ----- pair geometry ----------------------------------------------------
@@ -617,17 +613,18 @@ def _property_uc(space):
 
 def _roots(n, ends) -> np.ndarray:
     """The least point of each of n points' weak component, under the edges
-    in the (m, 2) array ends: each round hooks the larger root of every edge
+    in the (2, m) array ends: each round hooks the larger root of every edge
     whose ends have two roots under the smaller one, then shortcuts every
     point to its root (Shiloach and Vishkin's hook and shortcut).  A point
     never points above itself, so a root is the least point under it."""
     root = np.arange(n)
     while True:
-        r = np.sort(root[ends], axis=1)  # each edge's two roots, the smaller first
-        split = r[:, 0] != r[:, 1]
+        rx, ry = root[ends]  # each edge's two roots
+        lo, hi = np.minimum(rx, ry), np.maximum(rx, ry)
+        split = lo != hi
         if not split.any():
             return root
-        np.minimum.at(root, r[split, 1], r[split, 0])
+        np.minimum.at(root, hi[split], lo[split])
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
@@ -635,11 +632,11 @@ def _roots(n, ends) -> np.ndarray:
 
 def _components(space: FiniteMetricGraph) -> tuple[tuple[frozenset[str], ...], tuple[int, ...]]:
     """Weak components ordered by smallest member id, and the component label
-    of each point in id order.  The labelling runs on sorted-id ranks, so
-    each component's root is its smallest member."""
+    of each point in id order.  The labelling runs on the sorted-id ranks
+    that the edge keys hold, so each component's root is its smallest member."""
     def labels():
-        rank = space._rank
-        roots, label = np.unique(_roots(len(rank), rank[space._edge_pos])[rank],
+        n, rank = len(space.ids), space._rank
+        roots, label = np.unique(_roots(n, np.stack(np.divmod(space._edge_keys, n)))[rank],
                                  return_inverse=True)
         label = label.tolist()
         members = [[] for _ in roots]
@@ -662,8 +659,10 @@ def components(space: FiniteMetricGraph) -> list[frozenset[str]]:
 
 def is_weakly_connected(space: FiniteMetricGraph, within=None) -> bool:
     """Connectivity after symmetrizing edges, optionally on an induced subset."""
-    pos, ends = space._edges_within(space.ids if within is None else within)
-    return len(np.unique(_roots(len(space.ids), ends)[pos])) <= 1
+    if within is None:
+        return len(_components(space)[0]) <= 1
+    rank, ends = space._edges_within(within)
+    return len(np.unique(_roots(len(space.ids), ends)[rank])) <= 1
 
 
 def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
@@ -685,26 +684,21 @@ def check_property_star(space: FiniteMetricGraph, within=None) -> CheckResult:
 
 def _property_star(space, nodes):
     """The lexicographically least (x, y, z) in sorted id order with edges
-    x -> y -> z but no edge x -> z, all three in nodes.  The space's sorted
-    edge keys x * n + y, over the sorted-id ranks of the n points, are masked
-    to the edges within nodes.  The 2-paths are joined in blocks of about
-    _BLOCK, in the sorted order of (x, y) and then z, and each shortcut
-    x * n + z is looked up among those keys; the first block with a miss
+    x -> y -> z but no edge x -> z, all three in nodes.  The edges within
+    nodes, from _edges_within, are in that order.  The 2-paths are joined in
+    blocks of about _BLOCK, in the sorted order of (x, y) and then z, and
+    each shortcut x * n + z, over sorted-id ranks, is looked up among the
+    space's edge keys (x and z are in nodes); the first block with a miss
     holds the least."""
-    n = len(space.ids)
-    inside = np.zeros(n, dtype=bool)  # by sorted-id rank
-    inside[space._rank[space._positions(nodes)]] = True
-    keys = space._edge_keys()
-    src, dst = np.divmod(keys, n)
-    within = inside[src] & inside[dst]  # a mask keeps the keys sorted
-    keys, src, dst = keys[within], src[within], dst[within]
+    n, keys = len(space.ids), space._edge_keys
+    src, dst = space._edges_within(nodes)[1]
     out_deg = np.bincount(src, minlength=n)
     paths = out_deg[dst]  # 2-paths x -> y -> z through each edge x -> y
     ends = np.cumsum(paths)
     # 2-path number g, through edge e, ends at the z of the key at g + shift[e]
     shift = (np.cumsum(out_deg) - out_deg)[dst] - (ends - paths)
     a = done = 0
-    while a < len(keys):
+    while a < len(src):
         b = max(a + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
         count = paths[a:b]
         z_pos = np.repeat(shift[a:b], count) + np.arange(done, ends[b - 1])
@@ -713,7 +707,7 @@ def _property_star(space, nodes):
         if miss.any():
             i = int(np.argmax(miss))
             e = a + int(np.searchsorted(ends[a:b], done + i, side="right"))
-            ranked = sorted(space.ids)
-            return CheckResult(False, (ranked[src[e]], ranked[dst[e]], ranked[dst[z_pos[i]]]))
+            witness = space._order[[src[e], dst[e], dst[z_pos[i]]]].tolist()
+            return CheckResult(False, tuple(space.ids[p] for p in witness))
         a, done = b, int(ends[b - 1])
     return CheckResult(True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,11 +586,19 @@ def test_edge_errors_name_the_least_unknown_edge_and_the_first_loopless_point():
     once = FiniteMetricGraph.from_table(ids, side, table, [("c", "b"), ("b", "a")])
     twice = FiniteMetricGraph.from_table(ids, side, table, [("c", "b"), ("b", "a")] * 2
                                          + [(p, p) for p in ids])
-    assert once.edges == twice.edges and len(twice._edge_pos) == 10
-    assert np.array_equal(once._edge_keys(), twice._edge_keys())
+    assert once.edges == twice.edges and np.array_equal(once._edge_keys, twice._edge_keys)
+    keys = twice._edge_keys  # the space's one edge array: one key per distinct edge
+    assert not keys.flags.writeable and (np.diff(keys) > 0).all()
+    assert len(keys) == len(twice.edges) == 5 and keys.nbytes == 8 * len(twice.edges)
+    maps = [CyclicMapTable({"a": "b", "b": "c", "c": "a"}), CyclicMapTable(dict(zip(ids, ids)))]
     for sp in (once, twice):
         assert check_property_star(sp).witness == ("c", "b", "a")
         assert components(sp) == [frozenset(ids)]
+        for tm in maps:
+            assert verify_t2_preserves_edges(sp, tm) == oracle_t2_preserves_edges(sp, tm)
+        for within in (ids, ("a", "c"), ("c", "b"), ("b",), ()):
+            assert is_weakly_connected(sp, within) == oracle_weakly_connected(sp, within)
+    assert not verify_t2_preserves_edges(twice, maps[0])
 
 
 def oracle_validate_error(d: np.ndarray):
@@ -798,7 +807,6 @@ def test_property_star_joins_in_bounded_memory():
     ids = [f"p{i}" for i in range(n)]
     space = FiniteMetricGraph.from_table(ids, dict.fromkeys(ids, "AB"), 1.0 - np.eye(n),
                                          [(x, y) for x in ids for y in ids])
-    space._edge_keys()
     tracemalloc.start()
     try:
         result = metric_graph._property_star(space, space.ids)  # 8 M 2-paths
@@ -817,7 +825,7 @@ def test_edge_lookup_is_the_edge_set(seed, density):
     rng = np.random.default_rng(seed)
     space = digraph_space(rng, int(rng.integers(1, 25)), density)
     n = len(space.ids)
-    assert space._edge_keys()[-1] == n * n - 1
+    assert space._edge_keys[-1] == n * n - 1
     pos = np.arange(n)
     assert space._is_edge(pos[:, None], pos).tolist() == [
         [space.has_edge(p, q) for q in space.ids] for p in space.ids]
@@ -1074,11 +1082,17 @@ def test_a_map_on_a_space_it_does_not_fit_is_refused():
             solve_bpp(other, tm, seed)
 
 
-def test_the_memo_keeps_read_only_edge_keys_and_image_arrays():
+def test_only_the_space_module_reads_how_edges_are_stored():
+    package = Path(metric_graph.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "_edge_keys" in p.read_text()] == [
+        "metric_graph.py"]
+
+
+def test_the_space_keeps_read_only_edge_keys_and_image_arrays():
     inst = build_random_chain(7)
     sp, tm = inst.space, inst.tmap
-    keys, image = sp._edge_keys(), tm.validate(sp)
-    assert keys is sp._edge_keys() and image is tm.validate(sp)
+    keys, image = sp._edge_keys, tm.validate(sp)
+    assert image is tm.validate(sp)
     assert not keys.flags.writeable and not image.flags.writeable
     ranked, n = sorted(sp.ids), len(sp.ids)
     assert (np.diff(keys) > 0).all() and len(keys) == len(sp.edges)

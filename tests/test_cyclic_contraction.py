@@ -15,6 +15,7 @@ from proxigraph import (
     GaugeSpec,
     InstanceFormatError,
     OutOfDomain,
+    PairMaps,
     SideMismatch,
     build,
     eval_gauge,
@@ -165,6 +166,23 @@ def test_map_table_validation():
     with pytest.raises(InstanceFormatError, match="entry for 'a9', which is no point"):
         CyclicMapTable.for_space(sp, {"a0": "b0", "a1": "b0", "a9": "b0",
                                       "b0": "a0", "b1": "a0"})
+
+
+def test_maps_read_their_ids_by_the_space_rule():
+    # the integer ids 0 and 1 are the points "0" and "1", in a map as in the space
+    sp = FiniteMetricGraph.from_coords([(0, (0.0,), "A"), (1, (1.0,), "B")], metric="l1")
+    tmap = CyclicMapTable.for_space(sp, {0: 1, 1: np.int64(0)})
+    assert dict(tmap.mapping) == {"0": "1", "1": "0"}
+    pair = PairMaps.for_space(sp, {0: 1}, {"1": 0})
+    assert dict(pair.t1) == {"0": "1"} and dict(pair.t2) == {"1": "0"}
+    for value in (None, True, 1.0, ["1"]):
+        message = re.escape(f"a point id must be a string or an integer, got {value!r}")
+        with pytest.raises(InstanceFormatError, match=message):
+            CyclicMapTable.for_space(sp, {0: value, 1: 0})
+        with pytest.raises(InstanceFormatError, match=message):
+            PairMaps.for_space(sp, {0: 1}, {1: value})
+    with pytest.raises(InstanceFormatError, match="got None"):
+        CyclicMapTable.for_space(sp, {None: 1, 1: 0})
 
 
 def m_through_check_pair(sp, tmap, x, y):

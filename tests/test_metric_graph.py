@@ -86,6 +86,15 @@ def test_side_labels():
     assert "q" in sp.side_a() and "q" not in sp.side_b()
 
 
+def test_side_and_coords_entries_must_name_points():
+    table = 1.0 - np.eye(2)
+    for side, coords, what, stray in (({"a": "A", "b": "B", "zz": "A", "y": "B"}, None, "side", "y"),
+                                      ({"a": "A", "b": "B"}, {"a": [0.0], 7: [1.0]}, "coords", "7")):
+        with pytest.raises(InstanceFormatError,
+                           match=f"^{what} has an entry for '{stray}', which is no point$"):
+            FiniteMetricGraph.from_table(["a", "b"], side, table, coords=coords)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(InstanceFormatError):
         FiniteMetricGraph.from_coords([("p", (0.0,), "A"), ("p", (1.0,), "B")])
