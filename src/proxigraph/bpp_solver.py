@@ -8,20 +8,20 @@ and stops at the first even-index point that repeats an earlier one.  Each
 solver reads its answer off that walk, and only the ones that report gaps
 compute distances, each gap only until their stop test passes.
 
-Hypothesis pre-checks (edge transitivity on A, the uniqueness surrogate, seed
-eligibility) are opt-out via check_hypotheses so falsification experiments can
-run on non-conforming instances.  Every function that takes a map checks it
-against the space first; after the first call that check is a memo lookup,
-which also returns the map's image array.  `enumerate_bpps` reads d(x, Tx)
-off the distance array at that array, and the seed gate reads the X_T2_A
-set that `x_t2_a_set` keeps on the space.
+The cyclic theorems' gates are listed once, in order, in
+`_check_theorem_hypotheses`; every solver, checker and the CLI runs them from
+there, opt-out via check_hypotheses for falsification experiments.  Every
+function that takes a map checks it against the space before any gate; after
+the first call that check is a memo lookup, which also returns the map's
+image array.  `enumerate_bpps` reads d(x, Tx) off the distance array at that
+array, and the seed gate reads the X_T2_A set that `x_t2_a_set` keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
 
-from .cyclic_contraction import CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
+from .cyclic_contraction import TOL_INEQ, CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
 from .errors import NoConvergence, SeedNotEligible, SideMismatch, require, require_tol
 from .metric_graph import (
     FiniteMetricGraph,
@@ -86,13 +86,18 @@ def _walk(sides, x0: str, steps: int) -> tuple[list[str], bool]:
     return points, False
 
 
+def _seed_on_a(space: FiniteMetricGraph, x0: str) -> None:
+    """The one seed rule of every solver: x0 is a point of side A."""
+    if "A" not in space.side.get(x0, ""):
+        raise SideMismatch(f"the seed must lie on side A, got {x0!r}")
+
+
 def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
                   max_iter: int = MAX_ITER, tol: float = TOL_BPP) -> OrbitTrace:
     """Follow the orbit until the gap reaches d(A, B), an even-orbit point
     repeats, or max_iter steps have been taken."""
     require_tol(tol)
-    if "A" not in space.side.get(x0, ""):
-        raise SideMismatch(f"orbit must start on side A, got {x0!r}")
+    _seed_on_a(space, x0)
     tmap.validate(space)
     d_ab = pair_distance(space).d_ab
     points, repeat = _walk((tmap.mapping, tmap.mapping), x0, max_iter)
@@ -107,9 +112,16 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     return OrbitTrace(x0, tuple(points), tuple(gaps), "max_iter")
 
 
-def _check_theorem_hypotheses(space, tmap, x0=None):
+def _check_theorem_hypotheses(space, tmap, x0=None, gauges=None, tol=TOL_INEQ):
+    """In order: the seed's side if x0 is given, (*) on A, UC, the sweep of
+    gauges = (phi1, phi2) at tol if given, and the seed in X_T2_A if x0 is."""
+    if x0 is not None:
+        _seed_on_a(space, x0)
     require("property (*) on side A", check_property_star(space, within=space.side_a()))
     require("property UC", has_property_uc(space))
+    if gauges is not None:
+        require("cyclic contraction bound",
+                verify_g_cyclic_contraction(space, tmap, *gauges, tol=tol))
     if x0 is not None and x0 not in x_t2_a_set(space, tmap):
         raise SeedNotEligible("seed in X_T2_A", x0)
 
@@ -119,11 +131,11 @@ def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
               check_hypotheses: bool = True) -> BppResult:
     """Drive the even orbit of x0 to a stationary point realizing d(A, B)."""
     require_tol(tol)
-    if "A" not in space.side.get(x0, ""):
-        raise SideMismatch(f"solve_bpp needs a seed on side A, got {x0!r}")
     tmap.validate(space)
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap, x0)
+    else:
+        _seed_on_a(space, x0)
     d_ab = pair_distance(space).d_ab
     # max_iter squared-map steps; the orbit settles at y when its repeat is T^2 y = y
     points, repeat = _walk((tmap.mapping, tmap.mapping), x0, 2 * max_iter)
@@ -155,6 +167,7 @@ def check_cardinality(space: FiniteMetricGraph, tmap: CyclicMapTable,
                       tol: float = TOL_BPP,
                       check_hypotheses: bool = True) -> tuple[int, int, bool]:
     """Compare |BPP set| with the number of weak components meeting side A."""
+    require_tol(tol)
     tmap.validate(space)
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap)
@@ -188,12 +201,11 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     A report with disagreeing clauses on a hypothesis-passing instance is a
     falsification event for the equivalence.
     """
+    require_tol(tol)
     tmap.validate(space)
     if check_hypotheses:
         require("sharp proximal pair", is_sharp_proximal(space))
-        _check_theorem_hypotheses(space, tmap, x0=None)
-        require("cyclic contraction bound",
-                verify_g_cyclic_contraction(space, tmap, phi1, phi2, tol=tol))
+        _check_theorem_hypotheses(space, tmap, gauges=(phi1, phi2), tol=tol)
 
     a_nodes = space.side_a()
     clause_a = is_weakly_connected(space, within=a_nodes)

@@ -33,7 +33,6 @@ from .errors import (
     ParamOutOfRange,
     ProxigraphError,
     UnknownField,
-    require,
 )
 from .fixed_point import (
     PairMaps,
@@ -42,7 +41,6 @@ from .fixed_point import (
     check_uniqueness_regime,
     residual,
     solve_common_fixed_point,
-    verify_g_psi_contraction,
 )
 from .metric_graph import (
     SCHEMA_VERSION,
@@ -210,13 +208,11 @@ def _cmd_verify(args) -> int:
 def _cmd_solve_bpp(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance)
     tmap = CyclicMapTable.for_space(space, load_map(args.map))
-    checks = not args.skip_hypothesis_checks
-    if args.gauges and checks:
-        phi1, phi2 = load_gauge_pair(args.gauges)
-        require("cyclic contraction bound",
-                verify_g_cyclic_contraction(space, tmap, phi1, phi2))
+    if not args.skip_hypothesis_checks:
+        gauges = load_gauge_pair(args.gauges) if args.gauges else None
+        bpp_solver._check_theorem_hypotheses(space, tmap, args.x0, gauges)
     result = solve_bpp(space, tmap, args.x0, tol=args.tol,
-                       max_iter=args.max_iter, check_hypotheses=checks)
+                       max_iter=args.max_iter, check_hypotheses=False)
     trace = iterate_orbit(space, tmap, args.x0, tol=args.tol, max_iter=args.max_iter)
     _emit({
         "schema": SCHEMA_VERSION,
@@ -241,13 +237,11 @@ def _cmd_solve_fixed_point(args) -> int:
     doc = read_document(args.psi, {"schema", "kind", "params"}, "psi file")
     # the file's fields have had their warning: the spec gets only kind and params
     psi = PsiGauge.from_dict({k: doc[k] for k in ("kind", "params") if k in doc})
-    checks = not args.skip_hypothesis_checks
-    if checks:
-        require("psi contraction bound",
-                verify_g_psi_contraction(space, pair, psi, strengthened=args.strengthened))
+    if not args.skip_hypothesis_checks:
+        fixed_point._check_fixed_point_hypotheses(space, pair, args.x0, psi, args.strengthened)
     point, trace = solve_common_fixed_point(
         space, pair, psi, args.x0, tol=args.tol, max_iter=args.max_iter,
-        check_hypotheses=checks)
+        check_hypotheses=False)
     gaps = list(trace.gaps)
     d0 = gaps[0] if gaps else 0.0
     curve = [apriori_bound(d0, psi(d0), n) for n in range(len(gaps))]

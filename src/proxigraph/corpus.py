@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bpp_solver import (
+    _check_theorem_hypotheses,
     check_cardinality,
     check_equivalence_theorem,
     enumerate_bpps,
@@ -204,10 +205,8 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
 
     _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
     _require(bool(is_sharp_proximal(space)), "sharp proximal pair")
-    _require(bool(has_property_uc(space)), "property UC")
+    _check_theorem_hypotheses(space, tmap)
     _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
-    _require(bool(check_property_star(space, within=space.side_a())),
-             "edge transitivity within A")
     bpps = enumerate_bpps(space, tmap)
     reps = sorted({rep_of(v) for v in values})
     _require(bpps == frozenset(f"f_{r}" for r in reps),
@@ -310,11 +309,9 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
     tmap = CyclicMapTable.for_space(space, mapping)
 
     _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
-    _require(bool(has_property_uc(space)), "property UC")
+    _check_theorem_hypotheses(space, tmap)
     _require(bool(is_sharp_proximal(space)), "sharp proximal pair")
     _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
-    _require(bool(check_property_star(space, within=space.side_a())),
-             "edge transitivity within A")
     _require(enumerate_bpps(space, tmap) == frozenset({"a_0"}),
              "single best proximity point at the origin")
 

@@ -29,6 +29,7 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
+    _by_id,
     _check_fields,
     _float_array,
     _number,
@@ -232,9 +233,10 @@ def check_side_map(space: FiniteMetricGraph, name: str, table: Mapping[str, str]
             raise InstanceFormatError(f"{name} has an entry for {key!r}, which is no point{where}")
 
 
-def _read_map(table) -> Mapping[str, str]:
-    """A read-only copy of table, a mapping or (id, id) pairs, each id read by _point_id."""
-    return MappingProxyType({_point_id(x): _point_id(y) for x, y in dict(table).items()})
+def _read_map(table, name: str) -> Mapping[str, str]:
+    """A read-only copy of the map table named name, a mapping or (id, id)
+    pairs, its keys read by _by_id and its values by _point_id."""
+    return MappingProxyType({x: _point_id(y) for x, y in _by_id(table, name).items()})
 
 
 def _image_array(space: FiniteMetricGraph, table: Mapping[str, str]) -> np.ndarray:
@@ -259,7 +261,7 @@ class CyclicMapTable:
     mapping: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", _read_map(self.mapping))
+        object.__setattr__(self, "mapping", _read_map(self.mapping, "T"))
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from a plain copy instead

@@ -9,7 +9,8 @@ over cross pairs (x, T_i y), which is what uniqueness arguments use.
 Common fixed points live in the overlap of the two sides, so instances here
 typically have d(A, B) = 0.  The rate sweep looks its edges up with the
 space's `_is_edge`, and reads its distance array, at the image arrays that
-`PairMaps.validate` returns; the seed gate asks `has_edge` for (x0, T1 x0).
+`PairMaps.validate` returns.  The theorem's gates are listed once, in order,
+in `_check_fixed_point_hypotheses`; only the CLI passes it a psi to sweep.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpp_solver import OrbitTrace, _walk
+from .bpp_solver import OrbitTrace, _seed_on_a, _walk
 from .cyclic_contraction import (
     GaugeSpec,
     _image_array,
@@ -33,7 +34,6 @@ from .errors import (
     InvalidPsi,
     NoConvergence,
     SeedNotEligible,
-    SideMismatch,
     require,
     require_tol,
 )
@@ -164,8 +164,8 @@ class PairMaps:
     t2: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "t1", _read_map(self.t1))
-        object.__setattr__(self, "t2", _read_map(self.t2))
+        object.__setattr__(self, "t1", _read_map(self.t1, "t1"))
+        object.__setattr__(self, "t2", _read_map(self.t2, "t2"))
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from plain copies instead
@@ -254,6 +254,17 @@ def apriori_bound(d0: float, psi_at_d0: float, n: int) -> float:
     return (psi_at_d0 ** n) * d0 / (1.0 - psi_at_d0)
 
 
+def _check_fixed_point_hypotheses(space, pair, x0, psi=None, strengthened=False):
+    """In order: the seed's side, the psi sweep if given, the seed edge, (*) on the union."""
+    _seed_on_a(space, x0)
+    if psi is not None:
+        require("psi contraction bound",
+                verify_g_psi_contraction(space, pair, psi, strengthened=strengthened))
+    if not space.has_edge(x0, pair.t1[x0]):
+        raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
+    require("property (*) on the union graph", check_property_star(space))
+
+
 def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
                              psi: PsiGauge, x0: str,
                              tol: float = TOL_FIX, max_iter: int = MAX_ITER,
@@ -261,12 +272,10 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
     """Alternate T1 and T2 from x0 in A until both residuals vanish."""
     require_tol(tol)
     pair.validate(space)
-    if "A" not in space.side.get(x0, ""):
-        raise SideMismatch(f"seed must lie on side A, got {x0!r}")
     if check_hypotheses:
-        if not space.has_edge(x0, pair.t1[x0]):
-            raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
-        require("property (*) on the union graph", check_property_star(space))
+        _check_fixed_point_hypotheses(space, pair, x0)
+    else:
+        _seed_on_a(space, x0)
 
     # a stop test at step max_iter - 1 looks one point ahead
     points, repeat = _walk((pair.t1, pair.t2), x0, max_iter + 1)

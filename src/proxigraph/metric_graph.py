@@ -483,10 +483,17 @@ def _point_id(value) -> str:
     raise InstanceFormatError(f"a point id must be a string or an integer, got {value!r}")
 
 
-def _by_id(m, what, index) -> dict:
-    """The mapping m, or its (id, value) pairs, keyed by _point_id; a key off index is an error."""
-    by_id = {_point_id(p): v for p, v in (m.items() if isinstance(m, Mapping) else m)}
-    if not by_id.keys() <= index.keys():
+def _by_id(m, what, index=None) -> dict:
+    """The mapping m, or its (id, value) pairs, keyed by _point_id.  Two keys
+    that it reads as one id are an error naming the least such id, and so,
+    when index is given, is a key off index."""
+    pairs = list(m.items() if isinstance(m, Mapping) else m)
+    by_id = {_point_id(p): v for p, v in pairs}
+    if len(by_id) < len(pairs):
+        keys = sorted(_point_id(p) for p, _ in pairs)
+        twice = next(a for a, b in zip(keys, keys[1:]) if a == b)
+        raise InstanceFormatError(f"{what} has two entries for {twice!r}")
+    if index is not None and not by_id.keys() <= index.keys():
         stray = min(by_id.keys() - index.keys())
         raise InstanceFormatError(f"{what} has an entry for {stray!r}, which is no point")
     return by_id

@@ -7,6 +7,7 @@ import pytest
 from proxigraph import (
     CyclicMapTable,
     FiniteMetricGraph,
+    GaugeSpec,
     HypothesisViolated,
     NoConvergence,
     SideMismatch,
@@ -138,6 +139,23 @@ def test_nan_tol_is_refused():
     with pytest.raises(ParamOutOfRange, match="NaN"):
         iterate_orbit(sp, tmap, "a1", tol=nan)
     assert enumerate_bpps(sp, tmap, tol=float("-inf")) == frozenset()
+
+
+def test_nan_tol_is_refused_before_any_gate():
+    # a0 -> a1 -> a2 without a0 -> a2, so property (*) on A fails; a NaN tol
+    # is still the error both checkers name
+    pts = [(f"a{i}", (0.0, float(i)), "A") for i in range(3)]
+    pts += [(f"b{i}", (1.0, float(i)), "B") for i in range(3)]
+    sp = FiniteMetricGraph.from_coords(pts, metric="l1", edges=[("a0", "a1"), ("a1", "a2")])
+    tmap = CyclicMapTable.for_space(sp, {p: "b0" if p[0] == "a" else "a0" for p in sp.ids})
+    phi = GaugeSpec("identity")
+    with pytest.raises(HypothesisViolated, match=r"property \(\*\) on side A"):
+        check_cardinality(sp, tmap)
+    nan = float("nan")
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        check_cardinality(sp, tmap, tol=nan)
+    with pytest.raises(ParamOutOfRange, match="NaN"):
+        check_equivalence_theorem(sp, tmap, phi, phi, tol=nan)
 
 
 def test_equivalence_all_true_and_all_false():

@@ -155,6 +155,32 @@ def test_solve_bpp_seed_gate(capsys, tmp_path):
     assert doc["bpp"] == "a_0"
 
 
+@pytest.mark.parametrize("x0", ["nope", "b_1"])
+def test_solve_bpp_refuses_a_seed_off_side_a_before_the_contraction_gate(capsys, tmp_path, x0):
+    # ex33's contraction bound fails, so a seed that reached that gate would exit 1
+    _, ip, mp, gp = write_instance(tmp_path, "ex33_dyadic_l1", depth=6)
+    assert_input_error(capsys, ["solve-bpp", "--instance", ip, "--map", mp, "--gauges", gp,
+                                "--x0", x0])
+
+
+@pytest.mark.parametrize("x0", ["nope", "g_1/2"])
+def test_solve_fixed_point_refuses_a_seed_off_side_a_before_the_psi_gate(capsys, tmp_path,
+                                                                         x0):
+    # a constant rate of 0.1 fails ex41's psi sweep, so a seed that reached
+    # that gate would exit 1
+    inst = build_ex41_fixed_point(depth=4, n_time=16)
+    docs = {"instance": inst.space.to_dict(),
+            "t1": {"schema": "1", "map": dict(inst.pair.t1)},
+            "t2": {"schema": "1", "map": dict(inst.pair.t2)},
+            "psi": {"schema": "1", "kind": "constant", "params": {"value": 0.1}}}
+    argv = ["solve-fixed-point", "--x0", x0]
+    for flag, doc in docs.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{flag}", str(path)]
+    assert_input_error(capsys, argv)
+
+
 def test_report_encoding_of_sets_and_numpy_values(capsys):
     _emit({"set": set("hcafbged"), "frozen": frozenset({2, 1}), "int": np.int64(3),
            "float32": np.float32(0.5), "float64": np.float64(0.1), "flag": np.bool_(True),

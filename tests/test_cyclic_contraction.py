@@ -168,6 +168,21 @@ def test_map_table_validation():
                                       "b0": "a0", "b1": "a0"})
 
 
+@pytest.mark.parametrize("given", [dict, list], ids=["mapping", "pairs"])
+def test_map_tables_refuse_a_point_named_twice(given):
+    # the id rule reads the keys 0 and "0" as one point, as it does 2 and "2";
+    # the least such id is named
+    sp = FiniteMetricGraph.from_coords([(0, (0.0,), "A"), (1, (1.0,), "B"), (2, (2.0,), "A")],
+                                       metric="l1")
+    table = given({2: 1, "2": 1, 0: 1, "0": 1, 1: 0}.items())
+    with pytest.raises(InstanceFormatError, match="^T has two entries for '0'$"):
+        CyclicMapTable.for_space(sp, table)
+    with pytest.raises(InstanceFormatError, match="^t1 has two entries for '0'$"):
+        PairMaps.for_space(sp, given({2: 1, "0": 1, 0: 1}.items()), {1: 0})
+    with pytest.raises(InstanceFormatError, match="^t2 has two entries for '1'$"):
+        PairMaps.for_space(sp, {0: 1, 2: 1}, given({"1": 0, 1: 2}.items()))
+
+
 def test_maps_read_their_ids_by_the_space_rule():
     # the integer ids 0 and 1 are the points "0" and "1", in a map as in the space
     sp = FiniteMetricGraph.from_coords([(0, (0.0,), "A"), (1, (1.0,), "B")], metric="l1")

@@ -95,6 +95,17 @@ def test_side_and_coords_entries_must_name_points():
             FiniteMetricGraph.from_table(["a", "b"], side, table, coords=coords)
 
 
+@pytest.mark.parametrize("side, coords, what", [
+    ({1: "B", 0: "B", "0": "A", "1": "B"}, None, "side"),
+    ({"0": "A", "1": "B"}, [("1", [1.0]), ("0", [0.0]), (0, [2.0])], "coords"),
+], ids=["side_mapping", "coords_pairs"])
+def test_side_and_coords_refuse_a_point_named_twice(side, coords, what):
+    # the id rule reads the key 0 as the point "0" (and 1 as "1"), so each
+    # names a point twice; the least such id is named
+    with pytest.raises(InstanceFormatError, match=f"^{what} has two entries for '0'$"):
+        FiniteMetricGraph.from_table(["0", "1"], side, 1.0 - np.eye(2), coords=coords)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(InstanceFormatError):
         FiniteMetricGraph.from_coords([("p", (0.0,), "A"), ("p", (1.0,), "B")])
