@@ -199,7 +199,8 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     (c) there is at most one best proximity point on A.
 
     A report with disagreeing clauses on a hypothesis-passing instance is a
-    falsification event for the equivalence.
+    falsification event for the equivalence.  The sharp proximal gate runs
+    first and implies UC, so the shared gate list's UC check never fails here.
     """
     require_tol(tol)
     tmap.validate(space)

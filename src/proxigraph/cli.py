@@ -210,7 +210,7 @@ def _cmd_solve_bpp(args) -> int:
     tmap = CyclicMapTable.for_space(space, load_map(args.map))
     if not args.skip_hypothesis_checks:
         gauges = load_gauge_pair(args.gauges) if args.gauges else None
-        bpp_solver._check_theorem_hypotheses(space, tmap, args.x0, gauges)
+        bpp_solver._check_theorem_hypotheses(space, tmap, args.x0, gauges, args.tol)
     result = solve_bpp(space, tmap, args.x0, tol=args.tol,
                        max_iter=args.max_iter, check_hypotheses=False)
     trace = iterate_orbit(space, tmap, args.x0, tol=args.tol, max_iter=args.max_iter)
@@ -238,7 +238,8 @@ def _cmd_solve_fixed_point(args) -> int:
     # the file's fields have had their warning: the spec gets only kind and params
     psi = PsiGauge.from_dict({k: doc[k] for k in ("kind", "params") if k in doc})
     if not args.skip_hypothesis_checks:
-        fixed_point._check_fixed_point_hypotheses(space, pair, args.x0, psi, args.strengthened)
+        fixed_point._check_fixed_point_hypotheses(space, pair, args.x0, psi,
+                                                  args.strengthened, args.tol)
     point, trace = solve_common_fixed_point(
         space, pair, psi, args.x0, tol=args.tol, max_iter=args.max_iter,
         check_hypotheses=False)

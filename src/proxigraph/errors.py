@@ -107,7 +107,7 @@ class NotLowerSolution(ProxigraphError):
 
 
 class ConditionIvViolated(ProxigraphError):
-    """The one-sided coupling inequality between the two right-hand sides failed."""
+    """The bound on the absolute shifted difference of two right-hand sides failed."""
     slug = "condition_iv_violated"
 
     def __init__(self, witness):

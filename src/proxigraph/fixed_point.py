@@ -65,7 +65,7 @@ class PsiGauge:
     params: dict
 
     def __post_init__(self):
-        # the parameters are parsed here once; __call__ reads _value and _knots
+        # the parameters are parsed here once; rates reads _value and _knots
         if self.kind not in PSI_PARAMS:
             raise InvalidPsi(f"unknown psi kind {self.kind!r}")
         _check_fields(self.params, PSI_PARAMS[self.kind], f"{self.kind} psi parameter")
@@ -106,10 +106,7 @@ class PsiGauge:
         return {"kind": self.kind, "params": dict(self.params)}
 
     def __call__(self, s: float) -> float:
-        if s < 0:
-            raise InvalidPsi(f"psi is defined on [0, inf), got {s}")
-        if self.kind == "constant":
-            return self._value
+        """psi at the one number s."""
         return float(self.rates(np.array([s], dtype=float))[0])
 
     def rates(self, s: np.ndarray) -> np.ndarray:
@@ -254,12 +251,12 @@ def apriori_bound(d0: float, psi_at_d0: float, n: int) -> float:
     return (psi_at_d0 ** n) * d0 / (1.0 - psi_at_d0)
 
 
-def _check_fixed_point_hypotheses(space, pair, x0, psi=None, strengthened=False):
-    """In order: the seed's side, the psi sweep if given, the seed edge, (*) on the union."""
+def _check_fixed_point_hypotheses(space, pair, x0, psi=None, strengthened=False, tol=TOL_FIX):
+    """In order: the seed's side, psi's sweep at tol if given, the seed edge, (*) on the union."""
     _seed_on_a(space, x0)
     if psi is not None:
         require("psi contraction bound",
-                verify_g_psi_contraction(space, pair, psi, strengthened=strengthened))
+                verify_g_psi_contraction(space, pair, psi, tol, strengthened))
     if not space.has_edge(x0, pair.t1[x0]):
         raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
     require("property (*) on the union graph", check_property_star(space))

@@ -19,7 +19,8 @@ oracle.
 
 Iteration starts from a lower solution w (w' <= f(t, w), w(0) <= w(T)) and is
 a contraction with factor beta = sup h / alpha when the state dependence of
-f + alpha * id is Lipschitz with weight h(t) < alpha.
+f + alpha * id is Lipschitz with weight h(t) < alpha.  A solve binds each
+right-hand side to the grid once (`RhsFunction.on`), before its first step.
 """
 from __future__ import annotations
 
@@ -212,7 +213,6 @@ def product_weights(kernel: GreensKernel, grid: TimeGrid) -> ProductWeights:
     _require_same_period(kernel, grid)
     alpha, h, n = kernel.alpha, grid.spacing, grid.n
     t = grid.nodes
-    t.flags.writeable = False  # a right-hand side may keep values computed from it
     w0, w1 = segment_weights(alpha, h)
     block = int(min(n - 1, 1 + _BLOCK_EXPONENT // (alpha * h)))
     k = np.arange(block) * (alpha * h)
@@ -241,8 +241,7 @@ class RhsFunction:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # the parameters are parsed here once; __call__ reads _numbers or _table
-        object.__setattr__(self, "_last_exp", ())
+        # the parameters are parsed here once; `on` reads _numbers or _table
         if self.kind not in RHS_PARAMS:
             raise InstanceFormatError(f"unknown rhs kind {self.kind!r}")
         p = self.params
@@ -271,40 +270,32 @@ class RhsFunction:
         return cls(kind=str(data["kind"]), params=_spec_params(data, "rhs"))
 
     def __call__(self, t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if self.kind == "table":
-            out = self._bilinear(t, s)
-        elif self.kind == "linear":
-            out = self._numbers["a"] * s + self._numbers["b"]
-        elif self.kind == "exp_linear":
-            out = self._numbers["c"] * self._exp(t) * s
-        else:
-            n = self._numbers
-            out = n["a"] * s + n["amp"] * np.cos(2.0 * np.pi * n["freq"] * t)
+        out = self.on(t)(np.asarray(s, dtype=float))
         return out if out.shape else float(out)
 
-    def _exp(self, t: np.ndarray) -> np.ndarray:
-        """e^t, kept for the last read-only t: a solve passes its grid nodes
-        again at every Picard step."""
-        last = self._last_exp
-        if last and last[0] is t:
-            return last[1]
-        e = np.exp(t)
-        if not t.flags.writeable:
-            object.__setattr__(self, "_last_exp", (t, e))
-        return e
+    def on(self, t):
+        """f(t, .) as a function of a float array of states that broadcasts
+        against t.  The terms of t alone (c e^t, the cosine forcing, the
+        table's t-segments and weights) are computed here, once."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "table":
+            tn, sn, vals = self._table
+            it, wt = _segment(tn, t)
+            wt1 = 1 - wt
 
-    def _bilinear(self, t, s):
-        tn, sn, vals = self._table
-        it, wt = _segment(tn, t)
-        js, ws = _segment(sn, s)
-        v00 = vals[it, js]
-        v01 = vals[it, js + 1]
-        v10 = vals[it + 1, js]
-        v11 = vals[it + 1, js + 1]
-        return (v00 * (1 - wt) * (1 - ws) + v01 * (1 - wt) * ws
-                + v10 * wt * (1 - ws) + v11 * wt * ws)
+            def bilinear(s):
+                js, ws = _segment(sn, s)
+                return (vals[it, js] * wt1 * (1 - ws) + vals[it, js + 1] * wt1 * ws
+                        + vals[it + 1, js] * wt * (1 - ws) + vals[it + 1, js + 1] * wt * ws)
+            return bilinear
+        n = self._numbers
+        if self.kind == "linear":
+            return lambda s: n["a"] * s + n["b"]
+        if self.kind == "exp_linear":
+            growth = n["c"] * np.exp(t)
+            return lambda s: growth * s
+        forcing = n["amp"] * np.cos(2.0 * np.pi * n["freq"] * t)
+        return lambda s: n["a"] * s + forcing
 
 
 def _segment(nodes: np.ndarray, x):
@@ -367,9 +358,18 @@ def make_h(spec, alpha: float | None = None):
 # ----- operator and checks ----------------------------------------------
 
 
-def integral_operator(f: RhsFunction, u: GridFunction, W: ProductWeights) -> GridFunction:
+def _on_grid(evaluate):
+    """evaluate(), with a failing right-hand side raised as EvaluationFailure."""
+    try:
+        return evaluate()
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise EvaluationFailure(f"right-hand side failed on the grid: {exc}") from exc
+
+
+def integral_operator(f, u: GridFunction, W: ProductWeights) -> GridFunction:
     """(F u)(t_i) on the grid of u for the kernel of W, with
-    W = product_weights(kernel, u.grid).
+    W = product_weights(kernel, u.grid).  f is the right-hand side bound to
+    W's nodes, `rhs.on(W.nodes)`: a function of the values of u.
 
     Output node n - 1 is written as node 0: (F u)(T) = (F u)(0) holds
     exactly for this kernel.
@@ -377,10 +377,7 @@ def integral_operator(f: RhsFunction, u: GridFunction, W: ProductWeights) -> Gri
     if W.grid != u.grid:
         raise ParamOutOfRange("weights were built for another grid")
     t = W.nodes
-    try:
-        fv = np.asarray(f(t, u.values), dtype=float)
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        raise EvaluationFailure(f"right-hand side failed on the grid: {exc}") from exc
+    fv = _on_grid(lambda: np.asarray(f(u.values), dtype=float))
     # a non-finite f value or an overflow reaches the output, which is checked
     # once at the end
     g = fv + W.kernel.alpha * u.values
@@ -437,11 +434,11 @@ def is_lower_solution(f: RhsFunction, w: GridFunction) -> CheckResult:
 
 def verify_condition_iv(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
                         t_samples, s_pairs, tol: float = 1e-12) -> CheckResult:
-    """One-sided coupling bound between the shifted right-hand sides:
-    |f1(t, s2) + alpha s2 - (f2(t, s1) + alpha s1)| <= h(t) (s2 - s1)
-    for sampled t and ordered pairs s1 <= s2, in one broadcast per block of
-    pairs x samples; the witness is the first violation in pair order, then in
-    t, with no error for an unordered pair after it.  Also requires sup h < alpha."""
+    """|f1(t, s2) + alpha s2 - (f2(t, s1) + alpha s1)| <= h(t) (s2 - s1), an
+    absolute value, so f1 = f2 where s1 = s2: for sampled t, bound to f1 and f2
+    once, and ordered pairs s1 <= s2, in one broadcast per block of pairs x
+    samples.  The witness is the first violation in pair order, then in t, with
+    no error for an unordered pair after it.  Also requires sup h < alpha."""
     hfun = make_h(h, alpha)
     ts = np.asarray(t_samples, dtype=float)
     hv = np.asarray(hfun(ts), dtype=float)
@@ -453,10 +450,10 @@ def verify_condition_iv(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
     # the first pair out of order, or one past the last pair
     stop = int(np.argmax(np.append(ends[0, :, 0] > ends[1, :, 0], True)))
     rows = max(1, _PAIR_BLOCK // ts.size)
+    on1, on2 = f1.on(ts), f2.on(ts)
     for k0 in range(0, stop, rows):
         s1, s2 = np.repeat(ends[:, k0:min(k0 + rows, stop)], ts.size, 2)
-        lhs = np.abs(np.asarray(f1(ts, s2), dtype=float) + alpha * s2
-                     - np.asarray(f2(ts, s1), dtype=float) - alpha * s1)
+        lhs = np.abs(on1(s2) + alpha * s2 - on2(s1) - alpha * s1)
         rhs = hv * (s2 - s1)
         bad = lhs > rhs + tol
         if bad.any():
@@ -484,10 +481,9 @@ class PbvpReport:
     monotone_steps: tuple[bool, ...] = ()
 
 
-def _ode_residuals(f: RhsFunction, u: GridFunction) -> tuple[float, float]:
-    t = u.grid.nodes
+def _ode_residuals(f, u: GridFunction) -> tuple[float, float]:
     h = u.grid.spacing
-    fu = np.asarray(f(t, u.values), dtype=float)
+    fu = f(u.values)
     d_one_sided = _derivative(u.values, h)
     res_one = float(np.max(np.abs(d_one_sided - fu)))
     # periodic wrap: u(0) = u(T) identifies the endpoints, so the neighbours of
@@ -529,16 +525,18 @@ def solve_common_pbvp(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
     """Alternating iteration for a pair of periodic problems sharing a solution.
 
     F1 applies the kernel to f2 + alpha * id, F2 applies it to f1 + alpha * id;
-    the orbit is x0 = F2 w0, then F1, F2 alternating.  The one-sided coupling
-    condition is sampled on the grid and a state lattice before iterating, and
-    each step is checked for the pointwise monotone ordering.
+    the orbit is x0 = F2 w0, then F1, F2 alternating.  `verify_condition_iv`'s
+    bound on |f1(t, s2) + alpha s2 - f2(t, s1) - alpha s1| is sampled on the
+    grid and a state lattice before iterating, and each step is checked for
+    the pointwise monotone ordering.
     """
     return _picard((f1, f2), alpha, h, w0, tol, max_iter, check_lower)
 
 
 def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     """The Picard driver of both solvers: step k applies the kernel to
-    fs[k % len(fs)] + alpha * id, starting from w0 with k = 0.
+    fs[k % len(fs)] + alpha * id, starting from w0 with k = 0, each f bound
+    to the grid nodes once.
 
     A pair (f1, f2) must also pass condition (iv), keep the monotone ordering
     at every step, and stop only where both operators fix the iterate.
@@ -566,8 +564,9 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
             raise ConditionIvViolated(ok.witness)
 
     W = product_weights(kernel, grid)
+    ops = _on_grid(lambda: [f.on(W.nodes) for f in fs])
 
-    u = integral_operator(fs[0], w0, W)
+    u = integral_operator(ops[0], w0, W)
     monotone = [bool((u.values >= w0.values - 1e-12).all())]
     if pair and not monotone[0]:
         raise MonotonicityBroken("first step fell below the lower solution")
@@ -575,7 +574,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     ratios: list[float] = []
     floor = 100 * np.finfo(float).eps * max(1.0, u.sup_norm())
     for k in range(max_iter):
-        nxt = integral_operator(fs[(k + 1) % len(fs)], u, W)
+        nxt = integral_operator(ops[(k + 1) % len(ops)], u, W)
         inc = float(np.abs(nxt.values - u.values).max())
         monotone.append(bool((nxt.values >= u.values - 1e-12).all()))
         if pair and not monotone[-1]:
@@ -584,8 +583,8 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
             ratios.append(inc / prev_inc)
         prev_inc = inc
         u = nxt
-        if inc <= tol and (not pair or _fixed_by_all(fs, u, W, tol)):
-            res_one, res_per = _ode_residuals(fs[0], u)
+        if inc <= tol and (not pair or _fixed_by_all(ops, u, W, tol)):
+            res_one, res_per = _ode_residuals(ops[0], u)
             report = PbvpReport(
                 iterations=k + 2,
                 beta=beta,
@@ -602,8 +601,8 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     raise NoConvergence(f"{name} iteration did not reach {tol} in {max_iter} steps")
 
 
-def _fixed_by_all(fs, u, W, tol) -> bool:
-    """Every operator of fs moves u by at most max(10 tol, 1e-9)."""
+def _fixed_by_all(ops, u, W, tol) -> bool:
+    """Every bound rhs of ops moves u by at most max(10 tol, 1e-9)."""
     moves = [float(np.max(np.abs(integral_operator(f, u, W).values - u.values)))
-             for f in reversed(fs)]
+             for f in reversed(ops)]
     return max(moves) <= max(10 * tol, 1e-9)

@@ -140,6 +140,18 @@ def test_solve_bpp_gauge_gate_blocks_broken_bound(capsys, tmp_path):
     assert "contraction" in doc["message"]
 
 
+def test_solve_bpp_sweeps_its_gauges_at_its_tol(capsys, tmp_path):
+    # ex33's 58 excesses at depth 29, 2^-30 each, pass under the default
+    # slack of 1e-9 and fail at --tol 0
+    _, ip, mp, gp = write_instance(tmp_path, "ex33_dyadic_l1", depth=29)
+    files = ["--instance", ip, "--map", mp, "--gauges", gp, "--tol", "0"]
+    code, doc, _ = run(capsys, ["verify", *files])
+    assert (code, len(doc["contraction"]["violations"])) == (1, 58)
+    code, doc, _ = run(capsys, ["solve-bpp", *files, "--x0", "a_1"])
+    assert code == 1
+    assert doc["message"].startswith("hypothesis failed: cyclic contraction bound ")
+
+
 def test_solve_bpp_seed_gate(capsys, tmp_path):
     _, ip, mp, _ = write_instance(tmp_path, "ex35_not_bpo", depth=6)
     code, doc, _ = run(capsys, [
@@ -163,22 +175,39 @@ def test_solve_bpp_refuses_a_seed_off_side_a_before_the_contraction_gate(capsys,
                                 "--x0", x0])
 
 
-@pytest.mark.parametrize("x0", ["nope", "g_1/2"])
-def test_solve_fixed_point_refuses_a_seed_off_side_a_before_the_psi_gate(capsys, tmp_path,
-                                                                         x0):
-    # a constant rate of 0.1 fails ex41's psi sweep, so a seed that reached
-    # that gate would exit 1
+def small_ex41_argv(tmp_path, x0, rate):
+    """solve-fixed-point from x0 on ex41 at depth 4 and n_time 16, with the
+    constant psi rate."""
     inst = build_ex41_fixed_point(depth=4, n_time=16)
     docs = {"instance": inst.space.to_dict(),
             "t1": {"schema": "1", "map": dict(inst.pair.t1)},
             "t2": {"schema": "1", "map": dict(inst.pair.t2)},
-            "psi": {"schema": "1", "kind": "constant", "params": {"value": 0.1}}}
+            "psi": {"schema": "1", "kind": "constant", "params": {"value": rate}}}
     argv = ["solve-fixed-point", "--x0", x0]
     for flag, doc in docs.items():
         path = tmp_path / f"{flag}.json"
         path.write_text(json.dumps(doc))
         argv += [f"--{flag}", str(path)]
-    assert_input_error(capsys, argv)
+    return argv
+
+
+@pytest.mark.parametrize("x0", ["nope", "g_1/2"])
+def test_solve_fixed_point_refuses_a_seed_off_side_a_before_the_psi_gate(capsys, tmp_path,
+                                                                         x0):
+    # a constant rate of 0.1 fails ex41's psi sweep, so a seed that reached
+    # that gate would exit 1
+    assert_input_error(capsys, small_ex41_argv(tmp_path, x0, 0.1))
+
+
+def test_solve_fixed_point_sweeps_psi_at_its_tol(capsys, tmp_path):
+    # with a constant rate of 0.5, two of ex41's pairs exceed the bound by
+    # one ulp, which the default slack of 1e-9 allows and --tol 0 does not
+    argv = small_ex41_argv(tmp_path, "f_1/2", 0.5)
+    assert run(capsys, argv)[0] == 0
+    code, doc, _ = run(capsys, argv + ["--tol", "0"])
+    assert code == 1
+    assert doc["message"].startswith("hypothesis failed: psi contraction bound ")
+    assert doc["witness"] == ["g_1/2", "g_1/2", 0.27880531217345794, 0.2788053121734579]
 
 
 def test_report_encoding_of_sets_and_numpy_values(capsys):

@@ -7,6 +7,7 @@ a space is kept on that space, are tested at the end.
 """
 from __future__ import annotations
 
+import ast
 import dataclasses
 import pickle
 import tracemalloc
@@ -1086,6 +1087,23 @@ def test_only_the_space_module_reads_how_edges_are_stored():
     package = Path(metric_graph.__file__).parent
     assert [p.name for p in sorted(package.glob("*.py")) if "_edge_keys" in p.read_text()] == [
         "metric_graph.py"]
+
+
+def test_frozen_objects_are_written_only_in_their_post_init():
+    # a frozen object sets what it derives once, while it is built; no method
+    # keeps a cache on it afterwards
+    package = Path(metric_graph.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                  for node in ast.walk(fn)}
+        outside += [(path.name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"
+                    and id(node) not in inside]
+    assert outside == []
 
 
 def test_the_space_keeps_read_only_edge_keys_and_image_arrays():

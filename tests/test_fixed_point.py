@@ -530,3 +530,7 @@ def test_psi_rates_are_the_scalar_clamps_and_knot_rule():
         assert [psi(v) for v in s.tolist()] == want
     with pytest.raises(InvalidPsi, match=r"defined on \[0, inf\), got -0.5"):
         sweep_psis(space)[2].rates(np.array([0.0, -0.5, -1.0]))
+    # psi at one number is rates at that number, with the same refusal
+    for psi in (PsiGauge.constant(0.5), sweep_psis(space)[2]):
+        with pytest.raises(InvalidPsi, match=r"defined on \[0, inf\), got -1.0$"):
+            psi(-1)

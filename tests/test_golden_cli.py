@@ -11,10 +11,13 @@ checks moved from the command line into the corpus records.  The four ex53
 files (both reproduce files and both solve-pbvp reports, with the solution
 CSV) were captured again when the PBVP operator moved from the dense
 trapezoid kernel to exact product integration; each new solution is closer
-to the closed form u = 0 than the one it replaced.  The ex33 depth-29 file
-with zero slack was captured with the `--strict-inequality` flag, which was
-then dropped as a second name for `--tol 0`.  No golden invocation writes
-to stderr: a documented input draws no unknown-field warning.
+to the closed form u = 0 than the one it replaced.  The solve-pbvp files of
+the other rhs kinds (cosine_forced, linear as a pair, table) were captured
+before each solve bound its right-hand sides to the grid once.  The ex33
+depth-29 file with zero slack was captured with the `--strict-inequality`
+flag, which was then dropped as a second name for `--tol 0`.  No golden
+invocation writes to stderr: a documented input draws no unknown-field
+warning.
 """
 from __future__ import annotations
 
@@ -130,22 +133,38 @@ def test_solve_fixed_point_report(capsys, tmp_path):
 
 
 EX53_RHS = '{"kind":"exp_linear","c":-1.0}'
-EX53_ARGV = ["solve-pbvp", "--rhs", EX53_RHS, "--alpha", "7.389056098930650",
-             "--h", '{"kind":"exp_gap"}', "--T", "1.0", "--N", "201", "--w0", "const:-1"]
+EX53_ARGV = ["--rhs", EX53_RHS, "--alpha", "7.389056098930650", "--h", '{"kind":"exp_gap"}',
+             "--w0", "const:-1"]
+LINEAR_RHS = '{"kind":"linear","a":-1.0,"b":1.0}'
+# unequal t-segments and s-slopes, and the same row at t = 0 and t = 1
+TABLE_RHS = ('{"kind":"table","t_nodes":[0.0,0.25,1.0],"s_nodes":[-2.0,0.0,2.0],'
+             '"values":[[3.0,1.0,-1.5],[1.5,-0.5,-2.5],[3.0,1.0,-1.5]]}')
 
 
-# (report golden, extra arguments): one problem, and the same problem as a
-# pair, whose solution is the same to the byte
-PBVP_CASES = [("solve_pbvp_ex53_N201_report.json", []),
-              ("solve_pbvp_ex53_N201_common_report.json", ["--f2", EX53_RHS])]
+# (report golden, solution golden, arguments) at T = 1, N = 201: ex53 as one
+# problem and as a pair, whose solution is the same to the byte, and each
+# other rhs kind
+PBVP_CASES = [
+    ("solve_pbvp_ex53_N201_report.json", "solve_pbvp_ex53_N201_solution.csv", EX53_ARGV),
+    ("solve_pbvp_ex53_N201_common_report.json", "solve_pbvp_ex53_N201_solution.csv",
+     EX53_ARGV + ["--f2", EX53_RHS]),
+    ("solve_pbvp_cosine_forced_N201_report.json", "solve_pbvp_cosine_forced_N201_solution.csv",
+     ["--rhs", '{"kind":"cosine_forced","a":-1.0,"amp":1.0,"freq":1.0}', "--alpha", "2.0",
+      "--h", "1.0", "--w0", "const:-1"]),
+    ("solve_pbvp_linear_common_N201_report.json", "solve_pbvp_linear_common_N201_solution.csv",
+     ["--rhs", LINEAR_RHS, "--f2", LINEAR_RHS, "--alpha", "2.0", "--h", "1.0",
+      "--w0", "const:0"]),
+    ("solve_pbvp_table_N201_report.json", "solve_pbvp_table_N201_solution.csv",
+     ["--rhs", TABLE_RHS, "--alpha", "2.0", "--h", "1.0", "--w0", "const:-1.5"]),
+]
 
 
-@pytest.mark.parametrize("golden, extra", PBVP_CASES,
+@pytest.mark.parametrize("golden, csv, args", PBVP_CASES,
                          ids=[c[0].removesuffix("_report.json") for c in PBVP_CASES])
-def test_solve_pbvp_report_and_solution(capsys, tmp_path, golden, extra):
+def test_solve_pbvp_report_and_solution(capsys, tmp_path, golden, csv, args):
     report, solution = tmp_path / "report.json", tmp_path / "solution.csv"
-    assert main(EX53_ARGV + extra + ["--out", str(solution),
-                                     "--report", str(report)]) == 0
+    assert main(["solve-pbvp", *args, "--T", "1.0", "--N", "201", "--out", str(solution),
+                 "--report", str(report)]) == 0
     assert capsys.readouterr() == ("", "")
     assert report.read_bytes() == (GOLDEN / golden).read_bytes()
-    assert solution.read_bytes() == (GOLDEN / "solve_pbvp_ex53_N201_solution.csv").read_bytes()
+    assert solution.read_bytes() == (GOLDEN / csv).read_bytes()

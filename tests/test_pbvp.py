@@ -143,19 +143,25 @@ def test_exponential_pair_small_grid():
     assert all(rep.monotone_steps)
 
 
-def test_exp_linear_keeps_e_to_the_t_only_for_read_only_nodes():
-    f = RhsFunction("exp_linear", {"c": -1.0})
-    grid = TimeGrid(1.0, 11)
+@pytest.mark.parametrize("kind, params", [
+    ("linear", {"a": -1.5, "b": 0.25}), ("exp_linear", {"c": -1.0}),
+    ("cosine_forced", {"a": -1.0, "amp": 0.5, "freq": 3}),
+    ("table", {"t_nodes": [0.0, 0.3, 1.0], "s_nodes": [-1.0, 0.0, 1.0],
+               "values": [[0.0, 1.0, 2.0], [3.0, -1.0, 0.5], [2.0, 2.0, -4.0]]}),
+])
+def test_a_bound_rhs_keeps_the_terms_of_the_t_it_was_bound_to(kind, params):
+    # on(t) reads t once: every later call of the bound function gives f(t, s)
+    # to the bit, whatever is written to t afterwards
+    f = RhsFunction(kind, params)
+    t = np.linspace(0.0, 1.0, 11)
     s = np.linspace(-1.0, 1.0, 11)
-    t = grid.nodes
-    W = product_weights(GreensKernel(2.0, 1.0), grid)
-    assert not W.nodes.flags.writeable
-    want = -1.0 * np.exp(t) * s
-    for nodes in (W.nodes, W.nodes, t):
-        assert f(nodes, s).tobytes() == want.tobytes()
-    t *= 2.0  # a writable t is read afresh at every call
-    assert f(t, s).tobytes() == (-1.0 * np.exp(t) * s).tobytes()
-    assert f(W.nodes, s).tobytes() == want.tobytes()
+    want = f(t, s)
+    bound = f.on(t)
+    t *= 2.0
+    assert bound(s).tobytes() == want.tobytes()
+    # states that broadcast against t, as the condition (iv) blocks pass them
+    assert bound(np.stack([s, s[::-1]])).tobytes() == np.stack(
+        [want, f(t / 2.0, s[::-1])]).tobytes()
 
 
 def test_condition_iv():
@@ -426,15 +432,23 @@ def test_beta_gate():
 
 
 def count_operator_calls(monkeypatch):
+    """The rhs of every integral_operator call, in order: each bound function
+    the operator is given is traced back to the RhsFunction bound into it."""
     from proxigraph import pbvp
 
-    calls = []
-    real = pbvp.integral_operator
+    calls, bound_from = [], {}
+    real_operator, real_on = pbvp.integral_operator, RhsFunction.on
+
+    def on(self, t):
+        bound = real_on(self, t)
+        bound_from[bound] = self
+        return bound
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+        calls.append(bound_from[args[0]])
+        return real_operator(*args, **kwargs)
 
+    monkeypatch.setattr(RhsFunction, "on", on)
     monkeypatch.setattr(pbvp, "integral_operator", counted)
     return calls
 
@@ -449,10 +463,12 @@ def test_operator_calls_per_solve(monkeypatch):
     f2 = RhsFunction("exp_linear", {"c": -1.0})
     _, rep2 = solve_common_pbvp(inst.f, f2, inst.alpha, inst.h_spec, inst.w0, tol=inst.tol)
     assert rep2.iterations == rep.iterations
-    # f1 first, then f2, f1, ... in turn, then the cross-check with f2 and f1
+    # f1 first, then f2, f1, ... in turn, then the cross-check with f2 and
+    # f1; f1 == f2 (same kind and parameters), so the order is read by identity
     n = rep2.iterations
-    assert calls[:n] == [inst.f if k % 2 == 0 else f2 for k in range(n)]
-    assert calls[n:] == [f2, inst.f]
+    order = [inst.f if k % 2 == 0 else f2 for k in range(n)] + [f2, inst.f]
+    assert len(calls) == len(order)
+    assert all(c is want for c, want in zip(calls, order))
 
 
 def test_single_solver_records_order_and_pair_enforces_it():
@@ -495,7 +511,8 @@ def apply_operator(alpha, n, f, values):
     grid = TimeGrid(1.0, n)
     kernel = GreensKernel(alpha=alpha, period=1.0)
     u = GridFunction(grid, np.broadcast_to(values, (n,)))
-    return integral_operator(f, u, product_weights(kernel, grid)).values
+    W = product_weights(kernel, grid)
+    return integral_operator(f.on(W.nodes), u, W).values
 
 
 def test_operator_agrees_with_the_dense_trapezoid_oracle():
@@ -555,7 +572,7 @@ def test_weights_must_match_the_kernel_and_grid():
     W = product_weights(kernel, TimeGrid(1.0, 11))
     f = RhsFunction("linear", {})
     with pytest.raises(ParamOutOfRange, match="another grid"):
-        integral_operator(f, GridFunction.constant(TimeGrid(1.0, 12), 0.0), W)
+        integral_operator(f.on(W.nodes), GridFunction.constant(TimeGrid(1.0, 12), 0.0), W)
     with pytest.raises(ParamOutOfRange, match="period"):
         product_weights(kernel, TimeGrid(2.0, 11))
 
