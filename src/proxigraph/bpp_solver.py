@@ -2,19 +2,25 @@
 
 A best proximity point of T on side A is an x in A with d(x, Tx) = d(A, B).
 On finite instances the even orbit x, TTx, TTTTx, ... either becomes
-stationary or cycles.  One walk follows every orbit here and in the
-fixed-point solver: it alternates two side tables, (T, T) for a cyclic map,
-and stops at the first even-index point that repeats an earlier one.  Each
-solver reads its answer off that walk, and only the ones that report gaps
-compute distances, each gap only until their stop test passes.
+stationary or cycles.  One orbit table per (space, map), built after the map
+check and kept on the space, answers every seed of A at once: the image
+array of T^2 is squared ceil(log2 |A|) times, which puts every seed on its
+cycle, and a seed settles when that point is fixed by T^2; binary lifting
+over the same powers gives its depth.  `solve_bpp` reads a seed that settles
+within max_iter off the table, and `check_equivalence_theorem` reads clause
+(b).  A trace must list its points, so `iterate_orbit` and the fixed-point
+solver walk: one walk alternates two side tables, (T, T) for a cyclic map,
+and stops at the first even-index point that repeats an earlier one.
+`solve_bpp` walks only a seed the table does not settle, to name where it
+stopped.
 
 The cyclic theorems' gates are listed once, in order, in
 `_check_theorem_hypotheses`; every solver, checker and the CLI runs them from
-there, opt-out via check_hypotheses for falsification experiments.  Every
-function that takes a map checks it against the space before any gate; after
-the first call that check is a memo lookup, which also returns the map's
-image array.  `enumerate_bpps` reads d(x, Tx) off the distance array at that
-array, and the seed gate reads the X_T2_A set that `x_t2_a_set` keeps.
+there, opt-out via check_hypotheses for falsification experiments.  They
+read the table, which also keeps X_T2_A and, once they hold, that (*) on A
+and UC do.  Every function that takes a map checks it against the space
+before any gate; after the first call that check is a memo lookup, which
+also returns the map's image array.
 """
 from __future__ import annotations
 
@@ -56,15 +62,62 @@ class BppResult:
     component: frozenset[str]
 
 
+@dataclass(slots=True)
+class _OrbitTable:
+    """settle[i] is (depth, terminal id, d(terminal, T terminal)) if the point
+    at position i is on A and its even orbit settles, else None.  deepest is
+    the largest depth over A, inf if a seed does not settle; ends counts the
+    points the seeds of A reach.  d_ab is None on a space without points."""
+
+    d_ab: float | None
+    x_t2_a: frozenset[str]
+    settle: list
+    deepest: float
+    ends: int
+    gates_hold: bool = False  # (*) on A and UC hold
+
+
+def _orbits(space: FiniteMetricGraph, tmap: CyclicMapTable) -> _OrbitTable:
+    """The orbit table of tmap on space, built once; a failed map check is
+    not kept, as by `_cached`.  A warm table is one dict lookup."""
+    key = ("orbits", tmap)
+    try:
+        return space._memo[key]
+    except KeyError:
+        pass
+    image = tmap.validate(space)
+    a, ia = space._sides["A"]
+    # jumps[k] is T^2 taken 2^k times; T^2 keeps A, so after 2^k >= |A|
+    # steps every seed is on its cycle
+    jumps = [image[image]]
+    while 1 << (len(jumps) - 1) < len(a):
+        jumps.append(jumps[-1][jumps[-1]])
+    end = jumps[-1][ia]
+    settled = jumps[0][end] == end
+    # take each jump that stays short of the terminal, then the last step
+    at, depth = ia.copy(), ia * 0
+    for k in range(len(jumps) - 1, -1, -1):
+        to = jumps[k][at]
+        short = to != end
+        at[short] = to[short]
+        depth += short << k
+    depth += at != end
+    settle = [None] * len(space.ids)
+    gaps = space.dist[end, image[end]]
+    for i, d, y, g in zip(*(v[settled].tolist() for v in (ia, depth, end, gaps))):
+        settle[i] = (d, space.ids[y], g)
+    table = space._memo[key] = _OrbitTable(
+        pair_distance(space).d_ab if a else None,
+        frozenset(compress(a, space._is_edge(ia, jumps[0][ia]).tolist())), settle,
+        int(depth.max(initial=-1)) if settled.all() else float("inf"), len(set(end.tolist())))
+    return table
+
+
 def x_t2_a_set(space: FiniteMetricGraph, tmap: CyclicMapTable) -> frozenset[str]:
     """Points of A carrying an edge to their image under the squared map,
     each (x, T^2 x) looked up by the space's `_is_edge` at the map's image
-    array; kept on the space."""
-    def points():
-        image = tmap.validate(space)
-        a, ia = space._sides["A"]
-        return frozenset(compress(a, space._is_edge(ia, image[image[ia]]).tolist()))
-    return space._cached(("x_t2_a", tmap), points)
+    array; read from the orbit table."""
+    return _orbits(space, tmap).x_t2_a
 
 
 def _walk(sides, x0: str, steps: int) -> tuple[list[str], bool]:
@@ -98,8 +151,7 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     repeats, or max_iter steps have been taken."""
     require_tol(tol)
     _seed_on_a(space, x0)
-    tmap.validate(space)
-    d_ab = pair_distance(space).d_ab
+    d_ab = _orbits(space, tmap).d_ab
     points, repeat = _walk((tmap.mapping, tmap.mapping), x0, max_iter)
     gaps: list[float] = []
     for x, y in zip(points, points[1:]):
@@ -117,39 +169,44 @@ def _check_theorem_hypotheses(space, tmap, x0=None, gauges=None, tol=TOL_INEQ):
     gauges = (phi1, phi2) at tol if given, and the seed in X_T2_A if x0 is."""
     if x0 is not None:
         _seed_on_a(space, x0)
-    require("property (*) on side A", check_property_star(space, within=space.side_a()))
-    require("property UC", has_property_uc(space))
+    orbits = _orbits(space, tmap)
+    if not orbits.gates_hold:
+        require("property (*) on side A", check_property_star(space, within=space.side_a()))
+        require("property UC", has_property_uc(space))
+        orbits.gates_hold = True
     if gauges is not None:
         require("cyclic contraction bound",
                 verify_g_cyclic_contraction(space, tmap, *gauges, tol=tol))
-    if x0 is not None and x0 not in x_t2_a_set(space, tmap):
+    if x0 is not None and x0 not in orbits.x_t2_a:
         raise SeedNotEligible("seed in X_T2_A", x0)
 
 
 def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
               tol: float = TOL_BPP, max_iter: int = MAX_ITER,
               check_hypotheses: bool = True) -> BppResult:
-    """Drive the even orbit of x0 to a stationary point realizing d(A, B)."""
+    """Drive the even orbit of x0 to a stationary point realizing d(A, B).
+
+    A seed that settles within max_iter squared-map steps is read off the
+    orbit table; any other is walked, to name where its orbit stopped."""
     require_tol(tol)
-    tmap.validate(space)
+    orbits = _orbits(space, tmap)
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap, x0)
     else:
         _seed_on_a(space, x0)
-    d_ab = pair_distance(space).d_ab
-    # max_iter squared-map steps; the orbit settles at y when its repeat is T^2 y = y
-    points, repeat = _walk((tmap.mapping, tmap.mapping), x0, 2 * max_iter)
-    if not repeat:
+    settle = orbits.settle[space.index[x0]]
+    if settle is None or settle[0] >= max_iter:
+        # its repeat within max_iter steps, if any, is not a fixed point of T^2
+        points, repeat = _walk((tmap.mapping, tmap.mapping), x0, 2 * max_iter)
+        if repeat:
+            raise NoConvergence(
+                f"even orbit from {x0!r} entered a nontrivial cycle at {points[-1]!r}")
         raise NoConvergence(f"even orbit from {x0!r} did not settle in {max_iter} steps")
-    y, ty = points[-3:-1]
-    if y != points[-1]:
+    iterations, y, gap = settle
+    if abs(gap - orbits.d_ab) > tol:
         raise NoConvergence(
-            f"even orbit from {x0!r} entered a nontrivial cycle at {points[-1]!r}")
-    gap = space.d(y, ty)
-    if abs(gap - d_ab) > tol:
-        raise NoConvergence(
-            f"even orbit settled at {y!r} with gap {gap}, but d(A,B) = {d_ab}")
-    return BppResult(bpp=y, achieved_gap=gap, iterations=(len(points) - 3) // 2,
+            f"even orbit settled at {y!r} with gap {gap}, but d(A,B) = {orbits.d_ab}")
+    return BppResult(bpp=y, achieved_gap=gap, iterations=iterations,
                      component=component_of(space, x0))
 
 
@@ -203,23 +260,13 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     first and implies UC, so the shared gate list's UC check never fails here.
     """
     require_tol(tol)
-    tmap.validate(space)
+    orbits = _orbits(space, tmap)
     if check_hypotheses:
         require("sharp proximal pair", is_sharp_proximal(space))
         _check_theorem_hypotheses(space, tmap, gauges=(phi1, phi2), tol=tol)
 
-    a_nodes = space.side_a()
-    clause_a = is_weakly_connected(space, within=a_nodes)
-
-    terminals = set()
-    merged = True
-    for x in a_nodes:
-        points, repeat = _walk((tmap.mapping, tmap.mapping), x, 2 * max_iter)
-        if not repeat or points[-3] != points[-1]:  # unsettled, as in solve_bpp
-            merged = False
-            break
-        terminals.add(points[-1])
-    clause_b = merged and len(terminals) == 1
-
+    clause_a = is_weakly_connected(space, within=space.side_a())
+    # every seed settles within max_iter, all at one point; an empty A has none
+    clause_b = orbits.ends == 1 and orbits.deepest < max_iter
     clause_c = len(enumerate_bpps(space, tmap, tol)) <= 1
     return EquivalenceReport(clause_a, clause_b, clause_c)

@@ -17,7 +17,7 @@ edges are stored.  Closeness to d(A,B) is one float test, kept as an A x B
 mask.  What else follows from the space alone -- that mask, the pair
 geometry, the component labels and the hypothesis verdicts -- is computed on
 first use and kept on the space, as are, for each map checked against it, its
-verdict, its read-only image arrays and a cyclic map's X_T2_A set.
+verdict, its read-only image arrays and a cyclic map's orbit table.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.

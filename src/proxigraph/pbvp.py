@@ -437,8 +437,11 @@ def verify_condition_iv(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
     """|f1(t, s2) + alpha s2 - (f2(t, s1) + alpha s1)| <= h(t) (s2 - s1), an
     absolute value, so f1 = f2 where s1 = s2: for sampled t, bound to f1 and f2
     once, and ordered pairs s1 <= s2, in one broadcast per block of pairs x
-    samples.  The witness is the first violation in pair order, then in t, with
-    no error for an unordered pair after it.  Also requires sup h < alpha."""
+    samples.  The slack is tol plus the rounding of the left side, 4 eps times
+    the sum of its four terms' sizes, so a bound that holds exactly is not
+    refused at large states.  The witness is the first violation in pair
+    order, then in t, with no error for an unordered pair after it.  Also
+    requires sup h < alpha."""
     hfun = make_h(h, alpha)
     ts = np.asarray(t_samples, dtype=float)
     hv = np.asarray(hfun(ts), dtype=float)
@@ -456,6 +459,9 @@ def verify_condition_iv(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
         lhs = np.abs(on1(s2) + alpha * s2 - on2(s1) - alpha * s1)
         rhs = hv * (s2 - s1)
         bad = lhs > rhs + tol
+        if bad.any():  # the rounding slack only shrinks bad, so it is added where needed
+            size = np.abs(on1(s2)) + np.abs(on2(s1)) + alpha * (np.abs(s1) + np.abs(s2))
+            bad &= lhs > rhs + tol + 4 * np.finfo(float).eps * size
         if bad.any():
             k, i = divmod(int(np.argmax(bad)), ts.size)
             return CheckResult(False, (float(ts[i]), float(s1[k, i]), float(s2[k, i]),

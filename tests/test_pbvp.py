@@ -424,6 +424,23 @@ def test_common_solver_rejects_uncoupled_pair():
         solve_common_pbvp(f1, f2, 2.0, 1.0, w0, check_lower=False)
 
 
+def test_condition_iv_allows_rounding_at_large_states():
+    # |a + alpha| = 0.7 = h exactly: the bound holds with equality, and at
+    # states near -1e5 the left side rounds one part in 1e11 above the right
+    f = RhsFunction("linear", {"a": -1.3, "b": 1.0})
+    w0 = GridFunction.constant(TimeGrid(1.0, 21), -100000.37)
+    u, _ = solve_common_pbvp(f, f, 2.0, 0.7, w0)
+    assert u.values.tobytes() == solve_pbvp(f, 2.0, 0.7, w0)[0].values.tobytes()
+    # a slope 1e-6 steeper than h allows is still refused, at the first
+    # lattice pair apart: s1 = min w0 - 1 and the next state up
+    g = RhsFunction("linear", {"a": -1.3 + 0.7e-6, "b": 1.0})
+    with pytest.raises(ConditionIvViolated) as exc:
+        solve_common_pbvp(g, g, 2.0, 0.7, w0)
+    t, s1, s2, lhs, rhs = exc.value.witness
+    assert (t, s1, s2) == (0.0, -100001.37, -100001.37 + 0.25)
+    assert lhs / rhs == pytest.approx(1 + 1e-6, rel=1e-9)
+
+
 def test_beta_gate():
     f = RhsFunction("linear", {"a": -2.0, "b": 0.0})
     grid = TimeGrid(1.0, 11)
