@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .cyclic_contraction import TOL_INEQ, CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
-from .errors import NoConvergence, SeedNotEligible, SideMismatch, require, require_tol
+from .errors import (NoConvergence, SeedNotEligible, SideMismatch, require,
+                     require_max_iter, require_tol)
 from .metric_graph import (
     FiniteMetricGraph,
     check_property_star,
@@ -67,7 +68,7 @@ class _OrbitTable:
     """settle[i] is (depth, terminal id, d(terminal, T terminal)) if the point
     at position i is on A and its even orbit settles, else None.  deepest is
     the largest depth over A, inf if a seed does not settle; ends counts the
-    points the seeds of A reach.  d_ab is None on a space without points."""
+    points the seeds of A reach.  d_ab is None when side A is empty."""
 
     d_ab: float | None
     x_t2_a: frozenset[str]
@@ -107,7 +108,7 @@ def _orbits(space: FiniteMetricGraph, tmap: CyclicMapTable) -> _OrbitTable:
     for i, d, y, g in zip(*(v[settled].tolist() for v in (ia, depth, end, gaps))):
         settle[i] = (d, space.ids[y], g)
     table = space._memo[key] = _OrbitTable(
-        pair_distance(space).d_ab if a else None,
+        pair_distance(space) if a else None,
         frozenset(compress(a, space._is_edge(ia, jumps[0][ia]).tolist())), settle,
         int(depth.max(initial=-1)) if settled.all() else float("inf"), len(set(end.tolist())))
     return table
@@ -150,6 +151,7 @@ def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     """Follow the orbit until the gap reaches d(A, B), an even-orbit point
     repeats, or max_iter steps have been taken."""
     require_tol(tol)
+    require_max_iter(max_iter)
     _seed_on_a(space, x0)
     d_ab = _orbits(space, tmap).d_ab
     points, repeat = _walk((tmap.mapping, tmap.mapping), x0, max_iter)
@@ -189,6 +191,7 @@ def solve_bpp(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
     A seed that settles within max_iter squared-map steps is read off the
     orbit table; any other is walked, to name where its orbit stopped."""
     require_tol(tol)
+    require_max_iter(max_iter)
     orbits = _orbits(space, tmap)
     if check_hypotheses:
         _check_theorem_hypotheses(space, tmap, x0)
@@ -216,7 +219,7 @@ def enumerate_bpps(space: FiniteMetricGraph, tmap: CyclicMapTable,
     require_tol(tol)
     image = tmap.validate(space)
     a, ia = space._sides["A"]
-    excess = space.dist[ia, image[ia]] - pair_distance(space).d_ab  # d(x, Tx) - d(A,B)
+    excess = space.dist[ia, image[ia]] - pair_distance(space)  # d(x, Tx) - d(A,B)
     return frozenset(compress(a, (abs(excess) <= tol).tolist()))
 
 
@@ -260,6 +263,7 @@ def check_equivalence_theorem(space: FiniteMetricGraph, tmap: CyclicMapTable,
     first and implies UC, so the shared gate list's UC check never fails here.
     """
     require_tol(tol)
+    require_max_iter(max_iter)
     orbits = _orbits(space, tmap)
     if check_hypotheses:
         require("sharp proximal pair", is_sharp_proximal(space))

@@ -165,7 +165,7 @@ def _cmd_verify(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance)
     report: dict = {
         "schema": SCHEMA_VERSION,
-        "d_ab": pair_distance(space).d_ab,
+        "d_ab": pair_distance(space),
         "n_points": len(space.ids),
         "predicates": {
             "sharp_proximal": _check_doc(is_sharp_proximal(space)),

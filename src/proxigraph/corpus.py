@@ -69,7 +69,6 @@ from .metric_graph import (
     check_property_star,
     component_of,
     components,
-    has_property_uc,
     is_g_chebyshev,
     is_sharp_proximal,
     pair_distance,
@@ -203,7 +202,7 @@ def build_ex22_kappa(N: int = 8) -> CyclicInstance:
     phi1 = GaugeSpec("floor_fraction")
     phi2 = GaugeSpec("identity")
 
-    _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
+    _require(abs(pair_distance(space) - 1.0) < 1e-15, "d(A,B) = 1")
     _require(bool(is_sharp_proximal(space)), "sharp proximal pair")
     _check_theorem_hypotheses(space, tmap)
     _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
@@ -308,7 +307,7 @@ def build_ex33_dyadic_l1(depth: int = 6) -> CyclicInstance:
         mapping[f"b_{v}"] = f"a_{down(v)}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
-    _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
+    _require(abs(pair_distance(space) - 1.0) < 1e-15, "d(A,B) = 1")
     _check_theorem_hypotheses(space, tmap)
     _require(bool(is_sharp_proximal(space)), "sharp proximal pair")
     _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
@@ -422,8 +421,8 @@ def build_ex35_not_bpo(depth: int = 6) -> CyclicInstance:
         mapping[f"b_{v}"] = f"a_{step(v)}"
     tmap = CyclicMapTable.for_space(space, mapping)
 
-    _require(abs(pair_distance(space).d_ab - 1.0) < 1e-15, "d(A,B) = 1")
-    _require(bool(has_property_uc(space)), "property UC")
+    _require(abs(pair_distance(space) - 1.0) < 1e-15, "d(A,B) = 1")
+    _check_theorem_hypotheses(space, tmap)
     _require(bool(is_g_chebyshev(space)), "parallel pairs are edges")
     _require(enumerate_bpps(space, tmap) == frozenset({"a_0", "a_1"}),
              "best proximity points at both endpoints")
@@ -519,7 +518,7 @@ def build_ex41_fixed_point(depth: int = 6, n_time: int = 64) -> FixedPointInstan
 
     _require((space.dist < 1.0).all(), "amplitude cap keeps the graph complete")
     _require(bool(check_property_star(space)), "edge transitivity on the union")
-    _require(abs(pair_distance(space).d_ab) < 1e-15, "sides meet at the zero profile")
+    _require(abs(pair_distance(space)) < 1e-15, "sides meet at the zero profile")
 
     return FixedPointInstance(
         example_id="ex41_fixed_point",

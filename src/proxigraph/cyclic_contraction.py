@@ -29,6 +29,7 @@ from .errors import (
 from .metric_graph import (
     CheckResult,
     FiniteMetricGraph,
+    _a0_witness,
     _by_id,
     _check_fields,
     _float_array,
@@ -357,7 +358,7 @@ def check_pair(space: FiniteMetricGraph, tmap: CyclicMapTable,
         raise SideMismatch(f"{y!r} is not on side B")
     m = max(space.d(x, tmap(x)), space.d(y, tmap(y)))
     lhs = space.d(tmap(x), tmap(y))
-    d_ab = pair_distance(space).d_ab
+    d_ab = pair_distance(space)
     dxy = space.d(x, y)
     rhs = _bound(dxy, eval_gauge(phi1, dxy), m, eval_gauge(phi2, m),
                  _shift_term(phi1, phi2, d_ab))
@@ -380,7 +381,7 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     """
     require_tol(tol)
     image = tmap.validate(space)
-    geom = pair_distance(space)
+    d_ab = pair_distance(space)
     dist = space.dist
     # each side's positions in sorted id order
     ia, ib = (p[np.argsort(space._rank[p])] for p in (space._sides["A"][1], space._sides["B"][1]))
@@ -398,19 +399,19 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     gap_x, gap_y = gap[x], gap[y]
     m = np.where(gap_y > gap_x, gap_y, gap_x)  # max(gap_x, gap_y), as Python's max picks
 
-    ok = verify_gauge_classes(phi1, phi2, np.concatenate(([geom.d_ab], dxy, m)))
+    ok = verify_gauge_classes(phi1, phi2, np.concatenate(([d_ab], dxy, m)))
     if not ok:
         raise GaugeClassViolation(f"gauge class check failed: {ok.witness}")
 
     lhs = dist[image[x], image[y]]
     rhs = _bound(dxy, gauge_values(phi1, dxy), m, gauge_values(phi2, m),
-                 _shift_term(phi1, phi2, geom.d_ab))
+                 _shift_term(phi1, phi2, d_ab))
     bad = lhs > rhs + tol
     ids = space.ids
     violations = tuple(zip([ids[i] for i in x[bad].tolist()], [ids[j] for j in y[bad].tolist()],
                            lhs[bad].tolist(), rhs[bad].tolist()))
 
-    a0_witness = next(((p, tmap(p)) for p in sorted(geom.a0) if tmap(p) not in geom.b0), None)
+    a0_witness = _a0_witness(space, image)
     a0_ok = a0_witness is None
 
     return ContractionReport(

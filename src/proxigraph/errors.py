@@ -78,6 +78,14 @@ def require_tol(tol: float) -> None:
         raise ParamOutOfRange(f"tol must not be NaN, got {tol}")
 
 
+def require_max_iter(max_iter) -> None:
+    """Refuse a max_iter that is not an integer (has no __index__), or is a
+    bool: it counts whole steps, and a float one reached range() only on
+    some inputs.  An integer <= 0 stays allowed and allows no step."""
+    if isinstance(max_iter, bool) or not hasattr(type(max_iter), "__index__"):
+        raise ParamOutOfRange(f"max_iter must be an integer, got {max_iter!r}")
+
+
 class SeedNotEligible(HypothesisViolated):
     """The starting point does not satisfy the seed condition of the solver."""
 

@@ -35,6 +35,7 @@ from .errors import (
     NoConvergence,
     SeedNotEligible,
     require,
+    require_max_iter,
     require_tol,
 )
 from .metric_graph import (
@@ -268,6 +269,7 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
                              check_hypotheses: bool = True) -> tuple[str, OrbitTrace]:
     """Alternate T1 and T2 from x0 in A until both residuals vanish."""
     require_tol(tol)
+    require_max_iter(max_iter)
     pair.validate(space)
     if check_hypotheses:
         _check_fixed_point_hypotheses(space, pair, x0)

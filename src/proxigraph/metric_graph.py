@@ -13,11 +13,12 @@ the edge set and the space's one edge array: the read-only sorted keys
 rank[x] * n + rank[y], one per edge.  They are the edge lookup over position
 arrays (`_is_edge`), as `has_edge` is for a pair of ids, and `_edges_within`
 is the one rule for the edges within a subset; no other module reads how
-edges are stored.  Closeness to d(A,B) is one float test, kept as an A x B
-mask.  What else follows from the space alone -- that mask, the pair
-geometry, the component labels and the hypothesis verdicts -- is computed on
-first use and kept on the space, as are, for each map checked against it, its
-verdict, its read-only image arrays and a cyclic map's orbit table.
+edges are stored.  Closeness to d(A,B) is one float test, kept as the list
+of close pairs by position; no other module reads it.  What else follows
+from the space alone -- d(A,B) and that list, the component labels and the
+hypothesis verdicts -- is computed on first use and kept on the space, as
+are, for each map checked against it, its verdict, its read-only image
+arrays and a cyclic map's orbit table.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -68,16 +69,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class PairGeometry:
-    """Distance between the sides and the points/pairs that realize it."""
-
-    d_ab: float
-    a0: frozenset[str]
-    b0: frozenset[str]
-    parallel_pairs: frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,79 +531,101 @@ def _read_edges(edges, ids, index, rank) -> tuple[frozenset[tuple[str, str]], np
     return pairs, keys
 
 
-# ----- pair geometry ----------------------------------------------------
+# ----- closeness ---------------------------------------------------------
 
 
-def pair_distance(space: FiniteMetricGraph) -> PairGeometry:
-    """d(A,B) together with the proximal subsets A0, B0 and the realizing pairs."""
+def pair_distance(space: FiniteMetricGraph) -> float:
+    """d(A,B), the least distance from a point of A to one of B."""
     return _closeness(space)[0]
 
 
-def _closeness(space: FiniteMetricGraph) -> tuple[PairGeometry, np.ndarray]:
-    """The pair geometry and the read-only A x B mask, rows and columns in id
-    order, of the pairs whose distance exceeds d(A,B) by at most TOL_PARALLEL:
-    the one closeness rule, kept on the space.  Near d(A,B) the difference
-    is exact (Sterbenz), so the rule compares the true excess."""
+def _closeness(space: FiniteMetricGraph) -> tuple[float, np.ndarray, np.ndarray]:
+    """d(A,B) and the close pairs, those of A x B whose distance exceeds it by
+    at most TOL_PARALLEL, as read-only positions rows into side A and cols
+    into side B in row-major order: the one closeness rule, kept on the
+    space.  Near d(A,B) the difference is exact (Sterbenz), so the rule
+    compares the true excess."""
     def closeness():
-        (a, ia), (b, ib) = space._sides["A"], space._sides["B"]
-        if not a or not b:
+        ia, ib = space._sides["A"][1], space._sides["B"][1]
+        if not ia.size or not ib.size:
             raise EmptySide("pair_distance needs nonempty A and B")
         block = space.dist[np.ix_(ia, ib)]
         d_ab = float(block.min())
-        close = block - d_ab <= TOL_PARALLEL
-        close.flags.writeable = False
-        rows, cols = np.nonzero(close)
-        pairs = frozenset(zip([a[i] for i in rows.tolist()], [b[j] for j in cols.tolist()]))
-        return PairGeometry(d_ab, frozenset(x for x, _ in pairs),
-                            frozenset(y for _, y in pairs), pairs), close
-    return space._cached("geometry", closeness)
+        rows, cols = np.nonzero(block - d_ab <= TOL_PARALLEL)
+        rows.flags.writeable = cols.flags.writeable = False
+        return d_ab, rows, cols
+    return space._cached("closeness", closeness)
 
 
 def is_sharp_proximal(space: FiniteMetricGraph) -> CheckResult:
-    """Every point of A has exactly one partner in B at distance d(A,B), and vice versa."""
+    """Every point of A has exactly one partner in B at distance d(A,B), and
+    vice versa.  The witness is the first point in input order, A before B,
+    without exactly one partner, and its partners in input order."""
     return space._cached("sharp_proximal", lambda: _sharp_proximal(space))
 
 
 def _sharp_proximal(space):
-    close = _closeness(space)[1]
+    _, rows, cols = _closeness(space)
     a, b = space.side_a(), space.side_b()
-    for points, others, mask in ((a, b, close), (b, a, close.T)):
-        bad = np.flatnonzero(mask.sum(axis=1) != 1)
+    # row-major pairs list each point's partners in ascending position
+    for points, others, mine, theirs in ((a, b, rows, cols), (b, a, cols, rows)):
+        bad = np.flatnonzero(np.bincount(mine, minlength=len(points)) != 1)
         if bad.size:
             i = int(bad[0])
-            partners = tuple(others[j] for j in np.flatnonzero(mask[i]).tolist())
+            partners = tuple(others[j] for j in theirs[mine == i].tolist())
             return CheckResult(False, (points[i], partners))
     return CheckResult(True)
 
 
 def is_g_chebyshev(space: FiniteMetricGraph) -> CheckResult:
-    """Every parallel pair (x, y) in A x B at distance d(A,B) is an edge."""
+    """Every parallel pair (x, y) in A x B at distance d(A,B) is an edge; the
+    witness is the least missing pair in sorted id order."""
     return space._cached("g_chebyshev", lambda: _g_chebyshev(space))
 
 
 def _g_chebyshev(space):
-    missing = pair_distance(space).parallel_pairs - space.edges
-    return CheckResult(not missing, min(missing) if missing else None)
+    _, rows, cols = _closeness(space)
+    x, y = space._sides["A"][1][rows], space._sides["B"][1][cols]
+    miss = np.flatnonzero(~space._is_edge(x, y))
+    if not miss.size:
+        return CheckResult(True)
+    rank = space._rank
+    k = miss[np.argmin(rank[x[miss]] * len(rank) + rank[y[miss]])]
+    return CheckResult(False, (space.ids[x[k]], space.ids[y[k]]))
 
 
 def has_property_uc(space: FiniteMetricGraph) -> CheckResult:
     """No point of B sits at distance d(A,B) from two distinct points of A.
 
     Finite surrogate of the uniform-closeness property: two A-points equally
-    proximal to the same B-point must coincide.
+    proximal to the same B-point must coincide.  The witness is the first
+    two partners and the first such point of B, each in input order.
     """
     return space._cached("property_uc", lambda: _property_uc(space))
 
 
 def _property_uc(space):
-    close = _closeness(space)[1]
-    bad = np.flatnonzero(close.sum(axis=0) > 1)
+    _, rows, cols = _closeness(space)
+    a, b = space.side_a(), space.side_b()
+    bad = np.flatnonzero(np.bincount(cols, minlength=len(b)) > 1)
     if bad.size:
         j = int(bad[0])
-        i0, i1 = np.flatnonzero(close[:, j])[:2].tolist()
-        a = space.side_a()
-        return CheckResult(False, (a[i0], a[i1], space.side_b()[j]))
+        i0, i1 = rows[cols == j][:2].tolist()
+        return CheckResult(False, (a[i0], a[i1], b[j]))
     return CheckResult(True)
+
+
+def _a0_witness(space: FiniteMetricGraph, image) -> tuple[str, str] | None:
+    """(p, Tp) for the least p of A0 in sorted id order whose image misses B0,
+    or None, for the map with the image array image.  A0 and B0 are the ends
+    of the close pairs."""
+    _, rows, cols = _closeness(space)
+    a0 = space._sides["A"][1][rows]
+    bad = a0[~np.isin(image[a0], space._sides["B"][1][cols])]
+    if not bad.size:
+        return None
+    p = bad[np.argmin(space._rank[bad])]
+    return space.ids[p], space.ids[image[p]]
 
 
 # ----- graph structure --------------------------------------------------

@@ -38,6 +38,7 @@ from .errors import (
     NoConvergence,
     NotLowerSolution,
     ParamOutOfRange,
+    require_max_iter,
     require_tol,
 )
 from .metric_graph import CheckResult, _check_fields, _float_array, _number, _params
@@ -548,6 +549,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     at every step, and stop only where both operators fix the iterate.
     """
     require_tol(tol)
+    require_max_iter(max_iter)
     grid = w0.grid
     _require_at_every_node(np.isfinite(w0.values), w0.values, grid, "w0 must be finite")
     pair = len(fs) > 1

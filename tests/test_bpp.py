@@ -8,9 +8,12 @@ from proxigraph import (
     CyclicMapTable,
     FiniteMetricGraph,
     GaugeSpec,
+    GridFunction,
     HypothesisViolated,
     NoConvergence,
+    RhsFunction,
     SideMismatch,
+    TimeGrid,
     build,
     check_cardinality,
     check_equivalence_theorem,
@@ -23,6 +26,9 @@ from proxigraph import (
     is_sharp_proximal,
     iterate_orbit,
     solve_bpp,
+    solve_common_fixed_point,
+    solve_common_pbvp,
+    solve_pbvp,
     verify_g_cyclic_contraction,
     verify_t2_preserves_edges,
     x_t2_a_set,
@@ -156,6 +162,29 @@ def test_nan_tol_is_refused_before_any_gate():
         check_cardinality(sp, tmap, tol=nan)
     with pytest.raises(ParamOutOfRange, match="NaN"):
         check_equivalence_theorem(sp, tmap, phi, phi, tol=nan)
+
+
+PHI = GaugeSpec("identity")
+RHS = RhsFunction("linear", {"a": -1.0, "b": 1.0})
+W0 = GridFunction.constant(TimeGrid(1.0, 11), 0.0)
+STEP_COUNTERS = {
+    "solve_bpp": lambda k: solve_bpp(*nontrivial_cycle_instance(), "a1", max_iter=k,
+                                     check_hypotheses=False),
+    "iterate_orbit": lambda k: iterate_orbit(*nontrivial_cycle_instance(), "a1", max_iter=k),
+    "check_equivalence_theorem": lambda k: check_equivalence_theorem(
+        *nontrivial_cycle_instance(), PHI, PHI, max_iter=k, check_hypotheses=False),
+    "solve_common_fixed_point": lambda k: solve_common_fixed_point(
+        *(lambda i: (i.space, i.pair, i.psi))(build("ex41_fixed_point")), "f_1/2", max_iter=k),
+    "solve_pbvp": lambda k: solve_pbvp(RHS, 2.0, 1.0, W0, max_iter=k),
+    "solve_common_pbvp": lambda k: solve_common_pbvp(RHS, RHS, 2.0, 1.0, W0, max_iter=k),
+}
+
+
+@pytest.mark.parametrize("max_iter", [5.0, True, "5"])
+@pytest.mark.parametrize("entry", STEP_COUNTERS)
+def test_a_non_integer_max_iter_is_an_input_error(entry, max_iter):
+    with pytest.raises(ParamOutOfRange, match="max_iter must be an integer"):
+        STEP_COUNTERS[entry](max_iter)
 
 
 def test_equivalence_all_true_and_all_false():

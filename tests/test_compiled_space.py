@@ -49,7 +49,7 @@ from proxigraph import (
 from proxigraph import cyclic_contraction, fixed_point, metric_graph
 from proxigraph.fixed_point import check_uniqueness_regime
 from proxigraph.corpus import build_random_chain
-from proxigraph.metric_graph import TOL_METRIC, TOL_PARALLEL, CheckResult, PairGeometry
+from proxigraph.metric_graph import TOL_METRIC, TOL_PARALLEL, CheckResult
 
 # ----- scalar reference oracles -------------------------------------------
 
@@ -60,43 +60,48 @@ def sides(space):
     return a, b
 
 
-def oracle_pair_distance(space) -> PairGeometry:
+def oracle_closeness(space) -> tuple[float, list[tuple[str, str]]]:
+    """d(A,B) and the close pairs, x then y in input order."""
     a, b = sides(space)
     best = min(space.d(x, y) for x in a for y in b)
     # the one closeness rule: d(x, y) exceeds d(A,B) by at most TOL_PARALLEL
-    pairs = frozenset((x, y) for x in a for y in b
-                      if space.d(x, y) - best <= TOL_PARALLEL)
-    return PairGeometry(d_ab=best, a0=frozenset(x for x, _ in pairs),
-                        b0=frozenset(y for _, y in pairs), parallel_pairs=pairs)
+    return best, [(x, y) for x in a for y in b if space.d(x, y) - best <= TOL_PARALLEL]
 
 
-def oracle_sharp_proximal(space, geom) -> CheckResult:
+def oracle_sharp_proximal(space, d_ab) -> CheckResult:
     a, b = sides(space)
     for x in a:
-        partners = tuple(y for y in b if abs(space.d(x, y) - geom.d_ab) <= TOL_PARALLEL)
+        partners = tuple(y for y in b if abs(space.d(x, y) - d_ab) <= TOL_PARALLEL)
         if len(partners) != 1:
             return CheckResult(False, (x, partners))
     for y in b:
-        partners = tuple(x for x in a if abs(space.d(x, y) - geom.d_ab) <= TOL_PARALLEL)
+        partners = tuple(x for x in a if abs(space.d(x, y) - d_ab) <= TOL_PARALLEL)
         if len(partners) != 1:
             return CheckResult(False, (y, partners))
     return CheckResult(True)
 
 
-def oracle_g_chebyshev(space, geom) -> CheckResult:
-    for pair in sorted(geom.parallel_pairs):
+def oracle_g_chebyshev(space, d_ab) -> CheckResult:
+    for pair in sorted(oracle_closeness(space)[1]):
         if pair not in space.edges:
             return CheckResult(False, pair)
     return CheckResult(True)
 
 
-def oracle_property_uc(space, geom) -> CheckResult:
+def oracle_property_uc(space, d_ab) -> CheckResult:
     a, b = sides(space)
     for y in b:
-        close = [x for x in a if abs(space.d(x, y) - geom.d_ab) <= TOL_PARALLEL]
+        close = [x for x in a if abs(space.d(x, y) - d_ab) <= TOL_PARALLEL]
         if len(close) > 1:
             return CheckResult(False, (close[0], close[1], y))
     return CheckResult(True)
+
+
+def oracle_a0_witness(space, tmap):
+    """The sorted walk over A0 for the first point whose image is off B0."""
+    pairs = oracle_closeness(space)[1]
+    a0, b0 = {x for x, _ in pairs}, {y for _, y in pairs}
+    return next(((p, tmap(p)) for p in sorted(a0) if tmap(p) not in b0), None)
 
 
 def oracle_property_star(space, within=None) -> CheckResult:
@@ -155,7 +160,8 @@ JITTER = (0.0, 0.0, 0.0, 5e-13, -5e-13, 2e-12)
 @st.composite
 def tied_table_spaces(draw):
     """Table spaces on a small integer grid under l1: many exact distance
-    ties, some pushed just inside or just outside TOL_PARALLEL."""
+    ties, some pushed just inside or just outside TOL_PARALLEL.  The ids sort
+    apart from their order."""
     n = draw(st.integers(2, 9))
     dim = draw(st.integers(1, 2))
     pts = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
@@ -168,37 +174,70 @@ def tied_table_spaces(draw):
         side[0] = "AB"
     if not any("B" in s for s in side):
         side[-1] = "AB"
-    ids = [f"p{i}" for i in range(n)]
+    ids = [f"p{i}" for i in draw(st.permutations(range(n)))]
     pairs = [(x, y) for x in ids for y in ids if x != y]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
     return FiniteMetricGraph.from_table(ids, dict(zip(ids, side)), table, edges)
 
 
-def assert_matches_oracles(space):
-    geom = pair_distance(space)
-    assert geom == oracle_pair_distance(space)
+def assert_matches_oracles(space, tmap):
+    d_ab, pairs = oracle_closeness(space)
+    a, b = sides(space)
+    _, rows, cols = metric_graph._closeness(space)
+    assert pair_distance(space) == d_ab
+    assert [(a[i], b[j]) for i, j in zip(rows.tolist(), cols.tolist())] == pairs
     checks = ((is_sharp_proximal, oracle_sharp_proximal),
               (has_property_uc, oracle_property_uc),
               (is_g_chebyshev, oracle_g_chebyshev))
     for check, oracle in checks:
-        expected = oracle(space, geom)
+        expected = oracle(space, d_ab)
         assert check(space) == expected
         assert check(space) is check(space)
-    a, b = sides(space)
+    # the identity gauges pass both gauge classes on every grid
+    phi = cyclic_contraction.GaugeSpec("identity")
+    report = verify_g_cyclic_contraction(space, tmap, phi, phi)
+    assert report.a0_witness == oracle_a0_witness(space, tmap)
     for within in (None, a, b, list(a), space.ids[::2]):
         assert check_property_star(space, within) == oracle_property_star(space, within)
 
 
-@given(tied_table_spaces())
+@given(tied_table_spaces(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_predicates_match_scalar_oracles_on_tied_tables(space):
-    assert_matches_oracles(space)
+def test_predicates_match_scalar_oracles_on_tied_tables(space, data):
+    # T sends A into B and B into A, so a point on both sides goes to one on
+    # both; half the maps send every point off B0 where they can, so that
+    # several points of A0 miss B0 and the witness must be the least
+    side, b0 = space.side, {y for _, y in oracle_closeness(space)[1]}
+    off = data.draw(st.booleans())
+    mapping = {}
+    for x in space.ids:
+        to = [p for p in space.ids if ("A" not in side[x] or "B" in side[p])
+              and ("B" not in side[x] or "A" in side[p])]
+        mapping[x] = data.draw(st.sampled_from([p for p in to if p not in b0] if off and
+                                               not b0.issuperset(to) else to))
+    assert_matches_oracles(space, CyclicMapTable.for_space(space, mapping))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_predicates_match_scalar_oracles_on_random_chains(seed):
-    assert_matches_oracles(build_random_chain(seed).space)
+    inst = build_random_chain(seed)
+    assert_matches_oracles(inst.space, inst.tmap)
+
+
+def test_predicates_match_scalar_oracles_on_a_tie_heavy_space():
+    # two lines under l1 at heights i % 3: a third of A x B is close.  The
+    # edges join the close pairs of the first ten points on each side, so
+    # the least missing pair in sorted id order is not the first in input order
+    n = 600
+    pts = [(f"a{i}", (0.0, float(i % 3)), "A") for i in range(n)]
+    pts += [(f"b{j}", (1.0, float(j % 3)), "B") for j in range(n - 1)]
+    edges = [(f"a{i}", f"b{j}") for i in range(10) for j in range(10) if i % 3 == j % 3]
+    space = FiniteMetricGraph.from_coords(pts, metric="l1", edges=edges)
+    mapping = {f"a{i}": f"b{7 * i % (n - 1)}" for i in range(n)}
+    mapping.update({f"b{j}": f"a{j}" for j in range(n - 1)})
+    assert_matches_oracles(space, CyclicMapTable.for_space(space, mapping))
+    assert is_g_chebyshev(space).witness == ("a0", "b102")
 
 
 @given(tied_table_spaces(), st.data())
@@ -284,7 +323,7 @@ def oracle_x_t2_a(space, tmap) -> frozenset[str]:
 
 def oracle_bpps(space, tmap, tol) -> frozenset[str]:
     """The per-point scan: each x of A whose gap d(x, Tx) is within tol of d(A,B)."""
-    d_ab = pair_distance(space).d_ab
+    d_ab = pair_distance(space)
     return frozenset(x for x in space.side_a() if abs(space.d(x, tmap(x)) - d_ab) <= tol)
 
 
@@ -989,7 +1028,7 @@ def test_pickle_round_trip():
 
 def test_derived_structure_is_computed_once():
     sp = chain_space()
-    assert pair_distance(sp) is pair_distance(sp)
+    assert metric_graph._closeness(sp) is metric_graph._closeness(sp)
     assert sp.side_a() is sp.side_a()
     assert component_of(sp, sp.ids[0]) is component_of(sp, sp.ids[0])
     assert check_property_star(sp, sp.side_a()) is check_property_star(sp, sp.side_a())
@@ -1089,6 +1128,24 @@ def test_only_the_space_module_reads_how_edges_are_stored():
         "metric_graph.py"]
 
 
+def test_only_the_space_module_reads_how_closeness_is_stored():
+    package = Path(metric_graph.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "_closeness" in p.read_text()] == [
+        "metric_graph.py"]
+
+
+def test_closeness_keeps_no_array_of_every_pair():
+    # a sharp proximal chain: 400 close pairs among 400 x 400
+    n = 400
+    sp = FiniteMetricGraph.from_coords([(f"{s}{i}", (float(s == "b"), float(i)), s.upper())
+                                        for s in "ab" for i in range(n)], metric="l1")
+    assert pair_distance(sp) == 1.0 and is_sharp_proximal(sp) and has_property_uc(sp)
+    assert not is_g_chebyshev(sp)
+    kept = [v.size for entry in sp._memo.values()
+            for v in (entry if isinstance(entry, tuple) else (entry,)) if isinstance(v, np.ndarray)]
+    assert kept and n * n not in kept
+
+
 def test_frozen_objects_are_written_only_in_their_post_init():
     # a frozen object sets what it derives once, while it is built; no method
     # keeps a cache on it afterwards
@@ -1116,9 +1173,9 @@ def test_the_space_keeps_read_only_edge_keys_and_image_arrays():
     assert (np.diff(keys) > 0).all() and len(keys) == len(sp.edges)
     assert {(ranked[k // n], ranked[k % n]) for k in keys.tolist()} == sp.edges
     assert [sp.ids[i] for i in image] == [tm(p) for p in sp.ids]
-    geom, close = metric_graph._closeness(sp)
-    assert geom is pair_distance(sp) and close is metric_graph._closeness(sp)[1]
-    assert not close.flags.writeable
+    closeness = metric_graph._closeness(sp)
+    assert closeness is metric_graph._closeness(sp) and closeness[0] == pair_distance(sp)
+    assert not closeness[1].flags.writeable and not closeness[2].flags.writeable
     # a pair's two image arrays, each len(ids) off its table's side
     ex41 = build("ex41_fixed_point")
     sp, pair = ex41.space, ex41.pair

@@ -205,7 +205,7 @@ def m_through_check_pair(sp, tmap, x, y):
     and with phi2 = s / 2 the rhs is m / 2 + d(A, B) / 2."""
     _, _, rhs = check_pair(sp, tmap, GaugeSpec("identity"),
                            GaugeSpec("linear", {"c": 0.5}), x, y)
-    return 2.0 * rhs - pair_distance(sp).d_ab
+    return 2.0 * rhs - pair_distance(sp)
 
 
 def test_m_value_and_sides():
@@ -244,9 +244,9 @@ def test_rhs_collapses_to_d_ab_at_the_floor():
     sp = two_pair_space()
     tmap = CyclicMapTable.for_space(sp, {"a0": "b0", "a1": "b1",
                                          "b0": "a0", "b1": "a1"})
-    geom = pair_distance(sp)
-    assert sp.d("a0", "b0") == geom.d_ab
-    assert m_through_check_pair(sp, tmap, "a0", "b0") == geom.d_ab
+    d_ab = pair_distance(sp)
+    assert sp.d("a0", "b0") == d_ab
+    assert m_through_check_pair(sp, tmap, "a0", "b0") == d_ab
     pairs = [(GaugeSpec("linear", {"c": 0.5}), GaugeSpec("identity")),
              (GaugeSpec("floor_fraction"), GaugeSpec("identity")),
              (GaugeSpec("linear", {"c": 0.9}),
@@ -254,7 +254,7 @@ def test_rhs_collapses_to_d_ab_at_the_floor():
              (GaugeSpec("identity"), GaugeSpec("identity"))]
     for phi1, phi2 in pairs:
         _, _, rhs = check_pair(sp, tmap, phi1, phi2, "a0", "b0")
-        assert rhs == pytest.approx(geom.d_ab, abs=1e-12)
+        assert rhs == pytest.approx(d_ab, abs=1e-12)
 
 
 def eligible_pairs(space, tmap):

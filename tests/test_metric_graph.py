@@ -21,6 +21,7 @@ from proxigraph import (
     is_weakly_connected,
     pair_distance,
 )
+from proxigraph import metric_graph
 from proxigraph.corpus import build_random_chain
 from proxigraph.errors import UnknownField
 from proxigraph.metric_graph import CheckResult
@@ -119,11 +120,10 @@ def test_unknown_point_lookup():
 
 def test_pair_distance_geometry():
     sp = square()
-    geom = pair_distance(sp)
-    assert geom.d_ab == 1.0
-    assert geom.a0 == {"a0", "a1"}
-    assert geom.b0 == {"b0", "b1"}
-    assert geom.parallel_pairs == {("a0", "b0"), ("a1", "b1")}
+    assert pair_distance(sp) == 1.0
+    # the close pairs (a0, b0) and (a1, b1), by position on each side
+    d_ab, rows, cols = metric_graph._closeness(sp)
+    assert (d_ab, rows.tolist(), cols.tolist()) == (1.0, [0, 1], [0, 1])
 
 
 def test_pair_distance_needs_both_sides():
@@ -142,9 +142,8 @@ def test_closeness_verdicts_agree_at_the_last_ulp():
     sp = FiniteMetricGraph.from_table(
         ["a0", "a1", "b0", "b1"], {"a0": "A", "a1": "A", "b0": "B", "b1": "B"},
         [[0, .5, 1, 2], [.5, 0, d, 2], [1, d, 0, 2.5], [2, 2, 2.5, 0]], [("a0", "b0")])
-    geom = pair_distance(sp)
-    assert (geom.d_ab, geom.a0, geom.b0) == (1.0, {"a0"}, {"b0"})
-    assert geom.parallel_pairs == {("a0", "b0")}
+    d_ab, rows, cols = metric_graph._closeness(sp)
+    assert (d_ab, rows.tolist(), cols.tolist()) == (1.0, [0], [0])
     assert is_g_chebyshev(sp) == CheckResult(True)
     # a1 has no partner at d(A,B), so it is outside A0 and UC has no pair to refuse
     assert is_sharp_proximal(sp) == CheckResult(False, ("a1", ()))
@@ -170,6 +169,20 @@ def test_property_uc_witness():
     x1, x2, y = res.witness
     assert {x1, x2} == {"a0", "a1"} and y == "b"
     assert bool(has_property_uc(square()))
+
+
+@pytest.mark.parametrize("order, uc, partners", [
+    (("a1", "a0", "b0"), ("a1", "a0", "b0"), ("a1", "a0")),
+    (("a0", "a1", "b0"), ("a0", "a1", "b0"), ("a0", "a1")),
+], ids=["a1_first", "a0_first"])
+def test_uc_and_sharp_proximal_witnesses_follow_input_order(order, uc, partners):
+    # both a's sit at d(A,B) = 1 from b0; these two witnesses name points in
+    # input order, where every other witness is least in sorted id order
+    d = {frozenset(("a0", "a1")): 0.5}
+    table = [[0.0 if x == y else d.get(frozenset((x, y)), 1.0) for y in order] for x in order]
+    sp = FiniteMetricGraph.from_table(order, {"a0": "A", "a1": "A", "b0": "B"}, table)
+    assert has_property_uc(sp) == CheckResult(False, uc)
+    assert is_sharp_proximal(sp) == CheckResult(False, ("b0", partners))
 
 
 def test_g_chebyshev_needs_parallel_edges():

@@ -48,7 +48,7 @@ from proxigraph.errors import InstanceFormatError
 
 
 def oracle_iterate_orbit(space, tmap, x0, max_iter, tol) -> OrbitTrace:
-    d_ab = pair_distance(space).d_ab
+    d_ab = pair_distance(space)
     points = [x0]
     gaps: list[float] = []
     seen_even = {x0}
@@ -85,7 +85,7 @@ def oracle_t2_walk(tmap, x0, max_iter) -> tuple[str, int, str]:
 
 
 def oracle_solve_bpp(space, tmap, x0, tol, max_iter) -> BppResult:
-    d_ab = pair_distance(space).d_ab
+    d_ab = pair_distance(space)
     y, iterations, stop = oracle_t2_walk(tmap, x0, max_iter)
     if stop == "cycle":
         raise NoConvergence(f"even orbit from {x0!r} entered a nontrivial cycle at {y!r}")
