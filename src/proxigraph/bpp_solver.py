@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
+import numpy as np
+
 from .cyclic_contraction import TOL_INEQ, CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
 from .errors import (NoConvergence, SeedNotEligible, SideMismatch, require,
                      require_max_iter, require_tol)
@@ -66,13 +68,15 @@ class BppResult:
 @dataclass(slots=True)
 class _OrbitTable:
     """settle[i] is (depth, terminal id, d(terminal, T terminal)) if the point
-    at position i is on A and its even orbit settles, else None.  deepest is
-    the largest depth over A, inf if a seed does not settle; ends counts the
-    points the seeds of A reach.  d_ab is None when side A is empty."""
+    at position i is on A and its even orbit settles, else None, and gap[i]
+    is d(p, Tp) for the point p at position i.  deepest is the largest depth
+    over A, inf if a seed does not settle; ends counts the points the seeds
+    of A reach.  d_ab is None when side A is empty."""
 
     d_ab: float | None
     x_t2_a: frozenset[str]
     settle: list
+    gap: list
     deepest: float
     ends: int
     gates_hold: bool = False  # (*) on A and UC hold
@@ -104,12 +108,12 @@ def _orbits(space: FiniteMetricGraph, tmap: CyclicMapTable) -> _OrbitTable:
         depth += short << k
     depth += at != end
     settle = [None] * len(space.ids)
-    gaps = space.dist[end, image[end]]
-    for i, d, y, g in zip(*(v[settled].tolist() for v in (ia, depth, end, gaps))):
+    gap = space._pair_dist(np.arange(len(image)), image)  # d(p, Tp)
+    for i, d, y, g in zip(*(v[settled].tolist() for v in (ia, depth, end, gap[end]))):
         settle[i] = (d, space.ids[y], g)
     table = space._memo[key] = _OrbitTable(
         pair_distance(space) if a else None,
-        frozenset(compress(a, space._is_edge(ia, jumps[0][ia]).tolist())), settle,
+        frozenset(compress(a, space._is_edge(ia, jumps[0][ia]).tolist())), settle, gap.tolist(),
         int(depth.max(initial=-1)) if settled.all() else float("inf"), len(set(end.tolist())))
     return table
 
@@ -149,15 +153,17 @@ def _seed_on_a(space: FiniteMetricGraph, x0: str) -> None:
 def iterate_orbit(space: FiniteMetricGraph, tmap: CyclicMapTable, x0: str,
                   max_iter: int = MAX_ITER, tol: float = TOL_BPP) -> OrbitTrace:
     """Follow the orbit until the gap reaches d(A, B), an even-orbit point
-    repeats, or max_iter steps have been taken."""
+    repeats, or max_iter steps have been taken.  Each gap d(x, Tx) is read
+    from the orbit table."""
     require_tol(tol)
     require_max_iter(max_iter)
     _seed_on_a(space, x0)
-    d_ab = _orbits(space, tmap).d_ab
+    orbits = _orbits(space, tmap)
+    d_ab, gap, index = orbits.d_ab, orbits.gap, space.index
     points, repeat = _walk((tmap.mapping, tmap.mapping), x0, max_iter)
     gaps: list[float] = []
-    for x, y in zip(points, points[1:]):
-        gaps.append(space.d(x, y))
+    for x in points[:-1]:
+        gaps.append(gap[index[x]])
         if abs(gaps[-1] - d_ab) <= tol:
             return OrbitTrace(x0, tuple(points[:len(gaps) + 1]), tuple(gaps), "converged")
     if repeat:
@@ -219,7 +225,7 @@ def enumerate_bpps(space: FiniteMetricGraph, tmap: CyclicMapTable,
     require_tol(tol)
     image = tmap.validate(space)
     a, ia = space._sides["A"]
-    excess = space.dist[ia, image[ia]] - pair_distance(space)  # d(x, Tx) - d(A,B)
+    excess = space._pair_dist(ia, image[ia]) - pair_distance(space)  # d(x, Tx) - d(A,B)
     return frozenset(compress(a, (abs(excess) <= tol).tolist()))
 
 

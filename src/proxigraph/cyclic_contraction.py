@@ -382,7 +382,7 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     require_tol(tol)
     image = tmap.validate(space)
     d_ab = pair_distance(space)
-    dist = space.dist
+    dist = space._pair_dist
     # each side's positions in sorted id order
     ia, ib = (p[np.argsort(space._rank[p])] for p in (space._sides["A"][1], space._sides["B"][1]))
 
@@ -394,8 +394,8 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
         eligible = edge(col, ib) | edge(col, tb) | edge(tb, col)
     rows, cols = np.nonzero(eligible)
     x, y = ia[rows], ib[cols]
-    dxy = dist[x, y]
-    gap = dist[np.arange(len(image)), image]  # d(p, Tp)
+    dxy = dist(x, y)
+    gap = dist(np.arange(len(image)), image)  # d(p, Tp)
     gap_x, gap_y = gap[x], gap[y]
     m = np.where(gap_y > gap_x, gap_y, gap_x)  # max(gap_x, gap_y), as Python's max picks
 
@@ -403,7 +403,7 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
     if not ok:
         raise GaugeClassViolation(f"gauge class check failed: {ok.witness}")
 
-    lhs = dist[image[x], image[y]]
+    lhs = dist(image[x], image[y])
     rhs = _bound(dxy, gauge_values(phi1, dxy), m, gauge_values(phi2, m),
                  _shift_term(phi1, phi2, d_ab))
     bad = lhs > rhs + tol

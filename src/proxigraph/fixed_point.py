@@ -184,6 +184,20 @@ class PairMaps:
             return _image_array(space, self.t1), _image_array(space, self.t2)
         return space._cached(("map", self), check)
 
+    def _steps(self, space: FiniteMetricGraph) -> list[list[float]]:
+        """d(p, t1 p), d(q, t2 q) and d(p, t2 t1 p) at the position of each p
+        on A and q on B, nan elsewhere, as lists: computed once per space by
+        the space's pair rule and kept there, for the alternating walk."""
+        def steps():
+            im1, im2 = self.validate(space)
+            ia, ib = space._sides["A"][1], space._sides["B"][1]
+            out = np.full((3, len(space.ids)), np.nan)
+            out[0, ia] = space._pair_dist(ia, im1[ia])
+            out[1, ib] = space._pair_dist(ib, im2[ib])
+            out[2, ia] = space._pair_dist(ia, im2[im1[ia]])
+            return out.tolist()
+        return space._cached(("steps", self), steps)
+
 
 def residual(space: FiniteMetricGraph, pair: PairMaps, p: str) -> float:
     """How far p is from a common fixed point: max(d(p, T1 p), d(p, T2 T1 p))."""
@@ -223,7 +237,7 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
     """
     require_tol(tol)
     images = pair.validate(space)
-    edge, dist, names = space._is_edge, space.dist, np.array(space.ids, dtype=object)
+    edge, dist, names = space._is_edge, space._pair_dist, np.array(space.ids, dtype=object)
     cols = []  # per side, for each checked pair: x, y, T_i y, T_i x and T_j T_i y
     for s, ti, tj in (("A", *images), ("B", *images[::-1])):
         p = space._sides[s][1]
@@ -233,7 +247,7 @@ def verify_g_psi_contraction(space: FiniteMetricGraph, pair: PairMaps,
         x, y = x[on], y[on]
         cols.append((x, y, ti[y], ti[x], tj[ti[y]]))
     x, y, img, lead, nxt = map(np.concatenate, zip(*cols))
-    d0, lhs = dist[x, img], dist[lead, nxt]
+    d0, lhs = dist(x, img), dist(lead, nxt)
     rhs = psi.rates(d0) * d0
     bad, off = lhs > rhs + tol, ~edge(lead, nxt)
     viols = tuple(sorted(zip(names[x[bad]].tolist(), names[y[bad]].tolist(),
@@ -278,12 +292,14 @@ def solve_common_fixed_point(space: FiniteMetricGraph, pair: PairMaps,
 
     # a stop test at step max_iter - 1 looks one point ahead
     points, repeat = _walk((pair.t1, pair.t2), x0, max_iter + 1)
+    to_t1, to_t2, to_t2_t1 = pair._steps(space)
     gaps: list[float] = []
     for i in range(min(len(points) - 1, max_iter)):
         p = points[i]
-        gap = space.d(p, points[i + 1])
+        at = space.index[p]
+        gap = to_t2[at] if i % 2 else to_t1[at]
         # at an even index, gap is d(p, T1 p), the first term of residual(space, pair, p)
-        if i % 2 == 0 and gap <= tol and space.d(p, points[i + 2]) <= tol:
+        if i % 2 == 0 and gap <= tol and to_t2_t1[at] <= tol:
             return p, OrbitTrace(x0=x0, points=tuple(points[:i + 1]), gaps=tuple(gaps),
                                  stop_reason="converged", cycle_is_t2_fixed=True)
         gaps.append(gap)

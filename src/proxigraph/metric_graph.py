@@ -4,6 +4,12 @@ Points live on side "A", side "B", or both ("AB").  Distances come either from
 coordinates under a named metric (l1, l2, sup) or from an explicit table.  The
 edge set is a set of ordered id pairs; every point must carry its trivial loop.
 
+One rule, `FiniteMetricGraph._pair_dist`, answers every distance, for position
+arrays.  A table space gathers it from its table.  A coordinate space keeps
+its read-only (n, dim) coordinate array and no n x n table: each distance is
+computed when asked for, and `dist` is built, in row blocks by the same rule,
+only when it is read.  `_row_blocks` is the one loop over a block of pairs.
+
 `FiniteMetricGraph.__post_init__` reads every space; the constructors only lay
 their input out as its fields.  One rule, `_point_id`, reads point ids and edge
 ends alike, and all coordinates are read in one call.  A space is immutable,
@@ -18,7 +24,8 @@ of close pairs by position; no other module reads it.  What else follows
 from the space alone -- d(A,B) and that list, the component labels and the
 hypothesis verdicts -- is computed on first use and kept on the space, as
 are, for each map checked against it, its verdict, its read-only image
-arrays and a cyclic map's orbit table.
+arrays, a cyclic map's orbit table with d(p, Tp) for every p, and a pair's
+step distances.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
@@ -39,8 +46,9 @@ from .errors import EmptySide, InstanceFormatError, UnknownField, UnknownPoint
 TOL_METRIC = 1e-9       # relative tolerance for triangle-inequality validation
 TOL_PARALLEL = 1e-12    # absolute tolerance for distance ties against d(A,B)
 
-# elements of a work array built at a time: coordinate differences in
-# _coord_dist, 2-path sums in _triangle_fails, 2-paths in _property_star
+# elements of a work array built at a time: distances in _row_blocks,
+# coordinate differences in _coord_pair, 2-path sums in _triangle_fails,
+# 2-paths in _property_star
 _BLOCK = 1 << 16
 
 # numpy adds fewer terms than this one after another; from this many on, its
@@ -77,13 +85,15 @@ class FiniteMetricGraph:
 
     For the metric "table", `dist` is the distance table.  For l1, l2 and sup
     the distances are derived from `coords` and `dist` is passed as None, so
-    they satisfy the triangle inequality by construction.  `side` and
+    they satisfy the triangle inequality by construction.  A coordinate space
+    keeps its coordinates, not a table: it computes each distance when asked,
+    and builds `dist` only when that is read, then keeps it.  `side` and
     `coords` are mappings, or (id, value) pairs, from point ids.
     """
 
     ids: tuple[str, ...]
     side: Mapping[str, str]
-    dist: np.ndarray | None
+    dist: np.ndarray | None = field(repr=False)  # repr builds no table
     edges: frozenset[tuple[str, str]]
     coords: Mapping[str, tuple[float, ...] | None] = field(default_factory=dict)
     metric: str = "table"
@@ -110,30 +120,62 @@ class FiniteMetricGraph:
             dist = _float_array(self.dist, "distance table must be a square array of numbers")
             if dist.shape != (len(ids), len(ids)):
                 raise InstanceFormatError("distance table shape does not match point count")
+            if not np.isfinite(dist).all():
+                raise InstanceFormatError("distance table contains non-finite entries")
+            _check_table(dist, ids)
+            dist.flags.writeable = False
+            arr = None
         elif self.dist is not None:
             raise InstanceFormatError(
                 f"metric {self.metric!r} derives distances from coords; pass dist=None")
         elif arr is None:
             raise InstanceFormatError("points have mixed coordinate dimensions")
         else:
-            dist = _coord_dist(arr, self.metric)
-        if not np.isfinite(dist).all():
-            raise InstanceFormatError("distance table contains non-finite entries")
-        # finite sums or maxima of |a - b| pass the rest by construction
-        if table:
-            _check_table(dist, ids)
-        dist.flags.writeable = False
+            arr.flags.writeable = False
         sides = {}  # s -> the ids and the read-only positions of side s, in id order
         for s in "AB":
             pos = np.array([i for i, v in enumerate(side.values()) if s in v], dtype=np.intp)
             pos.flags.writeable = False
             sides[s] = tuple(ids[i] for i in pos.tolist()), pos
         order.flags.writeable = rank.flags.writeable = edge_keys.flags.writeable = False
-        for name, value in (("ids", ids), ("side", MappingProxyType(side)), ("dist", dist),
+        for name, value in (("ids", ids), ("side", MappingProxyType(side)),
                             ("edges", edges), ("coords", MappingProxyType(coords)),
                             ("index", MappingProxyType(index)), ("_sides", sides), ("_memo", {}),
-                            ("_order", order), ("_rank", rank), ("_edge_keys", edge_keys)):
+                            ("_order", order), ("_rank", rank), ("_edge_keys", edge_keys),
+                            ("_coord_array", arr)):
             object.__setattr__(self, name, value)
+        if table:
+            object.__setattr__(self, "dist", dist)
+        else:
+            object.__delattr__(self, "dist")  # built when first read, by _TableOnRead
+            # finite sums or maxima of |a - b| pass the rest by construction
+            self._check_finite()
+
+    def _check_finite(self) -> None:
+        """Raise unless every distance of a coordinate space is finite.
+        Rounding is monotone, so no distance exceeds the one, by the same
+        rule, between the least and the greatest value of each coordinate;
+        only when that bound is not finite does a scan of every row block
+        decide."""
+        arr = self._coord_array
+        with np.errstate(over="ignore", invalid="ignore"):
+            # with no points the bound is inf - -inf, and the scan finds nothing
+            span = np.stack((arr.min(axis=0, initial=np.inf), arr.max(axis=0, initial=-np.inf)))
+            if np.isfinite(_coord_pair(span, self.metric, 0, 1)):
+                return
+            pos = np.arange(len(arr))
+            for _, block in self._row_blocks(pos, pos):
+                if not np.isfinite(block).all():
+                    raise InstanceFormatError("distance table contains non-finite entries")
+
+    def _table(self) -> np.ndarray:
+        """The read-only n x n table of a coordinate space, by the pair rule."""
+        pos = np.arange(len(self.ids))
+        dist = np.empty((len(pos), len(pos)))
+        for r, block in self._row_blocks(pos, pos):
+            dist[r:r + len(block)] = block
+        dist.flags.writeable = False
+        return dist
 
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from plain copies instead
@@ -219,7 +261,7 @@ class FiniteMetricGraph:
     # ----- basic access -------------------------------------------------
 
     def d(self, x: str, y: str) -> float:
-        return float(self.dist[self._i(x), self._i(y)])
+        return float(self._pair_dist(self._i(x), self._i(y)))
 
     def side_a(self) -> tuple[str, ...]:
         return self._sides["A"][0]
@@ -246,6 +288,24 @@ class FiniteMetricGraph:
             value = self._memo[key] = compute()
             return value
 
+    def _pair_dist(self, x, y) -> np.ndarray:
+        """d(ids[x], ids[y]) for position arrays x and y broadcast against
+        each other: the one distance rule.  A table space gathers from dist;
+        a coordinate space computes from its coordinates by _coord_pair, with
+        the bits of the table that dist builds.  A position off the space
+        raises IndexError."""
+        if self._coord_array is None:
+            return self.dist[x, y]
+        return _coord_pair(self._coord_array, self.metric, x, y)
+
+    def _row_blocks(self, rows, cols):
+        """For the position arrays rows and cols, each (r, the distances from
+        rows[r:r + k] to cols) over row blocks of about _BLOCK distances, in
+        order: the one loop over a block of pairs."""
+        step = max(1, _BLOCK // max(1, len(cols)))
+        for r in range(0, len(rows), step):
+            yield r, self._pair_dist(rows[r:r + step, None], cols)
+
     def _is_edge(self, x, y) -> np.ndarray:
         """Whether (ids[x], ids[y]) is an edge, for position arrays x and y
         broadcast against each other: each key searched among the sorted
@@ -265,6 +325,20 @@ class FiniteMetricGraph:
         inside[rank] = True
         ends = np.stack(np.divmod(self._edge_keys, len(self.ids)))
         return rank, ends[:, inside[ends].all(axis=0)]  # a mask keeps the key order
+
+
+class _TableOnRead:
+    """FiniteMetricGraph.dist where the space holds none, as a coordinate
+    space does: its table, built on first read and kept in the memo.  A
+    table space's own dist, in the instance, comes first.  (A __getattr__
+    would slow every other attribute read of a space.)"""
+
+    def __get__(self, space, owner=None):
+        return self if space is None else space._cached("dist", space._table)
+
+
+# set after the dataclass is made, which would take a class attribute for a default
+FiniteMetricGraph.dist = _TableOnRead()
 
 
 def _check_table(d, ids):
@@ -384,61 +458,44 @@ def _coord_tuple(pid, xy) -> tuple[float, ...]:
     raise InstanceFormatError(f"coords of point {pid!r} must be a list of numbers, got {xy!r}")
 
 
-def _coord_dist(arr, metric) -> np.ndarray:
-    """Pairwise l1, l2 or sup distances between the rows of the (n, dim)
-    coordinate array arr.
+def _coord_pair(arr, metric, x, y) -> np.ndarray:
+    """The l1, l2 or sup distances between rows x and y of the (n, dim)
+    coordinate array arr, for position arrays x and y broadcast against each
+    other; each has the bits of the reduction over one n x n x dim array.
 
-    With 1 to _IN_ORDER - 1 coordinates, _coord_passes makes one n x n pass
-    per coordinate.  With none, or with _IN_ORDER or more (ex41 has 640 to
-    1024), each row block reduces over the coordinate axis: so long an axis
-    keeps numpy's reduction fast, and passes would sum in another order."""
-    n, dim = arr.shape
-    dist = np.empty((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # construction rejects non-finite
-        if 0 < dim < _IN_ORDER:
-            _coord_passes(arr, metric, dist)
-            return dist
-        # rows of about _BLOCK differences at a time; each distance is the same
-        # reduction over its own dim differences as over the whole n x n x dim array
-        rows = max(1, _BLOCK // max(1, n * dim))
-        for r in range(0, n, rows):
-            diff = arr[r:r + rows, None, :] - arr[None, :, :]
-            if metric == "l1":
-                dist[r:r + rows] = np.abs(diff).sum(axis=2)
-            elif metric == "l2":
-                dist[r:r + rows] = np.sqrt((diff ** 2).sum(axis=2))
+    With 1 to _IN_ORDER - 1 coordinates, one pass per coordinate: the absolute
+    (l1, sup) or squared (l2) differences, added or maxed in coordinate
+    order.  numpy's sum adds fewer than _IN_ORDER terms in that same order.
+    With none, or with _IN_ORDER or more (ex41 has 640 to 1024), each pair
+    reduces over the coordinate axis, about _BLOCK differences at a time: so
+    long an axis keeps numpy's reduction fast, and passes would sum in
+    another order."""
+    dim = arr.shape[1]
+    if 0 < dim < _IN_ORDER:
+        for k in range(dim):
+            diff = arr[x, k] - arr[y, k]
+            diff = diff * diff if metric == "l2" else np.abs(diff)
+            if not k:
+                out = diff
+            elif metric == "sup":
+                out = np.maximum(out, diff)
             else:
-                # initial: with no coordinates every point coincides, as under l1 and l2
-                dist[r:r + rows] = np.abs(diff).max(axis=2, initial=0.0)
-    return dist
-
-
-def _coord_passes(arr, metric, dist):
-    """_coord_dist's distances into dist, for 0 < dim < _IN_ORDER, as one n x n
-    pass per coordinate, in row blocks of about _BLOCK entries: the absolute
-    or squared differences of each coordinate, summed (l1, l2) or maxed (sup)
-    in coordinate order.  numpy's sum adds fewer than _IN_ORDER terms in that
-    same order, so every distance has the bits of the reduction over the
-    coordinate axis."""
-    n = len(arr)
-    cols = arr.T.copy()  # each coordinate contiguous
-    rows = max(1, _BLOCK // n)
-    work = np.empty((min(rows, n), n))
-    for r in range(0, n, rows):
-        out = dist[r:r + rows]
-        for k, col in enumerate(cols):
-            diff = work[:len(out)] if k else out
-            np.subtract(col[r:r + rows, None], col[None, :], out=diff)
-            if metric == "l2":
-                np.multiply(diff, diff, out=diff)
-            else:
-                np.abs(diff, out=diff)
-            if k and metric == "sup":
-                np.maximum(out, diff, out=out)
-            elif k:
-                out += diff
-    if metric == "l2":
-        np.sqrt(dist, out=dist)
+                out = out + diff
+        return np.sqrt(out) if metric == "l2" else out
+    x, y = np.broadcast_arrays(x, y)
+    out = np.empty(x.shape)
+    flat, x, y = out.reshape(-1), x.ravel(), y.ravel()
+    step = max(1, _BLOCK // max(1, dim))
+    for s in range(0, len(flat), step):
+        diff = arr[x[s:s + step]] - arr[y[s:s + step]]
+        if metric == "l1":
+            flat[s:s + step] = np.abs(diff).sum(axis=1)
+        elif metric == "l2":
+            flat[s:s + step] = np.sqrt((diff ** 2).sum(axis=1))
+        else:
+            # initial: with no coordinates every point coincides, as under l1 and l2
+            flat[s:s + step] = np.abs(diff).max(axis=1, initial=0.0)
+    return out
 
 
 def _float_array(values, message: str) -> np.ndarray:
@@ -543,15 +600,22 @@ def _closeness(space: FiniteMetricGraph) -> tuple[float, np.ndarray, np.ndarray]
     """d(A,B) and the close pairs, those of A x B whose distance exceeds it by
     at most TOL_PARALLEL, as read-only positions rows into side A and cols
     into side B in row-major order: the one closeness rule, kept on the
-    space.  Near d(A,B) the difference is exact (Sterbenz), so the rule
-    compares the true excess."""
+    space, from one scan of A x B in row blocks.  Near d(A,B) the difference
+    is exact (Sterbenz), so the rule compares the true excess."""
     def closeness():
         ia, ib = space._sides["A"][1], space._sides["B"][1]
         if not ia.size or not ib.size:
             raise EmptySide("pair_distance needs nonempty A and B")
-        block = space.dist[np.ix_(ia, ib)]
-        d_ab = float(block.min())
-        rows, cols = np.nonzero(block - d_ab <= TOL_PARALLEL)
+        # a running least distance, and the pairs within TOL_PARALLEL of it: a
+        # pair dropped stays out, as a lower d(A,B) only raises its excess
+        d_ab, rows, cols, near = np.inf, *np.empty((3, 0), np.intp)
+        for r, block in space._row_blocks(ia, ib):
+            d_ab = min(d_ab, float(block.min()))
+            i, j = np.nonzero(block - d_ab <= TOL_PARALLEL)
+            rows, cols, near = (np.concatenate(v) for v in
+                                ((rows, i + r), (cols, j), (near, block[i, j])))
+            keep = near - d_ab <= TOL_PARALLEL
+            rows, cols, near = rows[keep], cols[keep], near[keep]
         rows.flags.writeable = cols.flags.writeable = False
         return d_ab, rows, cols
     return space._cached("closeness", closeness)

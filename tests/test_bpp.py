@@ -147,6 +147,15 @@ def test_nan_tol_is_refused():
     assert enumerate_bpps(sp, tmap, tol=float("-inf")) == frozenset()
 
 
+@pytest.mark.parametrize("tol", ["1e-9", None, True], ids=["str", "none", "bool"])
+def test_a_tol_that_is_no_real_number_is_an_input_error(tol):
+    sp, tmap = nontrivial_cycle_instance()
+    with pytest.raises(ParamOutOfRange, match="tol must be a real number"):
+        enumerate_bpps(sp, tmap, tol=tol)
+    with pytest.raises(ParamOutOfRange, match="tol must be a real number"):
+        iterate_orbit(sp, tmap, "a1", tol=tol)
+
+
 def test_nan_tol_is_refused_before_any_gate():
     # a0 -> a1 -> a2 without a0 -> a2, so property (*) on A fails; a NaN tol
     # is still the error both checkers name

@@ -8,6 +8,7 @@ a space is kept on that space, are tested at the end.
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import pickle
 import tracemalloc
@@ -30,6 +31,8 @@ from proxigraph import (
     SideMismatch,
     UnknownPoint,
     build,
+    check_cardinality,
+    check_equivalence_theorem,
     check_property_star,
     component_of,
     components,
@@ -38,6 +41,7 @@ from proxigraph import (
     is_g_chebyshev,
     is_sharp_proximal,
     is_weakly_connected,
+    iterate_orbit,
     pair_distance,
     solve_bpp,
     solve_common_fixed_point,
@@ -47,6 +51,7 @@ from proxigraph import (
     x_t2_a_set,
 )
 from proxigraph import cyclic_contraction, fixed_point, metric_graph
+from proxigraph.bpp_solver import _check_theorem_hypotheses
 from proxigraph.fixed_point import check_uniqueness_regime
 from proxigraph.corpus import build_random_chain
 from proxigraph.metric_graph import TOL_METRIC, TOL_PARALLEL, CheckResult
@@ -478,6 +483,12 @@ def coord_points(rng, n, dim):
     return arr
 
 
+def coord_space(arr, metric):
+    """The space on the rows of arr, the i-th named p<i>."""
+    return FiniteMetricGraph.from_coords(
+        [(f"p{i}", xy, "AB") for i, xy in enumerate(arr.tolist())], metric=metric)
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9, 17, 1024])
 @pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
 def test_coordinate_distances_are_bit_identical_to_the_broadcast(metric, dim):
@@ -487,7 +498,7 @@ def test_coordinate_distances_are_bit_identical_to_the_broadcast(metric, dim):
         if n * n * dim > 1 << 22:
             continue
         arr = coord_points(rng, n, dim)
-        got = metric_graph._coord_dist(arr, metric)
+        got = coord_space(arr, metric).dist
         assert got.shape == (n, n)
         assert np.array_equal(got.view(np.int64), oracle_coord_dist(arr, metric).view(np.int64))
 
@@ -509,7 +520,7 @@ def test_per_coordinate_passes_keep_the_bits_at_dims_4_to_6(metric, dim):
     for n in (1, 3, 37, 300, 600):
         arr = coord_points(rng, n, dim)
         arr[0, :] = -0.0
-        got = metric_graph._coord_dist(arr, metric)
+        got = coord_space(arr, metric).dist
         assert np.array_equal(got.view(np.int64), oracle_coord_dist(arr, metric).view(np.int64))
 
 
@@ -1206,3 +1217,143 @@ def test_maps_pickle_round_trip():
     x0 = min(x_t2_a_set(inst.space, tm))
     assert solve_bpp(inst.space, tm, x0) == solve_bpp(inst.space, inst.tmap, x0)
     assert solve_common_fixed_point(ex41.space, pair, ex41.psi, "f_1/2")[0] == "zero"
+
+
+# ----- coordinate spaces keep their coordinates ----------------------------
+
+
+def reference_coord_dist(arr, metric):
+    """The coordinate table as construction built it when every space held
+    one: row blocks of about 2^16 differences, one n-wide pass per coordinate
+    below 8 coordinates, the reduction over the coordinate axis from 8 on."""
+    n, dim = arr.shape
+    dist = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 0 < dim < 8:
+            cols = arr.T.copy()
+            rows = max(1, (1 << 16) // n)
+            work = np.empty((min(rows, n), n))
+            for r in range(0, n, rows):
+                out = dist[r:r + rows]
+                for k, col in enumerate(cols):
+                    diff = work[:len(out)] if k else out
+                    np.subtract(col[r:r + rows, None], col[None, :], out=diff)
+                    if metric == "l2":
+                        np.multiply(diff, diff, out=diff)
+                    else:
+                        np.abs(diff, out=diff)
+                    if k and metric == "sup":
+                        np.maximum(out, diff, out=out)
+                    elif k:
+                        out += diff
+            if metric == "l2":
+                np.sqrt(dist, out=dist)
+            return dist
+        rows = max(1, (1 << 16) // max(1, n * dim))
+        for r in range(0, n, rows):
+            diff = arr[r:r + rows, None, :] - arr[None, :, :]
+            if metric == "l1":
+                dist[r:r + rows] = np.abs(diff).sum(axis=2)
+            elif metric == "l2":
+                dist[r:r + rows] = np.sqrt((diff ** 2).sum(axis=2))
+            else:
+                dist[r:r + rows] = np.abs(diff).max(axis=2, initial=0.0)
+    return dist
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 640])
+@pytest.mark.parametrize("metric", ["l1", "l2", "sup"])
+def test_the_pair_rule_keeps_the_bits_of_the_table_formula(metric, dim):
+    rng = np.random.default_rng(dim)
+    # 300 points fill two row blocks, the last one partial
+    n = 300 if dim < 640 else 60
+    arr = coord_points(rng, n, dim)
+    space, fresh = coord_space(arr, metric), coord_space(arr, metric)
+    want = reference_coord_dist(arr, metric)
+    assert "dist" not in space._memo
+    assert same_bits(space.dist, want) and "dist" in space._memo
+    x, y = rng.integers(0, n, (2, 500))
+    assert same_bits(fresh._pair_dist(x, y), want[x, y])
+    assert same_bits(fresh._pair_dist(x[:7, None], y), want[x[:7, None], y])
+    for i, j in zip(x[:20].tolist(), y[:20].tolist()):
+        assert same_bits(np.float64(fresh.d(f"p{i}", f"p{j}")), want[i, j])
+    assert "dist" not in fresh._memo
+
+
+def test_a_range_bound_that_overflows_falls_back_to_the_scan():
+    # each coordinate spans 9e307, so the bound 1.8e308 overflows, yet every
+    # distance between two of the four points is 9e307
+    sp = FiniteMetricGraph.from_coords(
+        [("p", (0.0, 4.5e307), "A"), ("q", (9e307, 4.5e307), "B"),
+         ("r", (4.5e307, 0.0), "A"), ("s", (4.5e307, 9e307), "B")], metric="l1")
+    assert (sp.dist == 9e307 * (1.0 - np.eye(4))).all()
+
+
+def test_closeness_over_row_blocks_is_the_dense_rule():
+    # the least distance lies in the last row block, and a tie just above
+    # it in the first; every pair within TOL_PARALLEL of the least is kept
+    rng = np.random.default_rng(5)
+    n = 400
+    a = [(f"a{i:03}", (0.0, float(rng.integers(0, 50))), "A") for i in range(n)]
+    b = [(f"b{i:03}", (3.0, float(rng.integers(0, 50))), "B") for i in range(n)]
+    a[0] = ("a000", (1.0, 7.0), "A")
+    a[-1] = ("a399", (1.0 + TOL_PARALLEL / 4, 7.0), "A")
+    a[-2] = ("a398", (1.0 - TOL_PARALLEL / 4, 7.0), "A")
+    space = FiniteMetricGraph.from_coords(a + b, metric="l1")
+    ia, ib = space._sides["A"][1], space._sides["B"][1]
+    assert len(ib) > (1 << 16) // len(ia) * 2 or len(ia) > (1 << 16) // len(ib)
+    block = reference_coord_dist(space._coord_array, "l1")[np.ix_(ia, ib)]
+    d_ab, rows, cols = metric_graph._closeness(space)
+    assert d_ab == block.min()
+    want = np.nonzero(block - d_ab <= TOL_PARALLEL)
+    assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+    assert {space.side_a()[i] for i in rows.tolist()} == {"a000", "a398", "a399"}
+
+
+def test_copies_and_pickles_of_a_coordinate_space_build_no_table():
+    sp = chain_space()
+    for back in (copy.copy(sp), copy.deepcopy(sp), pickle.loads(pickle.dumps(sp))):
+        assert back is not sp and back.ids == sp.ids and back.metric == sp.metric
+        assert [back.d(p, q) for p in sp.ids for q in sp.ids] == [
+            sp.d(p, q) for p in sp.ids for q in sp.ids]
+        assert "dist" not in back._memo
+    assert "dist" not in sp._memo
+
+
+def test_the_solvers_and_gates_build_no_table_on_a_chain_union():
+    space, tm = chain_union(600)
+    inst = build_random_chain(0)
+    gauges = (inst.phi1, inst.phi2)
+    a = space.side_a()
+    for x0 in a[:40]:
+        _check_theorem_hypotheses(space, tm, x0, gauges)
+        assert solve_bpp(space, tm, x0).bpp in iterate_orbit(space, tm, x0).points
+    nb, nc, ok = check_cardinality(space, tm)
+    assert ok and nb == nc
+    assert check_equivalence_theorem(space, tm, *gauges).consistent
+    assert enumerate_bpps(space, tm) and verify_g_cyclic_contraction(space, tm, *gauges)
+    assert "dist" not in space._memo
+    # the orbit gaps are the pair rule's, bit for bit
+    tr = iterate_orbit(space, tm, a[0])
+    assert list(tr.gaps) == [space.d(x, tm(x)) for x in tr.points[:-1]]
+
+
+def test_a_union_past_half_a_gigabyte_of_table_runs_in_bounded_memory():
+    space, tm = chain_union(8192)
+    n, a = len(space.ids), space.side_a()
+    assert 8 * n * n >= 512 * 2**20
+    seeds = np.random.default_rng(0).choice(len(a), 100, replace=False).tolist()
+    tracemalloc.start()
+    try:
+        found = {solve_bpp(space, tm, a[i]).bpp for i in seeds}
+        nb, nc, ok = check_cardinality(space, tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and nb == nc and found <= enumerate_bpps(space, tm)
+    assert peak < 64 * 2**20, peak
+    assert "dist" not in space._memo
