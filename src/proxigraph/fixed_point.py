@@ -198,6 +198,17 @@ class PairMaps:
             return out.tolist()
         return space._cached(("steps", self), steps)
 
+    def _seed_edges(self, space: FiniteMetricGraph) -> list[bool]:
+        """Whether (p, t1 p) is an edge, at the position of each p on A, False
+        elsewhere: the seed-edge gate, computed once per space and kept there."""
+        def seed_edges():
+            im1 = self.validate(space)[0]
+            ia = space._sides["A"][1]
+            out = np.zeros(len(space.ids), dtype=bool)
+            out[ia] = space._is_edge(ia, im1[ia])
+            return out.tolist()
+        return space._cached(("seed_edges", self), seed_edges)
+
 
 def residual(space: FiniteMetricGraph, pair: PairMaps, p: str) -> float:
     """How far p is from a common fixed point: max(d(p, T1 p), d(p, T2 T1 p))."""
@@ -272,7 +283,7 @@ def _check_fixed_point_hypotheses(space, pair, x0, psi=None, strengthened=False,
     if psi is not None:
         require("psi contraction bound",
                 verify_g_psi_contraction(space, pair, psi, tol, strengthened))
-    if not space.has_edge(x0, pair.t1[x0]):
+    if not pair._seed_edges(space)[space.index[x0]]:
         raise SeedNotEligible("seed edge (x0, T1 x0)", x0)
     require("property (*) on the union graph", check_property_star(space))
 

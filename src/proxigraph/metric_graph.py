@@ -15,11 +15,14 @@ their input out as its fields.  One rule, `_point_id`, reads point ids and edge
 ends alike, and all coordinates are read in one call.  A space is immutable,
 its arrays and maps read-only, and holds each side's ids and positions, the
 sorted id order and each point's rank in it.  One walk over the edges gives
-the edge set and the space's one edge array: the read-only sorted keys
-rank[x] * n + rank[y], one per edge.  They are the edge lookup over position
-arrays (`_is_edge`), as `has_edge` is for a pair of ids, and `_edges_within`
-is the one rule for the edges within a subset; no other module reads how
-edges are stored.  Closeness to d(A,B) is one float test, kept as the list
+the only form in which the space holds them: the read-only sorted keys
+rank[x] * n + rank[y], one per edge.  They answer the edge lookup over
+position arrays (`_is_edge`), and through it `has_edge` for a pair of ids,
+and `_edges_within` is the one rule for the edges within a subset; no other
+module reads how edges are stored.  The boxed forms are built on read: the
+frozenset `edges` from the keys, on first read, and then kept; a coordinate
+space's `coords`, a view over its array that builds a point's tuple when it
+is read.  Closeness to d(A,B) is one float test, kept as the list
 of close pairs by position; no other module reads it.  What else follows
 from the space alone -- d(A,B) and that list, the component labels and the
 hypothesis verdicts -- is computed on first use and kept on the space, as
@@ -88,13 +91,15 @@ class FiniteMetricGraph:
     they satisfy the triangle inequality by construction.  A coordinate space
     keeps its coordinates, not a table: it computes each distance when asked,
     and builds `dist` only when that is read, then keeps it.  `side` and
-    `coords` are mappings, or (id, value) pairs, from point ids.
+    `coords` are mappings, or (id, value) pairs, from point ids.  The space
+    keeps its edges as sorted keys, and builds `edges` from them when first
+    read; a coordinate space's `coords` is a view over its coordinate array.
     """
 
     ids: tuple[str, ...]
     side: Mapping[str, str]
     dist: np.ndarray | None = field(repr=False)  # repr builds no table
-    edges: frozenset[tuple[str, str]]
+    edges: frozenset[tuple[str, str]] = field(repr=False)  # nor an edge set
     coords: Mapping[str, tuple[float, ...] | None] = field(default_factory=dict)
     metric: str = "table"
 
@@ -108,14 +113,14 @@ class FiniteMetricGraph:
         # order[r] is the position of the r-th id in sorted order, rank its inverse
         order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
         rank = order.argsort()
-        edges, edge_keys = _read_edges(self.edges, ids, index, rank)
+        edge_keys = _read_edges(self.edges, ids, index, rank)
         side, given = _by_id(self.side, "side", index), _by_id(self.coords, "coords", index)
         side = {p: _check_side(side.get(p)) for p in ids}
         # a table space may carry coordinates on some points, of any dimension
         table = self.metric == "table"
         have = [p for p in ids if given.get(p) is not None] if table else ids
         rows, arr = _read_coords(have, [given.get(p) for p in have])
-        coords = {**dict.fromkeys(ids), **dict(zip(have, rows))}
+        index = MappingProxyType(index)
         if table:
             dist = _float_array(self.dist, "distance table must be a square array of numbers")
             if dist.shape != (len(ids), len(ids)):
@@ -124,7 +129,8 @@ class FiniteMetricGraph:
                 raise InstanceFormatError("distance table contains non-finite entries")
             _check_table(dist, ids)
             dist.flags.writeable = False
-            arr = None
+            rows = map(tuple, arr.tolist()) if rows is None else rows
+            coords, arr = MappingProxyType({**dict.fromkeys(ids), **dict(zip(have, rows))}), None
         elif self.dist is not None:
             raise InstanceFormatError(
                 f"metric {self.metric!r} derives distances from coords; pass dist=None")
@@ -132,22 +138,23 @@ class FiniteMetricGraph:
             raise InstanceFormatError("points have mixed coordinate dimensions")
         else:
             arr.flags.writeable = False
+            coords = _CoordView(arr, index)
         sides = {}  # s -> the ids and the read-only positions of side s, in id order
         for s in "AB":
             pos = np.array([i for i, v in enumerate(side.values()) if s in v], dtype=np.intp)
             pos.flags.writeable = False
             sides[s] = tuple(ids[i] for i in pos.tolist()), pos
         order.flags.writeable = rank.flags.writeable = edge_keys.flags.writeable = False
-        for name, value in (("ids", ids), ("side", MappingProxyType(side)),
-                            ("edges", edges), ("coords", MappingProxyType(coords)),
-                            ("index", MappingProxyType(index)), ("_sides", sides), ("_memo", {}),
+        for name, value in (("ids", ids), ("side", MappingProxyType(side)), ("coords", coords),
+                            ("index", index), ("_sides", sides), ("_memo", {}),
                             ("_order", order), ("_rank", rank), ("_edge_keys", edge_keys),
                             ("_coord_array", arr)):
             object.__setattr__(self, name, value)
+        object.__delattr__(self, "edges")  # built when first read, by _OnRead
         if table:
             object.__setattr__(self, "dist", dist)
         else:
-            object.__delattr__(self, "dist")  # built when first read, by _TableOnRead
+            object.__delattr__(self, "dist")  # built when first read, by _OnRead
             # finite sums or maxima of |a - b| pass the rest by construction
             self._check_finite()
 
@@ -177,10 +184,16 @@ class FiniteMetricGraph:
         dist.flags.writeable = False
         return dist
 
+    def _edge_pairs(self) -> list[tuple[str, str]]:
+        """Each edge (x, y) once, in sorted id order, from the edge keys."""
+        ids = self.ids
+        x, y = self._order[np.stack(np.divmod(self._edge_keys, len(ids)))].tolist()
+        return list(zip(map(ids.__getitem__, x), map(ids.__getitem__, y)))
+
     def __reduce__(self):
         # read-only mappings do not pickle; rebuild from plain copies instead
         dist = self.dist if self.metric == "table" else None
-        return (type(self), (self.ids, dict(self.side), dist, self.edges,
+        return (type(self), (self.ids, dict(self.side), dist, self._edge_pairs(),
                              dict(self.coords), self.metric))
 
     # ----- construction -------------------------------------------------
@@ -254,7 +267,7 @@ class FiniteMetricGraph:
             ],
             "metric": "table",
             "dist_table": [[float(v) for v in row] for row in self.dist],
-            "edges": sorted([a, b] for a, b in self.edges),
+            "edges": list(map(list, self._edge_pairs())),
             "auto_loops": False,
         }
 
@@ -270,7 +283,9 @@ class FiniteMetricGraph:
         return self._sides["B"][0]
 
     def has_edge(self, x: str, y: str) -> bool:
-        return (x, y) in self.edges
+        """Whether (x, y) is an edge, by _is_edge; False when x or y is no point."""
+        i, j = self.index.get(x), self.index.get(y)
+        return i is not None and j is not None and bool(self._is_edge(i, j))
 
     def _i(self, pid: str) -> int:
         try:
@@ -327,18 +342,47 @@ class FiniteMetricGraph:
         return rank, ends[:, inside[ends].all(axis=0)]  # a mask keeps the key order
 
 
-class _TableOnRead:
-    """FiniteMetricGraph.dist where the space holds none, as a coordinate
-    space does: its table, built on first read and kept in the memo.  A
-    table space's own dist, in the instance, comes first.  (A __getattr__
-    would slow every other attribute read of a space.)"""
+class _OnRead:
+    """A FiniteMetricGraph field that the space does not hold, built by
+    build(space) on first read and kept in the memo under its name: `dist`
+    of a coordinate space, and every space's `edges`.  What the instance
+    holds, as a table space's own dist, comes first.  (A __getattr__ would
+    slow every other attribute read of a space.)"""
+
+    def __init__(self, name, build):
+        self.name, self.build = name, build
 
     def __get__(self, space, owner=None):
-        return self if space is None else space._cached("dist", space._table)
+        return self if space is None else space._cached(self.name, lambda: self.build(space))
 
 
 # set after the dataclass is made, which would take a class attribute for a default
-FiniteMetricGraph.dist = _TableOnRead()
+FiniteMetricGraph.dist = _OnRead("dist", FiniteMetricGraph._table)
+FiniteMetricGraph.edges = _OnRead("edges", lambda space: frozenset(space._edge_pairs()))
+
+
+class _CoordView(Mapping):
+    """The coordinates of a coordinate space: a read-only mapping from each
+    point id to its float tuple, built on read from the (n, dim) array.  It
+    holds the array and the index, not the space, so no reference cycle
+    keeps a space alive."""
+
+    __slots__ = ("_arr", "_index")
+
+    def __init__(self, arr, index):
+        self._arr, self._index = arr, index
+
+    def __getitem__(self, pid):
+        return tuple(self._arr[self._index[pid]].tolist())
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 def _check_table(d, ids):
@@ -547,23 +591,24 @@ def _by_id(m, what, index=None) -> dict:
     return by_id
 
 
-def _read_coords(ids, values) -> tuple[list, np.ndarray | None]:
-    """The coordinates values[i] of ids[i] as float tuples and one (n, dim) array, None
-    for mixed dimensions: one _float_array call, or if it fails one per point."""
+def _read_coords(ids, values) -> tuple[list | None, np.ndarray | None]:
+    """The coordinates values[i] of ids[i] as None and one (n, dim) array, or,
+    for mixed dimensions, as float tuples and None: one _float_array call, or
+    if it fails one per point."""
     try:
         arr = _float_array(values, "") if values else np.zeros((0, 0))
         if arr.ndim == 2:
-            return list(map(tuple, arr.tolist())), arr
+            return None, arr
     except InstanceFormatError:
         pass
     return [_coord_tuple(p, xy) for p, xy in zip(ids, values)], None
 
 
-def _read_edges(edges, ids, index, rank) -> tuple[frozenset[tuple[str, str]], np.ndarray]:
-    """The edge set, and its sorted keys rank[x] * n + rank[y], one per edge
-    (x, y) however often it is listed, over the sorted-id ranks of the n
-    points, from one walk over edges: each a list, tuple or 1-d array of
-    exactly two point ids, each read by _point_id."""
+def _read_edges(edges, ids, index, rank) -> np.ndarray:
+    """The sorted edge keys rank[x] * n + rank[y], one per edge (x, y) however
+    often it is listed, over the sorted-id ranks of the n points, from one
+    walk over edges: each a list, tuple or 1-d array of exactly two point
+    ids, each read by _point_id."""
     ends = []
     for e in edges:
         if type(e) not in (list, tuple) or len(e) != 2:  # the usual edge needs no more
@@ -573,11 +618,11 @@ def _read_edges(edges, ids, index, rank) -> tuple[frozenset[tuple[str, str]], np
         ends.extend(e)
     if not set(map(type, ends)) <= {str}:  # _point_id keeps a str as it is
         ends = list(map(_point_id, ends))
-    pairs = frozenset(zip(ends[::2], ends[1::2]))
     try:
         ranked = rank[np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))]
-    except KeyError:  # named in sorted order, as the edge set's own follows the hash seed
-        x, y = min(e for e in pairs if not (e[0] in index and e[1] in index))
+    except KeyError:  # the least listed pair with an unknown end, not the first listed
+        x, y = min(e for e in zip(ends[::2], ends[1::2])
+                   if not (e[0] in index and e[1] in index))
         raise InstanceFormatError(f"edge ({x!r}, {y!r}) references unknown point") from None
     keys = np.sort(ranked[::2] * len(ids) + ranked[1::2])
     # each edge once: np.unique hashes, several times slower at every size
@@ -585,7 +630,7 @@ def _read_edges(edges, ids, index, rank) -> tuple[frozenset[tuple[str, str]], np
     if np.count_nonzero(keys % (len(ids) + 1) == 0) < len(ids):  # a loop's key is r * (n + 1)
         first = ids[np.isin(rank * (len(ids) + 1), keys).argmin()]  # the first in id order
         raise InstanceFormatError(f"missing trivial loop edge on point {first!r}")
-    return pairs, keys
+    return keys
 
 
 # ----- closeness ---------------------------------------------------------

@@ -10,7 +10,10 @@ from __future__ import annotations
 import ast
 import copy
 import dataclasses
+import gc
+import json
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -878,11 +881,17 @@ def test_edge_lookup_is_the_edge_set(seed, density):
     n = len(space.ids)
     assert space._edge_keys[-1] == n * n - 1
     pos = np.arange(n)
-    assert space._is_edge(pos[:, None], pos).tolist() == [
-        [space.has_edge(p, q) for q in space.ids] for p in space.ids]
+    want = [[(p, q) in space.edges for q in space.ids] for p in space.ids]
+    assert space._is_edge(pos[:, None], pos).tolist() == want
+    assert [[space.has_edge(p, q) for q in space.ids] for p in space.ids] == want
     for off in ((n, 0), (0, n), ([0, n], 0)):
         with pytest.raises(IndexError):
             space._is_edge(*off)
+    # has_edge on an id that is no point, on either side: an unknown string,
+    # an integer, and the decimal of one
+    for ghost in ("ghost", 0, "0"):
+        assert not any(space.has_edge(*pair) for p in space.ids + (ghost,)
+                       for pair in ((ghost, p), (p, ghost)))
 
 
 def chain_union(target):
@@ -1314,14 +1323,32 @@ def test_closeness_over_row_blocks_is_the_dense_rule():
     assert {space.side_a()[i] for i in rows.tolist()} == {"a000", "a398", "a399"}
 
 
-def test_copies_and_pickles_of_a_coordinate_space_build_no_table():
-    sp = chain_space()
-    for back in (copy.copy(sp), copy.deepcopy(sp), pickle.loads(pickle.dumps(sp))):
+def assert_copies_keep_the_space(sp):
+    """Copies, deep copies and pickles of sp keep its distances, edges,
+    coordinates and document, and neither sp nor a copy builds a table or
+    an edge set on the way."""
+    backs = [copy.copy(sp), copy.deepcopy(sp), pickle.loads(pickle.dumps(sp))]
+    assert not sp._memo.keys() & {"dist", "edges"}
+    for back in backs:
         assert back is not sp and back.ids == sp.ids and back.metric == sp.metric
         assert [back.d(p, q) for p in sp.ids for q in sp.ids] == [
             sp.d(p, q) for p in sp.ids for q in sp.ids]
-        assert "dist" not in back._memo
-    assert "dist" not in sp._memo
+        assert not back._memo.keys() & {"dist", "edges"}
+        assert back.edges == sp.edges and dict(back.coords) == dict(sp.coords)
+        assert json.dumps(back.to_dict()) == json.dumps(sp.to_dict())
+
+
+def test_copies_and_pickles_of_a_coordinate_space_build_no_table():
+    assert_copies_keep_the_space(chain_space())
+
+
+def test_copies_and_pickles_of_a_table_space_keep_its_partial_coordinates():
+    sp = FiniteMetricGraph.from_table(
+        ["b", "a", "c"], {"a": "A", "b": "B", "c": "AB"},
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]], [("a", "c"), ("c", "b")],
+        coords={"a": (0.5, 1.0), "c": (2.0,)})
+    assert dict(sp.coords) == {"b": None, "a": (0.5, 1.0), "c": (2.0,)}
+    assert_copies_keep_the_space(sp)
 
 
 def test_the_solvers_and_gates_build_no_table_on_a_chain_union():
@@ -1357,3 +1384,55 @@ def test_a_union_past_half_a_gigabyte_of_table_runs_in_bounded_memory():
     assert ok and nb == nc and found <= enumerate_bpps(space, tm)
     assert peak < 64 * 2**20, peak
     assert "dist" not in space._memo
+
+
+# ----- a space keeps its edges and coordinates as arrays -------------------
+
+
+def test_a_space_keeps_its_edges_and_coordinates_as_arrays_only():
+    template, tm = chain_union(2000)
+    points = [(p, template.coords[p], template.side[p]) for p in template.ids]
+    edges = sorted(template.edges)
+    a = [p for p, _, s in points if s == "A"]
+    tm = CyclicMapTable(dict(tm.mapping))
+    pair = PairMaps({p: tm(p) for p in a}, {p: tm(p) for p, _, s in points if s == "B"})
+    inst = build_random_chain(0)
+    gauges, psi = (inst.phi1, inst.phi2), fixed_point.PsiGauge.constant(0.5)
+    del template
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = FiniteMetricGraph.from_coords(points, metric="l1", edges=edges,
+                                              auto_loops=False)
+        for x0 in a[:20]:
+            _check_theorem_hypotheses(space, tm, x0, gauges)
+            assert solve_bpp(space, tm, x0).bpp in iterate_orbit(space, tm, x0).points
+        with pytest.raises(NoConvergence):  # d(A, B) = 1: no common fixed point
+            solve_common_fixed_point(space, pair, psi, a[0])
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # the keys take 8 B an edge; a boxed edge set and a tuple per point, kept
+    # beside them, took about 200 B an edge on this union
+    assert kept < 100 * len(edges), kept / len(edges)
+    assert not space._memo.keys() & {"edges", "coords"}
+    p, xy, _ = points[0]
+    assert space.coords[p] == xy and space.coords[p] is not space.coords[p]
+    assert space.edges == set(edges) and "edges" in space._memo
+
+
+def test_only_the_space_module_reads_a_space_s_edge_set():
+    package = Path(metric_graph.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if re.search(r"\.edges\b", p.read_text())] == ["metric_graph.py"]
+
+
+def test_repr_builds_nothing():
+    sp = chain_space()
+    kept = list(sp._memo)
+    text = repr(sp)
+    assert list(sp._memo) == kept and not set(kept) & {"dist", "edges"}
+    assert "edges=" not in text and "dist=" not in text
+    assert f"coords={dict(sp.coords)!r}" in text and repr(sp.coords) == repr(dict(sp.coords))

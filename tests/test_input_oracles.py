@@ -17,7 +17,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxigraph import CyclicMapTable, FiniteMetricGraph, components, enumerate_bpps
+from proxigraph import (
+    CyclicMapTable,
+    FiniteMetricGraph,
+    check_property_star,
+    components,
+    enumerate_bpps,
+    has_property_uc,
+    is_g_chebyshev,
+    is_sharp_proximal,
+    is_weakly_connected,
+    pair_distance,
+)
 from proxigraph.cli import main
 from proxigraph.corpus import (
     build_ex22_kappa,
@@ -204,6 +215,14 @@ def verdicts(folder, doc, mapping):
             components(space), enumerate_bpps(space, tmap))
 
 
+def moved_document(doc, order):
+    """doc with its points, and the rows and columns of its table, in order."""
+    moved = {**doc, "points": [doc["points"][i] for i in order]}
+    if "dist_table" in doc:
+        moved["dist_table"] = [[doc["dist_table"][i][j] for j in order] for i in order]
+    return moved
+
+
 @pytest.mark.parametrize("inst", bases(), ids=lambda inst: inst.example_id)
 def test_permuting_the_points_keeps_every_verdict(tmp_path, inst):
     rng = random.Random(inst.example_id)
@@ -211,7 +230,34 @@ def test_permuting_the_points_keeps_every_verdict(tmp_path, inst):
     want = verdicts(tmp_path, doc, mapping)
     for _ in range(3):
         order = rng.sample(range(len(doc["points"])), len(doc["points"]))
-        moved = {**doc, "points": [doc["points"][i] for i in order]}
-        if "dist_table" in doc:
-            moved["dist_table"] = [[doc["dist_table"][i][j] for j in order] for i in order]
-        assert verdicts(tmp_path, moved, mapping) == want
+        assert verdicts(tmp_path, moved_document(doc, order), mapping) == want
+
+
+def space_verdicts(space):
+    """The predicate verdicts of a space, with each witness that is named in
+    sorted id order; the sharp-proximal and UC witnesses follow input order."""
+    return (pair_distance(space), is_sharp_proximal(space).ok, has_property_uc(space).ok,
+            is_g_chebyshev(space), check_property_star(space),
+            check_property_star(space, space.side_a()), is_weakly_connected(space),
+            components(space))
+
+
+@pytest.mark.parametrize("inst", bases(), ids=lambda inst: inst.example_id)
+def test_relabelling_the_input_keeps_the_space(inst):
+    # the points and the edges listed in another order, one edge twice: the
+    # same edges, coordinates, document up to the point order, and verdicts
+    rng = random.Random(inst.example_id)
+    doc = instance_document(inst.space)
+    space = FiniteMetricGraph.from_dict(doc)
+    edges = rng.sample(doc["edges"], len(doc["edges"]))
+    edges.append(rng.choice(edges))
+    want = json.dumps(space.to_dict())
+    again = FiniteMetricGraph.from_dict({**doc, "edges": edges})
+    assert json.dumps(again.to_dict()) == want
+    for _ in range(3):
+        order = rng.sample(range(len(doc["points"])), len(doc["points"]))
+        moved = FiniteMetricGraph.from_dict({**moved_document(doc, order), "edges": edges})
+        assert moved.ids != space.ids or len(order) < 2
+        assert moved.edges == space.edges and moved.coords == space.coords
+        assert json.dumps(moved.to_dict()) == json.dumps(moved_document(space.to_dict(), order))
+        assert space_verdicts(moved) == space_verdicts(space)
