@@ -67,7 +67,6 @@ from .metric_graph import (
     pair_distance,
 )
 from .pbvp import (
-    GreensKernel,
     GridFunction,
     RhsFunction,
     TimeGrid,

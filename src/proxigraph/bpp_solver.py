@@ -30,8 +30,8 @@ from itertools import compress
 import numpy as np
 
 from .cyclic_contraction import TOL_INEQ, CyclicMapTable, GaugeSpec, verify_g_cyclic_contraction
-from .errors import (NoConvergence, SeedNotEligible, SideMismatch, require,
-                     require_max_iter, require_tol)
+from .errors import (MAX_ITER, TOL_SLACK, NoConvergence, SeedNotEligible, SideMismatch,
+                     require, require_max_iter, require_tol)
 from .metric_graph import (
     FiniteMetricGraph,
     check_property_star,
@@ -42,8 +42,7 @@ from .metric_graph import (
     pair_distance,
 )
 
-TOL_BPP = 1e-9
-MAX_ITER = 10_000
+TOL_BPP = TOL_SLACK
 
 
 @dataclass(frozen=True)

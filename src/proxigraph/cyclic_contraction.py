@@ -20,6 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
+    TOL_SLACK,
     GaugeClassViolation,
     InstanceFormatError,
     OutOfDomain,
@@ -40,7 +41,7 @@ from .metric_graph import (
     read_document,
 )
 
-TOL_INEQ = 1e-9       # slack allowed when checking the contraction inequality
+TOL_INEQ = TOL_SLACK  # slack allowed when checking the contraction inequality
 KAPPA_SNAP = 1e-12    # snap width for z that is a float neighbour of some 1/n
 
 # kind -> the parameter names that kind reads

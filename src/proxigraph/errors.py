@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the solvers' shared
+defaults with the checks on their tol and max_iter."""
 from __future__ import annotations
 
 import math
 import numbers
+
+# the default slack of the contraction sweep (TOL_INEQ) and of the graph
+# solvers (TOL_BPP, TOL_FIX), and the floor of the pbvp pair's fixed-point test
+TOL_SLACK = 1e-9
+MAX_ITER = 10_000  # every solver's default iteration budget
 
 
 class ProxigraphError(ValueError):

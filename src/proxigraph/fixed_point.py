@@ -30,6 +30,8 @@ from .cyclic_contraction import (
     parse_knots,
 )
 from .errors import (
+    MAX_ITER,
+    TOL_SLACK,
     InstanceFormatError,
     InvalidPsi,
     NoConvergence,
@@ -47,8 +49,7 @@ from .metric_graph import (
     is_weakly_connected,
 )
 
-TOL_FIX = 1e-9
-MAX_ITER = 10_000
+TOL_FIX = TOL_SLACK
 
 # kind -> the parameter names that kind reads
 PSI_PARAMS = {"constant": {"value"}, "table": {"knots"}}

@@ -176,7 +176,8 @@ class FiniteMetricGraph:
                     raise InstanceFormatError("distance table contains non-finite entries")
 
     def _table(self) -> np.ndarray:
-        """The read-only n x n table of a coordinate space, by the pair rule."""
+        """The read-only n x n table by the pair rule: a coordinate space's
+        `dist`, and the table `to_dict` writes without keeping it."""
         pos = np.arange(len(self.ids))
         dist = np.empty((len(pos), len(pos)))
         for r, block in self._row_blocks(pos, pos):
@@ -258,6 +259,7 @@ class FiniteMetricGraph:
                    [(rec["id"], rec.get("coords")) for rec in pts], metric)
 
     def to_dict(self) -> dict:
+        """The instance as a table document; a coordinate space keeps no table."""
         return {
             "schema": SCHEMA_VERSION,
             "points": [
@@ -266,7 +268,7 @@ class FiniteMetricGraph:
                 for p in self.ids
             ],
             "metric": "table",
-            "dist_table": [[float(v) for v in row] for row in self.dist],
+            "dist_table": self._table().tolist(),
             "edges": list(map(list, self._edge_pairs())),
             "auto_loops": False,
         }

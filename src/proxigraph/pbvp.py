@@ -14,7 +14,9 @@ exactly the kernel's mass 1/alpha, stays monotone, and contracts by the same
 factor as the continuous one.  The integral over [0, t_i] is a first-order
 recurrence and the one over [t_i, T] a reversed cumulative sum, so one
 application costs O(n) time and memory.  The scheme is second order in the
-grid spacing.  `kernel_matrix` keeps the older dense trapezoid rule as a test
+grid spacing.  One object describes the discretisation: `ProductWeights`,
+built by `product_weights(alpha, grid)` from alpha and the grid alone.
+`kernel_matrix(alpha, grid)` keeps the older dense trapezoid rule as a test
 oracle.
 
 Iteration starts from a lower solution w (w' <= f(t, w), w(0) <= w(T)) and is
@@ -30,6 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    MAX_ITER,
+    TOL_SLACK,
     BetaNotContractive,
     ConditionIvViolated,
     EvaluationFailure,
@@ -45,7 +49,6 @@ from .metric_graph import CheckResult, _check_fields, _float_array, _number, _pa
 
 TOL_PBVP = 1e-10
 TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
-MAX_ITER = 10_000
 _PAIR_BLOCK = 1 << 13  # pairs x samples entries verify_condition_iv takes at a time
 
 # kind -> the parameter names that kind reads, with a formula kind's defaults
@@ -103,22 +106,7 @@ class GridFunction:
         return float(abs(self.values[0] - self.values[-1]))
 
 
-@dataclass(frozen=True)
-class GreensKernel:
-    alpha: float
-    period: float
-
-    def __post_init__(self):
-        _require_positive(self.alpha, "kernel alpha")
-        _require_positive(self.period, "kernel period")
-
-
-def _require_same_period(kernel: GreensKernel, grid: TimeGrid) -> None:
-    if abs(grid.period - kernel.period) > 1e-12 * max(1.0, kernel.period):
-        raise ParamOutOfRange("grid period does not match kernel period")
-
-
-def kernel_matrix(kernel: GreensKernel, grid: TimeGrid) -> np.ndarray:
+def kernel_matrix(alpha: float, grid: TimeGrid) -> np.ndarray:
     """Dense trapezoid oracle, not on any solver path: the matrix W with
     (F u)_i ~ sum_j W[i, j] g_j.
 
@@ -127,17 +115,17 @@ def kernel_matrix(kernel: GreensKernel, grid: TimeGrid) -> np.ndarray:
     each branch value.  Its row mass is 1/alpha only up to O((alpha h)^2), it
     overflows to NaN once e^{alpha T} does, and it takes O(n^2) memory.
     """
-    _require_same_period(kernel, grid)
+    _require_positive(alpha, "alpha")
     t = grid.nodes
     h = grid.spacing
     n = grid.n
-    denom = np.expm1(kernel.alpha * grid.period)
+    denom = np.expm1(alpha * grid.period)
     S, Tt = t[None, :], t[:, None]
     # (period - t) + s, not period + (s - t): makes the t = T row of the left
     # branch bitwise equal to the t = 0 row of the right branch, so operator
     # outputs are periodic to the last bit
-    left = np.exp(kernel.alpha * ((grid.period - Tt) + S)) / denom
-    right = np.exp(kernel.alpha * (S - Tt)) / denom
+    left = np.exp(alpha * ((grid.period - Tt) + S)) / denom
+    right = np.exp(alpha * (S - Tt)) / denom
     W = np.zeros((n, n))
     for i in range(n):
         if i >= 1:
@@ -183,8 +171,9 @@ def segment_weights(alpha: float, h: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class ProductWeights:
-    """The product-integration weights of one (kernel, grid) pair, built once
-    per solve by `product_weights` and read by every `integral_operator` call.
+    """The discretisation of the kernel of one alpha on one grid: the only
+    object that describes it, built once per solve by `product_weights` and
+    read by every `integral_operator` call.
 
     c_j = w0 g_j + w1 g_{j+1} is the exactly weighted integral of segment j,
     [t_j, t_{j+1}], against e^{-alpha (t_{j+1} - s)}.  Then
@@ -196,7 +185,7 @@ class ProductWeights:
     (F u)_i = scale (L_i + R_i), scale = 1 / (1 - e^{-alpha T}).
     """
 
-    kernel: GreensKernel
+    alpha: float
     grid: TimeGrid
     nodes: np.ndarray
     w0: float
@@ -209,16 +198,19 @@ class ProductWeights:
     scale: float
 
 
-def product_weights(kernel: GreensKernel, grid: TimeGrid) -> ProductWeights:
-    """Build the O(n) weights of the product-integration operator."""
-    _require_same_period(kernel, grid)
-    alpha, h, n = kernel.alpha, grid.spacing, grid.n
+def product_weights(alpha: float, grid: TimeGrid) -> ProductWeights:
+    """Build the O(n) weights of the product-integration operator, once alpha
+    is finite and positive."""
+    _require_positive(alpha, "alpha")
+    h, n = grid.spacing, grid.n
     t = grid.nodes
     w0, w1 = segment_weights(alpha, h)
-    block = int(min(n - 1, 1 + _BLOCK_EXPONENT // (alpha * h)))
-    k = np.arange(block) * (alpha * h)
+    x = alpha * h
+    # an x that underflows to 0 grows nothing: one block spans the grid
+    block = int(min(n - 1, 1 + _BLOCK_EXPONENT // x)) if x else n - 1
+    k = np.arange(block) * x
     return ProductWeights(
-        kernel=kernel, grid=grid, nodes=t, w0=w0, w1=w1, decay=math.exp(-alpha * h),
+        alpha=alpha, grid=grid, nodes=t, w0=w0, w1=w1, decay=math.exp(-alpha * h),
         up=np.exp(k), down=np.exp(-k),
         head=np.exp(-alpha * t[:-1]), tail=np.exp(-alpha * (grid.period - t[1:])),
         scale=-1.0 / math.expm1(-alpha * grid.period))
@@ -369,7 +361,7 @@ def _on_grid(evaluate):
 
 def integral_operator(f, u: GridFunction, W: ProductWeights) -> GridFunction:
     """(F u)(t_i) on the grid of u for the kernel of W, with
-    W = product_weights(kernel, u.grid).  f is the right-hand side bound to
+    W = product_weights(alpha, u.grid).  f is the right-hand side bound to
     W's nodes, `rhs.on(W.nodes)`: a function of the values of u.
 
     Output node n - 1 is written as node 0: (F u)(T) = (F u)(0) holds
@@ -381,7 +373,7 @@ def integral_operator(f, u: GridFunction, W: ProductWeights) -> GridFunction:
     fv = _on_grid(lambda: np.asarray(f(u.values), dtype=float))
     # a non-finite f value or an overflow reaches the output, which is checked
     # once at the end
-    g = fv + W.kernel.alpha * u.values
+    g = fv + W.alpha * u.values
     c = W.w0 * g[:-1] + W.w1 * g[1:]
     out = np.empty_like(g)
     out[0] = 0.0
@@ -553,7 +545,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     grid = w0.grid
     _require_at_every_node(np.isfinite(w0.values), w0.values, grid, "w0 must be finite")
     pair = len(fs) > 1
-    kernel = GreensKernel(alpha=alpha, period=grid.period)
+    W = product_weights(alpha, grid)
     beta = _beta_of(h, alpha, grid)
     if not beta < 1.0:
         raise BetaNotContractive(f"sup h / alpha = {beta} is not < 1")
@@ -571,7 +563,6 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
         if not ok:
             raise ConditionIvViolated(ok.witness)
 
-    W = product_weights(kernel, grid)
     ops = _on_grid(lambda: [f.on(W.nodes) for f in fs])
 
     u = integral_operator(ops[0], w0, W)
@@ -610,7 +601,7 @@ def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
 
 
 def _fixed_by_all(ops, u, W, tol) -> bool:
-    """Every bound rhs of ops moves u by at most max(10 tol, 1e-9)."""
+    """Every bound rhs of ops moves u by at most max(10 tol, TOL_SLACK)."""
     moves = [float(np.max(np.abs(integral_operator(f, u, W).values - u.values)))
              for f in reversed(ops)]
-    return max(moves) <= max(10 * tol, 1e-9)
+    return max(moves) <= max(10 * tol, TOL_SLACK)

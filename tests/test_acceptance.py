@@ -14,7 +14,6 @@ import numpy as np
 
 from proxigraph import (
     FiniteMetricGraph,
-    GreensKernel,
     GridFunction,
     RhsFunction,
     TimeGrid,
@@ -199,8 +198,7 @@ def test_criterion_08_kernel_mass_identity(capsys):
         errs = []
         for n in (201, 401):
             grid = TimeGrid(1.0, n)
-            W = kernel_matrix(GreensKernel(alpha=E_SQUARED, period=1.0),
-                              grid)
+            W = kernel_matrix(E_SQUARED, grid)
             errs.append(float(np.max(np.abs(W.sum(axis=1)
                                             - 1.0 / E_SQUARED))))
         assert errs[0] <= 1e-4

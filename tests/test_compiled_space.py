@@ -1351,6 +1351,13 @@ def test_copies_and_pickles_of_a_table_space_keep_its_partial_coordinates():
     assert_copies_keep_the_space(sp)
 
 
+def test_to_dict_writes_the_table_but_keeps_none():
+    space, _ = chain_union(300)  # two row blocks of the pair rule
+    doc = space.to_dict()
+    assert "dist" not in space._memo
+    assert doc["dist_table"] == space.dist.tolist()
+
+
 def test_the_solvers_and_gates_build_no_table_on_a_chain_union():
     space, tm = chain_union(600)
     inst = build_random_chain(0)

@@ -20,14 +20,20 @@ from hypothesis import given, settings, strategies as st
 from proxigraph import (
     CyclicMapTable,
     FiniteMetricGraph,
+    check_cardinality,
     check_property_star,
+    component_of,
     components,
     enumerate_bpps,
     has_property_uc,
     is_g_chebyshev,
     is_sharp_proximal,
     is_weakly_connected,
+    iterate_orbit,
     pair_distance,
+    solve_bpp,
+    verify_g_cyclic_contraction,
+    verify_t2_preserves_edges,
 )
 from proxigraph.cli import main
 from proxigraph.corpus import (
@@ -261,3 +267,48 @@ def test_relabelling_the_input_keeps_the_space(inst):
         assert moved.edges == space.edges and moved.coords == space.coords
         assert json.dumps(moved.to_dict()) == json.dumps(moved_document(space.to_dict(), order))
         assert space_verdicts(moved) == space_verdicts(space)
+
+
+FAR = 2.0 ** 20  # a height far above every chain, exact in floats
+
+
+def with_a_far_pair(inst):
+    """inst's space and map with a' = (0, 2^20) on A and b' = (1, 2^20) on B
+    added: the edge a' -> b', their loops, and T swapping the two.  Under l1,
+    d(a', b') = 1 = d(A, B) exactly, and no other pair is near them."""
+    sp = inst.space
+    points = [(p, sp.coords[p], sp.side[p]) for p in sp.ids]
+    points += [("far_a", (0.0, FAR), "A"), ("far_b", (1.0, FAR), "B")]
+    space = FiniteMetricGraph.from_coords(points, metric="l1",
+                                          edges=[*sp.edges, ("far_a", "far_b")])
+    mapping = {**inst.tmap.mapping, "far_a": "far_b", "far_b": "far_a"}
+    return space, CyclicMapTable.for_space(space, mapping)
+
+
+def predicate_answers(space, tmap):
+    checks = (is_sharp_proximal(space), is_g_chebyshev(space), has_property_uc(space),
+              check_property_star(space), check_property_star(space, space.side_a()),
+              check_property_star(space, space.side_b()), verify_t2_preserves_edges(space, tmap))
+    return [(c.ok, c.witness) for c in checks]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_far_away_proximal_pair_adds_only_itself(seed):
+    inst = build_random_chain(seed)
+    base, bmap = inst.space, inst.tmap
+    space, tmap = with_a_far_pair(inst)
+    assert pair_distance(space) == pair_distance(base) == 1.0
+    assert enumerate_bpps(space, tmap) == enumerate_bpps(base, bmap) | {"far_a"}
+    nb, nc, ok = check_cardinality(base, bmap)
+    assert check_cardinality(space, tmap) == (nb + 1, nc + 1, ok)
+    # the sweep's bound at (a', b') is exactly 1, so the pair passes
+    sweep, want = (verify_g_cyclic_contraction(sp, m, inst.phi1, inst.phi2)
+                   for sp, m in ((space, tmap), (base, bmap)))
+    assert sweep.checked_pairs == want.checked_pairs + 1
+    assert (sweep.holds, sweep.violations, sweep.a0_witness) == (
+        want.holds, want.violations, want.a0_witness)
+    assert predicate_answers(space, tmap) == predicate_answers(base, bmap)
+    for x0 in base.side_a():
+        assert solve_bpp(space, tmap, x0) == solve_bpp(base, bmap, x0)
+        assert iterate_orbit(space, tmap, x0) == iterate_orbit(base, bmap, x0)
+        assert component_of(space, x0) == component_of(base, x0)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from proxigraph import (
-    GreensKernel,
     GridFunction,
     RhsFunction,
     TimeGrid,
@@ -42,51 +41,51 @@ from proxigraph.errors import (
 E = math.e
 
 
-def greens_kernel_value(kernel: GreensKernel, t: float, s: float) -> float:
-    """The kernel at one (t, s) by its closed form; the diagonal uses the left branch."""
-    T = kernel.period
+def greens_kernel_value(alpha: float, T: float, t: float, s: float) -> float:
+    """The kernel of alpha and period T at one (t, s) by its closed form; the
+    diagonal uses the left branch."""
     if not (0.0 <= t <= T and 0.0 <= s <= T):
         raise OutOfDomain(f"(t, s) = ({t}, {s}) outside [0, {T}]^2")
-    denom = math.expm1(kernel.alpha * T)
+    denom = math.expm1(alpha * T)
     if s <= t:
-        return math.exp(kernel.alpha * (T + s - t)) / denom
-    return math.exp(kernel.alpha * (s - t)) / denom
+        return math.exp(alpha * (T + s - t)) / denom
+    return math.exp(alpha * (s - t)) / denom
 
 
 def test_kernel_spot_values():
-    k = GreensKernel(alpha=1.0, period=1.0)
-    assert greens_kernel_value(k, 0.5, 0.25) == pytest.approx(
+    assert greens_kernel_value(1.0, 1.0, 0.5, 0.25) == pytest.approx(
         E ** 0.75 / (E - 1.0), rel=1e-15)
-    assert greens_kernel_value(k, 0.25, 0.5) == pytest.approx(
+    assert greens_kernel_value(1.0, 1.0, 0.25, 0.5) == pytest.approx(
         E ** 0.25 / (E - 1.0), rel=1e-15)
     # the diagonal belongs to the s <= t branch
-    assert greens_kernel_value(k, 0.3, 0.3) == pytest.approx(
+    assert greens_kernel_value(1.0, 1.0, 0.3, 0.3) == pytest.approx(
         E / (E - 1.0), rel=1e-15)
 
 
 def test_kernel_domain_and_construction():
-    k = GreensKernel(alpha=1.0, period=1.0)
     with pytest.raises(OutOfDomain):
-        greens_kernel_value(k, 1.5, 0.5)
+        greens_kernel_value(1.0, 1.0, 1.5, 0.5)
     with pytest.raises(OutOfDomain):
-        greens_kernel_value(k, 0.5, -0.1)
+        greens_kernel_value(1.0, 1.0, 0.5, -0.1)
+    grid = TimeGrid(1.0, 11)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParamOutOfRange, match="alpha"):
+            product_weights(alpha, grid)
+        with pytest.raises(ParamOutOfRange, match="alpha"):
+            kernel_matrix(alpha, grid)
     with pytest.raises(ParamOutOfRange):
-        GreensKernel(alpha=0.0, period=1.0)
-    with pytest.raises(ParamOutOfRange):
-        GreensKernel(alpha=1.0, period=-2.0)
+        TimeGrid(-2.0, 11)
     with pytest.raises(ParamOutOfRange):
         TimeGrid(1.0, 2)
     with pytest.raises(ParamOutOfRange):
         TimeGrid(0.0, 11)
-    with pytest.raises(ParamOutOfRange, match="period"):
-        kernel_matrix(GreensKernel(alpha=1.0, period=2.0), TimeGrid(1.0, 11))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, E_SQUARED])
 def test_kernel_rows_integrate_to_reciprocal_alpha(alpha):
     # exact identity: the kernel integrates to 1/alpha in s for every t
     grid = TimeGrid(1.0, 201)
-    W = kernel_matrix(GreensKernel(alpha=alpha, period=1.0), grid)
+    W = kernel_matrix(alpha, grid)
     err = float(np.max(np.abs(W.sum(axis=1) - 1.0 / alpha)))
     assert err <= 1e-4
 
@@ -95,7 +94,7 @@ def test_kernel_mass_error_shrinks_under_refinement():
     errs = []
     for n in (201, 401):
         grid = TimeGrid(1.0, n)
-        W = kernel_matrix(GreensKernel(alpha=E_SQUARED, period=1.0), grid)
+        W = kernel_matrix(E_SQUARED, grid)
         errs.append(float(np.max(np.abs(W.sum(axis=1) - 1.0 / E_SQUARED))))
     assert errs[0] / errs[1] >= 3.5
 
@@ -526,20 +525,18 @@ def test_rhs_rejects_malformed_parameters(doc, match):
 
 def apply_operator(alpha, n, f, values):
     grid = TimeGrid(1.0, n)
-    kernel = GreensKernel(alpha=alpha, period=1.0)
     u = GridFunction(grid, np.broadcast_to(values, (n,)))
-    W = product_weights(kernel, grid)
+    W = product_weights(alpha, grid)
     return integral_operator(f.on(W.nodes), u, W).values
 
 
 def test_operator_agrees_with_the_dense_trapezoid_oracle():
     # both rules are second order, so they differ by O(h^2)
     grid = TimeGrid(1.0, 2001)
-    kernel = GreensKernel(alpha=2.0, period=1.0)
     f = RhsFunction("cosine_forced", {"a": -1.0, "amp": 1.0, "freq": 1.0})
     values = np.sin(2.0 * np.pi * grid.nodes) + grid.nodes ** 2
     g = f(grid.nodes, values) + 2.0 * values
-    dense = kernel_matrix(kernel, grid) @ g
+    dense = kernel_matrix(2.0, grid) @ g
     ours = apply_operator(2.0, 2001, f, values)
     assert float(np.max(np.abs(ours - dense))) <= 1e-6
 
@@ -561,6 +558,16 @@ def test_operator_output_is_finite_at_large_alpha():
     out = apply_operator(1000.0, 101, f, np.linspace(-1.0, 1.0, 101))
     assert np.all(np.isfinite(out))
     assert float(np.max(np.abs(out))) <= 1.0 + 2.0 / 1000.0
+
+
+def test_a_step_that_underflows_to_zero_builds_one_block():
+    # alpha h = 1e-322 * 5e-4 is 0 in floats: the weights span the grid in one
+    # block and the solve reports the overflow of 1 / (1 - e^{-alpha T})
+    W = product_weights(1e-322, TimeGrid(1.0, 2001))
+    assert len(W.up) == 2000
+    f = RhsFunction("linear", {"a": -1.0})
+    with pytest.raises(EvaluationFailure, match="not finite"):
+        solve_pbvp(f, 1e-322, 5e-324, GridFunction.constant(TimeGrid(1.0, 2001), -1.0))
 
 
 def reference_weights(alpha: float, h: float) -> tuple[Decimal, Decimal]:
@@ -585,13 +592,10 @@ def test_segment_weights_are_positive_and_accurate(x):
 
 
 def test_weights_must_match_the_kernel_and_grid():
-    kernel = GreensKernel(alpha=2.0, period=1.0)
-    W = product_weights(kernel, TimeGrid(1.0, 11))
+    W = product_weights(2.0, TimeGrid(1.0, 11))
     f = RhsFunction("linear", {})
     with pytest.raises(ParamOutOfRange, match="another grid"):
         integral_operator(f.on(W.nodes), GridFunction.constant(TimeGrid(1.0, 12), 0.0), W)
-    with pytest.raises(ParamOutOfRange, match="period"):
-        product_weights(kernel, TimeGrid(2.0, 11))
 
 
 def test_solve_converges_where_the_dense_kernel_stopped_contracting():
