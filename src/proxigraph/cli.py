@@ -144,13 +144,6 @@ def _parse_inline(text: str, what: str):
             raise InstanceFormatError(f"{what} must be JSON or a number, got {text!r}") from None
 
 
-def _parse_rhs(text: str, flag: str) -> RhsFunction:
-    doc = _parse_inline(text, flag)
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{flag} must be a JSON object with a 'kind'")
-    return RhsFunction.from_dict(doc)
-
-
 def _check_doc(result) -> dict:
     doc = {"ok": bool(result)}
     if result.witness is not None:
@@ -234,9 +227,7 @@ def _cmd_solve_bpp(args) -> int:
 def _cmd_solve_fixed_point(args) -> int:
     space = FiniteMetricGraph.from_json(args.instance)
     pair = PairMaps.for_space(space, load_map(args.t1), load_map(args.t2))
-    doc = read_document(args.psi, {"schema", "kind", "params"}, "psi file")
-    # the file's fields have had their warning: the spec gets only kind and params
-    psi = PsiGauge.from_dict({k: doc[k] for k in ("kind", "params") if k in doc})
+    psi = PsiGauge.from_dict(read_document(args.psi, "psi file"))
     if not args.skip_hypothesis_checks:
         fixed_point._check_fixed_point_hypotheses(space, pair, args.x0, psi,
                                                   args.strengthened, args.tol)
@@ -273,8 +264,8 @@ def _parse_w0(text: str, grid: TimeGrid) -> GridFunction:
 
 
 def _cmd_solve_pbvp(args) -> int:
-    f = _parse_rhs(args.rhs, "--rhs")
-    f2 = _parse_rhs(args.f2, "--f2") if args.f2 else None
+    f = RhsFunction.from_dict(_parse_inline(args.rhs, "--rhs"))
+    f2 = RhsFunction.from_dict(_parse_inline(args.f2, "--f2")) if args.f2 else None
     h_spec = _parse_inline(args.h, "--h")
     grid = TimeGrid(period=args.T, n=args.N)
     w0 = _parse_w0(args.w0, grid)

@@ -9,7 +9,9 @@ checked only for pairs (x, y) in A x B that are edge-eligible: at least one of
 The floor-fraction gauge needs the reciprocal-bracket index kappa: for
 0 < z < 1, kappa(z) is the unique n + 1 with 1/(n+1) <= z < 1/n.  All gauge
 arithmetic is `gauge_values`, on an array or one number: `_kappa` is its
-bracket rule, and `_knot_values` its knot rule, which psi tables share.
+bracket rule, and `_knot_values` its knot rule, which psi tables share.  A
+gauge spec is read by `metric_graph.read_spec`, and a gauge file's fields,
+like a map file's, by its loader.
 """
 from __future__ import annotations
 
@@ -35,10 +37,10 @@ from .metric_graph import (
     _check_fields,
     _float_array,
     _number,
-    _params,
     _point_id,
     pair_distance,
     read_document,
+    read_spec,
 )
 
 TOL_INEQ = TOL_SLACK  # slack allowed when checking the contraction inequality
@@ -105,8 +107,8 @@ class GaugeSpec:
             object.__setattr__(self, "_c", c)
         elif self.kind == "affine_shift":
             c = _number(self.params.get("c", -1.0), "affine_shift gauge c")
-            if c < 0.0:
-                raise InstanceFormatError("affine_shift gauge needs c >= 0")
+            if not 0.0 <= c < np.inf:  # a NaN or infinite c makes every bound NaN
+                raise InstanceFormatError("affine_shift gauge needs a finite c >= 0")
             object.__setattr__(self, "_c", c)
         elif self.kind == "table":
             ss, vs = parse_knots(self.params.get("knots") or (), "table gauge")
@@ -122,10 +124,7 @@ class GaugeSpec:
 
     @classmethod
     def from_dict(cls, data) -> "GaugeSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InstanceFormatError("gauge spec must be an object with a 'kind'")
-        _check_fields(data, {"kind", "params"}, "gauge")
-        return cls(kind=str(data["kind"]), params=_params(data, "gauge"))
+        return cls(*read_spec(data, "gauge"))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -429,7 +428,8 @@ def verify_g_cyclic_contraction(space: FiniteMetricGraph, tmap: CyclicMapTable,
 
 def load_gauge_pair(path) -> tuple[GaugeSpec, GaugeSpec]:
     """Read {"schema": "1", "phi1": {...}, "phi2": {...}} from a file."""
-    data = read_document(path, {"schema", "phi1", "phi2"}, "gauge file")
+    data = read_document(path, "gauge file")
+    _check_fields(data, {"schema", "phi1", "phi2"}, "gauge file")
     if "phi1" not in data or "phi2" not in data:
         raise InstanceFormatError("gauge file needs 'phi1' and 'phi2' entries")
     return GaugeSpec.from_dict(data["phi1"]), GaugeSpec.from_dict(data["phi2"])
@@ -438,7 +438,8 @@ def load_gauge_pair(path) -> tuple[GaugeSpec, GaugeSpec]:
 def load_map(path) -> dict[str, str]:
     """The {id: id} table of {"schema": "1", "map": {...}} in a file, as written.  A
     for_space constructor reads its ids and checks it against its space."""
-    data = read_document(path, {"schema", "map"}, "map file")
+    data = read_document(path, "map file")
+    _check_fields(data, {"schema", "map"}, "map file")
     if not isinstance(data.get("map"), dict):
         raise InstanceFormatError("map spec must be an object with a 'map' table")
     return data["map"]

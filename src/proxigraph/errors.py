@@ -131,7 +131,8 @@ class ConditionIvViolated(ProxigraphError):
 
     def __init__(self, witness):
         self.witness = witness
-        super().__init__(f"one-sided coupling condition failed at {witness!r}")
+        super().__init__("coupling condition (iv), |f1(t, s2) + alpha s2 - f2(t, s1) - alpha s1|"
+                         f" <= h(t) (s2 - s1), failed at {witness!r}")
 
 
 class MonotonicityBroken(ProxigraphError):

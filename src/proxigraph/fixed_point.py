@@ -11,6 +11,7 @@ typically have d(A, B) = 0.  The rate sweep looks its edges up with the
 space's `_is_edge`, and reads its distance array, at the image arrays that
 `PairMaps.validate` returns.  The theorem's gates are listed once, in order,
 in `_check_fixed_point_hypotheses`; only the CLI passes it a psi to sweep.
+A psi spec, or a whole psi file, is read by `metric_graph.read_spec`.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .cyclic_contraction import (
 from .errors import (
     MAX_ITER,
     TOL_SLACK,
-    InstanceFormatError,
     InvalidPsi,
     NoConvergence,
     SeedNotEligible,
@@ -44,9 +44,9 @@ from .metric_graph import (
     FiniteMetricGraph,
     _check_fields,
     _number,
-    _params,
     check_property_star,
     is_weakly_connected,
+    read_spec,
 )
 
 TOL_FIX = TOL_SLACK
@@ -99,10 +99,8 @@ class PsiGauge:
 
     @classmethod
     def from_dict(cls, data) -> "PsiGauge":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InstanceFormatError("psi spec must be an object with a 'kind'")
-        _check_fields(data, {"kind", "params"}, "psi")
-        return cls(kind=str(data["kind"]), params=_params(data, "psi"))
+        """data in read_spec's layout: a psi file's object passes whole."""
+        return cls(*read_spec(data, "psi"))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}

@@ -32,6 +32,11 @@ step distances.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
+
+The documents' readers live here too.  `read_document` loads a file's one
+JSON object, and `read_spec` is the one spec layout, read by the gauge, psi,
+rhs and h constructors; each reader checks its own field list with
+`_check_fields`, the one unknown-field policy.
 """
 from __future__ import annotations
 
@@ -220,15 +225,6 @@ class FiniteMetricGraph:
     def from_dict(cls, data):
         """Build from the JSON instance format (schema "1")."""
         _check_fields(data, _INSTANCE_FIELDS, "instance")
-        return cls._from_document(data)
-
-    @classmethod
-    def from_json(cls, path):
-        return cls._from_document(read_document(path, _INSTANCE_FIELDS, "instance"))
-
-    @classmethod
-    def _from_document(cls, data):
-        """from_dict once the top-level fields have passed the field policy."""
         schema = data.get("schema", SCHEMA_VERSION)
         if str(schema) != SCHEMA_VERSION:
             raise InstanceFormatError(f"unsupported schema version {schema!r}")
@@ -257,6 +253,10 @@ class FiniteMetricGraph:
         edges = chain(edges, zip(ids, ids)) if auto_loops else edges
         return cls(ids, [(rec["id"], rec.get("side")) for rec in pts], table, edges,
                    [(rec["id"], rec.get("coords")) for rec in pts], metric)
+
+    @classmethod
+    def from_json(cls, path):
+        return cls.from_dict(read_document(path, "instance"))
 
     def to_dict(self) -> dict:
         """The instance as a table document; a coordinate space keeps no table."""
@@ -458,9 +458,28 @@ def _check_fields(rec, allowed, what):
         warnings.warn(f"unknown {what} field(s): {sorted(unknown)}", UnknownField, stacklevel=2)
 
 
-def read_document(path, allowed, what) -> dict:
-    """The JSON object in the file at path, its fields checked by _check_fields.
-    An unreadable file, invalid JSON or a non-object raises InstanceFormatError."""
+def read_spec(data, what) -> tuple[str, dict]:
+    """The one spec layout, of gauges, psi, rhs and h: an object with a 'kind'
+    and its parameters in a 'params' object, beside 'kind', or both.  'schema'
+    is no parameter, and a name given both ways is an input error.  The kind
+    and a fresh dict of the parameters; each kind's constructor checks their
+    names by _check_fields and their values."""
+    if not isinstance(data, dict) or "kind" not in data:
+        raise InstanceFormatError(f"{what} spec must be an object with a 'kind'")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise InstanceFormatError(f"{what} 'params' must be an object, got {params!r}")
+    inline = {k: v for k, v in data.items() if k not in ("kind", "params", "schema")}
+    both = sorted(params.keys() & inline.keys())
+    if both:
+        raise InstanceFormatError(
+            f"{what} parameter(s) {both} given both beside 'kind' and in 'params'")
+    return str(data["kind"]), {**params, **inline}
+
+
+def read_document(path, what) -> dict:
+    """The JSON object in the file at path; its reader checks its fields.  An
+    unreadable file, invalid JSON or a non-object raises InstanceFormatError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -468,7 +487,8 @@ def read_document(path, allowed, what) -> dict:
         raise InstanceFormatError(f"cannot read {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
         raise InstanceFormatError(f"invalid JSON in {path}: {exc}") from None
-    _check_fields(data, allowed, what)
+    if not isinstance(data, dict):
+        raise InstanceFormatError(f"{what} must be a JSON object")
     return data
 
 
@@ -483,14 +503,6 @@ def _number(value, what) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise InstanceFormatError(f"{what} must be a number, got {value!r}")
-
-
-def _params(data: dict, what: str) -> dict:
-    """A spec's optional 'params' object, copied."""
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise InstanceFormatError(f"{what} 'params' must be an object, got {params!r}")
-    return dict(params)
 
 
 def _coord_tuple(pid, xy) -> tuple[float, ...]:

@@ -23,6 +23,7 @@ Iteration starts from a lower solution w (w' <= f(t, w), w(0) <= w(T)) and is
 a contraction with factor beta = sup h / alpha when the state dependence of
 f + alpha * id is Lipschitz with weight h(t) < alpha.  A solve binds each
 right-hand side to the grid once (`RhsFunction.on`), before its first step.
+An rhs or h spec is read by `metric_graph.read_spec`.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .errors import (
     require_max_iter,
     require_tol,
 )
-from .metric_graph import CheckResult, _check_fields, _float_array, _number, _params
+from .metric_graph import CheckResult, _check_fields, _float_array, _number, read_spec
 
 TOL_PBVP = 1e-10
 TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
@@ -242,12 +243,17 @@ class RhsFunction:
         if self.kind != "table":
             numbers = {key: _number(p.get(key, default), f"{self.kind} rhs {key}")
                        for key, default in RHS_PARAMS[self.kind].items()}
+            for key, v in numbers.items():
+                if not math.isfinite(v):
+                    raise InstanceFormatError(f"{self.kind} rhs {key} must be finite, got {v}")
             object.__setattr__(self, "_numbers", numbers)
             return
         if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
             raise InstanceFormatError("table rhs needs t_nodes, s_nodes, values")
         tn, sn, vals = (_float_array(p[k], "table rhs nodes and values must be numbers")
                         for k in ("t_nodes", "s_nodes", "values"))
+        if not all(np.isfinite(a).all() for a in (tn, sn, vals)):
+            raise InstanceFormatError("table rhs nodes and values must be finite numbers")
         if tn.ndim != 1 or sn.ndim != 1 or not (tn.size and sn.size):
             raise InstanceFormatError("table rhs nodes must be non-empty lists")
         if not (np.all(tn[1:] >= tn[:-1]) and np.all(sn[1:] >= sn[:-1])):
@@ -258,9 +264,7 @@ class RhsFunction:
 
     @classmethod
     def from_dict(cls, data) -> "RhsFunction":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InstanceFormatError("rhs spec must be an object with a 'kind'")
-        return cls(kind=str(data["kind"]), params=_spec_params(data, "rhs"))
+        return cls(*read_spec(data, "rhs"))
 
     def __call__(self, t, s):
         out = self.on(t)(np.asarray(s, dtype=float))
@@ -304,17 +308,6 @@ def _segment(nodes: np.ndarray, x):
     return i, w
 
 
-def _spec_params(data: dict, what: str) -> dict:
-    """An inline spec's 'params' object and its fields beside 'kind' (but a
-    'schema'), as one dict; a name given both ways is an input error."""
-    params = _params(data, what)
-    inline = {k: v for k, v in data.items() if k not in ("kind", "params", "schema")}
-    if params.keys() & inline.keys():
-        raise InstanceFormatError(f"{what} parameter(s) {sorted(params.keys() & inline)} "
-                                  "given both beside 'kind' and in 'params'")
-    return {**params, **inline}
-
-
 def make_h(spec, alpha: float | None = None):
     """Comparison weight h(t) from a config dict or a plain number.
 
@@ -330,10 +323,9 @@ def make_h(spec, alpha: float | None = None):
                 "h spec must be a number or an object with a 'kind'") from None
         _require_positive(v, "h")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-    kind = str(spec["kind"])
+    kind, params = read_spec(spec, "h")
     if kind not in H_PARAMS:
         raise InstanceFormatError(f"unknown h kind {kind!r}")
-    params = _spec_params(spec, "h")
     _check_fields(params, H_PARAMS[kind], f"{kind} h parameter")
     if kind == "const":
         v = _number(params.get("value"), "const h value")
@@ -532,10 +524,12 @@ def solve_common_pbvp(f1: RhsFunction, f2: RhsFunction, alpha: float, h,
     return _picard((f1, f2), alpha, h, w0, tol, max_iter, check_lower)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _picard(fs, alpha, h, w0, tol, max_iter, check_lower):
     """The Picard driver of both solvers: step k applies the kernel to
     fs[k % len(fs)] + alpha * id, starting from w0 with k = 0, each f bound
-    to the grid nodes once.
+    to the grid nodes once.  numpy's floating-point warnings are off for the
+    solve: the checks name the first node where a value is not finite.
 
     A pair (f1, f2) must also pass condition (iv), keep the monotone ordering
     at every step, and stop only where both operators fix the iterate.

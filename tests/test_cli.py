@@ -622,6 +622,8 @@ BAD_GAUGES = {
     "gauge_knot_true": {"kind": "table", "params": {"knots": [[0.0, 0.0], [1.0, True]]}},
     "gauge_c_numeric_string": {"kind": "linear", "params": {"c": "0.5"}},
     "gauge_shift_c_numeric_string": {"kind": "affine_shift", "params": {"c": "0.5"}},
+    "gauge_shift_c_nan": {"kind": "affine_shift", "params": {"c": math.nan}},
+    "gauge_shift_c_infinite": {"kind": "affine_shift", "params": {"c": math.inf}},
     "gauge_knot_numeric_string": {"kind": "table",
                                   "params": {"knots": [[0.0, 0.0], ["1.0", 0.5]]}},
     "gauge_c_huge_int": {"kind": "linear", "params": {"c": HUGE}},
@@ -688,6 +690,12 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
     ("--rhs", f'{{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,0],[1,{HUGE}]]}}'),
     ("--h", str(HUGE)),
     ("--h", "1" * 5000),
+    ("--rhs", '{"kind":"linear","a":NaN}'),
+    ("--rhs", '{"kind":"exp_linear","params":{"c":Infinity}}'),
+    ("--rhs", '{"kind":"cosine_forced","freq":-Infinity}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,Infinity],"s_nodes":[0,1],"values":[[0,0],[1,1]]}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[NaN,1],"values":[[0,0],[1,1]]}'),
+    ("--rhs", '{"kind":"table","t_nodes":[0,1],"s_nodes":[0,1],"values":[[0,0],[1,NaN]]}'),
 ], ids=["c_not_a_number", "params_list", "table_value_not_a_number",
         "h_value_not_a_number", "h_alpha_not_a_number", "h_value_nan",
         "h_alpha_infinite", "h_value_missing", "h_value_negative",
@@ -697,7 +705,8 @@ def test_malformed_psi_file_is_an_input_error(capsys, tmp_path, ex41_files, doc)
         "c_numeric_string", "table_t_node_numeric_string", "table_s_node_numeric_string",
         "table_value_numeric_string", "h_value_numeric_string", "h_alpha_numeric_string",
         "h_numeric_string", "b_huge_int", "table_value_huge_int", "h_huge_int",
-        "h_too_many_digits"])
+        "h_too_many_digits", "a_nan", "c_infinite", "freq_minus_infinite",
+        "table_t_node_infinite", "table_s_node_nan", "table_value_nan"])
 def test_malformed_pbvp_spec_is_an_input_error(capsys, flag, spec):
     argv = {"--rhs": '{"kind":"linear","a":-1.0}', "--alpha": "2.0", "--h": "1.0",
             "--w0": "const:-1", flag: spec}
@@ -821,7 +830,9 @@ def test_strict_covers_every_fixed_point_document(capsys, tmp_path, ex41_files, 
     assert_input_error(capsys, argv + ["--strict"])
     assert main(argv) == 0
     err = capsys.readouterr().err
-    assert err == f"warning: unknown {'psi' if flag == 'psi' else 'map'} file field(s): ['junk']\n"
+    # a psi file is one psi spec: a stray name is a parameter that nothing reads
+    what = "constant psi parameter" if flag == "psi" else "map file"
+    assert err == f"warning: unknown {what} field(s): ['junk']\n"
 
 
 def test_unknown_fields_warn_on_one_line_each(capsys, tmp_path, ex22_files):
@@ -847,7 +858,7 @@ def pbvp_argv(**specs):
 # a misspelled name in each spec family: (where it goes, the spec, the message)
 MISSPELLED = {
     "gauge_object": ("phi1", {"kind": "floor_fraction", "params": {}, "colour": "red"},
-                     "unknown gauge field(s): ['colour']"),
+                     "unknown floor_fraction gauge parameter field(s): ['colour']"),
     "gauge_params": ("phi2", {"kind": "identity", "params": {"c": 1.0}},
                      "unknown identity gauge parameter field(s): ['c']"),
     "psi_params": ("psi", {"schema": "1", "kind": "constant",
@@ -885,6 +896,15 @@ def test_a_misspelled_spec_parameter_warns_and_strict_rejects_it(capsys, tmp_pat
     if argv[0] != "solve-pbvp":  # the subcommands that read JSON files have --strict
         code, doc, err = run(capsys, argv + ["--strict"])
         assert (code, doc, err) == (2, None, f"input error: {message}\n")
+
+
+def test_an_overflowing_rhs_fails_without_numpy_warnings(capsys):
+    # f = 1e308 e^t s overflows from w0 = 2: the failure document names the
+    # node, and numpy prints nothing
+    code, doc, err = run(capsys, pbvp_argv(rhs='{"kind":"exp_linear","c":1e308}', w0="const:2"))
+    assert (code, err) == (1, "")
+    assert doc["error"] == "evaluation_failure"
+    assert doc["message"] == "right-hand side is not finite at t = 0.0, s = 2.0"
 
 
 def test_const_h_has_no_second_name_for_its_value(capsys):

@@ -54,7 +54,8 @@ def test_psi_validation():
 
 def test_psi_spec_fields_warn_and_strict_rejects_them():
     spec = {"kind": "constant", "params": {"value": 0.5}, "colour": 1}
-    with pytest.warns(UnknownField, match=r"unknown psi field\(s\): \['colour'\]"):
+    with pytest.warns(UnknownField,
+                      match=r"unknown constant psi parameter field\(s\): \['colour'\]"):
         assert PsiGauge.from_dict(spec)(1.0) == 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnknownField)

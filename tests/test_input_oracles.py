@@ -1,17 +1,22 @@
-"""Fuzzed instance and map documents, and metamorphic relations of `verify`.
+"""Fuzzed instance, map and spec documents, and metamorphic relations of `verify`.
 
 A fuzzed pair of documents starts valid; one value at a random path is then
 replaced by any JSON value, or deleted.  `verify` runs on it in process
 through `cli.main`, and must keep the exit-code contract: 0, 1 or 2, no
-traceback, and an exit 2 reported on exactly one `input error:` line.  The
-metamorphic relations rewrite valid documents in ways that must not change
-what they mean, so `verify` must answer as before.
+traceback, and an exit 2 reported on exactly one `input error:` line.  A
+fuzzed gauge, psi, rhs or h spec starts from a valid one of its kind, laid
+out in either way, and keeps the same contract through the command that
+reads it; a parameter that its kind reads and that holds NaN or an infinity
+must be an input error.  The metamorphic relations rewrite valid documents
+in ways that must not change what they mean, so `verify` must answer as
+before.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import random
 
 import pytest
@@ -40,6 +45,7 @@ from proxigraph.corpus import (
     build_ex22_kappa,
     build_ex33_dyadic_l1,
     build_ex35_not_bpo,
+    build_ex41_fixed_point,
     build_random_chain,
 )
 
@@ -60,6 +66,14 @@ JSON_VALUES = st.recursive(
 REPLACEMENTS = st.sampled_from([None, True, False]) | JSON_VALUES
 
 
+def run_main(argv):
+    """cli.main on argv, in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_verify(folder, instance, mapping, *flags):
     """verify on the instance and map documents, with the gauges above, in
     process: its exit code, stdout and stderr."""
@@ -68,10 +82,23 @@ def run_verify(folder, instance, mapping, *flags):
         path = folder / f"{name}.json"
         path.write_text(json.dumps(doc))
         argv += [f"--{name}", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + list(flags))
-    return code, out.getvalue(), err.getvalue()
+    return run_main(argv + list(flags))
+
+
+def assert_exit_contract(code, out, err, strict):
+    """0, 1 or 2, no traceback, and an exit 2 with no report and one
+    `input error:` line, after one `warning:` line per unknown name unless
+    strict made the first of them the error."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    lines = err.splitlines(keepends=True)
+    if code == 2:
+        assert out == ""
+        assert [line for line in lines if not line.startswith("warning: ")] == lines[-1:]
+        assert lines[-1].startswith("input error:") and lines[-1].endswith("\n")
+        assert len(lines) == 1 or not strict
+    else:
+        assert all(line.startswith("warning: ") for line in lines)
 
 
 @st.composite
@@ -162,17 +189,144 @@ def test_fuzzed_documents_keep_the_exit_code_contract(folder, docs):
     # one warning line before the outcome
     for flags in (("--strict",), ()):
         code, out, err = run_verify(folder, *docs, *flags)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        lines = err.splitlines(keepends=True)
-        if code == 2:
-            assert out == ""
-            assert [line for line in lines if not line.startswith("warning: ")] == lines[-1:]
-            assert lines[-1].startswith("input error:") and lines[-1].endswith("\n")
-            assert len(lines) == 1 or not flags
-        else:
-            assert all(line.startswith("warning: ") for line in lines)
+        assert_exit_contract(code, out, err, bool(flags))
         if names_a_non_id(*docs):
+            assert code == 2, err
+
+
+# ----- fuzzed specs ------------------------------------------------------
+
+# a valid spec of each kind, by family, as its kind's parameters
+SPECS = {
+    "gauge": {"linear": {"c": 0.5}, "affine_shift": {"c": 0.0}, "floor_fraction": {},
+              "identity": {}, "table": {"knots": [[0, 0], [1, 0.5]]}},
+    "psi": {"constant": {"value": 0.5}, "table": {"knots": [[0, 0.25], [1, 0.5]]}},
+    "rhs": {"linear": {"a": -1, "b": 1}, "exp_linear": {"c": -1},
+            "cosine_forced": {"a": -1, "amp": 1, "freq": 1},
+            "table": {"t_nodes": [0, 1], "s_nodes": [-2, 2], "values": [[2, -2], [2, -2]]}},
+    "h": {"const": {"value": 1}, "exp_gap": {"alpha": 3}},
+}
+
+# values that the number rule refuses or that no bound should accept, and a few plain ones
+ODD = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1.0, 0.0, 2, True, False,
+                       None, "0.5", "x", [], [[1.0]], {"c": 1}])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# each a fresh copy, so that a later change in place leaves ODD as it is; a
+# non-finite number in one draw of four, so that a bound that lets one pass shows
+VALUES = (NON_FINITE | ODD | st.floats(-3, 3)
+          | st.lists(NON_FINITE | ODD | st.floats(-3, 3), max_size=3)).map(
+    lambda v: json.loads(json.dumps(v)))
+# a name that no kind reads, names that some kind reads, and one that is no parameter
+NAMES = ("colour", "c", "value", "knots", "alpha", "freq", "t_nodes", "schema")
+
+
+@st.composite
+def fuzzed_specs(draw):
+    """A family and a spec of it: a known or an unknown kind with a valid
+    kind's parameters, changed at up to two places (a name added, or at any
+    depth a value dropped, replaced, or replaced by NaN or an infinity),
+    then laid out in 'params', beside 'kind' or split between them, now and
+    then with a name given both ways; once in ten draws no object at all."""
+    family = draw(st.sampled_from(sorted(SPECS)))
+    # a known kind four times as often as each unknown one
+    kind = draw(st.sampled_from([*sorted(SPECS[family]) * 4, "cubic", None]))
+    params = json.loads(json.dumps(SPECS[family].get(kind, {"c": 1})))  # a deep copy
+    for _ in range(draw(st.integers(0, 2))):
+        where = list(paths(params))
+        # a non-finite value three times as often as each other change
+        how = draw(st.sampled_from(["add", "drop", "replace", *["non-finite"] * 3]))
+        if how == "add" or not where:
+            params[draw(st.sampled_from(NAMES))] = draw(VALUES)
+            continue
+        path = draw(st.sampled_from(where))
+        parent = params
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            # a non-finite value where the kind reads one must be refused
+            parent[path[-1]] = draw(NON_FINITE if how == "non-finite" else VALUES)
+    beside = draw(st.lists(st.sampled_from(sorted(params)), unique=True)) if params else []
+    twice = draw(st.lists(st.sampled_from(beside), max_size=1)) if beside else []
+    spec = {"kind": kind, **{k: params[k] for k in beside}}
+    if len(beside) < len(params) or twice or draw(st.booleans()):
+        spec["params"] = {k: v for k, v in params.items() if k not in beside or k in twice}
+    if draw(st.integers(0, 9)) == 9:
+        spec = draw(VALUES)
+    return family, spec, draw(st.booleans())
+
+
+def holds_a_non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, list) and any(map(holds_a_non_finite, value))
+
+
+def reads_a_non_finite(family, spec) -> bool:
+    """Whether a parameter that the spec's known kind reads holds NaN or an
+    infinity, at any depth, or an h given as a number is one."""
+    if not isinstance(spec, dict):
+        return family == "h" and holds_a_non_finite(spec)
+    kinds, params = SPECS[family], spec.get("params", {})
+    if spec.get("kind") not in kinds or not isinstance(params, dict):
+        return False
+    params = {**params, **spec}
+    return any(holds_a_non_finite(params.get(k)) for k in kinds[spec["kind"]])
+
+
+@pytest.fixture(scope="module")
+def spec_files(tmp_path_factory):
+    """The ex22 N = 8 instance, map and gauges and the ex41 instance, maps
+    and psi, as files, and the folder they are in."""
+    folder = tmp_path_factory.mktemp("specs")
+    ex22, ex41 = build_ex22_kappa(8), build_ex41_fixed_point()
+    docs = {"instance22": ex22.space.to_dict(),
+            "map": {"schema": "1", "map": dict(ex22.tmap.mapping)},
+            "instance41": ex41.space.to_dict(),
+            "t1": {"schema": "1", "map": dict(ex41.pair.t1)},
+            "t2": {"schema": "1", "map": dict(ex41.pair.t2)}}
+    files = {"folder": folder}
+    for name, doc in docs.items():
+        files[name] = folder / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    files["gauges"] = {"schema": "1", "phi1": ex22.phi1.to_dict(), "phi2": ex22.phi2.to_dict()}
+    return files
+
+
+def spec_argv(files, family, spec, first):
+    """The command that reads spec: verify with it as phi1 (first) or phi2,
+    solve-fixed-point with it as the psi file, or solve-pbvp at N = 11 with
+    it as --rhs (first) or --f2, or as --h."""
+    if family in ("gauge", "psi"):
+        path = files["folder"] / "spec.json"
+        doc = ({**files["gauges"], "phi1" if first else "phi2": spec} if family == "gauge"
+               else {"schema": "1", **spec} if isinstance(spec, dict) else spec)
+        path.write_text(json.dumps(doc))
+    if family == "gauge":
+        return ["verify", "--instance", str(files["instance22"]), "--map", str(files["map"]),
+                "--gauges", str(path)]
+    if family == "psi":
+        return ["solve-fixed-point", "--instance", str(files["instance41"]),
+                "--t1", str(files["t1"]), "--t2", str(files["t2"]), "--psi", str(path),
+                "--x0", "f_1/2"]
+    flags = {"--rhs": '{"kind":"linear","a":-1,"b":1}', "--h": "1"}
+    flags["--h" if family == "h" else "--rhs" if first else "--f2"] = json.dumps(spec)
+    # flag=value, so that a value such as -1 is not read as a flag
+    return ["solve-pbvp", "--alpha", "4", "--N", "11", "--w0", "const:-1", "--max-iter", "200",
+            *[f"{flag}={value}" for flag, value in flags.items()]]
+
+
+@given(fuzzed_specs())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_specs_keep_the_exit_code_contract(spec_files, drawn):
+    family, spec, first = drawn
+    argv = spec_argv(spec_files, family, spec, first)
+    # solve-pbvp reads no file, so it has no --strict
+    for flags in ((), ("--strict",)) if family in ("gauge", "psi") else ((),):
+        code, out, err = run_main(argv + list(flags))
+        assert_exit_contract(code, out, err, bool(flags))
+        if reads_a_non_finite(family, spec):
             assert code == 2, err
 
 

@@ -10,7 +10,10 @@ import pytest
 from proxigraph import (
     EmptySide,
     FiniteMetricGraph,
+    GaugeSpec,
     InstanceFormatError,
+    PsiGauge,
+    RhsFunction,
     UnknownPoint,
     check_property_star,
     component_of,
@@ -25,6 +28,7 @@ from proxigraph import metric_graph
 from proxigraph.corpus import build_random_chain
 from proxigraph.errors import UnknownField
 from proxigraph.metric_graph import CheckResult
+from proxigraph.pbvp import make_h
 
 
 def square(metric="l2", edges=(), auto_loops=True):
@@ -253,6 +257,24 @@ def test_unknown_fields_warn_or_reject():
         warnings.simplefilter("error", UnknownField)
         with pytest.raises(InstanceFormatError, match="flavor"):
             FiniteMetricGraph.from_dict(doc)
+
+
+def test_every_spec_family_reads_one_layout():
+    # parameters in 'params', beside 'kind', or split; 'schema' is no parameter
+    for data in ({"kind": "k", "params": {"a": 1, "b": 2}}, {"kind": "k", "a": 1, "b": 2},
+                 {"schema": "1", "kind": "k", "a": 1, "params": {"b": 2}}):
+        assert metric_graph.read_spec(data, "x") == ("k", {"a": 1, "b": 2})
+    with pytest.raises(InstanceFormatError, match=r"^x parameter\(s\) \['a'\] given both"):
+        metric_graph.read_spec({"kind": "k", "a": 1, "params": {"a": 2}}, "x")
+    for build, kind, params in ((GaugeSpec.from_dict, "linear", {"c": 0.5}),
+                                (PsiGauge.from_dict, "constant", {"value": 0.5}),
+                                (RhsFunction.from_dict, "linear", {"a": -1.0})):
+        assert build({"kind": kind, **params}) == build({"kind": kind, "params": params})
+        with pytest.raises(InstanceFormatError, match="given both"):
+            build({"kind": kind, **params, "params": params})
+    h = [make_h(spec)(np.linspace(0, 1, 5)) for spec in
+         ({"kind": "exp_gap", "alpha": 3.0}, {"kind": "exp_gap", "params": {"alpha": 3.0}})]
+    assert h[0].tobytes() == h[1].tobytes()
 
 
 def test_is_weakly_connected_refuses_an_unknown_id_in_within():

@@ -395,12 +395,11 @@ def test_rhs_table_keeps_its_own_copy():
 
 
 def test_non_finite_rhs_surfaces_as_evaluation_failure():
-    nan_tab = RhsFunction("table", {
-        "t_nodes": [0.0, 1.0], "s_nodes": [-2.0, 2.0],
-        "values": [[float("nan"), float("nan")], [0.0, 0.0]]})
+    # f = 1e308 e^t s overflows at every node from w0 = 2
+    huge = RhsFunction("exp_linear", {"c": 1e308})
     grid = TimeGrid(1.0, 11)
     with pytest.raises(EvaluationFailure):
-        solve_pbvp(nan_tab, 2.0, 1.0, GridFunction.constant(grid, 0.0),
+        solve_pbvp(huge, 2.0, 1.0, GridFunction.constant(grid, 2.0),
                    check_lower=False)
 
 
@@ -437,6 +436,9 @@ def test_condition_iv_allows_rounding_at_large_states():
         solve_common_pbvp(g, g, 2.0, 0.7, w0)
     t, s1, s2, lhs, rhs = exc.value.witness
     assert (t, s1, s2) == (0.0, -100001.37, -100001.37 + 0.25)
+    # an absolute value, not a one-sided bound
+    assert str(exc.value) == ("coupling condition (iv), |f1(t, s2) + alpha s2 - f2(t, s1) "
+                              f"- alpha s1| <= h(t) (s2 - s1), failed at {exc.value.witness!r}")
     assert lhs / rhs == pytest.approx(1 + 1e-6, rel=1e-9)
 
 
@@ -618,10 +620,9 @@ def test_non_finite_output_names_the_operator():
         solve_pbvp(RhsFunction("linear", {}), 2.0, 1.0,
                    GridFunction.constant(grid, 1e308), check_lower=False)
     assert "right-hand side" not in str(info.value)
-    nan_tab = RhsFunction("table", {"t_nodes": [0.0, 1.0], "s_nodes": [-2.0, 2.0],
-                                    "values": [[0.0, 0.0], [0.0, float("nan")]]})
+    huge = RhsFunction("exp_linear", {"c": 1e308})
     with pytest.raises(EvaluationFailure, match="^right-hand side is not finite at t = 0.0"):
-        solve_pbvp(nan_tab, 2.0, 1.0, GridFunction.constant(grid, 0.0), check_lower=False)
+        solve_pbvp(huge, 2.0, 1.0, GridFunction.constant(grid, 2.0), check_lower=False)
 
 
 def test_solve_memory_is_linear_in_the_grid():
