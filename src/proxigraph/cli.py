@@ -45,6 +45,7 @@ from .fixed_point import (
 from .metric_graph import (
     SCHEMA_VERSION,
     FiniteMetricGraph,
+    _json_object,
     check_property_star,
     has_property_uc,
     is_g_chebyshev,
@@ -134,9 +135,11 @@ def _write(path: str, text: str) -> None:
 def _parse_inline(text: str, what: str):
     """A flag value that is either a JSON document or a plain number."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
     except RecursionError:
         raise InstanceFormatError(f"{what} is JSON nested too deeply") from None
+    except InstanceFormatError as exc:  # a name given twice: valid JSON, so no number
+        raise InstanceFormatError(f"{what}: {exc}") from None
     except ValueError:  # not JSON, or an integer of more digits than Python converts
         try:
             return float(text)
@@ -309,6 +312,8 @@ def _cmd_reproduce(args) -> int:
         key, sep, value = item.partition("=")
         if not sep:
             raise ParamOutOfRange(f"--params entries look like key=value, got {item!r}")
+        if key in params:
+            raise ParamOutOfRange(f"parameter {key!r} is given twice")
         try:
             params[key] = int(value)
         except ValueError:

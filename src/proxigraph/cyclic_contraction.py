@@ -35,6 +35,8 @@ from .metric_graph import (
     _a0_witness,
     _by_id,
     _check_fields,
+    _check_kind,
+    _check_schema,
     _float_array,
     _number,
     _point_id,
@@ -97,9 +99,7 @@ class GaugeSpec:
 
     def __post_init__(self):
         # the parameters are parsed here once; gauge_values reads _c and _knots
-        if self.kind not in GAUGE_PARAMS:
-            raise InstanceFormatError(f"unknown gauge kind {self.kind!r}")
-        _check_fields(self.params, GAUGE_PARAMS[self.kind], f"{self.kind} gauge parameter")
+        _check_kind(self.kind, self.params, GAUGE_PARAMS, "gauge", InstanceFormatError)
         if self.kind == "linear":
             c = _number(self.params.get("c", -1.0), "linear gauge c")
             if not 0.0 < c <= 1.0:
@@ -107,8 +107,8 @@ class GaugeSpec:
             object.__setattr__(self, "_c", c)
         elif self.kind == "affine_shift":
             c = _number(self.params.get("c", -1.0), "affine_shift gauge c")
-            if not 0.0 <= c < np.inf:  # a NaN or infinite c makes every bound NaN
-                raise InstanceFormatError("affine_shift gauge needs a finite c >= 0")
+            if c < 0.0:
+                raise InstanceFormatError("affine_shift gauge needs c >= 0")
             object.__setattr__(self, "_c", c)
         elif self.kind == "table":
             ss, vs = parse_knots(self.params.get("knots") or (), "table gauge")
@@ -117,8 +117,6 @@ class GaugeSpec:
             if sorted(ss) != list(ss) or len(set(ss)) != len(ss):
                 raise InstanceFormatError("table gauge knots must be strictly sorted in s")
             knots = np.array((ss, vs))
-            if not np.isfinite(knots).all():  # a NaN value would pass every later bound
-                raise InstanceFormatError("table gauge knots must be finite numbers")
             knots.flags.writeable = False
             object.__setattr__(self, "_knots", knots)
 
@@ -133,14 +131,12 @@ class GaugeSpec:
 def parse_knots(knots, what) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The abscissae and the values of (s, value) knots, as floats, each read
     by metric_graph._float_array's number rule; no knots give two empty tuples."""
-    try:
-        arr = _float_array(knots, "")
-        if arr.shape == (0,) or arr.ndim == 2 and arr.shape[1] == 2:
-            ss, vs = arr.reshape(-1, 2).T.tolist()
-            return tuple(ss), tuple(vs)
-    except InstanceFormatError:
-        pass
-    raise InstanceFormatError(f"{what} knots must be (s, value) pairs of numbers, got {knots!r}")
+    message = f"{what} knots must be (s, value) pairs of numbers"  # no repr: built every call
+    arr = _float_array(knots, message)
+    if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise InstanceFormatError(message)
+    ss, vs = arr.reshape(-1, 2).T.tolist()
+    return tuple(ss), tuple(vs)
 
 
 def _knot_values(ss: np.ndarray, vs: np.ndarray, s):
@@ -430,6 +426,7 @@ def load_gauge_pair(path) -> tuple[GaugeSpec, GaugeSpec]:
     """Read {"schema": "1", "phi1": {...}, "phi2": {...}} from a file."""
     data = read_document(path, "gauge file")
     _check_fields(data, {"schema", "phi1", "phi2"}, "gauge file")
+    _check_schema(data, "gauge file")
     if "phi1" not in data or "phi2" not in data:
         raise InstanceFormatError("gauge file needs 'phi1' and 'phi2' entries")
     return GaugeSpec.from_dict(data["phi1"]), GaugeSpec.from_dict(data["phi2"])
@@ -440,6 +437,7 @@ def load_map(path) -> dict[str, str]:
     for_space constructor reads its ids and checks it against its space."""
     data = read_document(path, "map file")
     _check_fields(data, {"schema", "map"}, "map file")
+    _check_schema(data, "map file")
     if not isinstance(data.get("map"), dict):
         raise InstanceFormatError("map spec must be an object with a 'map' table")
     return data["map"]

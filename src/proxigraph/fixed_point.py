@@ -42,7 +42,7 @@ from .errors import (
 )
 from .metric_graph import (
     FiniteMetricGraph,
-    _check_fields,
+    _check_kind,
     _number,
     check_property_star,
     is_weakly_connected,
@@ -68,9 +68,7 @@ class PsiGauge:
 
     def __post_init__(self):
         # the parameters are parsed here once; rates reads _value and _knots
-        if self.kind not in PSI_PARAMS:
-            raise InvalidPsi(f"unknown psi kind {self.kind!r}")
-        _check_fields(self.params, PSI_PARAMS[self.kind], f"{self.kind} psi parameter")
+        _check_kind(self.kind, self.params, PSI_PARAMS, "psi", InvalidPsi)
         if self.kind == "constant":
             v = _number(self.params.get("value", -1.0), "constant psi value")
             if not 0.0 <= v < 1.0:
@@ -88,8 +86,6 @@ class PsiGauge:
             if any(b < a for a, b in zip(vs, vs[1:])):
                 raise InvalidPsi("table psi must be non-decreasing")
             knots = np.array((ss, vs))
-            if not np.isfinite(knots).all():
-                raise InvalidPsi("table psi knots must be finite numbers")
             knots.flags.writeable = False
             object.__setattr__(self, "_knots", knots)
 

@@ -11,36 +11,37 @@ computed when asked for, and `dist` is built, in row blocks by the same rule,
 only when it is read.  `_row_blocks` is the one loop over a block of pairs.
 
 `FiniteMetricGraph.__post_init__` reads every space; the constructors only lay
-their input out as its fields.  One rule, `_point_id`, reads point ids and edge
-ends alike, and all coordinates are read in one call.  A space is immutable,
-its arrays and maps read-only, and holds each side's ids and positions, the
-sorted id order and each point's rank in it.  One walk over the edges gives
-the only form in which the space holds them: the read-only sorted keys
-rank[x] * n + rank[y], one per edge.  They answer the edge lookup over
-position arrays (`_is_edge`), and through it `has_edge` for a pair of ids,
-and `_edges_within` is the one rule for the edges within a subset; no other
-module reads how edges are stored.  The boxed forms are built on read: the
-frozenset `edges` from the keys, on first read, and then kept; a coordinate
-space's `coords`, a view over its array that builds a point's tuple when it
-is read.  Closeness to d(A,B) is one float test, kept as the list
-of close pairs by position; no other module reads it.  What else follows
-from the space alone -- d(A,B) and that list, the component labels and the
-hypothesis verdicts -- is computed on first use and kept on the space, as
-are, for each map checked against it, its verdict, its read-only image
-arrays, a cyclic map's orbit table with d(p, Tp) for every p, and a pair's
-step distances.
+their input out as its fields.  One rule, `_point_id`, reads point ids and
+edge ends alike, and all coordinates are read in one call.  A space is
+immutable, its arrays and maps read-only, and holds each side's ids and
+positions, the sorted id order and each point's rank in it.  One walk over the
+edges gives the only form in which the space holds them: the read-only sorted
+keys rank[x] * n + rank[y], one per edge.  They answer the edge lookup over
+position arrays (`_is_edge`), and `_edges_within` is the one rule for the
+edges within a subset; no other module reads how edges are stored.  The boxed
+forms are built on read: the frozenset `edges` from the keys, on first read,
+and then kept; a coordinate space's `coords`, a view over its array that
+builds a point's tuple when it is read.  Closeness to d(A,B) is one float
+test, kept as the list of close pairs by position; no other module reads it.
+What else follows from the space alone -- d(A,B) and that list, the component
+labels and the hypothesis verdicts -- is computed on first use and kept on the
+space, as are, for each map checked against it, its verdict, its read-only
+image arrays, a cyclic map's orbit table with d(p, Tp) for every p, and a
+pair's step distances.
 
 All predicates return a CheckResult holding a boolean and, on failure, a small
 witness tuple that pinpoints the violation.
 
 The documents' readers live here too.  `read_document` loads a file's one
-JSON object, and `read_spec` is the one spec layout, read by the gauge, psi,
-rhs and h constructors; each reader checks its own field list with
-`_check_fields`, the one unknown-field policy.
+JSON object, and `read_spec` is the one spec layout.  Each reader checks its
+field list with `_check_fields` and its version with `_check_schema`, each
+spec family its kind with `_check_kind`, and `_number` and `_float_array`
+read every number, refusing NaN and +-inf, as no other code does.
 """
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -130,8 +131,6 @@ class FiniteMetricGraph:
             dist = _float_array(self.dist, "distance table must be a square array of numbers")
             if dist.shape != (len(ids), len(ids)):
                 raise InstanceFormatError("distance table shape does not match point count")
-            if not np.isfinite(dist).all():
-                raise InstanceFormatError("distance table contains non-finite entries")
             _check_table(dist, ids)
             dist.flags.writeable = False
             rows = map(tuple, arr.tolist()) if rows is None else rows
@@ -225,9 +224,7 @@ class FiniteMetricGraph:
     def from_dict(cls, data):
         """Build from the JSON instance format (schema "1")."""
         _check_fields(data, _INSTANCE_FIELDS, "instance")
-        schema = data.get("schema", SCHEMA_VERSION)
-        if str(schema) != SCHEMA_VERSION:
-            raise InstanceFormatError(f"unsupported schema version {schema!r}")
+        _check_schema(data, "instance")
         pts = data.get("points")
         if not isinstance(pts, list) or not pts:
             raise InstanceFormatError("instance needs a nonempty 'points' list")
@@ -283,11 +280,6 @@ class FiniteMetricGraph:
 
     def side_b(self) -> tuple[str, ...]:
         return self._sides["B"][0]
-
-    def has_edge(self, x: str, y: str) -> bool:
-        """Whether (x, y) is an edge, by _is_edge; False when x or y is no point."""
-        i, j = self.index.get(x), self.index.get(y)
-        return i is not None and j is not None and bool(self._is_edge(i, j))
 
     def _i(self, pid: str) -> int:
         try:
@@ -458,14 +450,32 @@ def _check_fields(rec, allowed, what):
         warnings.warn(f"unknown {what} field(s): {sorted(unknown)}", UnknownField, stacklevel=2)
 
 
-def read_spec(data, what) -> tuple[str, dict]:
+def _check_schema(data, what):
+    """The one version rule: a 'schema', if given, is the string SCHEMA_VERSION."""
+    if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise InstanceFormatError(f"unsupported {what} schema version {data['schema']!r}")
+
+
+def _check_kind(kind, params, table, family, error):
+    """The one kind rule of every spec family: kind is a string (else named as
+    JSON writes it) and a key of table, which maps each kind to the names that
+    _check_fields allows in params.  error is the family's exception class."""
+    if not isinstance(kind, str):
+        raise error(f"{family} kind must be a string, got {json.dumps(kind, default=repr)}")
+    if kind not in table:
+        raise error(f"unknown {family} kind {kind!r}")
+    _check_fields(params, table[kind], f"{kind} {family} parameter")
+
+
+def read_spec(data, what) -> tuple[object, dict]:
     """The one spec layout, of gauges, psi, rhs and h: an object with a 'kind'
     and its parameters in a 'params' object, beside 'kind', or both.  'schema'
-    is no parameter, and a name given both ways is an input error.  The kind
-    and a fresh dict of the parameters; each kind's constructor checks their
-    names by _check_fields and their values."""
+    is the version, no parameter, and a name given both ways is an input
+    error.  The kind as given and a fresh dict of the parameters, which each
+    kind's constructor checks."""
     if not isinstance(data, dict) or "kind" not in data:
         raise InstanceFormatError(f"{what} spec must be an object with a 'kind'")
+    _check_schema(data, what)
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise InstanceFormatError(f"{what} 'params' must be an object, got {params!r}")
@@ -474,7 +484,13 @@ def read_spec(data, what) -> tuple[str, dict]:
     if both:
         raise InstanceFormatError(
             f"{what} parameter(s) {both} given both beside 'kind' and in 'params'")
-    return str(data["kind"]), {**params, **inline}
+    return data["kind"], {**params, **inline}
+
+
+def _json_object(pairs) -> dict:
+    """The object_pairs_hook of every JSON read: a name given twice is an error."""
+    data = dict(pairs)  # only on a repeated name does _by_id run, to raise and name it
+    return data if len(data) == len(pairs) else _by_id(pairs, "a JSON object")
 
 
 def read_document(path, what) -> dict:
@@ -482,7 +498,7 @@ def read_document(path, what) -> dict:
     unreadable file, invalid JSON or a non-object raises InstanceFormatError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
@@ -496,24 +512,27 @@ def _number(value, what) -> float:
     """One number of a document as a float; what names it in the error.  This
     and _float_array hold the one rule for a document's numbers: a JSON
     boolean, numeric string or null is no number, though float() or numpy
-    converts each, and neither is an integer too large for a float."""
+    converts each, nor is an integer too large for a float; NaN and +-inf are
+    numbers that are refused, with an error of their own."""
     if not isinstance(value, _NOT_NUMBERS):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(number):
+                return number
+            raise InstanceFormatError(f"{what} must be finite, got {number}")
     raise InstanceFormatError(f"{what} must be a number, got {value!r}")
 
 
 def _coord_tuple(pid, xy) -> tuple[float, ...]:
     """Coordinates as floats: a list of numbers, read by _float_array."""
-    try:
-        arr = _float_array(xy, "")
-        if arr.ndim == 1:
-            return tuple(arr.tolist())
-    except InstanceFormatError:
-        pass
-    raise InstanceFormatError(f"coords of point {pid!r} must be a list of numbers, got {xy!r}")
+    message = f"coords of point {pid!r} must be a list of numbers, got {xy!r}"
+    arr = _float_array(xy, message)
+    if arr.ndim != 1:
+        raise InstanceFormatError(message)
+    return tuple(arr.tolist())
 
 
 def _coord_pair(arr, metric, x, y) -> np.ndarray:
@@ -557,9 +576,9 @@ def _coord_pair(arr, metric, x, y) -> np.ndarray:
 
 
 def _float_array(values, message: str) -> np.ndarray:
-    """values, a number or nested lists of numbers, as a fresh float array;
-    message is the error when they are not.  Each number is read by
-    _number's rule, to the same double as float() gives."""
+    """values, a number or nested lists of numbers, as a fresh float array,
+    each read by _number's rule to the double float() gives; message is the
+    error when they are not, and names the first NaN or +-inf after it."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -576,6 +595,9 @@ def _float_array(values, message: str) -> np.ndarray:
         for t in set(map(type, flat)):  # one test per distinct type
             if issubclass(t, _NOT_NUMBERS):
                 raise InstanceFormatError(message)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise InstanceFormatError(f"{message}; {arr[~finite][0]} is not finite")
     return arr
 
 

@@ -46,7 +46,7 @@ from .errors import (
     require_max_iter,
     require_tol,
 )
-from .metric_graph import CheckResult, _check_fields, _float_array, _number, read_spec
+from .metric_graph import CheckResult, _check_kind, _float_array, _number, read_spec
 
 TOL_PBVP = 1e-10
 TOL_LOWER = 1e-6  # slack of the finite-difference lower-solution check
@@ -236,24 +236,17 @@ class RhsFunction:
 
     def __post_init__(self):
         # the parameters are parsed here once; `on` reads _numbers or _table
-        if self.kind not in RHS_PARAMS:
-            raise InstanceFormatError(f"unknown rhs kind {self.kind!r}")
         p = self.params
-        _check_fields(p, RHS_PARAMS[self.kind], f"{self.kind} rhs parameter")
+        _check_kind(self.kind, p, RHS_PARAMS, "rhs", InstanceFormatError)
         if self.kind != "table":
             numbers = {key: _number(p.get(key, default), f"{self.kind} rhs {key}")
                        for key, default in RHS_PARAMS[self.kind].items()}
-            for key, v in numbers.items():
-                if not math.isfinite(v):
-                    raise InstanceFormatError(f"{self.kind} rhs {key} must be finite, got {v}")
             object.__setattr__(self, "_numbers", numbers)
             return
         if not all(k in p for k in ("t_nodes", "s_nodes", "values")):
             raise InstanceFormatError("table rhs needs t_nodes, s_nodes, values")
         tn, sn, vals = (_float_array(p[k], "table rhs nodes and values must be numbers")
                         for k in ("t_nodes", "s_nodes", "values"))
-        if not all(np.isfinite(a).all() for a in (tn, sn, vals)):
-            raise InstanceFormatError("table rhs nodes and values must be finite numbers")
         if tn.ndim != 1 or sn.ndim != 1 or not (tn.size and sn.size):
             raise InstanceFormatError("table rhs nodes must be non-empty lists")
         if not (np.all(tn[1:] >= tn[:-1]) and np.all(sn[1:] >= sn[:-1])):
@@ -309,34 +302,20 @@ def _segment(nodes: np.ndarray, x):
 
 
 def make_h(spec, alpha: float | None = None):
-    """Comparison weight h(t) from a config dict or a plain number.
+    """Comparison weight h(t) from a config dict, or from a plain number v
+    read as {"kind": "const", "value": v}.
 
-    kinds: const (a finite positive value) and exp_gap (alpha - e^t, with a
-    finite alpha taken from the dict itself or from the surrounding solver
-    context).
+    kinds: const (a positive value) and exp_gap (alpha - e^t, with alpha
+    taken from the dict itself or from the surrounding solver context).
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        try:
-            v = _number(spec, "h")
-        except InstanceFormatError:
-            raise InstanceFormatError(
-                "h spec must be a number or an object with a 'kind'") from None
-        _require_positive(v, "h")
-        return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-    kind, params = read_spec(spec, "h")
-    if kind not in H_PARAMS:
-        raise InstanceFormatError(f"unknown h kind {kind!r}")
-    _check_fields(params, H_PARAMS[kind], f"{kind} h parameter")
+    kind, params = read_spec(spec if isinstance(spec, dict) else
+                             {"kind": "const", "value": spec}, "h")
+    _check_kind(kind, params, H_PARAMS, "h", InstanceFormatError)
     if kind == "const":
         v = _number(params.get("value"), "const h value")
         _require_positive(v, "const h value")
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-    a = params.get("alpha", alpha)
-    if a is None:
-        raise InstanceFormatError("exp_gap h needs an alpha")
-    a = _number(a, "exp_gap h alpha")
-    if not math.isfinite(a):
-        raise ParamOutOfRange(f"exp_gap h alpha must be finite, got {a}")
+    a = _number(params.get("alpha", alpha), "exp_gap h alpha")
     return lambda t: a - np.exp(np.asarray(t, dtype=float))
 
 

@@ -376,6 +376,24 @@ def test_reproduce_rejects_bad_input(capsys):
     code, _, err = run(capsys, ["reproduce", "ex22_kappa", "--params",
                                 "N=three"])
     assert code == 2
+    # a key given twice, where the last one was run
+    code, doc, err = run(capsys, ["reproduce", "ex22_kappa", "--params", "N=8", "N=9"])
+    assert (code, doc, err) == (2, None, "input error: parameter 'N' is given twice\n")
+
+
+def test_a_map_that_lists_a_point_twice_is_refused(capsys, tmp_path):
+    # json keeps the last of two equal names: a_0 sent first to b_1/2, then to
+    # its image, was read as the map alone, and the solve exited 0
+    _, ip, mp, _ = write_instance(tmp_path, "ex33_dyadic_l1", depth=6)
+    text = Path(mp).read_text()
+    assert text.startswith('{"map": {"a_0": ')
+    Path(mp).write_text(text.replace('{"a_0": ', '{"a_0": "b_1/2", "a_0": ', 1))
+    for flags in ((), ("--strict",)):
+        code, doc, err = run(capsys, ["solve-bpp", "--instance", ip, "--map", mp,
+                                      "--x0", "a_1", *flags])
+        assert (code, doc) == (2, None)
+        assert err == (f"input error: invalid JSON in {mp}: "
+                       "a JSON object has two entries for 'a_0'\n")
 
 
 @pytest.mark.parametrize("example_id, param", [
@@ -905,6 +923,27 @@ def test_an_overflowing_rhs_fails_without_numpy_warnings(capsys):
     assert (code, err) == (1, "")
     assert doc["error"] == "evaluation_failure"
     assert doc["message"] == "right-hand side is not finite at t = 0.0, s = 2.0"
+
+
+@pytest.mark.parametrize("h, message", [
+    ("Infinity", "const h value must be finite, got inf"),
+    ("-Infinity", "const h value must be finite, got -inf"),
+    ("NaN", "const h value must be finite, got nan"),
+    ('{"kind": null, "value": 1}', "h kind must be a string, got null"),
+    ('{"kind": ["const"], "value": 1}', 'h kind must be a string, got ["const"]'),
+    ('"1"', "const h value must be a number, got '1'"),
+])
+def test_a_plain_h_is_the_const_kind(capsys, h, message):
+    argv = pbvp_argv()
+    at = argv.index("--h")
+    argv[at:at + 2] = [f"--h={h}"]  # so that -Infinity is not read as a flag
+    code, doc, err = run(capsys, argv)
+    assert (code, doc, err) == (2, None, f"input error: {message}\n")
+
+
+def test_a_plain_h_solves_as_the_const_object(capsys):
+    want = run(capsys, pbvp_argv(h='{"kind":"const","value":1.5}'))
+    assert want[0] == 0 and run(capsys, pbvp_argv(h="1.5")) == want
 
 
 def test_const_h_has_no_second_name_for_its_value(capsys):

@@ -452,10 +452,12 @@ def test_psi_params_must_be_an_object():
     [[-math.inf, 0.1], [1.0, 0.2]],
 ], ids=["nan_s", "inf_s", "minus_inf_s"])
 def test_table_psi_refuses_knots_that_are_not_finite(knots):
-    with pytest.raises(InvalidPsi, match="table psi knots must be finite numbers"):
+    with pytest.raises(InstanceFormatError,
+                       match=r"^table psi knots must be \(s, value\) pairs of numbers; "
+                             r"-?(nan|inf) is not finite$"):
         PsiGauge("table", {"knots": knots})
-    # a NaN value is already outside [0, 1)
-    with pytest.raises(InvalidPsi, match=r"values must lie in \[0, 1\)"):
+    # the number rule refuses a NaN value too, before the check of [0, 1)
+    with pytest.raises(InstanceFormatError, match="nan is not finite"):
         PsiGauge("table", {"knots": [[0.0, 0.1], [1.0, math.nan]]})
 
 
@@ -468,12 +470,12 @@ def per_pair_psi_sweep(space, pair, psi, tol, strengthened):
         for x in side:
             for y in side if strengthened else (x,):
                 img = ti[y]
-                if not space.has_edge(x, img):
+                if (x, img) not in space.edges:
                     continue
                 lead, nxt = ti[x], tj[img]
                 checked += 1
                 d0 = space.d(x, img)
-                if not space.has_edge(lead, nxt):
+                if (lead, nxt) not in space.edges:
                     edge_viols.append((lead, nxt, f"image pair of ({x}, {y}) is not an edge"))
                 lhs = space.d(lead, nxt)
                 rhs = psi(d0) * d0

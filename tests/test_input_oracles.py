@@ -222,15 +222,18 @@ NAMES = ("colour", "c", "value", "knots", "alpha", "freq", "t_nodes", "schema")
 
 @st.composite
 def fuzzed_specs(draw):
-    """A family and a spec of it: a known or an unknown kind with a valid
-    kind's parameters, changed at up to two places (a name added, or at any
-    depth a value dropped, replaced, or replaced by NaN or an infinity),
-    then laid out in 'params', beside 'kind' or split between them, now and
-    then with a name given both ways; once in ten draws no object at all."""
+    """A family and a spec of it: a known or an unknown kind, or a kind that
+    is no string, with a valid kind's parameters, changed at up to two places
+    (a name added, or at any depth a value dropped, replaced, or replaced by
+    NaN or an infinity), then laid out in 'params', beside 'kind' or split
+    between them, now and then with a name given both ways, and in one draw
+    of four with a version beside 'kind'; once in ten draws no object at all."""
     family = draw(st.sampled_from(sorted(SPECS)))
-    # a known kind four times as often as each unknown one
-    kind = draw(st.sampled_from([*sorted(SPECS[family]) * 4, "cubic", None]))
-    params = json.loads(json.dumps(SPECS[family].get(kind, {"c": 1})))  # a deep copy
+    # a known kind four times as often as each unknown one or each that is no string
+    kind = draw(st.sampled_from([*sorted(SPECS[family]) * 4, "cubic", None, True, 3,
+                                 ["linear"]]))
+    known = SPECS[family].get(kind, {"c": 1}) if isinstance(kind, str) else {"c": 1}
+    params = json.loads(json.dumps(known))  # a deep copy
     for _ in range(draw(st.integers(0, 2))):
         where = list(paths(params))
         # a non-finite value three times as often as each other change
@@ -252,6 +255,8 @@ def fuzzed_specs(draw):
     spec = {"kind": kind, **{k: params[k] for k in beside}}
     if len(beside) < len(params) or twice or draw(st.booleans()):
         spec["params"] = {k: v for k, v in params.items() if k not in beside or k in twice}
+    if draw(st.integers(0, 3)) == 0:
+        spec["schema"] = draw(st.sampled_from(["1", "7", 1, None]))
     if draw(st.integers(0, 9)) == 9:
         spec = draw(VALUES)
     return family, spec, draw(st.booleans())
@@ -269,7 +274,8 @@ def reads_a_non_finite(family, spec) -> bool:
     if not isinstance(spec, dict):
         return family == "h" and holds_a_non_finite(spec)
     kinds, params = SPECS[family], spec.get("params", {})
-    if spec.get("kind") not in kinds or not isinstance(params, dict):
+    if not isinstance(spec.get("kind"), str) or spec["kind"] not in kinds \
+            or not isinstance(params, dict):
         return False
     params = {**params, **spec}
     return any(holds_a_non_finite(params.get(k)) for k in kinds[spec["kind"]])
@@ -326,8 +332,96 @@ def test_fuzzed_specs_keep_the_exit_code_contract(spec_files, drawn):
     for flags in ((), ("--strict",)) if family in ("gauge", "psi") else ((),):
         code, out, err = run_main(argv + list(flags))
         assert_exit_contract(code, out, err, bool(flags))
-        if reads_a_non_finite(family, spec):
+        if reads_a_non_finite(family, spec) or breaks_kind_or_version(spec):
             assert code == 2, err
+        if isinstance(spec, dict) and spec.get("kind", "") is None and lays_out(spec):
+            assert "kind must be a string, got null" in err, err
+
+
+def breaks_kind_or_version(spec) -> bool:
+    """Whether spec is an object with a 'kind' that is no string, or with a
+    'schema' that is not the string "1"."""
+    return isinstance(spec, dict) and "kind" in spec and (
+        not isinstance(spec["kind"], str) or spec.get("schema", "1") != "1")
+
+
+def lays_out(spec) -> bool:
+    """Whether the object spec is read as far as its kind: its 'params' is
+    an object, its version "1" if given, and no name is given both ways."""
+    params = spec.get("params", {})
+    return (isinstance(params, dict) and spec.get("schema", "1") == "1"
+            and not params.keys() & (spec.keys() - {"kind", "params", "schema"}))
+
+
+# ----- versions, repeated names and non-finite numbers in each document ----
+
+PSI = {"schema": "1", "kind": "constant", "value": 0.5}
+# what each document's version error calls it
+VERSION_NAMES = {"instance": "instance", "map": "map file", "gauges": "gauge file", "psi": "psi"}
+
+
+def documents_argv(files, which, change):
+    """verify on the ex22 documents, or for the psi file solve-fixed-point on
+    ex41's, with the document which written as change(its JSON text), and
+    that document's path."""
+    texts = {"instance": files["instance22"].read_text(), "map": files["map"].read_text(),
+             "gauges": json.dumps(files["gauges"]), "psi": json.dumps(PSI)}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = files["folder"] / f"read_{name}.json"
+        paths[name].write_text(change(text) if name == which else text)
+    argv = (["verify", "--instance", paths["instance"], "--map", paths["map"],
+             "--gauges", paths["gauges"]] if which != "psi" else
+            ["solve-fixed-point", "--instance", files["instance41"], "--t1", files["t1"],
+             "--t2", files["t2"], "--psi", paths["psi"], "--x0", "f_1/2"])
+    return list(map(str, argv)), paths[which]
+
+
+def with_a_non_finite_number(which, text):
+    """The document with NaN where it holds a number: the first point's
+    coords of the table space, phi1's c or the psi value."""
+    doc = json.loads(text)
+    if which == "instance":
+        doc["points"][0]["coords"] = [math.nan, 0.0]
+    elif which == "gauges":
+        doc["phi1"] = {"kind": "linear", "c": math.nan}
+    else:
+        doc["value"] = math.nan
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("which", sorted(VERSION_NAMES))
+def test_each_document_refuses_another_version_a_repeated_name_and_nan(spec_files, which):
+    for flags in ((), ("--strict",)):
+        argv, path = documents_argv(spec_files, which, lambda t: t)
+        assert run_main(argv + list(flags))[0] == 0
+        argv, _ = documents_argv(spec_files, which,
+                                 lambda t: json.dumps({**json.loads(t), "schema": "7"}))
+        got = run_main(argv + list(flags))
+        assert got == (2, "", f"input error: unsupported {VERSION_NAMES[which]} schema "
+                              "version '7'\n")
+        # the first name, "schema", given twice with the same value
+        argv, _ = documents_argv(spec_files, which,
+                                 lambda t: t.replace('{"schema": "1"', '{"schema": "1", '
+                                                     '"schema": "1"', 1))
+        got = run_main(argv + list(flags))
+        assert got == (2, "", f"input error: invalid JSON in {path}: a JSON object has two "
+                              "entries for 'schema'\n")
+        if which != "map":  # a map file holds no number
+            argv, _ = documents_argv(spec_files, which,
+                                     lambda t: with_a_non_finite_number(which, t))
+            code, out, err = run_main(argv + list(flags))
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith("input error: ") and "nan" in err and "finite" in err
+
+
+def test_a_name_given_twice_in_rhs_is_an_input_error():
+    rhs = '{"kind": "linear", "a": -1, "a": 2}'
+    argv = ["solve-pbvp", "--alpha", "4", "--N", "11", "--h", "1", "--w0", "const:-1"]
+    for flag in ("--rhs", "--f2"):
+        specs = {"--rhs": '{"kind": "linear", "a": -1}', flag: rhs}
+        got = run_main(argv + [f"{k}={v}" for k, v in specs.items()])
+        assert got == (2, "", f"input error: {flag}: a JSON object has two entries for 'a'\n")
 
 
 # ----- metamorphic relations ---------------------------------------------

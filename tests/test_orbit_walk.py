@@ -321,7 +321,7 @@ def test_the_orbit_table_answers_as_the_loops_do(graph, tol, below, data):
     drawn = data.draw(st.lists(st.sampled_from(space.side_a()), max_size=3))
     answers_as_the_loops_do(space, tmap, depth, [deepest, *drawn], tol, below)
     assert x_t2_a_set(space, tmap) == {x for x in space.side_a()
-                                       if space.has_edge(x, tmap.twice(x))}
+                                       if (x, tmap.twice(x)) in space.edges}
 
 
 def test_the_long_chain_answers_as_the_loops_do():

@@ -187,5 +187,7 @@ def test_every_reader_takes_the_same_numbers(x):
             assert got and all(type(v) is float for v in got), name
             outcomes[name] = {struct.pack("<d", v) for v in got}
     assert all(v == outcomes["_number"] for v in outcomes.values()), outcomes
-    is_number = type(x) is float or type(x) is int and abs(x) < 2 ** 1024 - 2 ** 970
+    # a number is finite: NaN and the infinities are refused as well
+    is_number = (type(x) is float and math.isfinite(x)
+                 or type(x) is int and abs(x) < 2 ** 1024 - 2 ** 970)
     assert (outcomes["_number"] is not None) == is_number
